@@ -292,7 +292,7 @@ func (e *Engine) StartProcess(node int64, prog *fir.Program, args []int64, extra
 	e.mu.Lock()
 	e.extras[node] = extra
 	e.mu.Unlock()
-	e.startDriver(node, p)
+	e.startDriver(node, p, 0)
 	return nil
 }
 
@@ -546,7 +546,7 @@ func (e *Engine) handoff(src, dst int64, req *rt.MigrationRequest) (rt.MigrateOu
 	// its source had.
 	e.Router.InheritSeen(src, dst)
 	e.ctl.Emit(obs.EvAdopt, int(dst), uint64(e.Router.Seen(dst)), 0, src, 0, "")
-	e.startDriver(dst, proc)
+	e.startDriver(dst, proc, 0)
 	return rt.OutcomeMigrated, nil
 }
 
@@ -555,7 +555,14 @@ func (e *Engine) handoff(src, dst int64, req *rt.MigrationRequest) (rt.MigrateOu
 // source incarnation's rollback-epoch cursor, installed before the driver
 // starts so the adopted process neither re-observes a rollback it already
 // joined nor misses one it had yet to see.
-func (e *Engine) Adopt(node int64, img *wire.Image, seen int64, extra rt.Registry) error {
+//
+// The process is installed parked and runs once the returned start is
+// called. The transport acknowledges the handoff in between, so that the
+// source and the hub know of the adoption before the adopted process can
+// act on it: its first checkpoint may be the one a fault script kills this
+// worker on, and a worker killed with the acknowledgement unsent leaves
+// the source running a second copy of the process.
+func (e *Engine) Adopt(node int64, img *wire.Image, seen int64, extra rt.Registry) (start func(), err error) {
 	e.handoffMu.Lock()
 	defer e.handoffMu.Unlock()
 	e.mu.Lock()
@@ -563,25 +570,30 @@ func (e *Engine) Adopt(node int64, img *wire.Image, seen int64, extra rt.Registr
 	failed := e.killed[node]
 	e.mu.Unlock()
 	if failed {
-		return fmt.Errorf("cluster: node %d is failed", node)
+		return nil, fmt.Errorf("cluster: node %d is failed", node)
 	}
 	if d != nil && !d.hasExited() {
-		return fmt.Errorf("cluster: node %d already has a live process", node)
+		return nil, fmt.Errorf("cluster: node %d already has a live process", node)
 	}
 	if extra == nil {
 		extra = e.extraFor(node)
 	}
 	proc, err := e.unpackAs(node, img, extra, "m")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	e.mu.Lock()
 	e.extras[node] = extra
 	e.mu.Unlock()
 	e.Router.SetSeen(node, seen)
 	e.ctl.Emit(obs.EvAdopt, int(node), uint64(seen), 0, -1, 0, "")
-	e.startDriver(node, proc)
-	return nil
+	d = e.startDriver(node, proc, 1)
+	return func() {
+		d.mu.Lock()
+		d.pauses--
+		d.cond.Broadcast()
+		d.mu.Unlock()
+	}, nil
 }
 
 // driver runs one node's process: a goroutine stepping the process one
@@ -609,8 +621,10 @@ func (d *driver) hasExited() bool {
 }
 
 // startDriver registers and launches a (new incarnation of a) node.
-func (e *Engine) startDriver(node int64, proc rt.Proc) {
-	d := &driver{eng: e, node: node, proc: proc, done: make(chan struct{})}
+// startDriver starts the goroutine that runs proc as node's process, with
+// `pauses` quiesce requests already outstanding (0 runs it at once).
+func (e *Engine) startDriver(node int64, proc rt.Proc, pauses int) *driver {
+	d := &driver{eng: e, node: node, proc: proc, pauses: pauses, done: make(chan struct{})}
 	d.cond = sync.NewCond(&d.mu)
 	e.mu.Lock()
 	// A node failed before (or while) its process started stays failed
@@ -623,6 +637,7 @@ func (e *Engine) startDriver(node int64, proc rt.Proc) {
 	e.active++
 	e.activeMu.Unlock()
 	go d.loop()
+	return d
 }
 
 func (d *driver) loop() {
@@ -882,7 +897,7 @@ func (e *Engine) Resurrect(node int64, checkpoint string, extra rt.Registry) err
 		// failed mark; the next Resurrect restores it.
 		e.Router.Restore(node)
 	}
-	e.startDriver(node, proc)
+	e.startDriver(node, proc, 0)
 	return nil
 }
 

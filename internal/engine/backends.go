@@ -1,15 +1,14 @@
 package engine
 
-// The two built-in execution backends, registered at init. They are
-// defined here rather than in their own packages so vm and risc stay free
-// of registry plumbing (and of this package).
+// The built-in execution backends, registered at init. They are defined
+// here rather than in their own packages so vm, risc and jit stay free of
+// registry plumbing (and of this package).
 
 import (
-	"sync"
-
 	"repro/internal/fir"
 	"repro/internal/heap"
 	"repro/internal/jit"
+	"repro/internal/memo"
 	"repro/internal/risc"
 	"repro/internal/rt"
 	"repro/internal/spec"
@@ -23,66 +22,43 @@ func init() {
 }
 
 // artifactCache memoizes per-program compiled artifacts by program
-// identity, bounded FIFO. Factories assume a program handed to New is not
-// mutated afterwards — the cluster engine's usage pattern (one program
-// fanned out to every node, run after run). Resume paths never consult it:
-// unpack decodes a fresh program each time.
-type artifactCache struct {
-	name  string
-	mu    sync.Mutex
-	m     map[*fir.Program]any
-	order []*fir.Program
-	max   int
-
-	hits, misses, evicts uint64
+// identity, bounded FIFO. Factories assume a program handed to New or
+// Precompile is not mutated afterwards — the cluster engine's usage
+// pattern (one program fanned out to every node, run after run). Fresh
+// starts and resumes both go through it: workload.Compile hands every
+// node of a run the same program, and migrate.Unpack interns the programs
+// it decodes, so a restore of code this process already compiled is a
+// hit. Concurrent callers for one program share one compilation.
+type artifactCache[A any] struct {
+	name string
+	t    *memo.Table[*fir.Program, A]
 }
 
-func newArtifactCache(name string, max int) *artifactCache {
-	return &artifactCache{name: name, m: make(map[*fir.Program]any), max: max}
+func newArtifactCache[A any](name string) *artifactCache[A] {
+	return &artifactCache[A]{name: name, t: memo.New[*fir.Program, A](artifactCacheMax)}
 }
 
-func (c *artifactCache) get(p *fir.Program) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[p]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return v, ok
-}
+// artifactCacheMax bounds each engine's cache; entries pin their program.
+const artifactCacheMax = 16
 
-func (c *artifactCache) put(p *fir.Program, v any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[p]; ok {
-		return
-	}
-	c.m[p] = v
-	c.order = append(c.order, p)
-	for len(c.order) > c.max {
-		old := c.order[0]
-		c.order = c.order[1:]
-		delete(c.m, old)
-		c.evicts++
-	}
+func (c *artifactCache[A]) load(prog *fir.Program, compile func(*fir.Program) (A, error)) (A, error) {
+	art, _, err := c.t.Do(prog, func() (A, error) { return compile(prog) })
+	return art, err
 }
 
 // stats reports the cache's counters under "<engine>_<counter>" keys.
-func (c *artifactCache) stats(into map[string]uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	into[c.name+"_hits"] = c.hits
-	into[c.name+"_misses"] = c.misses
-	into[c.name+"_evicts"] = c.evicts
-	into[c.name+"_entries"] = uint64(len(c.order))
+func (c *artifactCache[A]) stats(into map[string]uint64) {
+	st := c.t.Stats()
+	into[c.name+"_hits"] = st.Hits
+	into[c.name+"_misses"] = st.Misses
+	into[c.name+"_evicts"] = st.Evicts
+	into[c.name+"_entries"] = uint64(st.Entries)
 }
 
 var (
-	vmCache   = newArtifactCache("vm", 16)
-	riscCache = newArtifactCache("risc", 16)
-	jitCache  = newArtifactCache("jit", 16)
+	vmCache   = newArtifactCache[*vm.Compiled]("vm")
+	riscCache = newArtifactCache[*risc.Module]("risc")
+	jitCache  = newArtifactCache[*jit.Compiled]("jit")
 )
 
 // CacheStats snapshots the per-engine artifact-cache counters (hits,
@@ -106,12 +82,9 @@ func (vmFactory) Description() string {
 
 func (vmFactory) New(prog *fir.Program, cfg Config) (rt.Exec, error) {
 	c := vmConfig(cfg)
-	if v, ok := vmCache.get(prog); ok {
-		c.Compiled = v.(*vm.Compiled)
-	} else if comp, err := vm.Precompile(prog); err == nil {
-		// A compile error is left for Start to surface after the type
-		// check, matching the uncached path's error order.
-		vmCache.put(prog, comp)
+	// A compile error is left for Start to surface after the type check,
+	// matching the uncached path's error order.
+	if comp, err := vmCache.load(prog, vm.Precompile); err == nil {
 		c.Compiled = comp
 	}
 	return vm.NewProcess(prog, c), nil
@@ -122,7 +95,7 @@ func (vmFactory) Resume(prog *fir.Program, h *heap.Heap, conts []spec.Continuati
 }
 
 func (vmFactory) Precompile(prog *fir.Program) (any, error) {
-	return vm.Precompile(prog)
+	return vmCache.load(prog, vm.Precompile)
 }
 
 func (vmFactory) ResumeWith(art any, prog *fir.Program, h *heap.Heap, conts []spec.Continuation, cfg Config) (rt.Exec, error) {
@@ -148,15 +121,9 @@ func (riscFactory) Description() string {
 }
 
 func (riscFactory) New(prog *fir.Program, cfg Config) (rt.Exec, error) {
-	var mod *risc.Module
-	if v, ok := riscCache.get(prog); ok {
-		mod = v.(*risc.Module)
-	} else if m, err := risc.Compile(prog); err == nil {
-		// A compile error is left for Start to surface after the type
-		// check, matching the uncached path's error order.
-		riscCache.put(prog, m)
-		mod = m
-	}
+	// A compile error is left for Start to surface after the type check,
+	// matching the uncached path's error order: mod stays nil.
+	mod, _ := riscCache.load(prog, risc.Compile)
 	return risc.NewMachine(prog, mod, riscConfig(cfg))
 }
 
@@ -165,7 +132,7 @@ func (riscFactory) Resume(prog *fir.Program, h *heap.Heap, conts []spec.Continua
 }
 
 func (riscFactory) Precompile(prog *fir.Program) (any, error) {
-	return risc.Compile(prog)
+	return riscCache.load(prog, risc.Compile)
 }
 
 func (riscFactory) ResumeWith(art any, prog *fir.Program, h *heap.Heap, conts []spec.Continuation, cfg Config) (rt.Exec, error) {
@@ -190,12 +157,9 @@ func (jitFactory) Description() string {
 
 func (jitFactory) New(prog *fir.Program, cfg Config) (rt.Exec, error) {
 	c := jitConfig(cfg)
-	if v, ok := jitCache.get(prog); ok {
-		c.Compiled = v.(*jit.Compiled)
-	} else if comp, err := jit.Precompile(prog); err == nil {
-		// A compile error is left for Start to surface after the type
-		// check, matching the uncached path's error order.
-		jitCache.put(prog, comp)
+	// A compile error is left for Start to surface after the type check,
+	// matching the uncached path's error order.
+	if comp, err := jitCache.load(prog, jit.Precompile); err == nil {
 		c.Compiled = comp
 	}
 	return jit.NewMachine(prog, c), nil
@@ -206,7 +170,7 @@ func (jitFactory) Resume(prog *fir.Program, h *heap.Heap, conts []spec.Continuat
 }
 
 func (jitFactory) Precompile(prog *fir.Program) (any, error) {
-	return jit.Precompile(prog)
+	return jitCache.load(prog, jit.Precompile)
 }
 
 func (jitFactory) ResumeWith(art any, prog *fir.Program, h *heap.Heap, conts []spec.Continuation, cfg Config) (rt.Exec, error) {

@@ -1,12 +1,13 @@
 // Package engine is the pluggable execution-engine layer of the cluster
 // runtime. An engine is a named factory for rt.Exec backends — the
-// slot-resolved FIR interpreter ("vm") and the register-allocated RISC
-// simulator ("risc") register themselves here — and every layer above
-// (cluster.Engine, migrate.Unpack, the workload harness, mojrun/gridrun's
-// -engine flag) selects one by name. Both built-ins execute programs
-// bit-exactly against the same heap/ops/spec semantics, so the choice is
-// purely a performance knob: results, halt codes and checkpoint recovery
-// are identical on either.
+// slot-resolved FIR interpreter ("vm"), the register-allocated RISC
+// simulator ("risc") and the threaded-code engine ("jit") register
+// themselves here — and every layer above (cluster.Engine,
+// migrate.Unpack, the workload harness, mojrun/gridrun's -engine flag)
+// selects one by name. The built-ins execute programs bit-exactly against
+// the same heap/ops/spec semantics, so the choice is purely a performance
+// knob: results, halt codes and checkpoint recovery are identical on all
+// of them.
 package engine
 
 import (
@@ -65,9 +66,10 @@ type Factory interface {
 // Precompiler is implemented by factories whose code generation can be
 // performed (and timed) separately from process construction — the
 // paper's E1 migration-cost breakdown attributes recompilation at the
-// target on its own line. Precompile compiles prog to an opaque
-// artifact; ResumeWith resumes a process using it. The artifact is only
-// valid for the exact Program it was compiled from.
+// target on its own line. Precompile returns prog's compiled artifact,
+// compiling it unless the engine's artifact cache already holds one for
+// this exact Program; ResumeWith resumes a process using it. The artifact
+// is only valid for the Program it was compiled from.
 type Precompiler interface {
 	Precompile(prog *fir.Program) (any, error)
 	ResumeWith(art any, prog *fir.Program, h *heap.Heap, conts []spec.Continuation, cfg Config) (rt.Exec, error)

@@ -61,18 +61,20 @@ func Check(p *Program, externs map[string]ExternSig) error {
 	if len(entry.Params) != 0 {
 		return &CheckError{Fn: entry.Name, Msg: "entry function must take no parameters"}
 	}
+	// One environment serves every function: nothing keeps it once a
+	// body is checked (If branches work on clones), and a lowered program
+	// is hundreds of small continuation functions.
+	env := make(map[string]Type)
 	for _, f := range p.Funcs {
 		c := &checker{prog: p, externs: externs, fn: f.Name}
-		env := make(map[string]Type, len(f.Params))
-		names := make(map[string]bool, len(f.Params))
+		clear(env)
 		for _, prm := range f.Params {
 			if prm.Name == "" {
 				return &CheckError{Fn: f.Name, Msg: "parameter with empty name"}
 			}
-			if names[prm.Name] {
+			if _, dup := env[prm.Name]; dup {
 				return &CheckError{Fn: f.Name, Msg: fmt.Sprintf("duplicate parameter %q", prm.Name)}
 			}
-			names[prm.Name] = true
 			env[prm.Name] = prm.Type
 		}
 		if err := c.expr(f.Body, env); err != nil {

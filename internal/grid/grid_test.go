@@ -1,6 +1,9 @@
 package grid
 
 import (
+	"os"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -30,6 +33,34 @@ func TestValidate(t *testing.T) {
 func TestCompileProgram(t *testing.T) {
 	if _, err := CompileProgram(); err != nil {
 		t.Fatalf("CompileProgram: %v", err)
+	}
+}
+
+// TestCompileAllocatesUnderOneMB bounds a compile of Source by bytes
+// allocated, not by wall clock: the lexer once converted the remaining
+// source to a string per punctuation candidate, 17.9 MB per compile.
+func TestCompileAllocatesUnderOneMB(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := CompileProgram(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("compiling grid.Source allocated %d bytes, want under 1 MiB", got)
+	}
+}
+
+// TestLexerCorpusCopyIsCurrent keeps internal/lang's copy of Source — its
+// fuzz seed and matcher-equivalence corpus; lang cannot import this
+// package — equal to the real one.
+func TestLexerCorpusCopyIsCurrent(t *testing.T) {
+	b, err := os.ReadFile("../lang/testdata/grid.mc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(string(b), strings.TrimLeft(Source, "\n")) {
+		t.Fatal("internal/lang/testdata/grid.mc no longer ends with grid.Source; copy it again")
 	}
 }
 

@@ -1,7 +1,6 @@
 package jit
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/fir"
@@ -25,46 +24,8 @@ var (
 	checkOrder []checkKey
 
 	// Fingerprint scratch, reused across calls (guarded by checkMu).
-	fpNames []string
-	fpBuf   []byte
+	sigPrint rt.SigFingerprint
 )
-
-// fingerprint canonicalizes the signature set of std overlaid with extra
-// into fpBuf so machines with identical registries share a type-check
-// verdict. Requires checkMu; the result is valid until the next call.
-func fingerprint(std, extra rt.Registry) []byte {
-	fpNames = fpNames[:0]
-	for n := range std {
-		if _, shadowed := extra[n]; !shadowed {
-			fpNames = append(fpNames, n)
-		}
-	}
-	for n := range extra {
-		fpNames = append(fpNames, n)
-	}
-	sort.Strings(fpNames)
-	b := fpBuf[:0]
-	for _, n := range fpNames {
-		e, ok := extra[n]
-		if !ok {
-			e = std[n]
-		}
-		s := e.Sig
-		b = append(b, n...)
-		b = append(b, '(')
-		for i, a := range s.Args {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, a.String()...)
-		}
-		b = append(b, ")->"...)
-		b = append(b, s.Result.String()...)
-		b = append(b, ';')
-	}
-	fpBuf = b
-	return b
-}
 
 // checkCached runs fir.Check once per (program, signature set). Programs
 // are immutable after construction (the compiler and the engine artifact
@@ -74,7 +35,7 @@ func fingerprint(std, extra rt.Registry) []byte {
 // program, which dominated short-run latency.
 func checkCached(prog *fir.Program, std, extra rt.Registry) error {
 	checkMu.Lock()
-	fp := fingerprint(std, extra)
+	fp := sigPrint.Of(std, extra)
 	if inner := checkSeen[prog]; inner != nil {
 		if err, ok := inner[string(fp)]; ok {
 			checkMu.Unlock()
@@ -91,7 +52,7 @@ func checkCached(prog *fir.Program, std, extra rt.Registry) error {
 
 	checkMu.Lock()
 	defer checkMu.Unlock()
-	fp = fingerprint(std, extra) // recompute: the scratch may have been reused
+	fp = sigPrint.Of(std, extra) // recompute: the scratch may have been reused
 	inner := checkSeen[prog]
 	if inner == nil {
 		inner = map[string]error{}

@@ -79,17 +79,35 @@ func (lx *lexer) skipSpaceAndComments() error {
 	return nil
 }
 
-// multi-rune operators, longest first.
+// punctuations is the operator table; two-rune operators come first so
+// the first match is the longest.
 var punctuations = []string{
 	"&&", "||", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=",
 	"+", "-", "*", "/", "%", "!", "<", ">", "=", "(", ")", "{", "}",
 	"[", "]", ",", ";", "&", "|", "^",
 }
 
+// punct returns the first entry of punctuations that matches at lx.pos,
+// or "" when none does. Entries are one or two ASCII characters, so it
+// compares at most two runes per entry and returns the table's own
+// string: a punctuation token costs no allocation and never touches the
+// rest of the source.
+func (lx *lexer) punct() string {
+	r, next := lx.peek(), lx.peek2()
+	for _, p := range punctuations {
+		if rune(p[0]) == r && (len(p) == 1 || rune(p[1]) == next) {
+			return p
+		}
+	}
+	return ""
+}
+
 // lex tokenizes the whole input.
 func lex(src string) ([]Token, error) {
 	lx := newLexer(src)
-	var toks []Token
+	// MojC runs at about four runes per token; sizing for that up front
+	// halves what the token slice allocates while it grows.
+	toks := make([]Token, 0, len(lx.src)/4+1)
 	for {
 		if err := lx.skipSpaceAndComments(); err != nil {
 			return nil, err
@@ -102,11 +120,11 @@ func lex(src string) ([]Token, error) {
 		r := lx.peek()
 		switch {
 		case unicode.IsLetter(r) || r == '_':
-			var b strings.Builder
+			start := lx.pos
 			for lx.pos < len(lx.src) && (unicode.IsLetter(lx.peek()) || unicode.IsDigit(lx.peek()) || lx.peek() == '_') {
-				b.WriteRune(lx.advance())
+				lx.advance()
 			}
-			text := b.String()
+			text := string(lx.src[start:lx.pos])
 			kind := TokIdent
 			if keywords[text] {
 				kind = TokKeyword
@@ -196,6 +214,9 @@ func lex(src string) ([]Token, error) {
 			}
 			c := lx.advance()
 			if c == '\\' {
+				if lx.pos >= len(lx.src) {
+					return nil, errf(line, col, "unterminated char literal")
+				}
 				e := lx.advance()
 				switch e {
 				case 'n':
@@ -218,20 +239,14 @@ func lex(src string) ([]Token, error) {
 			toks = append(toks, Token{Kind: TokChar, Text: fmt.Sprintf("'%c'", c), IntVal: int64(c), Line: line, Col: col})
 
 		default:
-			matched := false
-			for _, p := range punctuations {
-				if strings.HasPrefix(string(lx.src[lx.pos:]), p) {
-					for range p {
-						lx.advance()
-					}
-					toks = append(toks, Token{Kind: TokPunct, Text: p, Line: line, Col: col})
-					matched = true
-					break
-				}
-			}
-			if !matched {
+			p := lx.punct()
+			if p == "" {
 				return nil, errf(line, col, "unexpected character %q", r)
 			}
+			for range p {
+				lx.advance()
+			}
+			toks = append(toks, Token{Kind: TokPunct, Text: p, Line: line, Col: col})
 		}
 	}
 }

@@ -5,15 +5,16 @@
 package migrate
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/fir"
 	"repro/internal/heap"
+	"repro/internal/memo"
 	"repro/internal/rt"
 	"repro/internal/vm"
 	"repro/internal/wire"
@@ -96,43 +97,16 @@ type Store interface {
 	List() ([]string, error)
 }
 
-// encodedProgram memoizes fir.EncodeProgram per program identity, bounded
-// FIFO like the engine artifact caches. A checkpointing process re-packs
-// the same (immutable) program every interval; re-encoding it dominated
-// the capture pause. The cached bytes are shared by every image built
-// from the program — consumers treat Code.Program as read-only.
-var encodeCache struct {
-	mu    sync.Mutex
-	m     map[*fir.Program][]byte
-	order []*fir.Program
-}
-
-const encodeCacheMax = 16
+// encodeCache memoizes fir.EncodeProgram per program identity. A
+// checkpointing process re-packs the same (immutable) program every
+// interval; re-encoding it dominated the capture pause. The cached bytes
+// are shared by every image built from the program — consumers treat
+// Code.Program as read-only.
+var encodeCache = memo.New[*fir.Program, []byte](16)
 
 func encodedProgram(p *fir.Program) []byte {
-	encodeCache.mu.Lock()
-	if b, ok := encodeCache.m[p]; ok {
-		encodeCache.mu.Unlock()
-		return b
-	}
-	encodeCache.mu.Unlock()
-
-	b := fir.EncodeProgram(p)
-
-	encodeCache.mu.Lock()
-	defer encodeCache.mu.Unlock()
-	if _, ok := encodeCache.m[p]; !ok {
-		if encodeCache.m == nil {
-			encodeCache.m = make(map[*fir.Program][]byte)
-		}
-		encodeCache.m[p] = b
-		encodeCache.order = append(encodeCache.order, p)
-		for len(encodeCache.order) > encodeCacheMax {
-			delete(encodeCache.m, encodeCache.order[0])
-			encodeCache.order = encodeCache.order[1:]
-		}
-	}
-	return encodeCache.m[p]
+	b, _, _ := encodeCache.Do(p, func() ([]byte, error) { return fir.EncodeProgram(p), nil })
+	return b
 }
 
 // Pack captures the complete state of a running process as a migration
@@ -227,15 +201,67 @@ func (o Options) engineName() string {
 
 // Timings reports where unpack time went, reproducing the paper's
 // breakdown of migration cost (compilation dominates untrusted migration).
+//
+// Cached tells the two kinds of unpack apart. On first contact with a
+// program (Cached false) Decode, Check and Compile are the full costs the
+// paper measures. When this process has already unpacked the same program
+// bytes (Cached true) Decode is the SHA-256 of those bytes, and Check and
+// Compile are table lookups — unless the extern signature set or the
+// engine is new to the program, which is checked or compiled once more.
+// Restore is paid in full either way.
 type Timings struct {
-	Decode  time.Duration // FIR decode
+	Decode  time.Duration // FIR decode, or the content hash on a hit
 	Check   time.Duration // type check + label validation (untrusted only)
 	Compile time.Duration // backend code generation (engines with a Precompile hook)
 	Restore time.Duration // heap reconstruction + resume positioning
+	Cached  bool          // the program was already interned
 }
 
 // Total returns the summed unpack time.
 func (t Timings) Total() time.Duration { return t.Decode + t.Check + t.Compile + t.Restore }
+
+// The restore path's tables. A checkpoint the same run reads back, or a
+// second process arriving with code the server has already accepted,
+// carries a program this process holds in executable form; these make
+// "bytes -> checked, compiled program" happen once.
+var (
+	// interned holds the decoded form of inbound programs under the
+	// SHA-256 of their encoding, so equal bytes yield one *fir.Program and
+	// the pointer-keyed tables (verdicts, the engine artifact caches,
+	// encodeCache) recognise it. The key is a cryptographic hash, never
+	// the encoding's CRC: a collision would run one program under
+	// another's verdict. Entries pin a program each, so the bound is small.
+	interned = memo.New[[sha256.Size]byte, *fir.Program](16)
+	// verdicts holds the migration labels of programs that passed
+	// fir.Check, per extern signature set. A rejection is not kept: an
+	// ill-typed program is checked, and refused, every time it arrives.
+	verdicts = memo.New[verdictKey, map[int]string](32)
+)
+
+type verdictKey struct {
+	prog *fir.Program
+	sigs string // rt.SigFingerprint of the externs checked against
+}
+
+// checkedLabels is the untrusted-peer gate (§4.2.2): prog must type-check
+// against the standard externs overlaid with extra, and its migration
+// labels must be unique. It returns the labels, shared and read-only.
+func checkedLabels(prog *fir.Program, extra rt.Registry) (map[int]string, error) {
+	std := rt.StdExterns()
+	var fp rt.SigFingerprint
+	key := verdictKey{prog: prog, sigs: string(fp.Of(std, extra))}
+	labels, _, err := verdicts.Do(key, func() (map[int]string, error) {
+		sigs := std.Sigs()
+		for n, e := range extra {
+			sigs[n] = e.Sig
+		}
+		if err := fir.Check(prog, sigs); err != nil {
+			return nil, fmt.Errorf("migrate: inbound program rejected: %w", err)
+		}
+		return fir.MigrateLabels(prog)
+	})
+	return labels, err
+}
 
 // Unpack reconstructs a process from an image: decode the FIR, verify it
 // (unless trusted), recompile for the local engine, rebuild the heap from
@@ -243,6 +269,14 @@ func (t Timings) Total() time.Duration { return t.Decode + t.Check + t.Compile +
 // process at the resume continuation read out of migrate_env with full
 // safety checks (§4.2.2). The engine is chosen by Options.Engine (any
 // name registered with internal/engine) or the legacy Backend enum.
+//
+// Decode, verify and recompile depend only on the program bytes (plus the
+// extern signatures and the engine), so each is done once per process and
+// found again afterwards: see Timings.Cached. A decode that fails is never
+// kept. Everything that depends on the image — the resume label being one
+// of the program's migration points, the shape of migrate_env, every
+// heap.Restore check — runs on every call. Processes unpacked from equal
+// bytes share one *fir.Program, which nothing may mutate.
 func Unpack(img *wire.Image, opts Options) (rt.Proc, Timings, error) {
 	var tm Timings
 
@@ -253,11 +287,14 @@ func Unpack(img *wire.Image, opts Options) (rt.Proc, Timings, error) {
 	}
 
 	t0 := time.Now()
-	prog, err := fir.DecodeProgram(img.Code.Program)
+	prog, cached, err := interned.Do(sha256.Sum256(img.Code.Program), func() (*fir.Program, error) {
+		return fir.DecodeProgram(img.Code.Program)
+	})
 	if err != nil {
 		return nil, tm, err
 	}
 	tm.Decode = time.Since(t0)
+	tm.Cached = cached
 
 	cfg := opts.Config
 	if cfg.Name == "" {
@@ -269,14 +306,7 @@ func Unpack(img *wire.Image, opts Options) (rt.Proc, Timings, error) {
 
 	if !opts.Trusted {
 		t0 = time.Now()
-		sigs := rt.StdExterns().Sigs()
-		for n, e := range opts.Externs {
-			sigs[n] = e.Sig
-		}
-		if err := fir.Check(prog, sigs); err != nil {
-			return nil, tm, fmt.Errorf("migrate: inbound program rejected: %w", err)
-		}
-		labels, err := fir.MigrateLabels(prog)
+		labels, err := checkedLabels(prog, opts.Externs)
 		if err != nil {
 			return nil, tm, err
 		}

@@ -225,11 +225,16 @@ type ProcessConfig struct {
 	TrapSpeculation bool
 }
 
-// ServerStats counts server activity.
+// ServerStats counts server activity. LastUnpack is the most recent
+// accepted unpack, whatever it found cached; LastMiss is the most recent
+// one that met its program for the first time (Timings.Cached false) —
+// the paper's migration cost, which LastUnpack stops showing once the
+// same code arrives twice.
 type ServerStats struct {
 	Accepted   int
 	Rejected   int
 	LastUnpack Timings
+	LastMiss   Timings
 }
 
 // Server is a migration daemon listening for inbound processes.
@@ -384,6 +389,9 @@ func (s *Server) handle(raw net.Conn) {
 	s.mu.Lock()
 	s.stats.Accepted++
 	s.stats.LastUnpack = tm
+	if !tm.Cached {
+		s.stats.LastMiss = tm
+	}
 	s.procs = append(s.procs, proc)
 	s.mu.Unlock()
 

@@ -8,6 +8,7 @@ package rt
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"repro/internal/fir"
 	"repro/internal/heap"
@@ -125,6 +126,52 @@ func (r Registry) Sigs() map[string]fir.ExternSig {
 		out[n] = e.Sig
 	}
 	return out
+}
+
+// SigFingerprint canonicalizes extern signature sets so that a type-check
+// verdict can be keyed by (program, signatures): two registries with the
+// same names and signatures print the same, whatever their functions.
+// The zero value is ready; it reuses its buffers from call to call and is
+// not safe for concurrent use.
+type SigFingerprint struct {
+	names []string
+	buf   []byte
+}
+
+// Of prints the signature set of std overlaid with extra. The result is
+// valid until the next call.
+func (f *SigFingerprint) Of(std, extra Registry) []byte {
+	f.names = f.names[:0]
+	for n := range std {
+		if _, shadowed := extra[n]; !shadowed {
+			f.names = append(f.names, n)
+		}
+	}
+	for n := range extra {
+		f.names = append(f.names, n)
+	}
+	sort.Strings(f.names)
+	b := f.buf[:0]
+	for _, n := range f.names {
+		e, ok := extra[n]
+		if !ok {
+			e = std[n]
+		}
+		s := e.Sig
+		b = append(b, n...)
+		b = append(b, '(')
+		for i, a := range s.Args {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, a.String()...)
+		}
+		b = append(b, ")->"...)
+		b = append(b, s.Result.String()...)
+		b = append(b, ';')
+	}
+	f.buf = b
+	return b
 }
 
 // Proc is the backend-independent handle to a resumable process that both

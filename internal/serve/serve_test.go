@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/engine"
 	_ "repro/internal/grid" // register grid
 	"repro/internal/workload"
 	_ "repro/internal/workload/apps" // register allreduce/taskfarm/pipeline
@@ -232,25 +233,29 @@ func TestOverloadThrottlesExplicitly(t *testing.T) {
 }
 
 // TestProgramCacheSharesCompilations: tenants submitting the same
-// problem shape share one compiled program (pointer identity is what
-// lets the engine artifact cache amortize compilation across tenants).
+// problem shape share one compiled program. The daemon keeps no program
+// table of its own — workload.Compile hands every run of a shape the same
+// *fir.Program — so the engine's artifact cache, keyed on that pointer,
+// compiles once per distinct shape however many runs arrive.
 func TestProgramCacheSharesCompilations(t *testing.T) {
-	s, c := startServer(t, Config{PoolWorkers: 2, MaxRuns: 2, QueueDepth: 8})
+	_, c := startServer(t, Config{PoolWorkers: 2, MaxRuns: 2, QueueDepth: 8})
+	// Shapes no other test in this package submits.
+	p := smallParams("allreduce")
+	p.Steps += 2
+	before := engine.CacheStats()
 	for i := 0; i < 3; i++ {
-		if _, err := c.Submit(SubmitRequest{App: "allreduce", Params: smallParams("allreduce")}); err != nil {
+		if _, err := c.Submit(SubmitRequest{App: "allreduce", Params: p}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p := smallParams("allreduce")
 	p.Steps *= 2
 	if _, err := c.Submit(SubmitRequest{App: "allreduce", Params: p}); err != nil {
 		t.Fatal(err)
 	}
-	s.progMu.Lock()
-	cached := len(s.progs)
-	s.progMu.Unlock()
-	if cached != 2 {
-		t.Fatalf("program cache holds %d entries, want 2 (one per distinct shape)", cached)
+	after := engine.CacheStats()
+	key := engine.DefaultName + "_misses"
+	if got := after[key] - before[key]; got != 2 {
+		t.Fatalf("four runs of two shapes compiled %d times, want 2 (one per distinct shape)", got)
 	}
 }
 

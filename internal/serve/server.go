@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/fir"
 	"repro/internal/migrate"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -100,22 +99,8 @@ type Server struct {
 	m       Metrics
 	tenants map[string]*TenantMetrics
 
-	progMu sync.Mutex
-	progs  map[progKey]*fir.Program
-
 	connWg sync.WaitGroup
 	runWg  sync.WaitGroup
-}
-
-// progKey identifies a compiled program: the app plus every parameter
-// its generator shapes code from. Execution-side knobs (engine, workers,
-// checkpoint pipeline mode) deliberately do not split the cache — the
-// same FIR runs on every engine, so tenants submitting the same problem
-// shape share one *fir.Program and, through pointer identity, one
-// compiled artifact per engine.
-type progKey struct {
-	app                             string
-	nodes, size, aux, steps, ckIntv int
 }
 
 // NewServer wraps a listener; call Serve to accept.
@@ -151,7 +136,6 @@ func NewServer(l net.Listener, cfg Config) *Server {
 		store:   cfg.Store,
 		queue:   make(chan *job, cfg.QueueDepth),
 		tenants: make(map[string]*TenantMetrics),
-		progs:   make(map[progKey]*fir.Program),
 		reg:     cfg.Registry,
 		trace:   cfg.Trace,
 	}
@@ -374,24 +358,23 @@ func (s *Server) runner() {
 func (s *Server) execute(j *job) RunReply {
 	reply := RunReply{ID: j.id, QueueWaitNs: j.wait.Nanoseconds()}
 	store := prefixStore{prefix: runPrefix(j.id), inner: s.store}
-	prog, err := s.program(j.w, j.params)
-	if err == nil {
-		var res *workload.Result
-		res, err = workload.RunVerified(j.w, j.params, workload.RunConfig{
-			Script:  j.script,
-			Timeout: s.cfg.RunTimeout,
-			Stdout:  s.cfg.Stdout,
-			Program: prog,
-			Store:   store,
-			Slots:   s.slots,
-		})
-		if res != nil {
-			reply.ElapsedNs = res.Elapsed.Nanoseconds()
-			reply.Rollbacks = res.Rollbacks
-			reply.Resurrections = res.Resurrections
-			reply.Checkpoints = res.Ckpt.Checkpoints
-			reply.CkptBytes = res.Ckpt.BytesWritten
-		}
+	// No RunConfig.Program: the run takes workload.Compile's program for
+	// its shape, so tenants submitting the same problem share one
+	// *fir.Program and, through its identity, one compiled artifact per
+	// engine.
+	res, err := workload.RunVerified(j.w, j.params, workload.RunConfig{
+		Script:  j.script,
+		Timeout: s.cfg.RunTimeout,
+		Stdout:  s.cfg.Stdout,
+		Store:   store,
+		Slots:   s.slots,
+	})
+	if res != nil {
+		reply.ElapsedNs = res.Elapsed.Nanoseconds()
+		reply.Rollbacks = res.Rollbacks
+		reply.Resurrections = res.Resurrections
+		reply.Checkpoints = res.Ckpt.Checkpoints
+		reply.CkptBytes = res.Ckpt.BytesWritten
 	}
 	reply.Verified = err == nil
 	if err != nil {
@@ -433,28 +416,6 @@ func (s *Server) execute(j *job) RunReply {
 	s.m.GCFailures += uint64(failed)
 	s.mu.Unlock()
 	return reply
-}
-
-// program returns the cached compiled program for a job's shape,
-// compiling on first use. Sharing the *fir.Program pointer across runs
-// is what lets the execution-engine registry reuse compiled artifacts
-// across tenants.
-func (s *Server) program(w workload.Workload, p workload.Params) (*fir.Program, error) {
-	key := progKey{
-		app: w.Name(), nodes: p.Nodes, size: p.Size, aux: p.Aux,
-		steps: p.Steps, ckIntv: p.CheckpointInterval,
-	}
-	s.progMu.Lock()
-	defer s.progMu.Unlock()
-	if prog := s.progs[key]; prog != nil {
-		return prog, nil
-	}
-	prog, err := w.Program(p)
-	if err != nil {
-		return nil, err
-	}
-	s.progs[key] = prog
-	return prog, nil
 }
 
 // Snapshot returns a copy of the daemon metrics.

@@ -44,9 +44,12 @@ type ClientConfig struct {
 	// process exits; in-process tests tear the engine down.
 	OnFail func()
 	// OnAdopt, when set, accepts inbound node://K handoffs: it must
-	// install the image as the process for dst and return nil, after
-	// which the client announces ownership of dst to the hub.
-	OnAdopt func(dst, seen int64, img *wire.Image) error
+	// install the image as the process for dst without running it, and
+	// return the function that starts it (cluster.Engine.Adopt's shape).
+	// The client announces ownership of dst to the hub and acknowledges
+	// the handoff first, then calls start: nothing the adopted process
+	// does can reach the hub ahead of the acknowledgement.
+	OnAdopt func(dst, seen int64, img *wire.Image) (start func(), err error)
 	// Resurrect marks this worker as a resurrection from checkpoint: its
 	// HELLO may clear the node's failed mark at the hub. A fresh or
 	// rejoining incarnation of a failed node is re-killed instead.
@@ -391,12 +394,15 @@ func (c *Client) readLoop(fc FrameConn, gen int) {
 }
 
 func (c *Client) adopt(id uint32, dst, seen int64, image []byte) {
-	var errStr string
+	var (
+		errStr string
+		start  func()
+	)
 	if c.cfg.OnAdopt == nil {
 		errStr = "transport: worker does not adopt migrations"
 	} else if img, err := wire.DecodeImage(image); err != nil {
 		errStr = err.Error()
-	} else if err := c.cfg.OnAdopt(dst, seen, img); err != nil {
+	} else if start, err = c.cfg.OnAdopt(dst, seen, img); err != nil {
 		errStr = err.Error()
 	}
 	if errStr == "" {
@@ -409,6 +415,9 @@ func (c *Client) adopt(id uint32, dst, seen int64, image []byte) {
 		_ = c.writeFrame(encodeNode(fOwn, dst))
 	}
 	_ = c.writeFrame(encodeAck(id, errStr))
+	if start != nil {
+		start()
+	}
 }
 
 func (c *Client) deliverReply(id uint32, rep rpcReply) {

@@ -168,6 +168,24 @@ func (h *Hub) HasSession(node int64) bool {
 	return h.sessions[node] != nil
 }
 
+// WaitSession blocks until a live worker session owns node, the hub
+// closes or the timeout expires, and reports whether one does.
+func (h *Hub) WaitSession(node int64, timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	timer := time.AfterFunc(timeout, func() {
+		h.mu.Lock()
+		h.resCond.Broadcast()
+		h.mu.Unlock()
+	})
+	defer timer.Stop()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for h.sessions[node] == nil && !h.closed && time.Now().Before(deadline) {
+		h.resCond.Wait()
+	}
+	return h.sessions[node] != nil
+}
+
 // BufferedTags returns the tags the hub's store-and-forward buffer holds
 // for dst from src, sorted — an observable proxy for how far the sender
 // has progressed (and what a rejoining dst would have replayed).
@@ -519,10 +537,20 @@ func (h *Hub) register(s *session, node int64, hello, resurrect bool) {
 		return
 	}
 	if old := h.sessions[node]; old != nil && old != s {
-		// A replaced incarnation's connection is stale; drop it.
-		_ = old.conn.Close()
+		if resurrect {
+			// The old session is another worker: the incarnation this one
+			// replaces. Repeat its kill order and let it hang up itself.
+			// Closing here can reset the connection under an order it has
+			// not read yet; it would then redial, take the node back, and
+			// the two would trade it until the run times out.
+			_ = old.write(encodeNode(fFail, node))
+		} else {
+			// The same worker's connection from before a blip; drop it.
+			_ = old.conn.Close()
+		}
 	}
 	h.sessions[node] = s
+	h.resCond.Broadcast() // WaitSession
 	s.nodes = append(s.nodes, node)
 	delete(h.failed, node) // the resurrected incarnation is alive
 	epoch := h.epoch
@@ -736,10 +764,17 @@ func (h *Hub) handlePut(s *session, id uint32, name string, data []byte) {
 	}
 }
 
+// recordResult keeps a node's final state, unless the node stands failed:
+// an incarnation that was declared dead reports nothing (crash semantics),
+// and one that finishes in the instant between its kill and the kill
+// order's arrival must not stand in for the resurrection the coordinator
+// is about to wait for.
 func (h *Hub) recordResult(res Result) {
 	h.mu.Lock()
-	h.results[res.Node] = res
-	h.resCond.Broadcast()
+	if !h.failed[res.Node] {
+		h.results[res.Node] = res
+		h.resCond.Broadcast()
+	}
 	h.mu.Unlock()
 }
 

@@ -277,11 +277,11 @@ int main() {
 	engineReady := make(chan struct{})
 	clientB, err := Dial(ClientConfig{
 		Addr: h.Addr(), Node: 5, Router: routerB,
-		OnAdopt: func(dst, seen int64, img *wire.Image) error {
+		OnAdopt: func(dst, seen int64, img *wire.Image) (func(), error) {
 			<-engineReady
-			err := engineB.Adopt(dst, img, seen, nil)
+			start, err := engineB.Adopt(dst, img, seen, nil)
 			adopted <- err
-			return err
+			return start, err
 		},
 	})
 	if err != nil {
@@ -518,5 +518,92 @@ func TestMultipleSequentialFailuresReplayAndGC(t *testing.T) {
 	// Neither incarnation re-observes an epoch it already joined.
 	if _, st, ok := r1b.TryRecv(1, 2, 99); ok && st == msg.StatusRoll {
 		t.Fatal("resurrected node 1 re-observed a stale epoch")
+	}
+}
+
+// TestResurrectionRetiresTheLiveIncarnation: when a resurrection joins
+// while the incarnation it replaces is still connected (its kill order
+// not yet read), the old one is ordered to die and gives the node up. It
+// must not find its connection closed under the order, redial as a
+// resurrection itself and take the node back.
+func TestResurrectionRetiresTheLiveIncarnation(t *testing.T) {
+	h := newHub(t)
+	var oldKilled atomic.Int32
+	joinNode(t, h, 2, ClientConfig{Resurrect: true, RetryBase: time.Millisecond,
+		OnFail: func() { oldKilled.Add(1) }})
+	var newKilled atomic.Bool
+	joinNode(t, h, 2, ClientConfig{Resurrect: true, RetryBase: time.Millisecond,
+		OnFail: func() { newKilled.Store(true) }})
+	waitFor(t, func() bool { return oldKilled.Load() > 0 }, "replaced incarnation never told to die")
+
+	// The node stays with the newcomer: no registration of the old one
+	// follows, so nothing ever orders the newcomer dead.
+	time.Sleep(50 * time.Millisecond)
+	if newKilled.Load() {
+		t.Fatal("the resurrection was itself ordered to die: the two incarnations are trading the node")
+	}
+	if !h.WaitSession(2, time.Second) {
+		t.Fatal("node 2 has no session")
+	}
+}
+
+// TestFailedNodeReportsNothing: a node that stands failed is dead to the
+// coordinator, so a final state its last incarnation still manages to
+// send is not a result; the resurrected incarnation's is.
+func TestFailedNodeReportsNothing(t *testing.T) {
+	h := newHub(t)
+	_, zombie := joinNode(t, h, 2, ClientConfig{})
+	h.Fail(2)
+	if err := zombie.Exit(Result{Node: 2, Status: rt.StatusHalted, Halt: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := h.WaitResults(1, 100*time.Millisecond); err == nil {
+		t.Fatalf("a failed node's report was kept: %+v", res)
+	}
+	_, revived := joinNode(t, h, 2, ClientConfig{Resurrect: true})
+	if err := revived.Exit(Result{Node: 2, Status: rt.StatusHalted, Halt: 2}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.WaitResults(1, 10*time.Second)
+	if err != nil || res[2].Halt != 2 {
+		t.Fatalf("results = %+v, %v; want the resurrected incarnation's", res, err)
+	}
+}
+
+// TestAdoptionIsAcknowledgedBeforeItStarts: the source's Handoff returns —
+// the acknowledgement has crossed the hub — while the adopter's start
+// function has yet to be called. Were start called first, an adopted
+// process could get this worker killed (a fault script keyed on its first
+// checkpoint) with the acknowledgement unsent, and the source would carry
+// on with a second copy.
+func TestAdoptionIsAcknowledgedBeforeItStarts(t *testing.T) {
+	h := newHub(t)
+	acked := make(chan struct{})
+	started := make(chan struct{})
+	joinNode(t, h, 5, ClientConfig{
+		OnAdopt: func(dst, seen int64, img *wire.Image) (func(), error) {
+			return func() {
+				select {
+				case <-acked:
+				case <-time.After(10 * time.Second):
+					t.Error("start ran, and 10s later the source still had no acknowledgement")
+				}
+				close(started)
+			}, nil
+		},
+	})
+	_, src := joinNode(t, h, 0, ClientConfig{})
+	img := &wire.Image{State: wire.StatePart{Heap: heap.New(heap.Config{}).Snapshot()}}
+	if err := src.Handoff(0, 5, img, 0); err != nil {
+		t.Fatal(err)
+	}
+	close(acked)
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the adopter never started the process")
+	}
+	if !h.WaitSession(5, time.Second) {
+		t.Fatal("adopter does not own node 5")
 	}
 }

@@ -2,10 +2,12 @@ package apps
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/fir"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -266,6 +268,104 @@ func TestPipelineDistributedWithLinkFaults(t *testing.T) {
 	}
 	res, err := workload.RunDistributed(w, p, nil,
 		workload.DistributedConfig{Spawn: spawn}, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Verify(p, res.Nodes); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompileReturnsOneProgramPerShape: workload.Compile hands every
+// caller of a shape the same *fir.Program — concurrently too — whatever
+// the execution-side knobs say, and a different shape its own.
+func TestCompileReturnsOneProgramPerShape(t *testing.T) {
+	for _, w := range all(t) {
+		p := smallParams(w)
+		p.Steps += 100 // a shape no other test compiles
+		const callers = 8
+		var (
+			wg    sync.WaitGroup
+			progs [callers]*fir.Program
+		)
+		for i := range progs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				q := p
+				q.Engine, q.Workers, q.Ckpt = engine.Names()[i%len(engine.Names())], i, "delta"
+				prog, err := workload.Compile(w, q)
+				if err != nil {
+					t.Errorf("%s: Compile: %v", w.Name(), err)
+				}
+				progs[i] = prog
+			}(i)
+		}
+		wg.Wait()
+		for i := 1; i < callers; i++ {
+			if progs[i] != progs[0] {
+				t.Fatalf("%s: callers 0 and %d of one shape got different programs", w.Name(), i)
+			}
+		}
+		p.Steps++
+		if other, err := workload.Compile(w, p); err != nil || other == progs[0] {
+			t.Fatalf("%s: another shape got the same program (err %v)", w.Name(), err)
+		}
+	}
+}
+
+// TestDistributedWorkersShareOneCompile: the four goroutine workers of a
+// distributed run start one program between them, so the engine compiles
+// it at most once.
+func TestDistributedWorkersShareOneCompile(t *testing.T) {
+	w, err := workload.Get("grid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := workload.Params{Nodes: 4, Size: 4, Aux: 8, Steps: 13, CheckpointInterval: 4, Engine: "jit"}
+	before := engine.CacheStats()
+	res, err := workload.RunDistributed(w, p, nil,
+		workload.DistributedConfig{Spawn: goSpawn(t, w, p)}, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Verify(p, res.Nodes); err != nil {
+		t.Fatal(err)
+	}
+	after := engine.CacheStats()
+	if miss := after["jit_misses"] - before["jit_misses"]; miss > 1 {
+		t.Fatalf("four workers of one run made %d jit artifact misses, want at most 1", miss)
+	}
+	if hit := after["jit_hits"] - before["jit_hits"]; hit < 3 {
+		t.Fatalf("four workers of one run made %d jit artifact hits, want at least 3", hit)
+	}
+}
+
+// TestSpareJoinsBeforeTheRunStarts: a spare worker that is slow to come up
+// holds the start nodes back. Started at once, the pipeline's middle stage
+// reaches its handoff while no worker hosts the spare; the hub refuses
+// it, the stage carries on where it was, and its neighbours — already
+// addressing the spare — wait for it until the run times out.
+func TestSpareJoinsBeforeTheRunStarts(t *testing.T) {
+	w, err := workload.Get("pipeline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := smallParams(w)
+	spare := w.SpareNodes(p)[0]
+	spawn := goSpawn(t, w, p)
+	slowSpare := func(join string, node int64, resume string) error {
+		if node != spare {
+			return spawn(join, node, resume)
+		}
+		go func() {
+			time.Sleep(50 * time.Millisecond)
+			_ = spawn(join, node, resume)
+		}()
+		return nil
+	}
+	res, err := workload.RunDistributed(w, p, nil,
+		workload.DistributedConfig{Spawn: slowSpare}, 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

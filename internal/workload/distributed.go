@@ -94,14 +94,15 @@ func RunWorker(w Workload, cfg WorkerConfig) (*cluster.ProcState, error) {
 		Node:   cfg.Node,
 		Router: router,
 		OnFail: func() { failOnce.Do(func() { close(failedCh) }) },
-		OnAdopt: func(dst, seen int64, img *wire.Image) error {
+		OnAdopt: func(dst, seen int64, img *wire.Image) (func(), error) {
 			<-engineReady
 			router.SetLocal(dst)
-			if err := engine.Adopt(dst, img, seen, w.Externs(p, dst)); err != nil {
-				return err
+			start, err := engine.Adopt(dst, img, seen, w.Externs(p, dst))
+			if err != nil {
+				return nil, err
 			}
 			adoptOnce.Do(func() { close(adoptedCh) })
-			return nil
+			return start, nil
 		},
 		Resurrect: cfg.Resume != "",
 		RetryBase: cfg.RetryBase,
@@ -155,7 +156,7 @@ func RunWorker(w Workload, cfg WorkerConfig) (*cluster.ProcState, error) {
 			return nil, fmt.Errorf("workload %s: spare node %d was never migrated to within %s", w.Name(), cfg.Node, cfg.Timeout)
 		}
 	default:
-		prog, err := w.Program(p)
+		prog, err := Compile(w, p)
 		if err != nil {
 			return nil, err
 		}
@@ -294,11 +295,7 @@ func RunDistributed(w Workload, p Params, script *FaultScript, cfg DistributedCo
 		// Re-kill the resurrection worker once it has joined — the closest
 		// a coordinator gets to the in-process engine's unpack window. If
 		// it never joins in time, fall through to a plain resurrect.
-		deadline := time.Now().Add(DefaultStallTimeout)
-		for !hub.HasSession(node) && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if !hub.HasSession(node) {
+		if !hub.WaitSession(node, DefaultStallTimeout) {
 			return nil
 		}
 		hub.Fail(node)
@@ -313,10 +310,30 @@ func RunDistributed(w Workload, p Params, script *FaultScript, cfg DistributedCo
 	start := time.Now()
 	deadline := start.Add(timeout)
 	if cfg.Spawn != nil {
-		for _, n := range append(append([]int64{}, starts...), spares...) {
-			if err := cfg.Spawn(hub.Addr(), n, ""); err != nil {
-				return nil, fmt.Errorf("workload %s: spawning node %d: %w", w.Name(), n, err)
+		// Spares first, and joined, before anything that may hand off to
+		// them runs: a node://K handoff to a node no worker hosts yet is
+		// refused, the migrating process carries on where it was (§4.2.1)
+		// and its peers, already addressing K, wait for it forever. A
+		// start node needs microseconds to reach its first handoff once
+		// its program comes compiled from Compile's memo.
+		spawn := func(nodes []int64) error {
+			for _, n := range nodes {
+				if err := cfg.Spawn(hub.Addr(), n, ""); err != nil {
+					return fmt.Errorf("workload %s: spawning node %d: %w", w.Name(), n, err)
+				}
 			}
+			return nil
+		}
+		if err := spawn(spares); err != nil {
+			return nil, err
+		}
+		for _, n := range spares {
+			if !hub.WaitSession(n, time.Until(deadline)) {
+				return nil, fmt.Errorf("workload %s: spare node %d never joined", w.Name(), n)
+			}
+		}
+		if err := spawn(starts); err != nil {
+			return nil, err
 		}
 	} else {
 		logf("coordinator: waiting for %d workers to join %s", expect, hub.Addr())

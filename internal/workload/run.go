@@ -41,8 +41,8 @@ type RunConfig struct {
 	Timeout time.Duration
 	// Stdout receives process output (default: discard).
 	Stdout io.Writer
-	// Program, when set, overrides w.Program(p) — benchmarks compile once
-	// and reuse.
+	// Program, when set, runs instead of Compile(w, p)'s shared program —
+	// for a caller that wants a compile of its own to measure.
 	Program *fir.Program
 	// Quantum overrides the engine's kill-check granularity in steps.
 	// Zero picks the engine default for failure-free runs and a small
@@ -122,7 +122,7 @@ func Run(w Workload, p Params, cfg RunConfig) (*Result, error) {
 	}
 	prog := cfg.Program
 	if prog == nil {
-		if prog, err = w.Program(p); err != nil {
+		if prog, err = Compile(w, p); err != nil {
 			return nil, err
 		}
 	}

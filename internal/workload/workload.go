@@ -23,6 +23,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fir"
 	"repro/internal/heap"
+	"repro/internal/memo"
 	"repro/internal/rt"
 )
 
@@ -55,9 +56,10 @@ type Params struct {
 	// CkptK bounds delta chains: a full image is forced every CkptK
 	// deltas (0 = the pipeline default).
 	CkptK int
-	// Engine names the execution engine node processes run on: "" or
-	// "vm" (slot-resolved interpreter), or "risc" (compiled RISC
-	// simulator). Results are bit-identical on every engine.
+	// Engine names the execution engine node processes run on: any name
+	// engine.Names() lists — "vm" (slot-resolved interpreter; also what ""
+	// selects), "risc" (compiled RISC simulator) or "jit" (threaded
+	// code). Results are bit-identical on every engine.
 	Engine string
 }
 
@@ -132,7 +134,12 @@ type Workload interface {
 	// Validate checks fully-defaulted parameters.
 	Validate(p Params) error
 	// Program compiles the per-node MojC/FIR program (SPMD: the same
-	// program runs on every node; roles derive from node_id()).
+	// program runs on every node; roles derive from node_id()). It must
+	// be a pure function of Name and of p's Nodes, Size, Aux, Steps and
+	// CheckpointInterval — a knob the code is not shaped by travels in
+	// NodeArgs instead — and nothing may mutate the result: Compile calls
+	// it once per such shape and hands every later caller, on any
+	// goroutine, the same *fir.Program.
 	Program(p Params) (*fir.Program, error)
 	// NodeArgs builds the process arguments (getarg) — identical on every
 	// node.
@@ -205,6 +212,37 @@ func namesLocked() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// ---------------------------------------------------------------------------
+// Compile once
+
+// programShape is what Workload.Program may depend on. Execution-side
+// knobs (engine, workers, checkpoint pipeline mode) deliberately do not
+// split the memo: the same FIR runs on every engine.
+type programShape struct {
+	app                             string
+	nodes, size, aux, steps, ckIntv int
+}
+
+// programs bounds what a long-lived daemon keeps of the shapes its
+// tenants have submitted; an evicted shape compiles again.
+var programs = memo.New[programShape, *fir.Program](64)
+
+// Compile returns the program w runs under p, compiling it on the first
+// request for that shape in this process and returning the same pointer
+// afterwards. The pointer is the point: the type-check verdict and every
+// engine's compiled artifact are keyed on program identity, so the nodes
+// of a run, the goroutine workers of a distributed run and the tenants of
+// a daemon that share a shape share one compile of everything. Nothing
+// else in this module calls w.Program outside tests.
+func Compile(w Workload, p Params) (*fir.Program, error) {
+	shape := programShape{
+		app: w.Name(), nodes: p.Nodes, size: p.Size, aux: p.Aux,
+		steps: p.Steps, ckIntv: p.CheckpointInterval,
+	}
+	prog, _, err := programs.Do(shape, func() (*fir.Program, error) { return w.Program(p) })
+	return prog, err
 }
 
 // ---------------------------------------------------------------------------
