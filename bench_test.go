@@ -32,7 +32,6 @@ import (
 	"repro/internal/heap"
 	"repro/internal/lang"
 	"repro/internal/migrate"
-	"repro/internal/risc"
 	"repro/internal/rt"
 	"repro/internal/vm"
 	"repro/internal/wire"
@@ -75,7 +74,7 @@ func buildMigratingProcess(b testing.TB, words int, target string, salt int) *vm
 		prog.AddFunc(fir.Fn(fmt.Sprintf("pad%d_%d", salt, i), fir.Ps("a", fir.TyInt), pb.Halt(cur)))
 	}
 
-	p := vm.NewProcess(prog, vm.Config{
+	p := vm.NewProcess(prog, nil, rt.Config{
 		Fuel: 100_000_000,
 		Heap: heap.Config{InitialWords: words + words/4, MaxWords: 8 * words},
 	})
@@ -134,7 +133,7 @@ func migServerExterns() rt.Registry {
 // ever meet an unknown program.
 var migrationSalt int
 
-func benchMigration(b *testing.B, binary bool, backend migrate.Backend, throttleBps int64) {
+func benchMigration(b *testing.B, binary bool, engineName string, throttleBps int64) {
 	migrationSalt++
 	salt := migrationSalt
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -143,10 +142,10 @@ func benchMigration(b *testing.B, binary bool, backend migrate.Backend, throttle
 	}
 	resumed := make(chan rt.Proc, 16)
 	srv := migrate.NewServer(l, migrate.ServerConfig{
-		Backend:     backend,
+		Engine:      engineName,
 		Externs:     migServerExterns(),
 		AllowBinary: true,
-		Config:      migrate.ProcessConfig{Fuel: 1_000_000},
+		Config:      rt.Config{Fuel: 1_000_000},
 		OnResume:    func(p rt.Proc) { resumed <- p },
 	})
 	go func() { _ = srv.Serve() }()
@@ -211,14 +210,14 @@ func benchMigration(b *testing.B, binary bool, backend migrate.Backend, throttle
 
 func BenchmarkMigrationUntrusted(b *testing.B) {
 	// Untrusted: the server type-checks and recompiles the FIR for the
-	// RISC target. 100 Mbps link, as in the paper.
-	benchMigration(b, false, migrate.BackendRISC, 100_000_000)
+	// threaded-code engine. 100 Mbps link, as in the paper.
+	benchMigration(b, false, "jit", 100_000_000)
 }
 
 func BenchmarkMigrationBinary(b *testing.B) {
 	// Trusted binary protocol: no verification, no recompilation,
 	// interpreter target. Same 100 Mbps link.
-	benchMigration(b, true, migrate.BackendVM, 100_000_000)
+	benchMigration(b, true, "vm", 100_000_000)
 }
 
 // ---------------------------------------------------------------------------
@@ -325,7 +324,7 @@ int main() {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := vm.NewProcess(prog, vm.Config{
+	p := vm.NewProcess(prog, nil, rt.Config{
 		Heap: heap.Config{InitialWords: 64 * 1024, MaxWords: 1 << 22},
 	})
 	if err := p.Start(); err != nil {
@@ -469,9 +468,9 @@ func BenchmarkRollbackSpecVsCheckpoint(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, _, err := migrate.Unpack(img, migrate.Options{
-				Backend: migrate.BackendRISC,
+				Engine:  "jit",
 				Externs: migServerExterns(),
-				Config:  vm.Config{Fuel: 1000},
+				Config:  rt.Config{Fuel: 1000},
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -576,8 +575,8 @@ func BenchmarkGCCompactionLocality(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// A5 — the FIR optimizer's effect on the grid program: interpreter steps
-// and compiled code size, optimized vs. unoptimized.
+// A5 — the FIR optimizer's effect on the grid program: interpreter steps,
+// optimized vs. unoptimized.
 
 func BenchmarkOptimizerEffect(b *testing.B) {
 	run := func(b *testing.B, optimize bool) {
@@ -588,11 +587,6 @@ func BenchmarkOptimizerEffect(b *testing.B) {
 		if optimize {
 			fir.Optimize(prog)
 		}
-		mod, err := risc.Compile(prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(mod.Code)), "risc-instrs")
 		p := grid.Params{Nodes: 1, RowsPerNode: 4, Cols: 8, Steps: 8, CheckpointInterval: 4}
 		var steps uint64
 		b.ResetTimer()

@@ -1,14 +1,14 @@
 // Command mcc is the Mojave compiler driver: it compiles MojC source to
-// FIR, optionally emits the FIR or RISC assembly, and runs the program on
-// either runtime backend.
+// FIR, optionally emits the FIR, and runs the program on either execution
+// engine.
 //
 // Usage:
 //
 //	mcc [flags] file.mc
 //
 //	-run            execute after compiling (default true)
-//	-backend NAME   vm (interpreter) or risc (machine simulator)
-//	-emit KIND      also print "fir" or "asm"
+//	-engine NAME    execution engine (see -help for the registered ones)
+//	-emit fir       also print the FIR
 //	-arg N          append a process argument (repeatable)
 //	-fuel N         step budget (0 = unlimited)
 //	-trap           roll back the innermost speculation on runtime errors
@@ -26,8 +26,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/fir"
-	"repro/internal/risc"
 	"repro/internal/rt"
 )
 
@@ -46,8 +46,8 @@ func (l *intList) Set(s string) error {
 func main() {
 	var (
 		run     = flag.Bool("run", true, "execute the program after compiling")
-		backend = flag.String("backend", "vm", "runtime backend: vm or risc")
-		emit    = flag.String("emit", "", "print intermediate form: fir or asm")
+		engSel  = flag.String("engine", "", "execution engine: "+engine.Usage())
+		emit    = flag.String("emit", "", "print intermediate form: fir")
 		fuel    = flag.Uint64("fuel", 0, "step budget (0 = unlimited)")
 		trap    = flag.Bool("trap", false, "auto-rollback speculations on runtime errors")
 		store   = flag.String("store", "", "checkpoint directory for migrate()/checkpoint:// targets")
@@ -97,12 +97,6 @@ func main() {
 	case "":
 	case "fir":
 		fmt.Print(fir.Format(prog.FIR))
-	case "asm":
-		mod, err := risc.Compile(prog.FIR)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(mod.Disassemble())
 	default:
 		fatal(fmt.Errorf("unknown -emit kind %q", *emit))
 	}
@@ -110,18 +104,8 @@ func main() {
 		return
 	}
 
-	var be core.Backend
-	switch strings.ToLower(*backend) {
-	case "vm":
-		be = core.BackendVM
-	case "risc":
-		be = core.BackendRISC
-	default:
-		fatal(fmt.Errorf("unknown backend %q", *backend))
-	}
-
-	p, err := core.NewProcess(prog, core.ProcessConfig{
-		Backend: be, Stdout: os.Stdout, Fuel: *fuel,
+	p, err := core.NewProcess(prog, *engSel, rt.Config{
+		Stdout: os.Stdout, Fuel: *fuel,
 		Args: args, TrapSpeculation: *trap, Name: flag.Arg(0),
 	})
 	if err != nil {

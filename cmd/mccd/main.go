@@ -8,7 +8,7 @@
 //	mccd [flags]
 //
 //	-listen ADDR    TCP listen address (default 127.0.0.1:9333)
-//	-backend NAME   vm or risc runtime for resumed processes
+//	-engine NAME    execution engine for resumed processes (see -help)
 //	-trust          accept the trusted binary protocol (skips verification)
 //	-store DIR      checkpoint directory for onward migrations
 //	-fuel N         step budget per resumed process
@@ -19,30 +19,26 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/engine"
 	"repro/internal/migrate"
+	"repro/internal/rt"
 )
 
 func main() {
 	var (
-		listen  = flag.String("listen", "127.0.0.1:9333", "listen address")
-		backend = flag.String("backend", "vm", "runtime backend: vm or risc")
-		trust   = flag.Bool("trust", false, "allow the trusted binary protocol")
-		store   = flag.String("store", "", "checkpoint directory for onward migrations")
-		fuel    = flag.Uint64("fuel", 0, "step budget per resumed process")
+		listen = flag.String("listen", "127.0.0.1:9333", "listen address")
+		engSel = flag.String("engine", "", "execution engine: "+engine.Usage())
+		trust  = flag.Bool("trust", false, "allow the trusted binary protocol")
+		store  = flag.String("store", "", "checkpoint directory for onward migrations")
+		fuel   = flag.Uint64("fuel", 0, "step budget per resumed process")
 	)
 	flag.Parse()
 
-	var be migrate.Backend
-	switch strings.ToLower(*backend) {
-	case "vm":
-		be = migrate.BackendVM
-	case "risc":
-		be = migrate.BackendRISC
-	default:
-		fatal(fmt.Errorf("unknown backend %q", *backend))
+	eng, err := engine.Get(*engSel)
+	if err != nil {
+		fatal(err)
 	}
 
 	mig := &migrate.Migrator{}
@@ -61,12 +57,12 @@ func main() {
 		fatal(err)
 	}
 	srv := migrate.NewServer(l, migrate.ServerConfig{
-		Backend:     be,
+		Engine:      eng.Name(),
 		AllowBinary: *trust,
 		Migrator:    mig,
-		Config:      migrate.ProcessConfig{Stdout: os.Stdout, Fuel: *fuel},
+		Config:      rt.Config{Stdout: os.Stdout, Fuel: *fuel},
 	})
-	fmt.Fprintf(os.Stderr, "mccd: listening on %s (backend=%s, binary=%v)\n", srv.Addr(), *backend, *trust)
+	fmt.Fprintf(os.Stderr, "mccd: listening on %s (engine=%s, binary=%v)\n", srv.Addr(), eng.Name(), *trust)
 	if err := srv.Serve(); err != nil {
 		fatal(err)
 	}

@@ -18,7 +18,7 @@
 //	-corpus DIR  replay every *.script repro in DIR and exit
 //	-budget D    run scenarios until D elapses instead of -seeds
 //	-apps LIST   comma-separated workload filter (default: all registered)
-//	-engines L   comma-separated engine filter (vm,risc,jit)
+//	-engines L   comma-separated engine filter (vm,jit)
 //	-timeout D   per-scenario deadline (default 20s)
 //	-maxfail N   stop the campaign after N failures (default 5)
 //	-repro DIR   write shrunk repro files here (default .)

@@ -21,7 +21,7 @@
 //	-concurrency C in-flight submissions (default 32)
 //	-tenants T     distinct tenants to spread the jobs over (default 8)
 //	-apps LIST     comma-separated workloads (default all registered)
-//	-engines LIST  comma-separated engines (default "vm,risc")
+//	-engines LIST  comma-separated engines (default: all registered)
 //	-script S      fault script (mojrun -script syntax, semicolons for
 //	               newlines) attached to tenant t0's submissions
 //	-retries N     max throttle retries per job (default 50)
@@ -48,6 +48,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/workload"
@@ -121,7 +122,7 @@ func main() {
 		concurrency = flag.Int("concurrency", 32, "in-flight submissions")
 		tenants     = flag.Int("tenants", 8, "distinct tenants")
 		appsFlag    = flag.String("apps", "", "comma-separated workloads (default: all registered)")
-		engines     = flag.String("engines", "vm,risc", "comma-separated engines")
+		engines     = flag.String("engines", strings.Join(engine.Names(), ","), "comma-separated engines")
 		script      = flag.String("script", "", "fault script for tenant t0 (semicolons for newlines)")
 		retries     = flag.Int("retries", 50, "max throttle retries per job")
 		out         = flag.String("out", "BENCH_serve.json", `output file ("-" for stdout only)`)

@@ -19,8 +19,8 @@
 //	-ck N        checkpoint interval (0 = workload default)
 //	-workers N   concurrently executing node quanta (0 = unbounded)
 //	-engine E    execution engine: "vm" (slot-resolved interpreter,
-//	             default) or "risc" (compiled RISC simulator); results
-//	             are bit-identical on either
+//	             default) or "jit" (threaded code); results are
+//	             bit-identical on either
 //	-ckpt MODE   checkpoint pipeline: full (default), delta, async
 //	-ckptk K     force a full image every K delta checkpoints
 //	-fail SPEC   inject a failure: "node@checkpoints[@delay]", e.g.

@@ -53,7 +53,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	p, err := core.NewProcess(prog, core.ProcessConfig{
+	p, err := core.NewProcess(prog, "", rt.Config{
 		Stdout:          os.Stdout,
 		Fuel:            10_000_000,
 		Args:            []int64{need},

@@ -1,5 +1,5 @@
 // Quickstart: compile a MojC program that uses the speculation primitives
-// and run it on both runtime backends through the public core API.
+// and run it on both execution engines through the public core API.
 package main
 
 import (
@@ -7,6 +7,8 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/rt"
 )
 
 const src = `
@@ -40,16 +42,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "compile:", err)
 		os.Exit(1)
 	}
-	for _, b := range []struct {
-		name    string
-		backend core.Backend
-	}{
-		{"interpreter", core.BackendVM},
-		{"risc simulator", core.BackendRISC},
-	} {
-		p, err := core.NewProcess(prog, core.ProcessConfig{
-			Backend: b.backend, Stdout: os.Stdout, Fuel: 1_000_000,
-		})
+	for _, name := range engine.Names() {
+		p, err := core.NewProcess(prog, name, rt.Config{Stdout: os.Stdout, Fuel: 1_000_000})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -59,7 +53,7 @@ func main() {
 			os.Exit(1)
 		}
 		st, err := p.Run()
-		fmt.Printf("[%s] status=%s halt=%d err=%v\n", b.name, st, p.HaltCode(), err)
+		fmt.Printf("[%s] status=%s halt=%d err=%v\n", name, st, p.HaltCode(), err)
 		if p.HaltCode() != 385 {
 			fmt.Fprintln(os.Stderr, "unexpected result")
 			os.Exit(1)

@@ -88,7 +88,7 @@ func main() {
 
 	const attempts = 10
 	ops, failures := 0, 0
-	p, err := core.NewProcess(prog, core.ProcessConfig{
+	p, err := core.NewProcess(prog, "", rt.Config{
 		Stdout: os.Stdout, Fuel: 10_000_000, Args: []int64{attempts},
 	})
 	if err != nil {

@@ -18,15 +18,14 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rt"
 	"repro/internal/spec"
-	"repro/internal/vm"
 	"repro/internal/wire"
 )
 
 // EngineConfig configures a parallel cluster engine.
 type EngineConfig struct {
 	// Engine names the execution engine every node process runs on — any
-	// name registered with internal/engine ("vm", "risc"; default "vm").
-	// Both built-ins are bit-exact against each other, so the choice only
+	// name registered with internal/engine ("vm", "jit"; default "vm").
+	// The built-ins are bit-exact against each other, so the choice only
 	// affects speed.
 	Engine string
 	// Store is the shared checkpoint store (default: a fresh MemStore).
@@ -199,9 +198,6 @@ func (e *Engine) release() {
 	}
 }
 
-// yielder is the optional cooperative-yield surface both backends expose.
-type yielder interface{ Yield() }
-
 // procBox carries the process reference into its block hooks; the process
 // only exists after the externs (and therefore the hooks) are built.
 type procBox struct{ proc rt.Proc }
@@ -219,9 +215,7 @@ func (e *Engine) hooksFor(box *procBox) *msg.BlockHooks {
 			e.acquire()
 			// End the quantum after this receive so a kill or quiesce
 			// posted while the node was parked is honoured promptly.
-			if y, ok := box.proc.(yielder); ok {
-				y.Yield()
-			}
+			box.proc.Yield()
 		},
 	}
 }
@@ -268,7 +262,7 @@ func (e *Engine) StartProcess(node int64, prog *fir.Program, args []int64, extra
 	if err != nil {
 		return err
 	}
-	p, err := eng.New(prog, engine.Config{
+	p := eng.New(prog, rt.Config{
 		Heap:   e.heapConfig(),
 		Stdout: e.cfg.Stdout,
 		Fuel:   e.cfg.Fuel,
@@ -276,9 +270,6 @@ func (e *Engine) StartProcess(node int64, prog *fir.Program, args []int64, extra
 		Args:   args,
 		Seed:   node,
 	})
-	if err != nil {
-		return err
-	}
 	box := &procBox{}
 	for n, x := range e.nodeExterns(node, box, extra) {
 		p.RegisterExtern(n, x.Sig, x.Fn)
@@ -315,7 +306,7 @@ func (e *Engine) unpackAs(node int64, img *wire.Image, extra rt.Registry, tag st
 	proc, _, err := migrate.Unpack(img, migrate.Options{
 		Engine:  e.cfg.Engine,
 		Externs: e.nodeExterns(node, box, extra),
-		Config: vm.Config{
+		Config: rt.Config{
 			Heap:   e.heapConfig(),
 			Stdout: e.cfg.Stdout,
 			Fuel:   e.cfg.Fuel,

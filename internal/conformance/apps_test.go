@@ -6,9 +6,8 @@ package conformance
 // and pipeline — through the in-process cluster on each execution engine
 // and requires the engines to agree on every observable: process output,
 // per-node halt codes, and the exact per-node step counts. Step counts
-// are comparable across engines because both execute exactly one
-// instruction per FIR node (the RISC backend's literal operands live in
-// its constant pool, not in load instructions), and they must also be
+// are comparable across engines because both charge exactly one step per
+// FIR node (the jit's fused superinstructions included), and they must also be
 // identical run-to-run within an engine — the cluster's bit-exact replay
 // after a failure depends on that determinism.
 
@@ -89,14 +88,14 @@ func haltString(m map[int64]int64) string {
 }
 
 // TestAppsEnginesAgree: for every registered workload, the interpreter
-// and the RISC engine produce identical outputs and per-node halt codes,
+// and the threaded-code engine produce identical outputs and per-node halt codes,
 // and each engine's per-node step counts are identical across repeated
 // runs (the cluster's bit-exact replay after failure depends on that
 // determinism).
 func TestAppsEnginesAgree(t *testing.T) {
 	engines := engine.Names()
 	if len(engines) < 2 {
-		t.Fatalf("engine registry has %v, want at least vm and risc", engines)
+		t.Fatalf("engine registry has %v, want at least vm and jit", engines)
 	}
 	for _, name := range workload.Names() {
 		name := name

@@ -1,38 +1,36 @@
-// Package conformance is the differential backend test suite: every MojC
-// program in testdata is compiled once and executed on every runtime
-// backend — the FIR interpreter (internal/vm), the RISC simulator
-// (internal/risc) and the threaded-code engine (internal/jit) — which
-// must produce byte-identical output, the same exit status and the same
-// halt code. The paper's migration story (§3,
+// Package conformance is the differential engine test suite: every MojC
+// program in testdata is compiled once and executed on every execution
+// engine — the FIR interpreter (internal/vm) and the threaded-code engine
+// (internal/jit) — which must produce byte-identical output, the same
+// exit status and the same halt code. The paper's migration story (§3,
 // §4.2) depends on exactly this property: a process may hop between
-// heterogeneous nodes mid-run, so the backends cannot be allowed to
+// heterogeneous nodes mid-run, so the engines cannot be allowed to
 // drift. Each program is additionally run through the FIR optimizer and
 // re-checked, giving four executions per program that must all agree.
 package conformance
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/rt"
 )
 
-// run executes a compiled program on one backend and returns its
+// run executes a compiled program on one engine and returns its
 // observable behaviour.
-func run(t *testing.T, prog *core.Program, backend core.Backend, label string) (rt.Status, int64, string) {
+func run(t *testing.T, prog *core.Program, eng, label string) (rt.Status, int64, string) {
 	t.Helper()
 	var out bytes.Buffer
-	p, err := core.NewProcess(prog, core.ProcessConfig{
-		Backend: backend,
-		Stdout:  &out,
-		Fuel:    50_000_000,
-		Args:    []int64{3, 4},
-		Seed:    12345,
+	p, err := core.NewProcess(prog, eng, rt.Config{
+		Stdout: &out,
+		Fuel:   50_000_000,
+		Args:   []int64{3, 4},
+		Seed:   12345,
 	})
 	if err != nil {
 		t.Fatalf("%s: NewProcess: %v", label, err)
@@ -85,24 +83,22 @@ func TestBackendsAgree(t *testing.T) {
 			opt.Optimize()
 
 			type variant struct {
-				label   string
-				prog    *core.Program
-				backend core.Backend
+				label  string
+				prog   *core.Program
+				engine string
 			}
 			variants := []variant{
-				{"vm", prog, core.BackendVM},
-				{"risc", prog, core.BackendRISC},
-				{"jit", prog, core.BackendJIT},
-				{"vm+opt", opt, core.BackendVM},
-				{"risc+opt", opt, core.BackendRISC},
-				{"jit+opt", opt, core.BackendJIT},
+				{"vm", prog, "vm"},
+				{"jit", prog, "jit"},
+				{"vm+opt", opt, "vm"},
+				{"jit+opt", opt, "jit"},
 			}
-			baseSt, baseHalt, baseOut := run(t, variants[0].prog, variants[0].backend, variants[0].label)
+			baseSt, baseHalt, baseOut := run(t, variants[0].prog, variants[0].engine, variants[0].label)
 			if baseSt != rt.StatusHalted {
 				t.Fatalf("vm: status = %s, want halted", baseSt)
 			}
 			for _, v := range variants[1:] {
-				st, halt, out := run(t, v.prog, v.backend, v.label)
+				st, halt, out := run(t, v.prog, v.engine, v.label)
 				if st != baseSt {
 					t.Errorf("%s: status = %s, vm = %s", v.label, st, baseSt)
 				}
@@ -117,7 +113,7 @@ func TestBackendsAgree(t *testing.T) {
 	}
 }
 
-// TestBackendsDeterministic re-runs each program per backend and requires
+// TestBackendsDeterministic re-runs each program per engine and requires
 // run-to-run identical behaviour (the cluster's bit-exact replay after a
 // failure depends on it).
 func TestBackendsDeterministic(t *testing.T) {
@@ -127,11 +123,11 @@ func TestBackendsDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			for _, backend := range []core.Backend{core.BackendVM, core.BackendRISC, core.BackendJIT} {
-				_, h1, o1 := run(t, prog, backend, fmt.Sprintf("%v/first", backend))
-				_, h2, o2 := run(t, prog, backend, fmt.Sprintf("%v/second", backend))
+			for _, backend := range engine.Names() {
+				_, h1, o1 := run(t, prog, backend, backend+"/first")
+				_, h2, o2 := run(t, prog, backend, backend+"/second")
 				if h1 != h2 || o1 != o2 {
-					t.Errorf("backend %v not deterministic: halt %d vs %d, out %q vs %q",
+					t.Errorf("engine %v not deterministic: halt %d vs %d, out %q vs %q",
 						backend, h1, h2, o1, o2)
 				}
 			}

@@ -4,7 +4,7 @@
 //
 //  1. Language users write MojC (a C dialect with speculate/commit/abort/
 //     retry/migrate builtins), compile it with Compile, and run it with
-//     Process on either runtime backend. This is the paper's headline
+//     Process on either execution engine. This is the paper's headline
 //     interface (§2): checkpointing a long-running application is a
 //     handful of annotations.
 //
@@ -20,34 +20,16 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"io"
 
+	"repro/internal/engine"
 	"repro/internal/fir"
 	"repro/internal/gc"
 	"repro/internal/heap"
-	"repro/internal/jit"
 	"repro/internal/lang"
 	"repro/internal/migrate"
-	"repro/internal/risc"
 	"repro/internal/rt"
 	"repro/internal/spec"
-	"repro/internal/vm"
-)
-
-// Backend selects a runtime environment.
-type Backend int
-
-const (
-	// BackendVM is the FIR interpreter (the paper's interpreted runtime).
-	BackendVM Backend = iota
-	// BackendRISC compiles to the RISC target and simulates it (the
-	// paper's machine-code runtime).
-	BackendRISC
-	// BackendJIT compiles to threaded code with fused superinstructions
-	// (the fastest backend; bit-exact with the other two).
-	BackendJIT
 )
 
 // Program is a compiled MCC program.
@@ -99,64 +81,22 @@ func DecodeProgram(data []byte) (*Program, error) {
 	return &Program{FIR: fp}, nil
 }
 
-// ProcessConfig configures a process.
-type ProcessConfig struct {
-	// Backend selects the runtime (default interpreter).
-	Backend Backend
-	// Stdout receives print output (default discard).
-	Stdout io.Writer
-	// Fuel bounds execution steps (0 = unlimited).
-	Fuel uint64
-	// Args are process arguments (getarg).
-	Args []int64
-	// TrapSpeculation turns runtime errors inside speculations into
-	// automatic rollbacks (§2's exception-style speculation).
-	TrapSpeculation bool
-	// Heap configures the process heap.
-	Heap heap.Config
-	// Name labels the process in diagnostics.
-	Name string
-	// Seed seeds the deterministic rand_int extern.
-	Seed int64
-}
-
-// Process is a running MCC program on either backend.
+// Process is a running MCC program on one of the execution engines: an
+// rt.Proc (RegisterExtern, Start, Run, RunSteps, Status, HaltCode, Err,
+// Steps, …) that can also be wired to a migrator.
 type Process struct {
-	proc rt.Proc
+	rt.Proc
 }
 
-// NewProcess creates a process; register externs and a migrator before
-// Start.
-func NewProcess(p *Program, cfg ProcessConfig) (*Process, error) {
-	switch cfg.Backend {
-	case BackendJIT:
-		return &Process{proc: jit.NewMachine(p.FIR, jit.Config{
-			Heap: cfg.Heap, Stdout: cfg.Stdout, Fuel: cfg.Fuel,
-			TrapSpeculation: cfg.TrapSpeculation, Name: cfg.Name,
-			Args: cfg.Args, Seed: cfg.Seed,
-		})}, nil
-	case BackendRISC:
-		m, err := risc.NewMachine(p.FIR, nil, risc.Config{
-			Heap: cfg.Heap, Stdout: cfg.Stdout, Fuel: cfg.Fuel,
-			TrapSpeculation: cfg.TrapSpeculation, Name: cfg.Name,
-			Args: cfg.Args, Seed: cfg.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Process{proc: m}, nil
-	default:
-		return &Process{proc: vm.NewProcess(p.FIR, vm.Config{
-			Heap: cfg.Heap, Stdout: cfg.Stdout, Fuel: cfg.Fuel,
-			TrapSpeculation: cfg.TrapSpeculation, Name: cfg.Name,
-			Args: cfg.Args, Seed: cfg.Seed,
-		})}, nil
+// NewProcess creates a process on the named engine (internal/engine's
+// registry; "" selects the default interpreter); register externs and a
+// migrator before Start.
+func NewProcess(p *Program, engineName string, cfg rt.Config) (*Process, error) {
+	eng, err := engine.Get(engineName)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// RegisterExtern installs an external function before Start.
-func (p *Process) RegisterExtern(name string, sig fir.ExternSig, fn rt.ExternFn) {
-	p.proc.RegisterExtern(name, sig, fn)
+	return &Process{eng.New(p.FIR, cfg)}, nil
 }
 
 // UseMigrator wires the process to a migration client so migrate()
@@ -164,44 +104,8 @@ func (p *Process) RegisterExtern(name string, sig fir.ExternSig, fn rt.ExternFn)
 // nil for plain TCP.
 func (p *Process) UseMigrator(store migrate.Store, dial migrate.Dialer) {
 	m := &migrate.Migrator{Store: store, Dial: dial}
-	p.proc.SetMigrateHandler(m.Handle)
+	p.SetMigrateHandler(m.Handle)
 }
-
-// Start type-checks and positions the process at its entry point.
-func (p *Process) Start() error {
-	switch q := p.proc.(type) {
-	case *vm.Process:
-		return q.Start()
-	case *risc.Machine:
-		return q.Start()
-	case *jit.Machine:
-		return q.Start()
-	default:
-		return errors.New("core: unknown backend process type")
-	}
-}
-
-// Run executes to a terminal state.
-func (p *Process) Run() (rt.Status, error) { return p.proc.Run() }
-
-// RunSteps executes at most n steps.
-func (p *Process) RunSteps(n uint64) (rt.Status, error) { return p.proc.RunSteps(n) }
-
-// Status returns the lifecycle state.
-func (p *Process) Status() rt.Status { return p.proc.Status() }
-
-// HaltCode returns the exit code after a halt.
-func (p *Process) HaltCode() int64 { return p.proc.HaltCode() }
-
-// Err returns the terminal error after a failure.
-func (p *Process) Err() error { return p.proc.Err() }
-
-// Steps returns the number of executed steps.
-func (p *Process) Steps() uint64 { return p.proc.Steps() }
-
-// Proc exposes the backend-independent handle for advanced integration
-// (cluster placement, custom migration handlers).
-func (p *Process) Proc() rt.Proc { return p.proc }
 
 // Region is the Go-level speculative memory: the paper's speculation
 // primitives applied directly to a managed heap, without the compiler.

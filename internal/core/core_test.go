@@ -17,8 +17,11 @@ int main() { return square(9); }`, nil)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	for _, backend := range []Backend{BackendVM, BackendRISC} {
-		p, err := NewProcess(prog, ProcessConfig{Backend: backend, Fuel: 100000})
+	if _, err := NewProcess(prog, "risc", rt.Config{}); err == nil {
+		t.Fatal("an unregistered engine name was accepted")
+	}
+	for _, backend := range []string{"", "vm", "jit"} {
+		p, err := NewProcess(prog, backend, rt.Config{Fuel: 100000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +33,7 @@ int main() { return square(9); }`, nil)
 			t.Fatal(err)
 		}
 		if st != rt.StatusHalted || p.HaltCode() != 81 {
-			t.Fatalf("backend %d: status=%s code=%d", backend, st, p.HaltCode())
+			t.Fatalf("engine %q: status=%s code=%d", backend, st, p.HaltCode())
 		}
 	}
 }
@@ -44,7 +47,7 @@ func TestProgramEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewProcess(q, ProcessConfig{Fuel: 1000})
+	p, err := NewProcess(q, "", rt.Config{Fuel: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func TestProcessStdout(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	p, err := NewProcess(prog, ProcessConfig{Stdout: &out, Fuel: 10000})
+	p, err := NewProcess(prog, "", rt.Config{Stdout: &out, Fuel: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package engine
 
-// The built-in execution backends, registered at init. They are defined
-// here rather than in their own packages so vm, risc and jit stay free of
+// The built-in execution engines, registered at init. They are defined
+// here rather than in their own packages so vm and jit stay free of
 // registry plumbing (and of this package).
 
 import (
@@ -9,23 +9,21 @@ import (
 	"repro/internal/heap"
 	"repro/internal/jit"
 	"repro/internal/memo"
-	"repro/internal/risc"
 	"repro/internal/rt"
 	"repro/internal/spec"
 	"repro/internal/vm"
 )
 
 func init() {
-	Register(vmFactory{})
-	Register(riscFactory{})
-	Register(jitFactory{})
+	Register(vmBackend)
+	Register(jitBackend)
 }
 
 // artifactCache memoizes per-program compiled artifacts by program
 // identity, bounded FIFO. Factories assume a program handed to New or
 // Precompile is not mutated afterwards — the cluster engine's usage
 // pattern (one program fanned out to every node, run after run). Fresh
-// starts and resumes both go through it: workload.Compile hands every
+// starts and resumes all go through it: workload.Compile hands every
 // node of a run the same program, and migrate.Unpack interns the programs
 // it decodes, so a restore of code this process already compiled is a
 // hit. Concurrent callers for one program share one compilation.
@@ -55,134 +53,64 @@ func (c *artifactCache[A]) stats(into map[string]uint64) {
 	into[c.name+"_entries"] = uint64(st.Entries)
 }
 
+// backend adapts one engine package to Factory: A is its compiled
+// artifact, P its process type.
+type backend[A any, P rt.Proc] struct {
+	name, desc string
+	cache      *artifactCache[A]
+	compile    func(*fir.Program) (A, error)
+	fresh      func(*fir.Program, A, rt.Config) P
+	resume     func(*fir.Program, *heap.Heap, []spec.Continuation, A, rt.Config) (P, error)
+}
+
 var (
-	vmCache   = newArtifactCache[*vm.Compiled]("vm")
-	riscCache = newArtifactCache[*risc.Module]("risc")
-	jitCache  = newArtifactCache[*jit.Compiled]("jit")
+	vmBackend = &backend[*vm.Compiled, *vm.Process]{
+		name:    "vm",
+		desc:    "slot-resolved FIR interpreter (the paper's interpreted runtime environment; the reference)",
+		cache:   newArtifactCache[*vm.Compiled]("vm"),
+		compile: vm.Precompile, fresh: vm.NewProcess, resume: vm.ResumeProcess,
+	}
+	jitBackend = &backend[*jit.Compiled, *jit.Machine]{
+		name:    "jit",
+		desc:    "threaded-code engine: FIR recompiled to specialized opcodes + fused superinstructions (compare-and-branch, load/store runs)",
+		cache:   newArtifactCache[*jit.Compiled]("jit"),
+		compile: jit.Precompile, fresh: jit.NewMachine, resume: jit.ResumeMachine,
+	}
 )
 
 // CacheStats snapshots the per-engine artifact-cache counters (hits,
 // misses, evictions, live entries). Wire it into an obs.Registry as the
 // "engine" source to see compile reuse in daemon snapshots and traces.
 func CacheStats() map[string]uint64 {
-	out := make(map[string]uint64, 12)
-	vmCache.stats(out)
-	riscCache.stats(out)
-	jitCache.stats(out)
+	out := make(map[string]uint64, 8)
+	vmBackend.cache.stats(out)
+	jitBackend.cache.stats(out)
 	return out
 }
 
-type vmFactory struct{}
+func (b *backend[A, P]) Name() string        { return b.name }
+func (b *backend[A, P]) Description() string { return b.desc }
 
-func (vmFactory) Name() string { return "vm" }
-
-func (vmFactory) Description() string {
-	return "slot-resolved FIR interpreter (the paper's interpreted runtime environment)"
+// artifact returns prog's cached artifact, or the zero A when it does not
+// compile: the process then compiles for itself and reports the error
+// from Start (after the type check) or StartAt, where callers expect it.
+func (b *backend[A, P]) artifact(prog *fir.Program) A {
+	art, _ := b.cache.load(prog, b.compile)
+	return art
 }
 
-func (vmFactory) New(prog *fir.Program, cfg Config) (rt.Exec, error) {
-	c := vmConfig(cfg)
-	// A compile error is left for Start to surface after the type check,
-	// matching the uncached path's error order.
-	if comp, err := vmCache.load(prog, vm.Precompile); err == nil {
-		c.Compiled = comp
+func (b *backend[A, P]) New(prog *fir.Program, cfg rt.Config) rt.Proc {
+	return b.fresh(prog, b.artifact(prog), cfg)
+}
+
+func (b *backend[A, P]) Resume(prog *fir.Program, h *heap.Heap, conts []spec.Continuation, cfg rt.Config) (rt.Proc, error) {
+	p, err := b.resume(prog, h, conts, b.artifact(prog), cfg)
+	if err != nil {
+		return nil, err
 	}
-	return vm.NewProcess(prog, c), nil
+	return p, nil
 }
 
-func (vmFactory) Resume(prog *fir.Program, h *heap.Heap, conts []spec.Continuation, cfg Config) (rt.Exec, error) {
-	return vm.ResumeProcess(prog, h, conts, vmConfig(cfg))
-}
-
-func (vmFactory) Precompile(prog *fir.Program) (any, error) {
-	return vmCache.load(prog, vm.Precompile)
-}
-
-func (vmFactory) ResumeWith(art any, prog *fir.Program, h *heap.Heap, conts []spec.Continuation, cfg Config) (rt.Exec, error) {
-	c := vmConfig(cfg)
-	c.Compiled = art.(*vm.Compiled)
-	return vm.ResumeProcess(prog, h, conts, c)
-}
-
-func vmConfig(cfg Config) vm.Config {
-	return vm.Config{
-		Heap: cfg.Heap, Collector: cfg.Collector, Stdout: cfg.Stdout,
-		Fuel: cfg.Fuel, TrapSpeculation: cfg.TrapSpeculation,
-		Name: cfg.Name, Args: cfg.Args, Seed: cfg.Seed,
-	}
-}
-
-type riscFactory struct{}
-
-func (riscFactory) Name() string { return "risc" }
-
-func (riscFactory) Description() string {
-	return "compiled RISC simulator with linear-scan register allocation (the paper's machine-code runtime)"
-}
-
-func (riscFactory) New(prog *fir.Program, cfg Config) (rt.Exec, error) {
-	// A compile error is left for Start to surface after the type check,
-	// matching the uncached path's error order: mod stays nil.
-	mod, _ := riscCache.load(prog, risc.Compile)
-	return risc.NewMachine(prog, mod, riscConfig(cfg))
-}
-
-func (riscFactory) Resume(prog *fir.Program, h *heap.Heap, conts []spec.Continuation, cfg Config) (rt.Exec, error) {
-	return risc.ResumeMachine(prog, nil, h, conts, riscConfig(cfg))
-}
-
-func (riscFactory) Precompile(prog *fir.Program) (any, error) {
-	return riscCache.load(prog, risc.Compile)
-}
-
-func (riscFactory) ResumeWith(art any, prog *fir.Program, h *heap.Heap, conts []spec.Continuation, cfg Config) (rt.Exec, error) {
-	return risc.ResumeMachine(prog, art.(*risc.Module), h, conts, riscConfig(cfg))
-}
-
-func riscConfig(cfg Config) risc.Config {
-	return risc.Config{
-		Heap: cfg.Heap, Collector: cfg.Collector, Stdout: cfg.Stdout,
-		Fuel: cfg.Fuel, TrapSpeculation: cfg.TrapSpeculation,
-		Name: cfg.Name, Args: cfg.Args, Seed: cfg.Seed,
-	}
-}
-
-type jitFactory struct{}
-
-func (jitFactory) Name() string { return "jit" }
-
-func (jitFactory) Description() string {
-	return "threaded-code engine: specialized opcodes + fused superinstructions (compare-and-branch, load/store runs)"
-}
-
-func (jitFactory) New(prog *fir.Program, cfg Config) (rt.Exec, error) {
-	c := jitConfig(cfg)
-	// A compile error is left for Start to surface after the type check,
-	// matching the uncached path's error order.
-	if comp, err := jitCache.load(prog, jit.Precompile); err == nil {
-		c.Compiled = comp
-	}
-	return jit.NewMachine(prog, c), nil
-}
-
-func (jitFactory) Resume(prog *fir.Program, h *heap.Heap, conts []spec.Continuation, cfg Config) (rt.Exec, error) {
-	return jit.ResumeMachine(prog, h, conts, jitConfig(cfg))
-}
-
-func (jitFactory) Precompile(prog *fir.Program) (any, error) {
-	return jitCache.load(prog, jit.Precompile)
-}
-
-func (jitFactory) ResumeWith(art any, prog *fir.Program, h *heap.Heap, conts []spec.Continuation, cfg Config) (rt.Exec, error) {
-	c := jitConfig(cfg)
-	c.Compiled = art.(*jit.Compiled)
-	return jit.ResumeMachine(prog, h, conts, c)
-}
-
-func jitConfig(cfg Config) jit.Config {
-	return jit.Config{
-		Heap: cfg.Heap, Collector: cfg.Collector, Stdout: cfg.Stdout,
-		Fuel: cfg.Fuel, TrapSpeculation: cfg.TrapSpeculation,
-		Name: cfg.Name, Args: cfg.Args, Seed: cfg.Seed,
-	}
+func (b *backend[A, P]) Precompile(prog *fir.Program) (any, error) {
+	return b.cache.load(prog, b.compile)
 }

@@ -1,19 +1,19 @@
 // Package engine is the pluggable execution-engine layer of the cluster
-// runtime. An engine is a named factory for rt.Exec backends — the
-// slot-resolved FIR interpreter ("vm"), the register-allocated RISC
-// simulator ("risc") and the threaded-code engine ("jit") register
-// themselves here — and every layer above (cluster.Engine,
-// migrate.Unpack, the workload harness, mojrun/gridrun's -engine flag)
-// selects one by name. The built-ins execute programs bit-exactly against
-// the same heap/ops/spec semantics, so the choice is purely a performance
-// knob: results, halt codes and checkpoint recovery are identical on all
-// of them.
+// runtime. An engine is a named factory for rt.Proc processes — the
+// slot-resolved FIR interpreter ("vm", the default and the reference) and
+// the threaded-code engine ("jit", the fast one) register themselves here
+// — and every layer above (cluster.Engine, migrate.Unpack, core, the
+// workload harness, the -engine flag of every command) selects one by
+// name. Both execute programs bit-exactly against the same rt shell and
+// heap/ops/spec semantics, so the choice is purely a performance knob:
+// results, halt codes, step counts and checkpoint recovery are identical,
+// and an image packed on one resumes on the other.
 package engine
 
 import (
 	"fmt"
-	"io"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/fir"
@@ -26,29 +26,9 @@ import (
 // interpreter: the historical behaviour of every runner.
 const DefaultName = "vm"
 
-// Config configures a new or resumed process, backend-independently. It
-// mirrors vm.Config/risc.Config field for field.
-type Config struct {
-	// Heap configures the process heap.
-	Heap heap.Config
-	// Collector overrides the default generational policy.
-	Collector heap.Collector
-	// Stdout receives output from the print externs (default: discard).
-	Stdout io.Writer
-	// Fuel bounds the number of execution steps (0 = unlimited).
-	Fuel uint64
-	// TrapSpeculation turns trapped runtime errors inside a speculation
-	// into automatic rollbacks of the innermost level.
-	TrapSpeculation bool
-	// Name identifies the process in errors and logs.
-	Name string
-	// Args are process arguments readable through the getarg extern.
-	Args []int64
-	// Seed seeds the deterministic rand_int extern.
-	Seed int64
-}
-
-// Factory builds processes on one execution backend.
+// Factory builds processes on one execution engine. Compiled code is
+// kept per program in the engine's artifact cache, so New, Resume and
+// Precompile compile a given Program at most once between them.
 type Factory interface {
 	// Name is the registry key (and the -engine flag value).
 	Name() string
@@ -56,23 +36,22 @@ type Factory interface {
 	Description() string
 	// New creates a fresh process for prog. Register externs and a
 	// migration handler on the result, then call Start.
-	New(prog *fir.Program, cfg Config) (rt.Exec, error)
+	New(prog *fir.Program, cfg rt.Config) rt.Proc
 	// Resume builds a process around a restored heap and speculation
 	// continuation stack — the unpack path. Register externs on the
 	// result, then call StartAt.
-	Resume(prog *fir.Program, h *heap.Heap, conts []spec.Continuation, cfg Config) (rt.Exec, error)
+	Resume(prog *fir.Program, h *heap.Heap, conts []spec.Continuation, cfg rt.Config) (rt.Proc, error)
+	Precompiler
 }
 
-// Precompiler is implemented by factories whose code generation can be
-// performed (and timed) separately from process construction — the
-// paper's E1 migration-cost breakdown attributes recompilation at the
-// target on its own line. Precompile returns prog's compiled artifact,
-// compiling it unless the engine's artifact cache already holds one for
-// this exact Program; ResumeWith resumes a process using it. The artifact
-// is only valid for the Program it was compiled from.
+// Precompiler is the code-generation half of a Factory, callable (and
+// timed) separately from process construction — the paper's E1
+// migration-cost breakdown attributes recompilation at the target on its
+// own line. Precompile returns prog's compiled artifact, compiling it
+// unless the engine's artifact cache already holds one for this exact
+// Program; a following New or Resume of that Program finds it there.
 type Precompiler interface {
 	Precompile(prog *fir.Program) (any, error)
-	ResumeWith(art any, prog *fir.Program, h *heap.Heap, conts []spec.Continuation, cfg Config) (rt.Exec, error)
 }
 
 var registry struct {
@@ -107,6 +86,22 @@ func Get(name string) (Factory, error) {
 		return nil, fmt.Errorf("engine: unknown execution engine %q (have %v)", name, namesLocked())
 	}
 	return f, nil
+}
+
+// Usage describes the registered engines for a command's -engine flag:
+// "NAME: description; NAME: description [default vm]".
+func Usage() string {
+	registry.mu.Lock()
+	defer registry.mu.Unlock()
+	var b strings.Builder
+	for i, n := range namesLocked() {
+		if i > 0 {
+			b.WriteString("; ")
+		}
+		fmt.Fprintf(&b, "%s: %s", n, registry.m[n].Description())
+	}
+	fmt.Fprintf(&b, " [default %s]", DefaultName)
+	return b.String()
 }
 
 // Names lists registered engines, sorted.

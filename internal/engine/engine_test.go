@@ -107,17 +107,11 @@ func TestPrecompileSharesTheArtifactCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc, ok := f.(Precompiler)
-		if !ok {
-			t.Fatalf("%s has no Precompile hook", name)
-		}
+		var pc Precompiler = f
 		prog := haltProgram(42, name)
 
 		s0 := CacheStats()
-		proc, err := f.New(prog, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		proc := f.New(prog, rt.Config{})
 		if err := proc.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -161,10 +155,8 @@ func TestConcurrentNewCompilesOnce(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				proc, err := f.New(prog, Config{})
-				if err == nil {
-					err = proc.Start()
-				}
+				proc := f.New(prog, rt.Config{})
+				err := proc.Start()
 				if err == nil {
 					_, err = proc.Run()
 				}

@@ -3,9 +3,8 @@ package fir
 // Optimize is the FIR optimization pass the MCC pipeline runs between
 // lowering and the backend: constant folding, copy propagation, branch
 // folding, and dead-binding elimination. The CPS lowering emits many
-// move/literal temporaries (every literal argument gets its own binding on
-// the RISC path), so this pass pays for itself in both interpreter steps
-// and generated code size.
+// move/literal temporaries, so this pass pays for itself in both executed
+// steps and generated code size.
 //
 // The pass is deliberately conservative about effects: heap operators
 // (alloc/load/store/len) and externals are never folded or dropped — loads

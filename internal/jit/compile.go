@@ -1,6 +1,8 @@
-// Package jit implements the threaded-code execution engine: the third
-// backend behind internal/engine's registry, next to the slot-resolved
-// interpreter ("vm") and the RISC simulator ("risc").
+// Package jit implements the threaded-code execution engine: the fast
+// engine behind internal/engine's registry, next to the slot-resolved
+// interpreter ("vm") it is tested against. It is what carries the paper's
+// "machine-code runtime" story here: FIR, never native code, crosses a
+// migration, and the target recompiles it for its own engine.
 //
 // The compiler lowers FIR to the same slot-resolved linear shape as the
 // interpreter — one instruction per FIR node, variables resolved to dense
@@ -17,7 +19,7 @@
 //     (closure construction) against a single base pointer — into single
 //     superinstructions covering several FIR nodes each.
 //
-// Bit-exactness contract (shared with vm and risc): a fused instruction
+// Bit-exactness contract (shared with vm): a fused instruction
 // still charges exactly one step and one fuel unit per FIR node it covers,
 // and can only begin when the remaining quantum covers all of its nodes.
 // Each fused superinstruction is therefore emitted in front of its
@@ -168,20 +170,12 @@ type Compiled struct {
 	slots    int
 }
 
-// Precompile lowers prog to threaded code without building a machine.
-// Pass the result through Config.Compiled to skip per-machine compilation.
+// Precompile lowers prog to threaded code without building a machine; hand
+// the result to NewMachine or ResumeMachine to skip per-machine
+// compilation. It runs the two lowering passes: the slot-resolving walk
+// (one instruction per FIR node, identical structure to the interpreter's)
+// and the fusion rewrite.
 func Precompile(prog *fir.Program) (*Compiled, error) {
-	c, err := compile(prog)
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// compile runs the two lowering passes: the slot-resolving walk (one
-// instruction per FIR node, identical structure to the interpreter's) and
-// the fusion rewrite.
-func compile(prog *fir.Program) (*Compiled, error) {
 	c := &Compiled{prog: prog, fns: make([]jitFn, len(prog.Funcs))}
 	extIdx := make(map[string]int32)
 	for i, f := range prog.Funcs {

@@ -1,13 +1,10 @@
 package jit
 
 import (
-	"fmt"
-
 	"repro/internal/fir"
 	"repro/internal/heap"
 	"repro/internal/ops"
 	"repro/internal/rt"
-	"repro/internal/spec"
 )
 
 func b2i(b bool) int64 {
@@ -17,11 +14,19 @@ func b2i(b bool) int64 {
 	return 0
 }
 
+// RunSeg implements rt.Core.
+func (m *Machine) RunSeg(budget uint64) error {
+	exec, err := m.runSeg(budget)
+	m.Charge(exec)
+	return err
+}
+
 // runSeg executes up to budget FIR nodes starting at m.pc and returns how
-// many were executed (including a node that errored — the interpreter
-// charges failed steps too). m.pc is kept current for every node that can
-// reach the collector or trap, so GC root windows match the interpreter's
-// exactly; on return m.pc points at the next node (or the failed one).
+// many of them it has not charged yet (including a node that errored — the
+// interpreter charges failed steps too). m.pc is kept current for every
+// node that can reach the collector or trap, so GC root windows match the
+// interpreter's exactly; on return m.pc points at the next node (or the
+// failed one).
 //
 // Fast paths handle the common well-typed cases inline; any precondition
 // miss (wrong operand kind, division by zero, shift range) falls back to
@@ -33,8 +38,8 @@ func b2i(b bool) int64 {
 func (m *Machine) runSeg(budget uint64) (uint64, error) {
 	code := m.code
 	frame := m.frame
-	fns := m.fns()
-	h := m.h
+	fns := m.c.fns
+	h := m.Heap()
 	pc := m.pc
 	var exec uint64
 
@@ -202,10 +207,10 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			if a.Kind == heap.KPtr && b.Kind == heap.KInt && in.want != kindSlow {
 				v, err := h.Load(a, b.I)
 				if err != nil {
-					return exec + 1, m.rterr(err)
+					return exec + 1, m.RuntimeErr(err)
 				}
 				if v.Kind != in.want {
-					return exec + 1, m.rterr(ops.CheckKind(v, in.dstTy))
+					return exec + 1, m.RuntimeErr(ops.CheckKind(v, in.dstTy))
 				}
 				frame[in.dst] = v
 			} else if err := m.evalGen(in); err != nil {
@@ -218,7 +223,7 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			a, b := ld(frame, &in.a), ld(frame, &in.b)
 			if a.Kind == heap.KPtr && b.Kind == heap.KInt {
 				if err := h.Store(a, b.I, ld(frame, &in.c)); err != nil {
-					return exec + 1, m.rterr(err)
+					return exec + 1, m.RuntimeErr(err)
 				}
 				frame[in.dst] = heap.UnitVal()
 			} else if err := m.evalGen(in); err != nil {
@@ -232,7 +237,7 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			if a.Kind == heap.KPtr {
 				n, err := h.BlockSize(a)
 				if err != nil {
-					return exec + 1, m.rterr(err)
+					return exec + 1, m.RuntimeErr(err)
 				}
 				frame[in.dst] = heap.IntVal(n)
 			} else if err := m.evalGen(in); err != nil {
@@ -352,11 +357,11 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 				v, err := h.Load(base, el.off)
 				if err != nil {
 					m.pc = pc + 1 + i
-					return exec + uint64(i) + 1, m.rterr(err)
+					return exec + uint64(i) + 1, m.RuntimeErr(err)
 				}
 				if v.Kind != el.want {
 					m.pc = pc + 1 + i
-					return exec + uint64(i) + 1, m.rterr(ops.CheckKind(v, el.ty))
+					return exec + uint64(i) + 1, m.RuntimeErr(ops.CheckKind(v, el.ty))
 				}
 				frame[el.dst] = v
 			}
@@ -381,7 +386,7 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 				m.pc = pc + 1 + i
 				v := ld(frame, &el.val)
 				if err := h.Store(base, el.off, v); err != nil {
-					return exec + uint64(i) + 1, m.rterr(err)
+					return exec + uint64(i) + 1, m.RuntimeErr(err)
 				}
 				frame[el.dst] = heap.UnitVal()
 			}
@@ -390,32 +395,10 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 
 		// --- control ---
 
-		case jExtern:
-			ext := &m.extVals[in.extIdx]
-			if ext.Fn == nil {
-				return exec + 1, m.rterrf("unknown extern %q", m.adopted.extNames[in.extIdx])
-			}
-			args := m.gather(in.args)
-			v, err := ext.Fn(m, args)
-			m.pins = m.pins[:0]
-			if err != nil {
-				return exec + 1, m.rterr(err)
-			}
-			if err := ops.CheckKind(v, ext.Sig.Result); err != nil {
-				return exec + 1, m.rterrf("extern %q result: %v", m.adopted.extNames[in.extIdx], err)
-			}
-			frame[in.dst] = v
-			pc++
-			exec++
-			if m.yield {
-				m.pc = pc
-				return exec, nil
-			}
-
 		case jIf:
 			c := ld(frame, &in.a)
 			if c.Kind != heap.KInt {
-				return exec + 1, m.rterrf("if condition is %s, want int", c.Kind)
+				return exec + 1, m.RuntimeErrf("if condition is %s, want int", c.Kind)
 			}
 			if c.I != 0 {
 				pc++
@@ -427,10 +410,10 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 		case jCall:
 			fnv := ld(frame, &in.a)
 			if fnv.Kind != heap.KFun {
-				return exec + 1, m.rterrf("call target is %s, want fun", fnv)
+				return exec + 1, m.RuntimeErrf("call target is %s, want fun", fnv)
 			}
-			if err := m.invoke(fnv.I, m.gather(in.args)); err != nil {
-				return exec + 1, m.rterr(err)
+			if err := m.Invoke(fnv.I, m.gather(in.args)); err != nil {
+				return exec + 1, m.RuntimeErr(err)
 			}
 			pc = m.pc
 			exec++
@@ -446,133 +429,49 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 				v := ld(frame, &args[i])
 				if k := f.kinds[i]; v.Kind != k || k == kindSlow {
 					if err := ops.CheckKind(v, f.fn.Params[i].Type); err != nil {
-						return exec + 1, m.rterr(fmt.Errorf("jit: %s argument %d (%s): %w", f.fn.Name, i, f.fn.Params[i].Name, err))
+						return exec + 1, m.RuntimeErr(rt.ArgError(f.fn, i, err))
 					}
 				}
 				frame[i] = v
 			}
-			m.curFn = f.fn.Name
+			m.CurFn = f.fn.Name
 			pc = f.entry
 			exec++
 
-		case jHalt:
-			c := ld(frame, &in.a)
-			if c.Kind != heap.KInt {
-				return exec + 1, m.rterrf("halt code is %s, want int", c.Kind)
-			}
-			m.status = rt.StatusHalted
-			m.halt = c.I
-			return exec + 1, nil
-
-		case jSpeculate:
-			fnv := ld(frame, &in.a)
-			if fnv.Kind != heap.KFun {
-				return exec + 1, m.rterrf("speculate target is %s, want fun", fnv)
-			}
-			// The continuation's arguments outlive this step inside the
-			// speculation manager: fresh slice, never scratch.
-			saved := make([]heap.Value, len(in.args))
-			for i := range in.args {
-				saved[i] = ld(frame, &in.args[i])
-			}
-			m.mgr.Enter(spec.Continuation{FnIndex: fnv.I, Args: saved})
-			call := append(m.callbuf[:0], heap.IntVal(0))
-			call = append(call, saved...)
-			m.callbuf = call
-			if err := m.invoke(fnv.I, call); err != nil {
-				return exec + 1, m.rterr(err)
-			}
-			pc = m.pc
-			exec++
-
-		case jCommit:
-			lv := ld(frame, &in.a)
-			if lv.Kind != heap.KInt {
-				return exec + 1, m.rterrf("commit level is %s, want int", lv.Kind)
-			}
-			fnv := ld(frame, &in.b)
-			if fnv.Kind != heap.KFun {
-				return exec + 1, m.rterrf("commit target is %s, want fun", fnv)
-			}
-			args := m.gather(in.args)
-			if err := m.mgr.Commit(int(lv.I)); err != nil {
-				return exec + 1, m.rterr(err)
-			}
-			if err := m.invoke(fnv.I, args); err != nil {
-				return exec + 1, m.rterr(err)
-			}
-			pc = m.pc
-			exec++
-
-		case jRollback:
-			lv := ld(frame, &in.a)
-			cv := ld(frame, &in.b)
-			if lv.Kind != heap.KInt || cv.Kind != heap.KInt {
-				return exec + 1, m.rterrf("rollback operands must be int")
-			}
-			cont, err := m.mgr.Rollback(int(lv.I))
-			if err != nil {
-				return exec + 1, m.rterr(err)
-			}
-			call := append(m.callbuf[:0], cv)
-			call = append(call, cont.Args...)
-			m.callbuf = call
-			if err := m.invoke(cont.FnIndex, call); err != nil {
-				return exec + 1, m.rterr(err)
-			}
-			pc = m.pc
-			exec++
-
-		case jMigrate:
-			tp := ld(frame, &in.a)
-			toff := ld(frame, &in.b)
-			if tp.Kind != heap.KPtr || toff.Kind != heap.KInt {
-				return exec + 1, m.rterrf("migrate target must be (ptr, int)")
-			}
-			eff := tp
-			eff.Off += toff.I
-			target, err := m.loadTarget(eff)
-			if err != nil {
-				return exec + 1, m.rterr(err)
-			}
-			fnv := ld(frame, &in.c)
-			if fnv.Kind != heap.KFun {
-				return exec + 1, m.rterrf("migrate continuation is %s, want fun", fnv)
-			}
-			// Migration handlers may retain the arguments (pack, remote
-			// handoff): fresh slice, never scratch.
-			args := make([]heap.Value, len(in.args))
-			for i := range in.args {
-				args[i] = ld(frame, &in.args[i])
-			}
-			if m.migrate == nil {
-				return exec + 1, m.rterr(ErrNoMigration)
-			}
-			outcome, merr := m.migrate(&rt.MigrationRequest{
-				Rt: m, Label: int(in.target), Target: target, FnIndex: fnv.I, Args: args,
-			})
-			m.pins = m.pins[:0]
-			if merr != nil {
-				// Failed migrations continue locally, as on the interpreter.
-				outcome = rt.OutcomeContinueLocal
-			}
-			switch outcome {
-			case rt.OutcomeMigrated:
-				m.status = rt.StatusMigrated
-				return exec + 1, nil
-			case rt.OutcomeSuspended:
-				m.status = rt.StatusSuspended
-				return exec + 1, nil
-			default:
-				if err := m.invoke(fnv.I, args); err != nil {
-					return exec + 1, m.rterr(err)
+		// Extern calls and the shell's control transfers. Code outside
+		// the engine may run in these and read Steps: charge everything
+		// up to and including this node first. Each either fails, stops
+		// the machine, or leaves m.pc at the node to continue with.
+		case jExtern, jHalt, jSpeculate, jCommit, jRollback, jMigrate:
+			m.Charge(exec + 1)
+			budget -= exec + 1
+			exec = 0
+			var err error
+			switch in.op {
+			case jExtern:
+				var v heap.Value
+				if v, err = m.CallExtern(in.extIdx, m.gather(in.args)); err == nil {
+					frame[in.dst] = v
+					m.pc = pc + 1
 				}
-				pc = m.pc
-				exec++
+			case jHalt:
+				err = m.Halt(ld(frame, &in.a))
+			case jSpeculate:
+				err = m.Speculate(ld(frame, &in.a), m.gather(in.args))
+			case jCommit:
+				err = m.Commit(ld(frame, &in.a), ld(frame, &in.b), m.gather(in.args))
+			case jRollback:
+				err = m.Rollback(ld(frame, &in.a), ld(frame, &in.b))
+			case jMigrate:
+				err = m.Migrate(int(in.target), ld(frame, &in.a), ld(frame, &in.b), ld(frame, &in.c), m.gather(in.args))
 			}
+			if err != nil || m.Status() != rt.StatusRunning || m.Yielding() {
+				return 0, err
+			}
+			pc = m.pc
 
 		default:
-			return exec + 1, m.rterrf("unknown opcode %d", in.op)
+			return exec + 1, m.RuntimeErrf("unknown opcode %d", in.op)
 		}
 	}
 	m.pc = pc

@@ -1,0 +1,326 @@
+// Differential tests of the threaded-code engine against the interpreter,
+// at the rt.Proc boundary: whatever a driver can observe — status, halt
+// code, step count, error text and the function it names, output, where a
+// quantum ends — must be the same on both, for whole programs and for
+// hand-built FIR that makes every fused form's precondition fail at run
+// time.
+package jit_test
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/fir"
+	"repro/internal/grid"
+	"repro/internal/heap"
+	"repro/internal/jit"
+	"repro/internal/lang"
+	"repro/internal/migrate"
+	"repro/internal/msg"
+	"repro/internal/rt"
+	"repro/internal/vm"
+)
+
+// subject is one program with everything needed to run it; setup is called
+// once per engine so the two processes share no mutable state.
+type subject struct {
+	name  string
+	prog  *fir.Program
+	cfg   rt.Config
+	setup func(p rt.Proc) // externs and migrate handler; may be nil
+	// startAt, when >= 0, skips Start's type check and resumes at that
+	// function — the only way to run ill-typed FIR, as a trusted peer can.
+	startAt int64
+	args    []heap.Value
+}
+
+// pair builds the subject on both engines, started.
+func (s subject) pair(t *testing.T, fuel uint64) (ref, sut rt.Proc, refOut, sutOut *bytes.Buffer) {
+	t.Helper()
+	mk := func(build func(*fir.Program, rt.Config) rt.Proc) (rt.Proc, *bytes.Buffer) {
+		var out bytes.Buffer
+		cfg := s.cfg
+		cfg.Stdout = &out
+		if fuel != 0 {
+			cfg.Fuel = fuel
+		}
+		p := build(s.prog, cfg)
+		if s.setup != nil {
+			s.setup(p)
+		}
+		var err error
+		if s.startAt >= 0 {
+			err = p.StartAt(s.startAt, s.args)
+		} else {
+			err = p.Start()
+		}
+		if err != nil {
+			t.Fatalf("%s: start: %v", s.name, err)
+		}
+		return p, &out
+	}
+	ref, refOut = mk(func(p *fir.Program, c rt.Config) rt.Proc { return vm.NewProcess(p, nil, c) })
+	sut, sutOut = mk(func(p *fir.Program, c rt.Config) rt.Proc { return jit.NewMachine(p, nil, c) })
+	return
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+func errFn(err error) string {
+	var rte *rt.RuntimeError
+	if errors.As(err, &rte) {
+		return rte.Fn
+	}
+	return ""
+}
+
+// agree fails unless the two processes look the same from outside.
+func agree(t *testing.T, when string, ref, sut rt.Proc) {
+	t.Helper()
+	if ref.Status() != sut.Status() || ref.HaltCode() != sut.HaltCode() || ref.Steps() != sut.Steps() {
+		t.Fatalf("%s: vm status=%s halt=%d steps=%d, jit status=%s halt=%d steps=%d", when,
+			ref.Status(), ref.HaltCode(), ref.Steps(), sut.Status(), sut.HaltCode(), sut.Steps())
+	}
+	if errText(ref.Err()) != errText(sut.Err()) || errFn(ref.Err()) != errFn(sut.Err()) {
+		t.Fatalf("%s: vm err %q (in %q), jit err %q (in %q)", when,
+			errText(ref.Err()), errFn(ref.Err()), errText(sut.Err()), errFn(sut.Err()))
+	}
+}
+
+// lockstep drives both processes n steps at a time (0 = to the end) and
+// requires them to agree after every quantum.
+func lockstep(t *testing.T, s subject, n, fuel uint64) (ref, sut rt.Proc) {
+	t.Helper()
+	ref, sut, refOut, sutOut := s.pair(t, fuel)
+	for q := 0; ref.Status() == rt.StatusRunning; q++ {
+		st1, err1 := ref.RunSteps(n)
+		st2, err2 := sut.RunSteps(n)
+		when := fmt.Sprintf("%s RunSteps(%d) #%d", s.name, n, q)
+		if st1 != st2 || errText(err1) != errText(err2) {
+			t.Fatalf("%s: vm returned %s, %q; jit %s, %q", when, st1, errText(err1), st2, errText(err2))
+		}
+		agree(t, when, ref, sut)
+	}
+	if refOut.String() != sutOut.String() {
+		t.Fatalf("%s: output diverged\nvm:  %q\njit: %q", s.name, refOut, sutOut)
+	}
+	return ref, sut
+}
+
+// programs is grid.mc (one node, two checkpoints, so speculate, commit and
+// migrate all run) plus the conformance corpus.
+func programs(t *testing.T) []subject {
+	t.Helper()
+	var out []subject
+	src, err := os.ReadFile("../lang/testdata/grid.mc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := lang.Compile(string(src), grid.ExternSigs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, subject{
+		name: "grid", prog: prog, startAt: -1,
+		cfg: rt.Config{Args: []int64{1, 4, 8, 6, 3}}, // nodes, rows, cols, steps, checkpoint interval
+		setup: func(p rt.Proc) {
+			for _, reg := range []rt.Registry{msg.NewRouter().Externs(0), grid.CheckpointExtern(0)} {
+				for n, e := range reg {
+					p.RegisterExtern(n, e.Sig, e.Fn)
+				}
+			}
+			p.SetMigrateHandler((&migrate.Migrator{Store: cluster.NewMemStore()}).Handle)
+		},
+	})
+	files, err := filepath.Glob("../conformance/testdata/*.mc")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("conformance corpus: %v (%d files)", err, len(files))
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := lang.Compile(string(src), rt.StdExterns().Sigs())
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		out = append(out, subject{
+			name: strings.TrimSuffix(filepath.Base(f), ".mc"), prog: prog, startAt: -1,
+			cfg: rt.Config{Args: []int64{3, 4}, Seed: 12345},
+		})
+	}
+	return out
+}
+
+func TestProgramsAgreeWithInterpreter(t *testing.T) {
+	for _, s := range programs(t) {
+		t.Run(s.name, func(t *testing.T) {
+			ref, _ := lockstep(t, s, 0, 0)
+			if ref.Status() != rt.StatusHalted {
+				t.Fatalf("vm: %s, %v", ref.Status(), ref.Err())
+			}
+			total := ref.Steps()
+			// Quanta that split every fused form at every position.
+			for _, n := range []uint64{1, 7, 100} {
+				lockstep(t, s, n, 0)
+			}
+			// Fuel N fails after exactly N steps, wherever N lands.
+			for _, fuel := range []uint64{1, 2, 13, total / 2, total - 1} {
+				ref, _ := lockstep(t, s, 0, fuel)
+				if ref.Status() != rt.StatusFailed || !errors.Is(ref.Err(), rt.ErrFuelExhausted) || ref.Steps() != fuel {
+					t.Fatalf("fuel %d: status=%s err=%v after %d steps", fuel, ref.Status(), ref.Err(), ref.Steps())
+				}
+			}
+			if ref, _ := lockstep(t, s, 0, total); ref.Status() != rt.StatusHalted {
+				t.Fatalf("fuel %d is exactly enough, yet: %s, %v", total, ref.Status(), ref.Err())
+			}
+		})
+	}
+}
+
+// fusedFallbacks are programs on which a fused form starts and cannot
+// finish: the interpreter defines where they stop and what they report.
+func fusedFallbacks() []subject {
+	block := func() *fir.Builder { // p = alloc 4; p[0] = 7; p[1] = 2.5  (a fused store run)
+		b := fir.NewBuilder()
+		b.Let("p", fir.TyPtr, fir.OpAlloc, fir.I(4))
+		b.Let("u0", fir.TyUnit, fir.OpStore, fir.V("p"), fir.I(0), fir.I(7))
+		b.Let("u1", fir.TyUnit, fir.OpStore, fir.V("p"), fir.I(1), fir.F(2.5))
+		return b
+	}
+	typed := func(name string, body fir.Expr) subject {
+		return subject{name: name, prog: fir.NewProgram("main", fir.Fn("main", nil, body)), startAt: -1}
+	}
+	untyped := func(name string, args []heap.Value, fns ...*fir.Function) subject {
+		return subject{name: name, prog: fir.NewProgram(fns[0].Name, fns...), startAt: 0, args: args}
+	}
+	intFn := fir.Fn("k", fir.Ps("n", fir.TyInt), fir.NewBuilder().Halt(fir.V("n")))
+
+	loadKind := block()
+	loadKind.Let("a", fir.TyInt, fir.OpLoad, fir.V("p"), fir.I(0))
+	loadKind.Let("b", fir.TyInt, fir.OpLoad, fir.V("p"), fir.I(1)) // holds a float
+
+	loadRange := block()
+	loadRange.Let("a", fir.TyInt, fir.OpLoad, fir.V("p"), fir.I(0))
+	loadRange.Let("b", fir.TyFloat, fir.OpLoad, fir.V("p"), fir.I(1))
+	loadRange.Let("c", fir.TyInt, fir.OpLoad, fir.V("p"), fir.I(9))
+
+	storeRange := block()
+	storeRange.Let("u2", fir.TyUnit, fir.OpStore, fir.V("p"), fir.I(2), fir.I(1))
+	storeRange.Let("u3", fir.TyUnit, fir.OpStore, fir.V("p"), fir.I(-1), fir.I(2))
+
+	loadBase := fir.NewBuilder() // x is an int: neither run may start
+	loadBase.Let("a", fir.TyInt, fir.OpLoad, fir.V("x"), fir.I(0))
+	loadBase.Let("b", fir.TyInt, fir.OpLoad, fir.V("x"), fir.I(1))
+	storeBase := fir.NewBuilder()
+	storeBase.Let("u0", fir.TyUnit, fir.OpStore, fir.V("x"), fir.I(0), fir.I(1))
+	storeBase.Let("u1", fir.TyUnit, fir.OpStore, fir.V("x"), fir.I(1), fir.I(2))
+
+	cmp := fir.NewBuilder() // a float reaches an integer compare-and-branch
+	cmp.Let("c", fir.TyInt, fir.OpLt, fir.V("x"), fir.I(1))
+
+	return []subject{
+		typed("load run: wrong kind in the heap", loadKind.Halt(fir.V("a"))),
+		typed("load run: offset out of range", loadRange.Halt(fir.V("a"))),
+		typed("store run: offset out of range", storeRange.Halt(fir.I(0))),
+		untyped("load run: base is not a pointer", []heap.Value{heap.IntVal(3)},
+			fir.Fn("f", fir.Ps("x", fir.TyInt), loadBase.Halt(fir.V("a")))),
+		untyped("store run: base is not a pointer", []heap.Value{heap.IntVal(3)},
+			fir.Fn("f", fir.Ps("x", fir.TyInt), storeBase.Halt(fir.I(0)))),
+		untyped("compare-and-branch: float operand", []heap.Value{heap.FloatVal(0.5)},
+			fir.Fn("f", fir.Ps("x", fir.TyFloat), cmp.If(fir.V("c"), fir.NewBuilder().Halt(fir.I(1)), fir.NewBuilder().Halt(fir.I(2))))),
+		untyped("branch: float condition", []heap.Value{heap.FloatVal(0.5)},
+			fir.Fn("f", fir.Ps("x", fir.TyFloat), fir.NewBuilder().If(fir.V("x"), fir.NewBuilder().Halt(fir.I(1)), fir.NewBuilder().Halt(fir.I(2))))),
+		untyped("known call: wrong argument kind", nil,
+			fir.Fn("f", nil, fir.NewBuilder().CallNamed("k", fir.F(1.5))), intFn),
+		untyped("known call: argument kind decided at run time", []heap.Value{heap.FloatVal(1.5)},
+			fir.Fn("f", fir.Ps("x", fir.TyFloat), fir.NewBuilder().CallNamed("k", fir.V("x"))), intFn),
+		untyped("call: target is not a function", []heap.Value{heap.IntVal(1)},
+			fir.Fn("f", fir.Ps("x", fir.TyInt), fir.NewBuilder().Call(fir.V("x")))),
+		untyped("call: computed callee, wrong argument kind", []heap.Value{heap.FunVal(1)},
+			fir.Fn("f", fir.Ps("g", fir.TyFun(fir.TyInt)), fir.NewBuilder().Call(fir.V("g"), fir.F(1.5))), intFn),
+		untyped("halt: float code", []heap.Value{heap.FloatVal(1.5)},
+			fir.Fn("f", fir.Ps("x", fir.TyFloat), fir.NewBuilder().Halt(fir.V("x")))),
+	}
+}
+
+func TestFusedFormFallbacksAgreeWithInterpreter(t *testing.T) {
+	for _, s := range fusedFallbacks() {
+		t.Run(s.name, func(t *testing.T) {
+			ref, _ := lockstep(t, s, 0, 0)
+			var rte *rt.RuntimeError
+			if ref.Status() != rt.StatusFailed || !errors.As(ref.Err(), &rte) {
+				t.Fatalf("vm: status=%s err=%v, want a RuntimeError", ref.Status(), ref.Err())
+			}
+			for _, n := range []uint64{1, 2, 3} {
+				lockstep(t, s, n, 0)
+			}
+		})
+	}
+}
+
+// TestYieldEndsTheQuantumAtTheSameStep: an extern that yields ends a
+// bounded quantum right after its own node, which Steps already counts
+// while the extern runs; an unbounded Run ignores the request.
+func TestYieldEndsTheQuantumAtTheSameStep(t *testing.T) {
+	// loop(i): if i == 0 halt 9; pad; pad; tick(); loop(i-1)
+	lb := fir.NewBuilder()
+	lb.Let("done", fir.TyInt, fir.OpEq, fir.V("i"), fir.I(0))
+	body := fir.NewBuilder()
+	body.Let("a", fir.TyInt, fir.OpAdd, fir.V("i"), fir.I(1))
+	body.Let("b", fir.TyInt, fir.OpMul, fir.V("a"), fir.I(3))
+	body.Extern("s", fir.TyInt, "tick")
+	body.Let("j", fir.TyInt, fir.OpSub, fir.V("i"), fir.I(1))
+	loop := fir.Fn("loop", fir.Ps("i", fir.TyInt),
+		lb.If(fir.V("done"), fir.NewBuilder().Halt(fir.I(9)), body.CallNamed("loop", fir.V("j"))))
+	main := fir.Fn("main", nil, fir.NewBuilder().CallNamed("loop", fir.I(5)))
+
+	var seen [2][]uint64 // Steps as read inside tick, per engine
+	engine := 0
+	s := subject{
+		name: "yield", prog: fir.NewProgram("main", main, loop), startAt: -1,
+		setup: func(p rt.Proc) {
+			mine := &seen[engine]
+			engine++
+			p.RegisterExtern("tick", fir.ExternSig{Result: fir.TyInt}, func(rt.Runtime, []heap.Value) (heap.Value, error) {
+				*mine = append(*mine, p.Steps())
+				p.Yield()
+				return heap.IntVal(0), nil
+			})
+		},
+	}
+	ref, sut, _, _ := s.pair(t, 0)
+	for q := 0; ref.Status() == rt.StatusRunning; q++ {
+		ref.RunSteps(1000)
+		sut.RunSteps(1000)
+		agree(t, fmt.Sprintf("quantum %d", q), ref, sut)
+		if ref.Status() == rt.StatusRunning && ref.Steps() != seen[0][q] {
+			t.Fatalf("quantum %d ended at step %d; the yielding extern ran as step %d", q, ref.Steps(), seen[0][q])
+		}
+	}
+	if len(seen[0]) != 5 || fmt.Sprint(seen[0]) != fmt.Sprint(seen[1]) {
+		t.Fatalf("Steps inside the extern: vm %v, jit %v, want the same 5", seen[0], seen[1])
+	}
+	if ref.HaltCode() != 9 {
+		t.Fatalf("halt %d, want 9", ref.HaltCode())
+	}
+
+	seen, engine = [2][]uint64{}, 0
+	ref, sut = lockstep(t, s, 0, 0)
+	if len(seen[0]) != 5 || ref.Status() != rt.StatusHalted {
+		t.Fatalf("unbounded Run: %d ticks, status %s; a yield must not stop it", len(seen[0]), ref.Status())
+	}
+	agree(t, "unbounded", ref, sut)
+}

@@ -1,457 +1,98 @@
 package jit
 
 import (
-	"errors"
-	"fmt"
-	"io"
-	"sync"
-
 	"repro/internal/fir"
-	"repro/internal/gc"
 	"repro/internal/heap"
 	"repro/internal/ops"
 	"repro/internal/rt"
 	"repro/internal/spec"
 )
 
-// Errors returned by the machine.
-var (
-	ErrFuelExhausted = errors.New("jit: fuel exhausted")
-	ErrNotRunning    = errors.New("jit: machine is not running")
-	ErrNoMigration   = errors.New("jit: no migration handler installed")
-)
-
-// RuntimeError is a trapped execution error, mirroring vm.RuntimeError:
-// inside a speculation with TrapSpeculation enabled it triggers an
-// automatic rollback of the innermost level instead of killing the machine.
-type RuntimeError struct {
-	Fn  string
-	Err error
-}
-
-func (e *RuntimeError) Error() string {
-	return fmt.Sprintf("jit: runtime error in %s: %v", e.Fn, e.Err)
-}
-
-func (e *RuntimeError) Unwrap() error { return e.Err }
-
-// TrapC mirrors vm.TrapC: the c value used for error-triggered rollbacks.
-const TrapC = 2
-
-// Config configures a machine. It mirrors vm.Config so the backends are
-// interchangeable.
-type Config struct {
-	Heap            heap.Config
-	Collector       heap.Collector
-	Stdout          io.Writer
-	Fuel            uint64
-	TrapSpeculation bool
-	Name            string
-	Args            []int64
-	Seed            int64
-	// Compiled, when set, is the precompiled threaded code for the
-	// machine's program (Precompile); Start/StartAt then skip compilation.
-	// It is ignored when it was built from a different program.
-	Compiled *Compiled
-}
-
-// stdExterns returns the shared standard extern registry. The standard
-// externs are stateless closures over rt.Runtime, so one table serves
-// every machine; per-machine registrations land in a small overlay map
-// (Machine.extra) so machine construction never clones this table.
-var stdExterns = sync.OnceValue(func() rt.Registry { return rt.StdExterns() })
-
-// Machine executes threaded code against the runtime heap. It implements
-// rt.Exec; externals, migration, speculation and GC behave exactly as on
-// the interpreter backend.
+// Machine executes threaded code against the runtime heap inside the
+// shared process shell (rt.Shell), so externals, migration, speculation
+// and GC behave exactly as on the interpreter.
 type Machine struct {
-	name    string
-	prog    *fir.Program
-	h       *heap.Heap
-	mgr     *spec.Manager
-	externs rt.Registry // shared standard table; never mutated
-	extra   rt.Registry // per-machine registrations overriding externs; nil until first use
-	migrate rt.MigrateHandler
+	rt.Shell
 
-	compiled *Compiled
-	adopted  *Compiled
-	code     []ins
-	frame    []heap.Value
-	extVals  []rt.Extern
-	pc       int
-	curFn    string
-	status   rt.Status
-	halt     int64
-	err      error
-
-	stdout io.Writer
-	fuel   uint64
-	fuelOn bool
-	steps  uint64
-	pins   []heap.Value
-	args   []int64
-	rng    uint64
-	yield  bool
+	c     *Compiled // offered at construction (may be nil); what runs, after Load
+	code  []ins     // c.code once loaded
+	frame []heap.Value
+	pc    int
 
 	// Hot-path scratch, reused across steps; callees never retain these
-	// slices (rt.ExternFn documents the contract). Paths that hand values
-	// to retaining components (speculation, migration) copy fresh.
+	// slices (rt.ExternFn documents the contract).
 	evalbuf [3]heap.Value
 	argbuf  []heap.Value
-	callbuf []heap.Value
-
-	// Migrate-target interning: checkpoint loops load the same target
-	// string every iteration, so one cached copy serves the whole run.
-	targetBuf []byte
-	targetStr string
-
-	trapSpec bool
 }
 
-var _ rt.Exec = (*Machine)(nil)
-
-// NewMachine creates a machine for prog. The program is not type-checked
-// until Start, so externs can still be registered.
-func NewMachine(prog *fir.Program, cfg Config) *Machine {
-	h := heap.New(cfg.Heap)
-	if cfg.Collector != nil {
-		h.SetCollector(cfg.Collector)
-	} else {
-		h.SetCollector(gc.New())
-	}
-	m := newMachine(prog, h, cfg)
+// NewMachine creates a machine for prog with a fresh heap. c, when it was
+// built from prog, is adopted instead of compiling (Precompile); nil is
+// fine. Register externs and a migration handler, then call Start.
+func NewMachine(prog *fir.Program, c *Compiled, cfg rt.Config) *Machine {
+	m, _ := ResumeMachine(prog, nil, nil, c, cfg) // no continuation stack to reject
 	return m
 }
 
 // ResumeMachine builds a machine around a restored heap and speculation
-// continuation stack — the unpack resume path.
-func ResumeMachine(prog *fir.Program, h *heap.Heap, conts []spec.Continuation, cfg Config) (*Machine, error) {
-	if cfg.Collector != nil {
-		h.SetCollector(cfg.Collector)
-	} else {
-		h.SetCollector(gc.New())
-	}
-	m := newMachine(prog, h, cfg)
-	if err := m.mgr.RestoreStack(conts); err != nil {
+// continuation stack — the unpack resume path, continued by StartAt.
+func ResumeMachine(prog *fir.Program, h *heap.Heap, conts []spec.Continuation, c *Compiled, cfg rt.Config) (*Machine, error) {
+	m := &Machine{c: c, argbuf: make([]heap.Value, 0, 8)}
+	if err := m.Init(m, prog, h, conts, cfg); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-func newMachine(prog *fir.Program, h *heap.Heap, cfg Config) *Machine {
-	out := cfg.Stdout
-	if out == nil {
-		out = io.Discard
-	}
-	m := &Machine{
-		name:     cfg.Name,
-		prog:     prog,
-		h:        h,
-		mgr:      spec.New(h),
-		externs:  stdExterns(),
-		stdout:   out,
-		fuel:     cfg.Fuel,
-		fuelOn:   cfg.Fuel > 0,
-		args:     cfg.Args,
-		rng:      uint64(cfg.Seed)*2862933555777941757 + 3037000493,
-		trapSpec: cfg.TrapSpeculation,
-		compiled: cfg.Compiled,
-		argbuf:   make([]heap.Value, 0, 8),
-		callbuf:  make([]heap.Value, 0, 8),
-	}
-	h.AddRoots(m.yieldRoots)
-	return m
-}
-
-// yieldRoots enumerates the machine's GC roots: the live frame slots of
-// the current instruction plus the extern pins — the same depth-windowed
-// root set as the interpreter's, so collection liveness matches it.
-func (m *Machine) yieldRoots(yield func(heap.Value)) {
+// Roots implements rt.Core: the live frame slots of the current
+// instruction — the same depth-windowed root set as the interpreter's, so
+// collection liveness matches it.
+func (m *Machine) Roots(yield func(heap.Value)) {
 	if m.code != nil && m.pc < len(m.code) {
 		for _, v := range m.frame[:m.code[m.pc].depth] {
 			yield(v)
 		}
 	}
-	for _, v := range m.pins {
-		yield(v)
-	}
 }
 
-// rt.Runtime implementation.
-
-// Name returns the machine name.
-func (m *Machine) Name() string { return m.name }
-
-// Program returns the FIR program being executed.
-func (m *Machine) Program() *fir.Program { return m.prog }
-
-// Heap returns the machine heap.
-func (m *Machine) Heap() *heap.Heap { return m.h }
-
-// Spec returns the speculation manager.
-func (m *Machine) Spec() *spec.Manager { return m.mgr }
-
-// Stdout returns the writer print externs use.
-func (m *Machine) Stdout() io.Writer { return m.stdout }
-
-// Pin registers a temporary GC root; pins are cleared after every extern.
-func (m *Machine) Pin(v heap.Value) { m.pins = append(m.pins, v) }
-
-// Arg returns the i-th process argument, or 0 when out of range.
-func (m *Machine) Arg(i int64) int64 {
-	if i < 0 || i >= int64(len(m.args)) {
-		return 0
-	}
-	return m.args[i]
-}
-
-// NArgs returns the process argument count.
-func (m *Machine) NArgs() int64 { return int64(len(m.args)) }
-
-// Rand returns a deterministic pseudo-random integer in [0, n) from the
-// process-seeded xorshift* stream (identical across backends).
-func (m *Machine) Rand(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	m.rng ^= m.rng >> 12
-	m.rng ^= m.rng << 25
-	m.rng ^= m.rng >> 27
-	v := (m.rng * 2685821657736338717) >> 1
-	return int64(v) % n
-}
-
-// Lifecycle accessors.
-
-// Status returns the lifecycle state.
-func (m *Machine) Status() rt.Status { return m.status }
-
-// HaltCode returns the exit code after StatusHalted.
-func (m *Machine) HaltCode() int64 { return m.halt }
-
-// Err returns the terminal error after StatusFailed.
-func (m *Machine) Err() error { return m.err }
-
-// Steps returns the number of FIR nodes executed.
-func (m *Machine) Steps() uint64 { return m.steps }
-
-// SetMigrateHandler installs the migration implementation.
-func (m *Machine) SetMigrateHandler(h rt.MigrateHandler) { m.migrate = h }
-
-// RegisterExtern adds or replaces an external function. Must be called
-// before Start so the type checker sees its signature.
-func (m *Machine) RegisterExtern(name string, sig fir.ExternSig, fn rt.ExternFn) {
-	if m.extra == nil {
-		m.extra = make(rt.Registry, 8)
-	}
-	m.extra[name] = rt.Extern{Sig: sig, Fn: fn}
-	if m.adopted != nil {
-		for i, n := range m.adopted.extNames {
-			if n == name {
-				m.extVals[i] = m.extra[name]
-			}
+// Load implements rt.Core: it compiles the program to threaded code (or
+// adopts the precompiled artifact) and sizes the frame.
+func (m *Machine) Load() ([]string, error) {
+	if m.c == nil || m.c.prog != m.Program() {
+		c, err := Precompile(m.Program())
+		if err != nil {
+			return nil, err
 		}
+		m.c = c
 	}
+	m.code = m.c.code
+	m.frame = make([]heap.Value, m.c.slots)
+	return m.c.extNames, nil
 }
 
-// lookupExtern resolves a name against the per-machine overlay first, then
-// the shared standard table.
-func (m *Machine) lookupExtern(name string) (rt.Extern, bool) {
-	if e, ok := m.extra[name]; ok {
-		return e, true
-	}
-	e, ok := m.externs[name]
-	return e, ok
-}
-
-// ExternSigs returns the signature registry for type checking.
-func (m *Machine) ExternSigs() map[string]fir.ExternSig {
-	sigs := m.externs.Sigs()
-	for n, e := range m.extra {
-		sigs[n] = e.Sig
-	}
-	return sigs
-}
-
-// Start type-checks the program (through the per-program check cache),
-// compiles it to threaded code, and positions the machine at its entry.
-func (m *Machine) Start() error {
-	if m.status != rt.StatusReady {
-		return fmt.Errorf("jit: Start on a %s machine", m.status)
-	}
-	if err := checkCached(m.prog, m.externs, m.extra); err != nil {
-		return err
-	}
-	if err := m.prepare(); err != nil {
-		return err
-	}
-	_, idx := m.prog.Lookup(m.prog.Entry)
-	f := &m.fns()[idx]
-	m.pc = f.entry
-	m.curFn = f.fn.Name
-	m.status = rt.StatusRunning
-	return nil
-}
-
-// prepare compiles the program (or adopts the precompiled artifact) and
-// sizes the frame and extern table.
-func (m *Machine) prepare() error {
-	var c *Compiled
-	if m.compiled != nil && m.compiled.prog == m.prog {
-		c = m.compiled
-	} else {
-		var err error
-		if c, err = compile(m.prog); err != nil {
-			return err
-		}
-	}
-	m.adopted = c
-	m.code = c.code
-	m.frame = make([]heap.Value, c.slots)
-	m.extVals = make([]rt.Extern, len(c.extNames))
-	for i, n := range c.extNames {
-		if e, ok := m.lookupExtern(n); ok {
-			m.extVals[i] = e
-		}
-	}
-	return nil
-}
-
-func (m *Machine) fns() []jitFn { return m.adopted.fns }
-
-// StartAt positions the machine to invoke the function at table index
-// fnIdx with the given argument values — the unpack resume path. The
-// caller is responsible for having type-checked the program when it came
-// from an untrusted peer.
-func (m *Machine) StartAt(fnIdx int64, args []heap.Value) error {
-	if m.status != rt.StatusReady {
-		return fmt.Errorf("jit: StartAt on a %s machine", m.status)
-	}
-	if err := m.prepare(); err != nil {
-		m.status = rt.StatusFailed
-		m.err = err
-		return err
-	}
-	m.status = rt.StatusRunning
-	if err := m.invoke(fnIdx, args); err != nil {
-		m.status = rt.StatusFailed
-		m.err = err
-		return err
-	}
-	return nil
-}
-
-// invoke positions the machine at function fnIdx with args bound to its
-// parameter slots, applying the runtime type checks on every value. args
-// may be a scratch buffer: the values are copied into the frame.
-func (m *Machine) invoke(fnIdx int64, args []heap.Value) error {
-	fns := m.fns()
+// Invoke implements rt.Core: it positions the machine at function fnIdx
+// with args bound to its parameter slots, applying the runtime type checks
+// on every value: the compile-time tag when it decides, the generic check
+// otherwise.
+func (m *Machine) Invoke(fnIdx int64, args []heap.Value) error {
+	fns := m.c.fns
 	if fnIdx < 0 || fnIdx >= int64(len(fns)) {
-		_, err := m.prog.FuncByIndex(int(fnIdx))
+		_, err := m.Program().FuncByIndex(int(fnIdx))
 		return err
 	}
 	f := &fns[fnIdx]
-	fn := f.fn
-	if len(args) != len(fn.Params) {
-		return fmt.Errorf("jit: %s takes %d arguments, given %d", fn.Name, len(fn.Params), len(args))
+	ok := len(args) == len(f.kinds)
+	for i := 0; ok && i < len(args); i++ {
+		ok = args[i].Kind == f.kinds[i] && f.kinds[i] != kindSlow
 	}
-	for i, a := range args {
-		if k := f.kinds[i]; a.Kind != k || k == kindSlow {
-			if err := ops.CheckKind(a, fn.Params[i].Type); err != nil {
-				return fmt.Errorf("jit: %s argument %d (%s): %w", fn.Name, i, fn.Params[i].Name, err)
-			}
+	if !ok {
+		if err := rt.CheckArgs(f.fn, args); err != nil {
+			return err
 		}
 	}
 	copy(m.frame[:len(args)], args)
 	m.pc = f.entry
-	m.curFn = fn.Name
+	m.CurFn = f.fn.Name
 	return nil
-}
-
-// Run executes until the machine leaves StatusRunning or fuel runs out.
-func (m *Machine) Run() (rt.Status, error) { return m.RunSteps(0) }
-
-// Yield requests that the current bounded RunSteps quantum end after the
-// active step. Called from inside externs on the executing goroutine.
-func (m *Machine) Yield() { m.yield = true }
-
-// RunSteps executes at most n FIR nodes (0 = unlimited). It returns the
-// resulting status; StatusRunning means the quantum expired — the
-// scheduler's context-switch point. Fuel is checked before every node and
-// one step is charged per node, exactly as on the interpreter; the
-// threaded-code loop merely accounts for whole segments at once.
-func (m *Machine) RunSteps(n uint64) (rt.Status, error) {
-	if m.status != rt.StatusRunning {
-		return m.status, fmt.Errorf("%w (%s)", ErrNotRunning, m.status)
-	}
-	var done uint64
-	for n == 0 || done < n {
-		budget := ^uint64(0)
-		if n != 0 {
-			budget = n - done
-		}
-		if m.fuelOn && m.fuel < budget {
-			budget = m.fuel
-			if budget == 0 {
-				m.status = rt.StatusFailed
-				m.err = ErrFuelExhausted
-				return m.status, m.err
-			}
-		}
-		exec, err := m.runSeg(budget)
-		done += exec
-		m.steps += exec
-		if m.fuelOn {
-			m.fuel -= exec
-		}
-		if err != nil {
-			if m.trap(err) {
-				continue
-			}
-			m.status = rt.StatusFailed
-			m.err = err
-			return m.status, err
-		}
-		if m.status != rt.StatusRunning {
-			return m.status, nil
-		}
-		if m.yield {
-			// A yield ends a bounded quantum early; an unbounded Run has
-			// no scheduler to yield to, so the request is dropped.
-			m.yield = false
-			if n != 0 {
-				return m.status, nil
-			}
-		}
-	}
-	return m.status, nil
-}
-
-// trap converts a trappable runtime error into an automatic rollback of
-// the innermost speculation level when TrapSpeculation is on. It reports
-// whether execution continues.
-func (m *Machine) trap(err error) bool {
-	var rte *RuntimeError
-	if !m.trapSpec || !errors.As(err, &rte) || m.mgr.Depth() == 0 {
-		return false
-	}
-	cont, rbErr := m.mgr.Rollback(m.mgr.Depth())
-	if rbErr != nil {
-		return false
-	}
-	args := append([]heap.Value{heap.IntVal(TrapC)}, cont.Args...)
-	if ivErr := m.invoke(cont.FnIndex, args); ivErr != nil {
-		return false
-	}
-	return true
-}
-
-func (m *Machine) rterr(err error) error {
-	return &RuntimeError{Fn: m.curFn, Err: err}
-}
-
-func (m *Machine) rterrf(format string, args ...any) error {
-	return &RuntimeError{Fn: m.curFn, Err: fmt.Errorf(format, args...)}
 }
 
 // ld reads one resolved operand: a live frame slot or an interned
@@ -482,21 +123,6 @@ func (m *Machine) gatherIns(in *ins) []heap.Value {
 	return m.gather(in.args)
 }
 
-// loadTarget reads the migrate target string at ptr, interning the result:
-// the common case is a loop migrating to the same target every iteration,
-// which then costs no allocation after the first read.
-func (m *Machine) loadTarget(ptr heap.Value) (string, error) {
-	b, err := m.h.AppendString(m.targetBuf[:0], ptr)
-	if err != nil {
-		return "", err
-	}
-	m.targetBuf = b[:0]
-	if string(b) != m.targetStr {
-		m.targetStr = string(b)
-	}
-	return m.targetStr, nil
-}
-
 func (m *Machine) gather(args []operand) []heap.Value {
 	if cap(m.argbuf) < len(args) {
 		m.argbuf = make([]heap.Value, len(args))
@@ -513,9 +139,9 @@ func (m *Machine) gather(args []operand) []heap.Value {
 // interpreter's evaluation order and error text exactly.
 func (m *Machine) evalGen(in *ins) error {
 	args := m.gatherIns(in)
-	v, err := ops.Eval(m.h, in.alu, args, in.dstTy)
+	v, err := ops.Eval(m.Heap(), in.alu, args, in.dstTy)
 	if err != nil {
-		return m.rterr(err)
+		return m.RuntimeErr(err)
 	}
 	m.frame[in.dst] = v
 	return nil

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/fir"
 	"repro/internal/heap"
-	"repro/internal/risc"
+	"repro/internal/jit"
 	"repro/internal/rt"
 	"repro/internal/vm"
 )
@@ -25,7 +25,7 @@ func compileAndRun(t *testing.T, src string, extra rt.Registry, args ...int64) (
 		t.Fatalf("Compile: %v", err)
 	}
 	var out bytes.Buffer
-	p := vm.NewProcess(prog, vm.Config{Fuel: 5_000_000, Stdout: &out, Args: args})
+	p := vm.NewProcess(prog, nil, rt.Config{Fuel: 5_000_000, Stdout: &out, Args: args})
 	for n, e := range extra {
 		p.RegisterExtern(n, e.Sig, e.Fn)
 	}
@@ -33,7 +33,7 @@ func compileAndRun(t *testing.T, src string, extra rt.Registry, args ...int64) (
 		t.Fatalf("Start: %v\nFIR:\n%s", err, fir.Format(prog))
 	}
 	st, err := p.Run()
-	if st != vm.StatusHalted {
+	if st != rt.StatusHalted {
 		t.Fatalf("status=%s err=%v (vm err=%v)\noutput: %s", st, err, p.Err(), out.String())
 	}
 	return p.HaltCode(), out.String()
@@ -395,7 +395,7 @@ int main() {
 	}
 }
 
-func TestMojCOnRiscBackend(t *testing.T) {
+func TestMojCOnJitEngine(t *testing.T) {
 	src := `
 int fib(int n) {
 	if (n < 2) { return n; }
@@ -406,10 +406,7 @@ int main() { return fib(15); }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := risc.NewMachine(prog, nil, risc.Config{Fuel: 10_000_000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := jit.NewMachine(prog, nil, rt.Config{Fuel: 10_000_000})
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +415,7 @@ int main() { return fib(15); }`
 		t.Fatal(err)
 	}
 	if st != rt.StatusHalted || m.HaltCode() != 610 {
-		t.Fatalf("risc: status=%s code=%d, want halted 610", st, m.HaltCode())
+		t.Fatalf("jit: status=%s code=%d, want halted 610", st, m.HaltCode())
 	}
 }
 

@@ -27,8 +27,8 @@ import (
 //     -c, reproducing Figure 1's `if ((specid=speculate())>0)` pattern.
 
 // cRetry is the rollback status the retry() builtin passes; cAbort is what
-// abort() passes (the interpreter's TrapC = 2 is reserved for trapped
-// runtime errors, which take the abort path).
+// abort() passes (2 is rt.TrapC, reserved for trapped runtime errors,
+// which take the abort path).
 const (
 	cAbort = 1
 	cRetry = 3

@@ -15,12 +15,12 @@ func compileAndRunPascal(t *testing.T, src string, args ...int64) (int64, string
 		t.Fatalf("CompilePascal: %v", err)
 	}
 	var out bytes.Buffer
-	p := vm.NewProcess(prog, vm.Config{Fuel: 5_000_000, Stdout: &out, Args: args})
+	p := vm.NewProcess(prog, nil, rt.Config{Fuel: 5_000_000, Stdout: &out, Args: args})
 	if err := p.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
 	st, _ := p.Run()
-	if st != vm.StatusHalted {
+	if st != rt.StatusHalted {
 		t.Fatalf("status=%s err=%v\noutput: %s", st, p.Err(), out.String())
 	}
 	return p.HaltCode(), out.String()

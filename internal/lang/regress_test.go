@@ -94,7 +94,7 @@ int main() {
 			}
 			run := func(p *fir.Program) (int64, string, uint64) {
 				var out bytes.Buffer
-				proc := vm.NewProcess(p, vm.Config{Fuel: 5_000_000, Stdout: &out})
+				proc := vm.NewProcess(p, nil, rt.Config{Fuel: 5_000_000, Stdout: &out})
 				if err := proc.Start(); err != nil {
 					t.Fatal(err)
 				}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/heap"
 	"repro/internal/memo"
 	"repro/internal/rt"
-	"repro/internal/vm"
 	"repro/internal/wire"
 )
 
@@ -158,45 +157,21 @@ func Pack(r rt.Runtime, label int, fnIdx int64, args []heap.Value) (*wire.Image,
 	return img, nil
 }
 
-// Backend selects the runtime environment an unpacked process resumes on.
-type Backend int
-
-const (
-	// BackendVM resumes on the FIR interpreter.
-	BackendVM Backend = iota
-	// BackendRISC recompiles to the RISC target and resumes there.
-	BackendRISC
-)
-
 // Options configures Unpack.
 type Options struct {
 	// Engine names the execution engine (internal/engine registry) the
-	// process resumes on. Empty falls back to the legacy Backend enum —
-	// callers that predate the pluggable engine layer keep working
-	// unchanged.
+	// process resumes on, whatever engine packed it. Empty selects the
+	// default.
 	Engine string
-	// Backend selects the runtime environment (default: interpreter).
-	// Superseded by Engine when that is non-empty.
-	Backend Backend
 	// Trusted skips type checking and label validation — the binary
 	// protocol. Only enable for peers inside the trust boundary.
 	Trusted bool
 	// Externs are additional externals (beyond the standard set) the
 	// resumed process may call; they participate in type checking.
 	Externs rt.Registry
-	// Config carries backend process options (stdout, fuel, name, …).
-	Config vm.Config
-}
-
-// engineName resolves the selected engine name.
-func (o Options) engineName() string {
-	if o.Engine != "" {
-		return o.Engine
-	}
-	if o.Backend == BackendRISC {
-		return "risc"
-	}
-	return engine.DefaultName
+	// Config carries process options (stdout, fuel, …). An empty Name and
+	// nil Args default to the image's.
+	Config rt.Config
 }
 
 // Timings reports where unpack time went, reproducing the paper's
@@ -212,7 +187,7 @@ func (o Options) engineName() string {
 type Timings struct {
 	Decode  time.Duration // FIR decode, or the content hash on a hit
 	Check   time.Duration // type check + label validation (untrusted only)
-	Compile time.Duration // backend code generation (engines with a Precompile hook)
+	Compile time.Duration // the engine's code generation
 	Restore time.Duration // heap reconstruction + resume positioning
 	Cached  bool          // the program was already interned
 }
@@ -268,7 +243,7 @@ func checkedLabels(prog *fir.Program, extra rt.Registry) (map[int]string, error)
 // the snapshot, restore the speculation continuations, and position the
 // process at the resume continuation read out of migrate_env with full
 // safety checks (§4.2.2). The engine is chosen by Options.Engine (any
-// name registered with internal/engine) or the legacy Backend enum.
+// name registered with internal/engine).
 //
 // Decode, verify and recompile depend only on the program bytes (plus the
 // extern signatures and the engine), so each is done once per process and
@@ -280,8 +255,7 @@ func checkedLabels(prog *fir.Program, extra rt.Registry) (map[int]string, error)
 func Unpack(img *wire.Image, opts Options) (rt.Proc, Timings, error) {
 	var tm Timings
 
-	name := opts.engineName()
-	eng, err := engine.Get(name)
+	eng, err := engine.Get(opts.Engine)
 	if err != nil {
 		return nil, tm, err
 	}
@@ -316,20 +290,15 @@ func Unpack(img *wire.Image, opts Options) (rt.Proc, Timings, error) {
 		tm.Check = time.Since(t0)
 	}
 
-	// Code generation runs up front when the engine supports it, so the
-	// paper's cost breakdown (compilation dominating untrusted migration,
-	// experiment E1) stays separately attributable; engines without a
-	// Precompile hook compile inside Resume/StartAt and their cost lands
-	// in Restore.
-	var art any
-	pc, canPrecompile := eng.(engine.Precompiler)
-	if canPrecompile {
-		t0 = time.Now()
-		if art, err = pc.Precompile(prog); err != nil {
-			return nil, tm, err
-		}
-		tm.Compile = time.Since(t0)
+	// Code generation runs up front, into the engine's artifact cache
+	// where Resume finds it, so the paper's cost breakdown (compilation
+	// dominating untrusted migration, experiment E1) stays separately
+	// attributable.
+	t0 = time.Now()
+	if _, err := eng.Precompile(prog); err != nil {
+		return nil, tm, err
 	}
+	tm.Compile = time.Since(t0)
 
 	t0 = time.Now()
 	h, err := heap.Restore(img.State.Heap, cfg.Heap)
@@ -363,17 +332,7 @@ func Unpack(img *wire.Image, opts Options) (rt.Proc, Timings, error) {
 		args = append(args, v)
 	}
 
-	engCfg := engine.Config{
-		Heap: cfg.Heap, Collector: cfg.Collector, Stdout: cfg.Stdout, Fuel: cfg.Fuel,
-		TrapSpeculation: cfg.TrapSpeculation, Name: cfg.Name, Args: cfg.Args, Seed: cfg.Seed,
-	}
-	var proc rt.Exec
-	if canPrecompile {
-		// Reuse the artifact timed above instead of recompiling in StartAt.
-		proc, err = pc.ResumeWith(art, prog, h, img.State.Conts, engCfg)
-	} else {
-		proc, err = eng.Resume(prog, h, img.State.Conts, engCfg)
-	}
+	proc, err := eng.Resume(prog, h, img.State.Conts, cfg)
 	if err != nil {
 		return nil, tm, err
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/fir"
 	"repro/internal/heap"
 	"repro/internal/rt"
@@ -144,7 +145,7 @@ func TestCheckpointAndResume(t *testing.T) {
 	store := newMemStore()
 	prog := countdownProgram("checkpoint://ck")
 
-	proc := vm.NewProcess(prog, vm.Config{Fuel: 100000, Args: []int64{start}})
+	proc := vm.NewProcess(prog, nil, rt.Config{Fuel: 100000, Args: []int64{start}})
 	targetExtern(proc, "checkpoint://ck")
 	m := &Migrator{Store: store}
 	proc.SetMigrateHandler(m.Handle)
@@ -163,7 +164,7 @@ func TestCheckpointAndResume(t *testing.T) {
 	// The stored checkpoint must resume and reach the same final answer.
 	resumed, err := LoadCheckpoint(store, "ck", Options{
 		Externs: migExterns("checkpoint://ck"),
-		Config:  vm.Config{Fuel: 100000},
+		Config:  rt.Config{Fuel: 100000},
 	})
 	if err != nil {
 		t.Fatalf("LoadCheckpoint: %v", err)
@@ -182,7 +183,7 @@ func TestCheckpointAndResume(t *testing.T) {
 func TestSuspendTerminatesAndResumes(t *testing.T) {
 	store := newMemStore()
 	prog := countdownProgram("suspend://s1")
-	proc := vm.NewProcess(prog, vm.Config{Fuel: 100000, Args: []int64{5}})
+	proc := vm.NewProcess(prog, nil, rt.Config{Fuel: 100000, Args: []int64{5}})
 	targetExtern(proc, "suspend://s1")
 	proc.SetMigrateHandler((&Migrator{Store: store}).Handle)
 	if err := proc.Start(); err != nil {
@@ -197,7 +198,7 @@ func TestSuspendTerminatesAndResumes(t *testing.T) {
 	}
 	resumed, err := LoadCheckpoint(store, "s1", Options{
 		Externs: migExterns("checkpoint://ignored"),
-		Config:  vm.Config{Fuel: 100000},
+		Config:  rt.Config{Fuel: 100000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +226,26 @@ func runServer(t *testing.T, cfg ServerConfig) (*Server, string) {
 	return s, l.Addr().String()
 }
 
-func testServerMigration(t *testing.T, backend Backend, binary bool) {
+// newProc builds a fresh process on the named engine.
+func newProc(t *testing.T, engineName string, prog *fir.Program, cfg rt.Config) rt.Proc {
+	t.Helper()
+	eng, err := engine.Get(engineName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng.New(prog, cfg)
+}
+
+// The server migrations start a countdown on one engine and migrate it,
+// mid-run, to a server resuming on the other (the one in the test's name);
+// it keeps migrating to that server until it halts there with the full
+// sum.
+func TestServerMigrationUntrustedVM(t *testing.T)  { testServerMigration(t, "jit", "vm", false) }
+func TestServerMigrationUntrustedJIT(t *testing.T) { testServerMigration(t, "vm", "jit", false) }
+func TestServerMigrationBinaryVM(t *testing.T)     { testServerMigration(t, "jit", "vm", true) }
+func TestServerMigrationBinaryJIT(t *testing.T)    { testServerMigration(t, "vm", "jit", true) }
+
+func testServerMigration(t *testing.T, src, dst string, binary bool) {
 	scheme := "migrate"
 	if binary {
 		scheme = "migrate-bin"
@@ -239,11 +259,11 @@ func testServerMigration(t *testing.T, backend Backend, binary bool) {
 	}
 	target := scheme + "://" + l.Addr().String()
 	srv := NewServer(l, ServerConfig{
-		Backend:     backend,
+		Engine:      dst,
 		Externs:     migExterns(target),
 		AllowBinary: true,
 		Migrator:    &Migrator{},
-		Config:      ProcessConfig{Stdout: &out, Fuel: 100000},
+		Config:      rt.Config{Stdout: &out, Fuel: 100000},
 		OnResume: func(p rt.Proc) {
 			go func() {
 				_, _ = p.Run()
@@ -255,7 +275,7 @@ func testServerMigration(t *testing.T, backend Backend, binary bool) {
 	t.Cleanup(func() { _ = srv.Close() })
 
 	prog := countdownProgram(target)
-	proc := vm.NewProcess(prog, vm.Config{Fuel: 100000, Args: []int64{7}})
+	proc := newProc(t, src, prog, rt.Config{Fuel: 100000, Args: []int64{7}})
 	targetExtern(proc, target)
 	proc.SetMigrateHandler((&Migrator{}).Handle)
 	if err := proc.Start(); err != nil {
@@ -291,15 +311,10 @@ func testServerMigration(t *testing.T, backend Backend, binary bool) {
 	}
 }
 
-func TestServerMigrationUntrustedVM(t *testing.T)   { testServerMigration(t, BackendVM, false) }
-func TestServerMigrationUntrustedRISC(t *testing.T) { testServerMigration(t, BackendRISC, false) }
-func TestServerMigrationBinaryVM(t *testing.T)      { testServerMigration(t, BackendVM, true) }
-func TestServerMigrationBinaryRISC(t *testing.T)    { testServerMigration(t, BackendRISC, true) }
-
 func TestServerRejectsBinaryWhenNotAllowed(t *testing.T) {
 	_, addr := runServer(t, ServerConfig{AllowBinary: false})
 	prog := countdownProgram("x")
-	proc := vm.NewProcess(prog, vm.Config{Fuel: 100000, Args: []int64{3}})
+	proc := vm.NewProcess(prog, nil, rt.Config{Fuel: 100000, Args: []int64{3}})
 	target := "migrate-bin://" + addr
 	targetExtern(proc, target)
 	proc.SetMigrateHandler((&Migrator{}).Handle)
@@ -320,7 +335,7 @@ func TestUnpackRejectsUnknownExtern(t *testing.T) {
 	// Pack a process whose program uses an extern the receiving side does
 	// not provide: the untrusted unpack must reject it.
 	prog := countdownProgram("checkpoint://x")
-	proc := vm.NewProcess(prog, vm.Config{Fuel: 100000, Args: []int64{4}})
+	proc := vm.NewProcess(prog, nil, rt.Config{Fuel: 100000, Args: []int64{4}})
 	targetExtern(proc, "checkpoint://x")
 	store := newMemStore()
 	proc.SetMigrateHandler((&Migrator{Store: store}).Handle)
@@ -330,20 +345,20 @@ func TestUnpackRejectsUnknownExtern(t *testing.T) {
 	if _, err := proc.Run(); err != nil {
 		t.Fatal(err)
 	}
-	_, err := LoadCheckpoint(store, "x", Options{Config: vm.Config{Fuel: 1000}})
+	_, err := LoadCheckpoint(store, "x", Options{Config: rt.Config{Fuel: 1000}})
 	if err == nil || !strings.Contains(err.Error(), "mig_target") {
 		t.Fatalf("unpack accepted program with unknown extern: %v", err)
 	}
 	// Trusted unpack skips the check and would resume (until the extern is
 	// actually called).
-	if _, err := LoadCheckpoint(store, "x", Options{Trusted: true, Config: vm.Config{Fuel: 1000}}); err != nil {
+	if _, err := LoadCheckpoint(store, "x", Options{Trusted: true, Config: rt.Config{Fuel: 1000}}); err != nil {
 		t.Fatalf("trusted unpack failed: %v", err)
 	}
 }
 
 func TestUnpackValidatesLabel(t *testing.T) {
 	prog := countdownProgram("checkpoint://x")
-	proc := vm.NewProcess(prog, vm.Config{Fuel: 100000, Args: []int64{4}})
+	proc := vm.NewProcess(prog, nil, rt.Config{Fuel: 100000, Args: []int64{4}})
 	targetExtern(proc, "checkpoint://x")
 	store := newMemStore()
 	proc.SetMigrateHandler((&Migrator{Store: store}).Handle)
@@ -362,15 +377,27 @@ func TestUnpackValidatesLabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	img.Code.Label = 999
-	_, _, err = Unpack(img, Options{Externs: migExterns("checkpoint://x"), Config: vm.Config{Fuel: 1000}})
+	_, _, err = Unpack(img, Options{Externs: migExterns("checkpoint://x"), Config: rt.Config{Fuel: 1000}})
 	if err == nil || !strings.Contains(err.Error(), "label") {
 		t.Fatalf("unpack accepted bogus resume label: %v", err)
 	}
 }
 
+// TestPackResumesWithOpenSpeculation: a process suspends on one engine
+// while a speculation is open; resumed on the other engine it must still be
+// able to roll that speculation back. This fails if either engine's StartAt
+// or the restore of the continuation stack drifts from the other's.
 func TestPackResumesWithOpenSpeculation(t *testing.T) {
-	// A process checkpoints while a speculation is open; the resumed
-	// process must still be able to roll that speculation back.
+	for _, dir := range [][2]string{{"vm", "jit"}, {"jit", "vm"}} {
+		for _, trusted := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s-to-%s/trusted=%v", dir[0], dir[1], trusted), func(t *testing.T) {
+				testPackResumesWithOpenSpeculation(t, dir[0], dir[1], trusted)
+			})
+		}
+	}
+}
+
+func testPackResumesWithOpenSpeculation(t *testing.T, src, dst string, trusted bool) {
 	mb := fir.NewBuilder()
 	mb.Let("p", fir.TyPtr, fir.OpAlloc, fir.I(1))
 	mb.Let("u", fir.TyUnit, fir.OpStore, fir.V("p"), fir.I(0), fir.I(100))
@@ -400,7 +427,7 @@ func TestPackResumesWithOpenSpeculation(t *testing.T) {
 	prog := fir.NewProgram("main", main, body, afterCk, final)
 
 	store := newMemStore()
-	proc := vm.NewProcess(prog, vm.Config{Fuel: 100000})
+	proc := newProc(t, src, prog, rt.Config{Fuel: 100000})
 	targetExtern(proc, "suspend://spec-open")
 	proc.SetMigrateHandler((&Migrator{Store: store}).Handle)
 	if err := proc.Start(); err != nil {
@@ -414,9 +441,15 @@ func TestPackResumesWithOpenSpeculation(t *testing.T) {
 		t.Fatalf("status = %s, want suspended", st)
 	}
 
+	if proc.Spec().Depth() != 1 {
+		t.Fatalf("suspended with speculation depth %d, want 1", proc.Spec().Depth())
+	}
+
 	resumed, err := LoadCheckpoint(store, "spec-open", Options{
+		Engine:  dst,
+		Trusted: trusted,
 		Externs: migExterns("suspend://unused"),
-		Config:  vm.Config{Fuel: 100000},
+		Config:  rt.Config{Fuel: 100000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +469,7 @@ func TestPackResumesWithOpenSpeculation(t *testing.T) {
 func TestMigratorTimingsRecorded(t *testing.T) {
 	store := newMemStore()
 	prog := countdownProgram("checkpoint://tm")
-	proc := vm.NewProcess(prog, vm.Config{Fuel: 100000, Args: []int64{4}})
+	proc := vm.NewProcess(prog, nil, rt.Config{Fuel: 100000, Args: []int64{4}})
 	targetExtern(proc, "checkpoint://tm")
 	m := &Migrator{Store: store}
 	proc.SetMigrateHandler(m.Handle)

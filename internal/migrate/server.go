@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/frame"
 	"repro/internal/rt"
-	"repro/internal/vm"
 	"repro/internal/wire"
 )
 
@@ -191,12 +190,14 @@ func (m *Migrator) ship(proto Proto, addr string, img *wire.Image) error {
 // processes on the new machine, and reconstruct their state before
 // executing them", §4.2.1).
 type ServerConfig struct {
-	// Backend selects the runtime environment for resumed processes.
-	Backend Backend
+	// Engine names the execution engine (internal/engine registry)
+	// resumed processes run on; empty selects the default.
+	Engine string
 	// Externs are additional externals available to resumed processes.
 	Externs rt.Registry
-	// Config carries backend process options applied to resumed processes.
-	Config ProcessConfig
+	// Config carries process options applied to resumed processes; name
+	// and arguments come from each image.
+	Config rt.Config
 	// OnResume, when set, takes ownership of the resumed process instead
 	// of the default run-to-completion goroutine. The cluster layer uses
 	// it to place processes on node schedulers.
@@ -215,14 +216,6 @@ type ServerConfig struct {
 	// one 60s deadline on the whole connection, which cut off big, slow
 	// but healthy transfers mid-stream.)
 	IdleTimeout time.Duration
-}
-
-// ProcessConfig is the subset of backend configuration a server applies to
-// inbound processes.
-type ProcessConfig struct {
-	Stdout          io.Writer
-	Fuel            uint64
-	TrapSpeculation bool
 }
 
 // ServerStats counts server activity. LastUnpack is the most recent
@@ -371,10 +364,10 @@ func (s *Server) handle(raw net.Conn) {
 
 	img := &wire.Image{Code: *code, State: *state}
 	proc, tm, err := Unpack(img, Options{
-		Backend: s.cfg.Backend,
+		Engine:  s.cfg.Engine,
 		Trusted: trusted,
 		Externs: s.cfg.Externs,
-		Config:  procConfig(s.cfg.Config, code.Name, code.Args),
+		Config:  s.cfg.Config,
 	})
 	if err != nil {
 		_ = sendStatus(conn, err)
@@ -411,14 +404,4 @@ func (s *Server) reject() {
 	s.mu.Lock()
 	s.stats.Rejected++
 	s.mu.Unlock()
-}
-
-func procConfig(pc ProcessConfig, name string, args []int64) vm.Config {
-	return vm.Config{
-		Stdout:          pc.Stdout,
-		Fuel:            pc.Fuel,
-		TrapSpeculation: pc.TrapSpeculation,
-		Name:            name,
-		Args:            args,
-	}
 }

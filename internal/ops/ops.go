@@ -1,8 +1,9 @@
 // Package ops implements the evaluation of FIR primitive operators against
-// the runtime heap. Both backends — the interpreter (internal/vm) and the
-// RISC machine (internal/risc) — evaluate operators through this package,
-// guaranteeing the two runtime environments agree on semantics (the paper's
-// architecture-independence story depends on it).
+// the runtime heap. Both engines — the interpreter (internal/vm) and the
+// threaded-code engine (internal/jit), on its generic path — evaluate
+// operators through this package, guaranteeing the two runtime environments
+// agree on semantics (the paper's architecture-independence story depends
+// on it).
 package ops
 
 import (

@@ -1,10 +1,9 @@
-package jit
+package rt
 
 import (
 	"sync"
 
 	"repro/internal/fir"
-	"repro/internal/rt"
 )
 
 // checkCacheMax bounds the memoized type-check results. Entries pin their
@@ -24,16 +23,16 @@ var (
 	checkOrder []checkKey
 
 	// Fingerprint scratch, reused across calls (guarded by checkMu).
-	sigPrint rt.SigFingerprint
+	sigPrint SigFingerprint
 )
 
 // checkCached runs fir.Check once per (program, signature set). Programs
-// are immutable after construction (the compiler and the engine artifact
-// cache already rely on this), so a verdict never goes stale. Every
-// machine in a multi-worker run starts the same program with the same
-// std extern registry; without the cache each Start re-walks the whole
-// program, which dominated short-run latency.
-func checkCached(prog *fir.Program, std, extra rt.Registry) error {
+// are immutable after construction (the engines' compilers and artifact
+// caches already rely on this), so a verdict never goes stale. Every
+// process in a multi-worker run starts the same program with the same
+// extern signatures; without the cache each Start re-walks the whole
+// program, which dominated short-run latency. A hit allocates nothing.
+func checkCached(prog *fir.Program, std, extra Registry) error {
 	checkMu.Lock()
 	fp := sigPrint.Of(std, extra)
 	if inner := checkSeen[prog]; inner != nil {

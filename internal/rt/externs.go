@@ -8,7 +8,7 @@ import (
 )
 
 // StdExterns returns the standard external functions every MCC process
-// gets, on either backend: console output, process arguments, a
+// gets, on any engine: console output, process arguments, a
 // deterministic PRNG, and speculation introspection (the C-level specid
 // machinery lowers onto spec_id / spec_ordinal).
 func StdExterns() Registry {

@@ -1,8 +1,11 @@
-// Package rt defines the runtime surface shared by the two MCC backends —
-// the FIR interpreter (internal/vm) and the RISC machine (internal/risc).
-// Externals, migration handlers and process status are expressed against
-// this package so that a program behaves identically on either backend and
-// a process can migrate between heterogeneous nodes (§3, §4.2).
+// Package rt is the MCC runtime, written once: the process shell (heap,
+// speculation stack, extern table, lifecycle, fuel and step accounting,
+// the speculate/commit/rollback/migrate control transfers) that every
+// execution engine embeds, and the surface externals and migration
+// handlers program against. An engine — the FIR interpreter (internal/vm)
+// or the threaded-code engine (internal/jit) — supplies only a Core, so a
+// program behaves identically on either and a process can migrate between
+// heterogeneous nodes (§3, §4.2).
 package rt
 
 import (
@@ -174,33 +177,29 @@ func (f *SigFingerprint) Of(std, extra Registry) []byte {
 	return b
 }
 
-// Proc is the backend-independent handle to a resumable process that both
-// vm.Process and risc.Machine satisfy. The migration server and the cluster
-// layer drive processes through this interface so a node's backend choice
-// is invisible to the rest of the system.
+// Proc is a resumable process on any engine; Shell implements it. The
+// cluster, the migration server and the workload harness drive processes
+// through this interface, so a node's engine choice is invisible to the
+// rest of the system. Engines are constructed through internal/engine's
+// registry. Start positions a fresh process at its entry function
+// (type-checking first); StartAt is the unpack resume path, invoking the
+// function at table index fnIdx with argument values read from the image;
+// Yield asks for the current bounded RunSteps quantum to end after the
+// active step. A Start or StartAt that fails leaves the process
+// StatusFailed with Err set.
 type Proc interface {
 	Runtime
 	RegisterExtern(name string, sig fir.ExternSig, fn ExternFn)
 	SetMigrateHandler(h MigrateHandler)
-	ExternSigs() map[string]fir.ExternSig
+	Start() error
+	StartAt(fnIdx int64, args []heap.Value) error
 	Run() (Status, error)
 	RunSteps(n uint64) (Status, error)
+	Yield()
 	Status() Status
 	HaltCode() int64
 	Err() error
 	Steps() uint64
 }
 
-// Exec is the full execution-engine surface the cluster and the workload
-// harness drive: a Proc plus its lifecycle entry points. Start positions a
-// fresh process at its entry function (type-checking first); StartAt is
-// the unpack resume path, invoking the function at table index fnIdx with
-// already-validated argument values; Yield asks the backend to end the
-// current bounded RunSteps quantum after the active step. Engines are
-// constructed through internal/engine's registry.
-type Exec interface {
-	Proc
-	Start() error
-	StartAt(fnIdx int64, args []heap.Value) error
-	Yield()
-}
+var _ Proc = (*Shell)(nil)

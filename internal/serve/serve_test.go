@@ -108,7 +108,7 @@ func TestConcurrentTenants(t *testing.T) {
 			Params: smallParams(app),
 		}
 		if i%2 == 1 {
-			req.Params.Engine = "risc"
+			req.Params.Engine = "jit"
 		}
 		if i%4 == 0 {
 			// Every grid submission also rides through a failure.

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+
+	"repro/internal/rt"
 )
 
 // Scheduler multiplexes several processes on one OS thread with a fixed
@@ -29,7 +31,7 @@ func NewScheduler(quantum uint64) *Scheduler {
 
 // Add registers a process. The process must already be started.
 func (s *Scheduler) Add(p *Process) error {
-	if p.Status() != StatusRunning {
+	if p.Status() != rt.StatusRunning {
 		return fmt.Errorf("vm: scheduler requires a running process, got %s", p.Status())
 	}
 	s.procs = append(s.procs, p)
@@ -51,9 +53,9 @@ func (s *Scheduler) Proc(i int) *Process { return s.procs[i] }
 // it, and a concurrent execution engine may invoke it for distinct i from
 // different goroutines — each process is only ever stepped through its own
 // RunQuantum call, preserving the deterministic per-process step order.
-func (s *Scheduler) RunQuantum(i int) (Status, error) {
+func (s *Scheduler) RunQuantum(i int) (rt.Status, error) {
 	p := s.procs[i]
-	if p.Status() != StatusRunning {
+	if p.Status() != rt.StatusRunning {
 		return p.Status(), nil
 	}
 	st, err := p.RunSteps(s.quantum)
@@ -69,7 +71,7 @@ func (s *Scheduler) Run() error {
 	for {
 		running := 0
 		for i, p := range s.procs {
-			if p.Status() != StatusRunning {
+			if p.Status() != rt.StatusRunning {
 				continue
 			}
 			running++
@@ -90,11 +92,11 @@ func (s *Scheduler) Run() error {
 func (s *Scheduler) Turn() bool {
 	any := false
 	for i, p := range s.procs {
-		if p.Status() != StatusRunning {
+		if p.Status() != rt.StatusRunning {
 			continue
 		}
 		_, _ = s.RunQuantum(i)
-		if p.Status() == StatusRunning {
+		if p.Status() == rt.StatusRunning {
 			any = true
 		}
 	}

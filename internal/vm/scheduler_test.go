@@ -28,7 +28,7 @@ func spinProg(iters int64) *fir.Program {
 
 func startSpin(t *testing.T, iters int64, tick func(p *Process)) *Process {
 	t.Helper()
-	p := NewProcess(spinProg(iters), Config{Fuel: 10_000_000})
+	p := NewProcess(spinProg(iters), nil, rt.Config{Fuel: 10_000_000})
 	p.RegisterExtern("tick", fir.ExternSig{Result: fir.TyInt},
 		func(r rt.Runtime, a []heap.Value) (heap.Value, error) {
 			if tick != nil {
@@ -51,7 +51,7 @@ func TestYieldEndsQuantumEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st != StatusRunning {
+	if st != rt.StatusRunning {
 		t.Fatalf("status = %s, want running", st)
 	}
 	// The first tick extern fires on the third step of an iteration; the
@@ -65,7 +65,7 @@ func TestYieldEndsQuantumEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st != StatusHalted {
+	if st != rt.StatusHalted {
 		t.Fatalf("status = %s, want halted", st)
 	}
 }
@@ -89,7 +89,7 @@ func TestRunQuantumDrivesOneProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st != StatusRunning {
+	if st != rt.StatusRunning {
 		t.Fatalf("status = %s", st)
 	}
 	if a.Steps() != 50 {

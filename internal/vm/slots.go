@@ -97,8 +97,8 @@ type Compiled struct {
 }
 
 // Precompile lowers prog to slot-resolved code without building a
-// process. Pass the result through Config.Compiled to skip per-process
-// compilation.
+// process; hand the result to NewProcess or ResumeProcess to skip
+// per-process compilation.
 func Precompile(prog *fir.Program) (*Compiled, error) {
 	fp, err := compileFrames(prog)
 	if err != nil {

@@ -1,104 +1,19 @@
 // Package vm implements the MCC interpreted runtime environment: it
-// executes FIR programs against the runtime heap, wiring the speculate,
+// executes FIR programs against the runtime heap, one FIR node per step,
+// inside the shared process shell (rt.Shell) that wires the speculate,
 // commit, rollback and migrate pseudo-instructions to the speculation
 // manager and the migration subsystem. It corresponds to the paper's
-// "interpreted runtime environment" backend (§3); internal/risc provides
-// the machine-code-style backend.
+// "interpreted runtime environment" backend (§3) and is the reference the
+// threaded-code engine (internal/jit) is tested against.
 package vm
 
 import (
-	"errors"
-	"fmt"
-	"io"
-
 	"repro/internal/fir"
-	"repro/internal/gc"
 	"repro/internal/heap"
 	"repro/internal/ops"
 	"repro/internal/rt"
 	"repro/internal/spec"
 )
-
-// Status re-exports the backend-independent process status from rt.
-type Status = rt.Status
-
-// Status values (see rt for documentation).
-const (
-	StatusReady     = rt.StatusReady
-	StatusRunning   = rt.StatusRunning
-	StatusHalted    = rt.StatusHalted
-	StatusMigrated  = rt.StatusMigrated
-	StatusSuspended = rt.StatusSuspended
-	StatusFailed    = rt.StatusFailed
-)
-
-// Errors returned by the interpreter.
-var (
-	ErrFuelExhausted = errors.New("vm: fuel exhausted")
-	ErrNotRunning    = errors.New("vm: process is not running")
-	ErrNoMigration   = errors.New("vm: no migration handler installed")
-)
-
-// RuntimeError is a trapped execution error: a failed safety check,
-// arithmetic trap, or extern failure. When the process is inside a
-// speculation and TrapSpeculation is enabled, a RuntimeError triggers an
-// automatic rollback of the innermost level instead of killing the process
-// (the exception-style use of speculations described in §2).
-type RuntimeError struct {
-	Fn  string
-	Err error
-}
-
-func (e *RuntimeError) Error() string {
-	return fmt.Sprintf("vm: runtime error in %s: %v", e.Fn, e.Err)
-}
-
-func (e *RuntimeError) Unwrap() error { return e.Err }
-
-// TrapC is the speculation status value c passed to a continuation when a
-// level is rolled back by a trapped runtime error rather than an explicit
-// rollback instruction.
-const TrapC = 2
-
-// Migration and extern types are shared across backends; see rt.
-type (
-	MigrateOutcome   = rt.MigrateOutcome
-	MigrationRequest = rt.MigrationRequest
-	MigrateHandler   = rt.MigrateHandler
-	ExternFn         = rt.ExternFn
-)
-
-// Re-exported migration outcomes (see rt for documentation).
-const (
-	OutcomeContinueLocal = rt.OutcomeContinueLocal
-	OutcomeMigrated      = rt.OutcomeMigrated
-	OutcomeSuspended     = rt.OutcomeSuspended
-)
-
-// Config configures a new process.
-type Config struct {
-	// Heap configures the process heap.
-	Heap heap.Config
-	// Collector overrides the default generational policy.
-	Collector heap.Collector
-	// Stdout receives output from the print externs (default: discard).
-	Stdout io.Writer
-	// Fuel bounds the number of interpreter steps (0 = unlimited).
-	Fuel uint64
-	// TrapSpeculation turns trapped runtime errors inside a speculation
-	// into automatic rollbacks of the innermost level with c = TrapC.
-	TrapSpeculation bool
-	// Name identifies the process in errors and logs.
-	Name string
-	// Args are process arguments readable through the getarg extern.
-	Args []int64
-	// Seed seeds the deterministic rand_int extern.
-	Seed int64
-	// Compiled, when set, is the precompiled slot code for the process's
-	// program (Precompile); Start/StartAt then skip compilation. It is
-	// ignored when it was built from a different program.
-	Compiled *Compiled
-}
 
 // Process is one executing FIR program: the paper's unit of migration and
 // speculation. All process state lives in the heap, the current frame, and
@@ -106,361 +21,99 @@ type Config struct {
 // itself never crosses a pack boundary: the continuation and its arguments
 // are written into the heap, so images stay frame-layout-independent).
 //
-// Execution runs on the slot-resolved core (slots.go): Start/StartAt
-// compile the program to linear instructions whose variables are dense
-// frame-slot indices, replacing the historical per-step name→value map.
+// Execution runs on the slot-resolved core (slots.go): the program is
+// compiled to linear instructions whose variables are dense frame-slot
+// indices, replacing the historical per-step name→value map.
 type Process struct {
-	name    string
-	prog    *fir.Program
-	h       *heap.Heap
-	mgr     *spec.Manager
-	externs rt.Registry
-	migrate MigrateHandler
+	rt.Shell
 
 	compiled *Compiled
 	fp       *frameProg
 	frame    []heap.Value
-	extVals  []rt.Extern // extern table resolved from fp.extNames
 	pc       int
-	curFn    string
-	status   Status
-	halt     int64
-	err      error
-
-	stdout io.Writer
-	fuel   uint64 // remaining; only enforced when fuelCap is true
-	fuelOn bool
-	steps  uint64
-	pins   []heap.Value
-	args   []int64
-	rng    uint64
-	yield  bool
 
 	// Hot-path scratch, reused across steps. Callees never retain these
-	// slices (rt.ExternFn documents the contract); paths that hand values
-	// to components that do retain them (speculation continuations,
-	// migration handlers) copy into fresh slices.
-	letbuf  [3]heap.Value
-	argbuf  []heap.Value
-	callbuf []heap.Value
-
-	trapSpec bool
+	// slices (rt.ExternFn documents the contract).
+	letbuf [3]heap.Value
+	argbuf []heap.Value
 }
 
-// NewProcess creates a process for prog. The program is not type-checked
-// until Start, so externs can still be registered.
-func NewProcess(prog *fir.Program, cfg Config) *Process {
-	h := heap.New(cfg.Heap)
-	if cfg.Collector != nil {
-		h.SetCollector(cfg.Collector)
-	} else {
-		h.SetCollector(gc.New())
-	}
-	out := cfg.Stdout
-	if out == nil {
-		out = io.Discard
-	}
-	p := &Process{
-		name:     cfg.Name,
-		prog:     prog,
-		h:        h,
-		mgr:      spec.New(h),
-		externs:  make(rt.Registry),
-		stdout:   out,
-		fuel:     cfg.Fuel,
-		fuelOn:   cfg.Fuel > 0,
-		args:     cfg.Args,
-		rng:      uint64(cfg.Seed)*2862933555777941757 + 3037000493,
-		trapSpec: cfg.TrapSpeculation,
-		compiled: cfg.Compiled,
-	}
-	h.AddRoots(p.yieldRoots)
-	registerStdExterns(p)
+// NewProcess creates a process for prog with a fresh heap. c, when it was
+// built from prog, is adopted instead of compiling (Precompile); nil is
+// fine. Register externs and a migration handler, then call Start.
+func NewProcess(prog *fir.Program, c *Compiled, cfg rt.Config) *Process {
+	p, _ := ResumeProcess(prog, nil, nil, c, cfg) // no continuation stack to reject
 	return p
 }
 
-// yieldRoots enumerates the process's GC roots: the live frame slots of
-// the current instruction plus the extern pins. frame[:depth] is exactly
-// the value set of the historical environment map at this program point.
-func (p *Process) yieldRoots(yield func(heap.Value)) {
+// ResumeProcess builds a process around a restored heap and speculation
+// continuation stack. Used by unpack, which continues with StartAt: the
+// program has already been decoded and (for untrusted peers) type-checked.
+func ResumeProcess(prog *fir.Program, h *heap.Heap, conts []spec.Continuation, c *Compiled, cfg rt.Config) (*Process, error) {
+	p := &Process{compiled: c}
+	if err := p.Init(p, prog, h, conts, cfg); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Roots implements rt.Core: the live frame slots of the current
+// instruction. frame[:depth] is exactly the value set of the historical
+// environment map at this program point.
+func (p *Process) Roots(yield func(heap.Value)) {
 	if p.fp != nil && p.pc < len(p.fp.code) {
 		for _, v := range p.frame[:p.fp.code[p.pc].depth] {
 			yield(v)
 		}
 	}
-	for _, v := range p.pins {
-		yield(v)
-	}
 }
 
-// Accessors used by the migration subsystem, the scheduler, and tests.
-
-// Name returns the process name.
-func (p *Process) Name() string { return p.name }
-
-// Program returns the FIR program the process executes.
-func (p *Process) Program() *fir.Program { return p.prog }
-
-// Heap returns the process heap.
-func (p *Process) Heap() *heap.Heap { return p.h }
-
-// Spec returns the speculation manager.
-func (p *Process) Spec() *spec.Manager { return p.mgr }
-
-// Status returns the lifecycle state.
-func (p *Process) Status() Status { return p.status }
-
-// HaltCode returns the exit code after StatusHalted.
-func (p *Process) HaltCode() int64 { return p.halt }
-
-// Err returns the terminal error after StatusFailed.
-func (p *Process) Err() error { return p.err }
-
-// Steps returns the number of interpreter steps executed.
-func (p *Process) Steps() uint64 { return p.steps }
-
-// Stdout returns the writer print externs use.
-func (p *Process) Stdout() io.Writer { return p.stdout }
-
-// SetMigrateHandler installs the migration implementation.
-func (p *Process) SetMigrateHandler(h MigrateHandler) { p.migrate = h }
-
-// RegisterExtern adds or replaces an external function. Must be called
-// before Start so the type checker sees its signature.
-func (p *Process) RegisterExtern(name string, sig fir.ExternSig, fn ExternFn) {
-	p.externs[name] = rt.Extern{Sig: sig, Fn: fn}
-	if p.fp != nil {
-		for i, n := range p.fp.extNames {
-			if n == name {
-				p.extVals[i] = p.externs[name]
-			}
-		}
-	}
-}
-
-// ExternSigs returns the signature registry for type checking.
-func (p *Process) ExternSigs() map[string]fir.ExternSig {
-	return p.externs.Sigs()
-}
-
-// Pin registers a temporary GC root, protecting a fresh allocation that is
-// not yet reachable from the environment. Externs that allocate more than
-// one block use it; pins are cleared automatically after every extern.
-func (p *Process) Pin(v heap.Value) { p.pins = append(p.pins, v) }
-
-// Start type-checks the program, compiles it to slot-resolved code, and
-// positions the process at its entry point.
-func (p *Process) Start() error {
-	if p.status != StatusReady {
-		return fmt.Errorf("vm: Start on a %s process", p.status)
-	}
-	if err := fir.Check(p.prog, p.ExternSigs()); err != nil {
-		return err
-	}
-	if err := p.prepare(); err != nil {
-		return err
-	}
-	_, idx := p.prog.Lookup(p.prog.Entry)
-	f := &p.fp.fns[idx]
-	p.pc = f.entry
-	p.curFn = f.fn.Name
-	p.status = StatusRunning
-	return nil
-}
-
-// prepare compiles the program to slot-resolved code (or adopts the
-// precompiled artifact) and sizes the frame and extern table.
-func (p *Process) prepare() error {
-	var fp *frameProg
-	if p.compiled != nil && p.compiled.prog == p.prog {
-		fp = p.compiled.fp
+// Load implements rt.Core: it compiles the program to slot-resolved code
+// (or adopts the precompiled artifact) and sizes the frame.
+func (p *Process) Load() ([]string, error) {
+	if c := p.compiled; c != nil && c.prog == p.Program() {
+		p.fp = c.fp
 	} else {
-		var err error
-		if fp, err = compileFrames(p.prog); err != nil {
-			return err
+		fp, err := compileFrames(p.Program())
+		if err != nil {
+			return nil, err
 		}
+		p.fp = fp
 	}
-	p.fp = fp
-	p.frame = make([]heap.Value, fp.slots)
-	p.extVals = make([]rt.Extern, len(fp.extNames))
-	for i, n := range fp.extNames {
-		if e, ok := p.externs[n]; ok {
-			p.extVals[i] = e
-		}
-	}
-	return nil
+	p.frame = make([]heap.Value, p.fp.slots)
+	return p.fp.extNames, nil
 }
 
-// StartAt positions the process to invoke the function at table index
-// fnIdx with the given argument values — the unpack operation's resume
-// path (§4.2.2). The caller provides the heap and speculation state
-// separately via ResumeProcess and is responsible for having type-checked
-// the program when it came from an untrusted peer.
-func (p *Process) StartAt(fnIdx int64, args []heap.Value) error {
-	if p.status != StatusReady {
-		return fmt.Errorf("vm: StartAt on a %s process", p.status)
-	}
-	// No type check here: StartAt is the unpack resume path, where the
-	// caller has already verified the program (or deliberately skipped
-	// verification under the trusted binary protocol, experiment E2).
-	if err := p.prepare(); err != nil {
-		p.status = StatusFailed
-		p.err = err
-		return err
-	}
-	p.status = StatusRunning
-	if err := p.invoke(fnIdx, args); err != nil {
-		p.status = StatusFailed
-		p.err = err
-		return err
-	}
-	return nil
-}
-
-// ResumeProcess builds a process around a restored heap and speculation
-// continuation stack. Used by unpack: the program has already been decoded
-// and (for untrusted peers) type-checked.
-func ResumeProcess(prog *fir.Program, h *heap.Heap, conts []spec.Continuation, cfg Config) (*Process, error) {
-	out := cfg.Stdout
-	if out == nil {
-		out = io.Discard
-	}
-	if cfg.Collector != nil {
-		h.SetCollector(cfg.Collector)
-	} else {
-		h.SetCollector(gc.New())
-	}
-	p := &Process{
-		name:     cfg.Name,
-		prog:     prog,
-		h:        h,
-		mgr:      spec.New(h),
-		externs:  make(rt.Registry),
-		stdout:   out,
-		fuel:     cfg.Fuel,
-		fuelOn:   cfg.Fuel > 0,
-		args:     cfg.Args,
-		rng:      uint64(cfg.Seed)*2862933555777941757 + 3037000493,
-		trapSpec: cfg.TrapSpeculation,
-		compiled: cfg.Compiled,
-	}
-	if err := p.mgr.RestoreStack(conts); err != nil {
-		return nil, err
-	}
-	h.AddRoots(p.yieldRoots)
-	registerStdExterns(p)
-	return p, nil
-}
-
-// invoke positions the process at function fnIdx with args bound to its
-// parameter slots, applying the runtime type checks on every value. args
-// may be a scratch buffer: the values are copied into the frame before
-// invoke returns.
-func (p *Process) invoke(fnIdx int64, args []heap.Value) error {
+// Invoke implements rt.Core: it positions the process at function fnIdx
+// with args bound to its parameter slots, applying the runtime type checks
+// on every value.
+func (p *Process) Invoke(fnIdx int64, args []heap.Value) error {
 	if fnIdx < 0 || fnIdx >= int64(len(p.fp.fns)) {
-		_, err := p.prog.FuncByIndex(int(fnIdx))
+		_, err := p.Program().FuncByIndex(int(fnIdx))
 		return err
 	}
 	f := &p.fp.fns[fnIdx]
-	fn := f.fn
-	if len(args) != len(fn.Params) {
-		return fmt.Errorf("vm: %s takes %d arguments, given %d", fn.Name, len(fn.Params), len(args))
-	}
-	for i, a := range args {
-		if err := checkKind(a, fn.Params[i].Type); err != nil {
-			return fmt.Errorf("vm: %s argument %d (%s): %w", fn.Name, i, fn.Params[i].Name, err)
-		}
+	if err := rt.CheckArgs(f.fn, args); err != nil {
+		return err
 	}
 	copy(p.frame[:len(args)], args)
 	p.pc = f.entry
-	p.curFn = fn.Name
+	p.CurFn = f.fn.Name
 	return nil
 }
 
-// checkKind verifies a runtime value against a FIR type. This is the
-// dynamic half of the safety story: statically-checked code only ever
-// loads through it when the value came from the untyped heap.
-func checkKind(v heap.Value, t fir.Type) error {
-	return ops.CheckKind(v, t)
-}
-
-// Run executes until the process leaves StatusRunning or fuel runs out.
-func (p *Process) Run() (Status, error) {
-	return p.RunSteps(0)
-}
-
-// Yield requests that the current RunSteps quantum end after the active
-// step. It is called from inside externs (on the executing goroutine):
-// an extern that woke from a blocking wait yields so the driving scheduler
-// or cluster engine regains control — and can deliver a pending kill or
-// quiesce — without waiting out the rest of the quantum.
-func (p *Process) Yield() { p.yield = true }
-
-// RunSteps executes at most n interpreter steps (0 = unlimited). It
-// returns the resulting status; StatusRunning means the quantum expired —
-// the scheduler's context-switch point.
-func (p *Process) RunSteps(n uint64) (Status, error) {
-	if p.status != StatusRunning {
-		return p.status, fmt.Errorf("%w (%s)", ErrNotRunning, p.status)
-	}
-	for i := uint64(0); n == 0 || i < n; i++ {
-		if p.fuelOn {
-			if p.fuel == 0 {
-				p.status = StatusFailed
-				p.err = ErrFuelExhausted
-				return p.status, p.err
-			}
-			p.fuel--
-		}
-		p.steps++
+// RunSeg implements rt.Core, one step at a time.
+func (p *Process) RunSeg(budget uint64) error {
+	for ; budget > 0; budget-- {
+		p.Charge(1)
 		if err := p.step(); err != nil {
-			if p.trap(err) {
-				continue
-			}
-			p.status = StatusFailed
-			p.err = err
-			return p.status, err
+			return err
 		}
-		if p.status != StatusRunning {
-			return p.status, nil
-		}
-		if p.yield {
-			// A yield ends a bounded quantum early; an unbounded Run has
-			// no scheduler to yield to, so the request is dropped.
-			p.yield = false
-			if n != 0 {
-				return p.status, nil
-			}
+		if p.Status() != rt.StatusRunning || p.Yielding() {
+			break
 		}
 	}
-	return p.status, nil
-}
-
-// trap converts a trappable runtime error into an automatic rollback of
-// the innermost speculation level when TrapSpeculation is on (§2's
-// exception-style speculations). It reports whether execution continues.
-func (p *Process) trap(err error) bool {
-	var rte *RuntimeError
-	if !p.trapSpec || !errors.As(err, &rte) || p.mgr.Depth() == 0 {
-		return false
-	}
-	cont, rbErr := p.mgr.Rollback(p.mgr.Depth())
-	if rbErr != nil {
-		return false
-	}
-	args := append([]heap.Value{heap.IntVal(TrapC)}, cont.Args...)
-	if ivErr := p.invoke(cont.FnIndex, args); ivErr != nil {
-		return false
-	}
-	return true
-}
-
-func (p *Process) rterr(err error) error {
-	return &RuntimeError{Fn: p.curFn, Err: err}
-}
-
-func (p *Process) rterrf(format string, args ...any) error {
-	return &RuntimeError{Fn: p.curFn, Err: fmt.Errorf(format, args...)}
+	return nil
 }
 
 // operand reads one resolved operand: a live frame slot or an immediate.
@@ -504,27 +157,18 @@ func (p *Process) step() error {
 		} else {
 			args = p.gather(in.args)
 		}
-		v, err := ops.Eval(p.h, in.alu, args, in.dstTy)
+		v, err := ops.Eval(p.Heap(), in.alu, args, in.dstTy)
 		if err != nil {
-			return p.rterr(err)
+			return p.RuntimeErr(err)
 		}
 		p.frame[in.dst] = v
 		p.pc++
 		return nil
 
 	case fExtern:
-		ext := &p.extVals[in.extIdx]
-		if ext.Fn == nil {
-			return p.rterrf("unknown extern %q", p.fp.extNames[in.extIdx])
-		}
-		args := p.gather(in.args)
-		v, err := ext.Fn(p, args)
-		p.pins = p.pins[:0]
+		v, err := p.CallExtern(in.extIdx, p.gather(in.args))
 		if err != nil {
-			return p.rterr(err)
-		}
-		if err := checkKind(v, ext.Sig.Result); err != nil {
-			return p.rterrf("extern %q result: %v", p.fp.extNames[in.extIdx], err)
+			return err
 		}
 		p.frame[in.dst] = v
 		p.pc++
@@ -533,7 +177,7 @@ func (p *Process) step() error {
 	case fIf:
 		c := p.operand(&in.a)
 		if c.Kind != heap.KInt {
-			return p.rterrf("if condition is %s, want int", c.Kind)
+			return p.RuntimeErrf("if condition is %s, want int", c.Kind)
 		}
 		if c.I != 0 {
 			p.pc++
@@ -545,125 +189,25 @@ func (p *Process) step() error {
 	case fCall:
 		fnv := p.operand(&in.a)
 		if fnv.Kind != heap.KFun {
-			return p.rterrf("call target is %s, want fun", fnv)
+			return p.RuntimeErrf("call target is %s, want fun", fnv)
 		}
-		if err := p.invoke(fnv.I, p.gather(in.args)); err != nil {
-			return p.rterr(err)
+		if err := p.Invoke(fnv.I, p.gather(in.args)); err != nil {
+			return p.RuntimeErr(err)
 		}
 		return nil
 
 	case fHalt:
-		c := p.operand(&in.a)
-		if c.Kind != heap.KInt {
-			return p.rterrf("halt code is %s, want int", c.Kind)
-		}
-		p.status = StatusHalted
-		p.halt = c.I
-		return nil
-
+		return p.Halt(p.operand(&in.a))
 	case fSpeculate:
-		fnv := p.operand(&in.a)
-		if fnv.Kind != heap.KFun {
-			return p.rterrf("speculate target is %s, want fun", fnv)
-		}
-		// The continuation's arguments outlive this step inside the
-		// speculation manager: they need a fresh slice.
-		saved := make([]heap.Value, len(in.args))
-		for i := range in.args {
-			saved[i] = p.operand(&in.args[i])
-		}
-		p.mgr.Enter(spec.Continuation{FnIndex: fnv.I, Args: saved})
-		call := append(p.callbuf[:0], heap.IntVal(0))
-		call = append(call, saved...)
-		p.callbuf = call
-		if err := p.invoke(fnv.I, call); err != nil {
-			return p.rterr(err)
-		}
-		return nil
-
+		return p.Speculate(p.operand(&in.a), p.gather(in.args))
 	case fCommit:
-		lv := p.operand(&in.a)
-		if lv.Kind != heap.KInt {
-			return p.rterrf("commit level is %s, want int", lv.Kind)
-		}
-		fnv := p.operand(&in.b)
-		if fnv.Kind != heap.KFun {
-			return p.rterrf("commit target is %s, want fun", fnv)
-		}
-		args := p.gather(in.args)
-		if err := p.mgr.Commit(int(lv.I)); err != nil {
-			return p.rterr(err)
-		}
-		if err := p.invoke(fnv.I, args); err != nil {
-			return p.rterr(err)
-		}
-		return nil
-
+		return p.Commit(p.operand(&in.a), p.operand(&in.b), p.gather(in.args))
 	case fRollback:
-		lv := p.operand(&in.a)
-		cv := p.operand(&in.b)
-		if lv.Kind != heap.KInt || cv.Kind != heap.KInt {
-			return p.rterrf("rollback operands must be int")
-		}
-		cont, err := p.mgr.Rollback(int(lv.I))
-		if err != nil {
-			return p.rterr(err)
-		}
-		call := append(p.callbuf[:0], cv)
-		call = append(call, cont.Args...)
-		p.callbuf = call
-		if err := p.invoke(cont.FnIndex, call); err != nil {
-			return p.rterr(err)
-		}
-		return nil
-
+		return p.Rollback(p.operand(&in.a), p.operand(&in.b))
 	case fMigrate:
-		tp := p.operand(&in.a)
-		toff := p.operand(&in.b)
-		if tp.Kind != heap.KPtr || toff.Kind != heap.KInt {
-			return p.rterrf("migrate target must be (ptr, int)")
-		}
-		eff := tp
-		eff.Off += toff.I
-		target, err := p.h.LoadString(eff)
-		if err != nil {
-			return p.rterr(err)
-		}
-		fnv := p.operand(&in.c)
-		if fnv.Kind != heap.KFun {
-			return p.rterrf("migrate continuation is %s, want fun", fnv)
-		}
-		// Migration handlers may retain the arguments (pack, remote
-		// handoff): fresh slice, never scratch.
-		args := make([]heap.Value, len(in.args))
-		for i := range in.args {
-			args[i] = p.operand(&in.args[i])
-		}
-		if p.migrate == nil {
-			return p.rterr(ErrNoMigration)
-		}
-		outcome, err := p.migrate(&rt.MigrationRequest{
-			Rt: p, Label: int(in.target), Target: target, FnIndex: fnv.I, Args: args,
-		})
-		p.pins = p.pins[:0]
-		if err != nil {
-			// "If migration fails for any reason, the process will
-			// continue to execute on the original machine." (§4.2.1)
-			outcome = OutcomeContinueLocal
-		}
-		switch outcome {
-		case OutcomeMigrated:
-			p.status = StatusMigrated
-		case OutcomeSuspended:
-			p.status = StatusSuspended
-		default:
-			if err := p.invoke(fnv.I, args); err != nil {
-				return p.rterr(err)
-			}
-		}
-		return nil
+		return p.Migrate(int(in.target), p.operand(&in.a), p.operand(&in.b), p.operand(&in.c), p.gather(in.args))
 
 	default:
-		return p.rterrf("unknown opcode %d", in.op)
+		return p.RuntimeErrf("unknown opcode %d", in.op)
 	}
 }

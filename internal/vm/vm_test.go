@@ -11,17 +11,17 @@ import (
 	"repro/internal/rt"
 )
 
-func runProgram(t *testing.T, p *fir.Program, cfg Config) (*Process, Status) {
+func runProgram(t *testing.T, p *fir.Program, cfg rt.Config) (*Process, rt.Status) {
 	t.Helper()
 	if cfg.Fuel == 0 {
 		cfg.Fuel = 1_000_000
 	}
-	proc := NewProcess(p, cfg)
+	proc := NewProcess(p, nil, cfg)
 	if err := proc.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
 	st, err := proc.Run()
-	if err != nil && st != StatusFailed {
+	if err != nil && st != rt.StatusFailed {
 		t.Fatalf("Run: %v", err)
 	}
 	return proc, st
@@ -41,8 +41,8 @@ func TestFactorial(t *testing.T) {
 				return b2.CallNamed("fact", fir.V("n2"), fir.V("acc2"))
 			}()))
 	main := fir.Fn("main", nil, fir.NewBuilder().CallNamed("fact", fir.I(10), fir.I(1)))
-	proc, st := runProgram(t, fir.NewProgram("main", main, fact), Config{})
-	if st != StatusHalted || proc.HaltCode() != 3628800 {
+	proc, st := runProgram(t, fir.NewProgram("main", main, fact), rt.Config{})
+	if st != rt.StatusHalted || proc.HaltCode() != 3628800 {
 		t.Fatalf("status=%s code=%d, want halted 3628800", st, proc.HaltCode())
 	}
 }
@@ -79,12 +79,12 @@ func TestHeapSumProgram(t *testing.T) {
 				return b2.CallNamed("sum", fir.V("p"), fir.V("i2"), fir.V("acc2"))
 			}()))
 
-	proc, st := runProgram(t, fir.NewProgram("main", main, fill, sum), Config{})
+	proc, st := runProgram(t, fir.NewProgram("main", main, fill, sum), rt.Config{})
 	want := int64(0)
 	for i := int64(0); i < 100; i++ {
 		want += i * i
 	}
-	if st != StatusHalted || proc.HaltCode() != want {
+	if st != rt.StatusHalted || proc.HaltCode() != want {
 		t.Fatalf("status=%s code=%d, want halted %d", st, proc.HaltCode(), want)
 	}
 }
@@ -117,10 +117,10 @@ func specRetryProgram() *fir.Program {
 }
 
 func TestSpeculateRollbackRetryCommit(t *testing.T) {
-	proc, st := runProgram(t, specRetryProgram(), Config{})
+	proc, st := runProgram(t, specRetryProgram(), rt.Config{})
 	// First entry increments to 1, rolls back (restores 0), re-enters with
 	// c=1, increments to 1, commits: halt code 1.
-	if st != StatusHalted || proc.HaltCode() != 1 {
+	if st != rt.StatusHalted || proc.HaltCode() != 1 {
 		t.Fatalf("status=%s code=%d, want halted 1", st, proc.HaltCode())
 	}
 	ss := proc.Spec().Stats()
@@ -134,7 +134,7 @@ func TestSpeculateRollbackRetryCommit(t *testing.T) {
 
 func TestTrapSpeculationRollsBackOnRuntimeError(t *testing.T) {
 	// body(c, p): if c == 0, store out of bounds (traps -> rollback with
-	// c=TrapC); else commit and halt with p[0], which must be the restored
+	// c=rt.TrapC); else commit and halt with p[0], which must be the restored
 	// pre-trap value.
 	b := fir.NewBuilder()
 	b.Let("p", fir.TyPtr, fir.OpAlloc, fir.I(2))
@@ -157,8 +157,8 @@ func TestTrapSpeculationRollsBackOnRuntimeError(t *testing.T) {
 	eb.Let("v", fir.TyInt, fir.OpLoad, fir.V("p"), fir.I(0))
 	end := fir.Fn("end", fir.Ps("p", fir.TyPtr), eb.Halt(fir.V("v")))
 
-	proc, st := runProgram(t, fir.NewProgram("main", main, body, end), Config{TrapSpeculation: true})
-	if st != StatusHalted || proc.HaltCode() != 5 {
+	proc, st := runProgram(t, fir.NewProgram("main", main, body, end), rt.Config{TrapSpeculation: true})
+	if st != rt.StatusHalted || proc.HaltCode() != 5 {
 		t.Fatalf("status=%s code=%d err=%v, want halted 5", st, proc.HaltCode(), proc.Err())
 	}
 }
@@ -168,8 +168,8 @@ func TestRuntimeErrorWithoutTrapFails(t *testing.T) {
 	b.Let("p", fir.TyPtr, fir.OpAlloc, fir.I(1))
 	b.Let("x", fir.TyInt, fir.OpLoad, fir.V("p"), fir.I(5))
 	main := fir.Fn("main", nil, b.Halt(fir.V("x")))
-	proc, st := runProgram(t, fir.NewProgram("main", main), Config{})
-	if st != StatusFailed {
+	proc, st := runProgram(t, fir.NewProgram("main", main), rt.Config{})
+	if st != rt.StatusFailed {
 		t.Fatalf("status = %s, want failed", st)
 	}
 	if !errors.Is(proc.Err(), heap.ErrBounds) {
@@ -181,8 +181,8 @@ func TestDivideByZeroTraps(t *testing.T) {
 	b := fir.NewBuilder()
 	b.Let("x", fir.TyInt, fir.OpDiv, fir.I(1), fir.I(0))
 	main := fir.Fn("main", nil, b.Halt(fir.V("x")))
-	_, st := runProgram(t, fir.NewProgram("main", main), Config{})
-	if st != StatusFailed {
+	_, st := runProgram(t, fir.NewProgram("main", main), rt.Config{})
+	if st != rt.StatusFailed {
 		t.Fatalf("status = %s, want failed", st)
 	}
 }
@@ -194,8 +194,8 @@ func TestLoadTypeMismatchTraps(t *testing.T) {
 	b.Let("u", fir.TyUnit, fir.OpStore, fir.V("p"), fir.I(0), fir.F(1.5))
 	b.Let("x", fir.TyInt, fir.OpLoad, fir.V("p"), fir.I(0))
 	main := fir.Fn("main", nil, b.Halt(fir.V("x")))
-	proc, st := runProgram(t, fir.NewProgram("main", main), Config{})
-	if st != StatusFailed {
+	proc, st := runProgram(t, fir.NewProgram("main", main), rt.Config{})
+	if st != rt.StatusFailed {
 		t.Fatalf("status = %s (err=%v), want failed", st, proc.Err())
 	}
 }
@@ -210,8 +210,8 @@ func TestPrintExterns(t *testing.T) {
 	b.Let("u4", fir.TyUnit, fir.OpStore, fir.V("s"), fir.I(1), fir.I('i'))
 	b.Extern("u5", fir.TyUnit, "print_str", fir.V("s"))
 	main := fir.Fn("main", nil, b.Halt(fir.I(0)))
-	_, st := runProgram(t, fir.NewProgram("main", main), Config{Stdout: &out})
-	if st != StatusHalted {
+	_, st := runProgram(t, fir.NewProgram("main", main), rt.Config{Stdout: &out})
+	if st != rt.StatusHalted {
 		t.Fatalf("status = %s", st)
 	}
 	want := "7\n1.5\nhi\n"
@@ -226,8 +226,8 @@ func TestGetargAndSpecIDExterns(t *testing.T) {
 	b.Extern("a9", fir.TyInt, "getarg", fir.I(9)) // out of range -> 0
 	b.Let("sum", fir.TyInt, fir.OpAdd, fir.V("a0"), fir.V("a9"))
 	main := fir.Fn("main", nil, b.Halt(fir.V("sum")))
-	proc, st := runProgram(t, fir.NewProgram("main", main), Config{Args: []int64{41}})
-	if st != StatusHalted || proc.HaltCode() != 41 {
+	proc, st := runProgram(t, fir.NewProgram("main", main), rt.Config{Args: []int64{41}})
+	if st != rt.StatusHalted || proc.HaltCode() != 41 {
 		t.Fatalf("halt = %d, want 41", proc.HaltCode())
 	}
 }
@@ -242,8 +242,8 @@ func TestSpecIDOrdinalExterns(t *testing.T) {
 	body := fir.Fn("body", fir.Ps("c", fir.TyInt),
 		bb.Commit(fir.V("ord"), "end", fir.V("id")))
 	end := fir.Fn("end", fir.Ps("id", fir.TyInt), fir.NewBuilder().Halt(fir.V("id")))
-	proc, st := runProgram(t, fir.NewProgram("main", main, body, end), Config{})
-	if st != StatusHalted || proc.HaltCode() == 0 {
+	proc, st := runProgram(t, fir.NewProgram("main", main, body, end), rt.Config{})
+	if st != rt.StatusHalted || proc.HaltCode() == 0 {
 		t.Fatalf("status=%s code=%d, want halted with non-zero id", st, proc.HaltCode())
 	}
 }
@@ -252,26 +252,26 @@ func TestFuelExhaustion(t *testing.T) {
 	// Infinite loop must stop at the fuel limit.
 	loop := fir.Fn("loop", nil, fir.Call{Fn: fir.FunLit{Name: "loop"}})
 	lp := fir.NewProgram("loop", loop)
-	proc := NewProcess(lp, Config{Fuel: 100})
+	proc := NewProcess(lp, nil, rt.Config{Fuel: 100})
 	if err := proc.Start(); err != nil {
 		t.Fatal(err)
 	}
 	st, err := proc.Run()
-	if st != StatusFailed || !errors.Is(err, ErrFuelExhausted) {
+	if st != rt.StatusFailed || !errors.Is(err, rt.ErrFuelExhausted) {
 		t.Fatalf("status=%s err=%v, want fuel exhaustion", st, err)
 	}
 }
 
 func TestStartRejectsIllTypedProgram(t *testing.T) {
 	bad := fir.NewProgram("main", fir.Fn("main", nil, fir.Halt{Code: fir.F(1)}))
-	proc := NewProcess(bad, Config{})
+	proc := NewProcess(bad, nil, rt.Config{})
 	if err := proc.Start(); err == nil {
 		t.Fatal("Start accepted ill-typed program")
 	}
 }
 
 func TestMigrateCheckpointContinues(t *testing.T) {
-	// migrate with a handler that reports OutcomeContinueLocal: the
+	// migrate with a handler that reports rt.OutcomeContinueLocal: the
 	// continuation runs locally.
 	b := fir.NewBuilder()
 	b.Extern("tgt", fir.TyPtr, "mkstr")
@@ -279,17 +279,17 @@ func TestMigrateCheckpointContinues(t *testing.T) {
 	after := fir.Fn("after", nil, fir.NewBuilder().Halt(fir.I(5)))
 	p := fir.NewProgram("main", main, after)
 
-	proc := NewProcess(p, Config{Fuel: 1000})
+	proc := NewProcess(p, nil, rt.Config{Fuel: 1000})
 	proc.RegisterExtern("mkstr", fir.ExternSig{Result: fir.TyPtr},
 		func(p rt.Runtime, a []heap.Value) (heap.Value, error) {
 			return p.Heap().AllocString("checkpoint://test")
 		})
 	var gotTarget string
 	var gotLabel int
-	proc.SetMigrateHandler(func(req *MigrationRequest) (MigrateOutcome, error) {
+	proc.SetMigrateHandler(func(req *rt.MigrationRequest) (rt.MigrateOutcome, error) {
 		gotTarget = req.Target
 		gotLabel = req.Label
-		return OutcomeContinueLocal, nil
+		return rt.OutcomeContinueLocal, nil
 	})
 	if err := proc.Start(); err != nil {
 		t.Fatal(err)
@@ -298,7 +298,7 @@ func TestMigrateCheckpointContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st != StatusHalted || proc.HaltCode() != 5 {
+	if st != rt.StatusHalted || proc.HaltCode() != 5 {
 		t.Fatalf("status=%s code=%d, want halted 5", st, proc.HaltCode())
 	}
 	if gotTarget != "checkpoint://test" || gotLabel != 1 {
@@ -314,18 +314,18 @@ func TestMigrateOutcomeTerminates(t *testing.T) {
 	p := fir.NewProgram("main", main, after)
 
 	for _, tc := range []struct {
-		outcome MigrateOutcome
-		want    Status
+		outcome rt.MigrateOutcome
+		want    rt.Status
 	}{
-		{OutcomeMigrated, StatusMigrated},
-		{OutcomeSuspended, StatusSuspended},
+		{rt.OutcomeMigrated, rt.StatusMigrated},
+		{rt.OutcomeSuspended, rt.StatusSuspended},
 	} {
-		proc := NewProcess(p, Config{Fuel: 1000})
+		proc := NewProcess(p, nil, rt.Config{Fuel: 1000})
 		proc.RegisterExtern("mkstr", fir.ExternSig{Result: fir.TyPtr},
 			func(p rt.Runtime, a []heap.Value) (heap.Value, error) {
 				return p.Heap().AllocString("x://y")
 			})
-		proc.SetMigrateHandler(func(req *MigrationRequest) (MigrateOutcome, error) {
+		proc.SetMigrateHandler(func(req *rt.MigrationRequest) (rt.MigrateOutcome, error) {
 			return tc.outcome, nil
 		})
 		if err := proc.Start(); err != nil {
@@ -350,19 +350,19 @@ func TestMigrateFailureContinuesLocally(t *testing.T) {
 	after := fir.Fn("after", nil, fir.NewBuilder().Halt(fir.I(9)))
 	p := fir.NewProgram("main", main, after)
 
-	proc := NewProcess(p, Config{Fuel: 1000})
+	proc := NewProcess(p, nil, rt.Config{Fuel: 1000})
 	proc.RegisterExtern("mkstr", fir.ExternSig{Result: fir.TyPtr},
 		func(p rt.Runtime, a []heap.Value) (heap.Value, error) {
 			return p.Heap().AllocString("migrate://unreachable:1")
 		})
-	proc.SetMigrateHandler(func(req *MigrationRequest) (MigrateOutcome, error) {
-		return OutcomeMigrated, errors.New("connection refused")
+	proc.SetMigrateHandler(func(req *rt.MigrationRequest) (rt.MigrateOutcome, error) {
+		return rt.OutcomeMigrated, errors.New("connection refused")
 	})
 	if err := proc.Start(); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := proc.Run()
-	if st != StatusHalted || proc.HaltCode() != 9 {
+	if st != rt.StatusHalted || proc.HaltCode() != 9 {
 		t.Fatalf("status=%s code=%d, want halted 9 (local continuation)", st, proc.HaltCode())
 	}
 }
@@ -372,9 +372,9 @@ func TestNoMigrationHandler(t *testing.T) {
 	b.Let("tgt", fir.TyPtr, fir.OpAlloc, fir.I(1))
 	main := fir.Fn("main", nil, b.Migrate(1, fir.V("tgt"), fir.I(0), "main2"))
 	main2 := fir.Fn("main2", nil, fir.Halt{Code: fir.I(0)})
-	proc, st := runProgram(t, fir.NewProgram("main", main, main2), Config{})
-	if st != StatusFailed || !errors.Is(proc.Err(), ErrNoMigration) {
-		t.Fatalf("status=%s err=%v, want ErrNoMigration", st, proc.Err())
+	proc, st := runProgram(t, fir.NewProgram("main", main, main2), rt.Config{})
+	if st != rt.StatusFailed || !errors.Is(proc.Err(), rt.ErrNoMigration) {
+		t.Fatalf("status=%s err=%v, want rt.ErrNoMigration", st, proc.Err())
 	}
 }
 
@@ -387,8 +387,8 @@ func TestIndirectCallThroughHeap(t *testing.T) {
 	b.Let("g", fir.TyFun(fir.TyInt), fir.OpLoad, fir.V("p"), fir.I(0))
 	main := fir.Fn("main", nil, b.Call(fir.V("g"), fir.I(88)))
 	target := fir.Fn("target", fir.Ps("x", fir.TyInt), fir.NewBuilder().Halt(fir.V("x")))
-	proc, st := runProgram(t, fir.NewProgram("main", main, target), Config{})
-	if st != StatusHalted || proc.HaltCode() != 88 {
+	proc, st := runProgram(t, fir.NewProgram("main", main, target), rt.Config{})
+	if st != rt.StatusHalted || proc.HaltCode() != 88 {
 		t.Fatalf("status=%s code=%d, want halted 88", st, proc.HaltCode())
 	}
 }
@@ -418,8 +418,8 @@ func TestGCDuringExecution(t *testing.T) {
 	main := fir.Fn("main", nil, mb.CallNamed("loop", fir.I(0), fir.V("keep")))
 
 	proc, st := runProgram(t, fir.NewProgram("main", main, loop),
-		Config{Heap: heap.Config{InitialWords: 1024, MaxWords: 8192}})
-	if st != StatusHalted || proc.HaltCode() != 123 {
+		rt.Config{Heap: heap.Config{InitialWords: 1024, MaxWords: 8192}})
+	if st != rt.StatusHalted || proc.HaltCode() != 123 {
 		t.Fatalf("status=%s code=%d err=%v, want halted 123", st, proc.HaltCode(), proc.Err())
 	}
 	hs := proc.Heap().Stats()
@@ -444,7 +444,7 @@ func TestSchedulerRunsProcessesToCompletion(t *testing.T) {
 					return b2.CallNamed("loop", fir.V("i2"))
 				}()))
 		main := fir.Fn("main", nil, fir.NewBuilder().CallNamed("loop", fir.I(0)))
-		p := NewProcess(fir.NewProgram("main", main, loop), Config{Fuel: 1_000_000})
+		p := NewProcess(fir.NewProgram("main", main, loop), nil, rt.Config{Fuel: 1_000_000})
 		if err := p.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +461,7 @@ func TestSchedulerRunsProcessesToCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range []*Process{p1, p2, p3} {
-		if p.Status() != StatusHalted {
+		if p.Status() != rt.StatusHalted {
 			t.Fatalf("process %d status = %s", i, p.Status())
 		}
 	}
@@ -478,27 +478,27 @@ func TestRandIntDeterministic(t *testing.T) {
 	b.Let("code", fir.TyInt, fir.OpAdd, fir.V("s"), fir.V("r2"))
 	main := fir.Fn("main", nil, b.Halt(fir.V("code")))
 	p := fir.NewProgram("main", main)
-	a, _ := runProgram(t, p, Config{Seed: 42})
-	c, _ := runProgram(t, p, Config{Seed: 42})
+	a, _ := runProgram(t, p, rt.Config{Seed: 42})
+	c, _ := runProgram(t, p, rt.Config{Seed: 42})
 	if a.HaltCode() != c.HaltCode() {
 		t.Fatalf("same seed produced %d and %d", a.HaltCode(), c.HaltCode())
 	}
-	d, _ := runProgram(t, p, Config{Seed: 43})
+	d, _ := runProgram(t, p, rt.Config{Seed: 43})
 	if a.HaltCode() == d.HaltCode() {
 		t.Fatalf("different seeds produced identical stream %d", a.HaltCode())
 	}
 }
 
 func TestStatusString(t *testing.T) {
-	for st, want := range map[Status]string{
-		StatusReady: "ready", StatusRunning: "running", StatusHalted: "halted",
-		StatusMigrated: "migrated", StatusSuspended: "suspended", StatusFailed: "failed",
+	for st, want := range map[rt.Status]string{
+		rt.StatusReady: "ready", rt.StatusRunning: "running", rt.StatusHalted: "halted",
+		rt.StatusMigrated: "migrated", rt.StatusSuspended: "suspended", rt.StatusFailed: "failed",
 	} {
 		if st.String() != want {
 			t.Errorf("Status(%d).String() = %q, want %q", int(st), st, want)
 		}
 	}
-	if !strings.Contains(Status(99).String(), "99") {
+	if !strings.Contains(rt.Status(99).String(), "99") {
 		t.Error("unknown status should include its number")
 	}
 }

@@ -123,7 +123,7 @@ func Main(argv []string, prog, defaultApp string, stdout, stderr io.Writer) int 
 	fs.IntVar(&opt.params.Workers, "workers", 0, "concurrently executing node quanta (0 = unbounded)")
 	fs.StringVar(&opt.params.Ckpt, "ckpt", "", `checkpoint pipeline mode: "full" (default), "delta", or "async"`)
 	fs.IntVar(&opt.params.CkptK, "ckptk", 0, "force a full image every K delta checkpoints (0 = pipeline default)")
-	fs.StringVar(&opt.params.Engine, "engine", "", `execution engine: "vm" (slot-resolved interpreter, default), "risc" (compiled RISC simulator), or "jit" (threaded code with fused superinstructions); see -list`)
+	fs.StringVar(&opt.params.Engine, "engine", "", "execution engine: "+engine.Usage())
 	fs.Var(&opt.fails, "fail", `inject a failure: "node@checkpoints[@delay]", e.g. "1@2" (repeatable)`)
 	fs.StringVar(&opt.script, "script", "", "fault-scenario script file (fail/storekill/partition/crashresurrect lines; see README)")
 	fs.DurationVar(&opt.timeout, "timeout", 2*time.Minute, "run timeout")

@@ -58,8 +58,8 @@ type Params struct {
 	CkptK int
 	// Engine names the execution engine node processes run on: any name
 	// engine.Names() lists — "vm" (slot-resolved interpreter; also what ""
-	// selects), "risc" (compiled RISC simulator) or "jit" (threaded
-	// code). Results are bit-identical on every engine.
+	// selects) or "jit" (threaded code). Results are bit-identical on
+	// either engine.
 	Engine string
 }
 
