@@ -573,35 +573,3 @@ func BenchmarkGCCompactionLocality(b *testing.B) {
 		b.ReportMetric(score, "locality-gap")
 	})
 }
-
-// ---------------------------------------------------------------------------
-// A5 — the FIR optimizer's effect on the grid program: interpreter steps,
-// optimized vs. unoptimized.
-
-func BenchmarkOptimizerEffect(b *testing.B) {
-	run := func(b *testing.B, optimize bool) {
-		prog, err := lang.Compile(grid.Source, grid.ExternSigs())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if optimize {
-			fir.Optimize(prog)
-		}
-		p := grid.Params{Nodes: 1, RowsPerNode: 4, Cols: 8, Steps: 8, CheckpointInterval: 4}
-		var steps uint64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := grid.RunProgram(prog, p, nil, time.Minute)
-			if err != nil {
-				b.Fatal(err)
-			}
-			want := grid.Reference(p)
-			if res.Checksums[0] != want[0] {
-				b.Fatalf("checksum %d, want %d", res.Checksums[0], want[0])
-			}
-			steps += uint64(res.Elapsed.Nanoseconds())
-		}
-	}
-	b.Run("plain", func(b *testing.B) { run(b, false) })
-	b.Run("optimized", func(b *testing.B) { run(b, true) })
-}

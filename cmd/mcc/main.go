@@ -8,12 +8,11 @@
 //
 //	-run            execute after compiling (default true)
 //	-engine NAME    execution engine (see -help for the registered ones)
-//	-emit fir       also print the FIR
+//	-emit fir       also print the FIR the engines run (optimised)
 //	-arg N          append a process argument (repeatable)
 //	-fuel N         step budget (0 = unlimited)
 //	-trap           roll back the innermost speculation on runtime errors
 //	-store DIR      directory for checkpoint:// and suspend:// targets
-//	-O              run the FIR optimizer
 //	-lang NAME      source language: mojc (default) or pascal
 package main
 
@@ -47,11 +46,10 @@ func main() {
 	var (
 		run     = flag.Bool("run", true, "execute the program after compiling")
 		engSel  = flag.String("engine", "", "execution engine: "+engine.Usage())
-		emit    = flag.String("emit", "", "print intermediate form: fir")
+		emit    = flag.String("emit", "", "print intermediate form: fir (the optimised FIR the engines run)")
 		fuel    = flag.Uint64("fuel", 0, "step budget (0 = unlimited)")
 		trap    = flag.Bool("trap", false, "auto-rollback speculations on runtime errors")
 		store   = flag.String("store", "", "checkpoint directory for migrate()/checkpoint:// targets")
-		optim   = flag.Bool("O", false, "run the FIR optimizer")
 		langSel = flag.String("lang", "", "source language: mojc or pascal (default: by extension, .pas = pascal)")
 		args    intList
 	)
@@ -87,12 +85,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *optim {
-		st := prog.Optimize()
-		fmt.Fprintf(os.Stderr, "mcc: optimizer folded %d, propagated %d, removed %d dead, folded %d branches\n",
-			st.Folded, st.CopiesProp, st.DeadLets, st.IfsFolded)
-	}
-
 	switch *emit {
 	case "":
 	case "fir":

@@ -5,8 +5,9 @@
 // exit status and the same halt code. The paper's migration story (§3,
 // §4.2) depends on exactly this property: a process may hop between
 // heterogeneous nodes mid-run, so the engines cannot be allowed to
-// drift. Each program is additionally run through the FIR optimizer and
-// re-checked, giving four executions per program that must all agree.
+// drift. The programs run as compiled — lowered, optimised and checked;
+// internal/lang's optimiser oracle compares them with their unoptimised
+// lowering.
 package conformance
 
 import (
@@ -76,38 +77,20 @@ func TestBackendsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			opt, err := core.Compile(src, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt.Optimize()
 
-			type variant struct {
-				label  string
-				prog   *core.Program
-				engine string
-			}
-			variants := []variant{
-				{"vm", prog, "vm"},
-				{"jit", prog, "jit"},
-				{"vm+opt", opt, "vm"},
-				{"jit+opt", opt, "jit"},
-			}
-			baseSt, baseHalt, baseOut := run(t, variants[0].prog, variants[0].engine, variants[0].label)
+			baseSt, baseHalt, baseOut := run(t, prog, "vm", "vm")
 			if baseSt != rt.StatusHalted {
 				t.Fatalf("vm: status = %s, want halted", baseSt)
 			}
-			for _, v := range variants[1:] {
-				st, halt, out := run(t, v.prog, v.engine, v.label)
-				if st != baseSt {
-					t.Errorf("%s: status = %s, vm = %s", v.label, st, baseSt)
-				}
-				if halt != baseHalt {
-					t.Errorf("%s: halt = %d, vm = %d", v.label, halt, baseHalt)
-				}
-				if out != baseOut {
-					t.Errorf("%s: output diverged\n%s: %q\nvm:   %q", v.label, v.label, out, baseOut)
-				}
+			st, halt, out := run(t, prog, "jit", "jit")
+			if st != baseSt {
+				t.Errorf("jit: status = %s, vm = %s", st, baseSt)
+			}
+			if halt != baseHalt {
+				t.Errorf("jit: halt = %d, vm = %d", halt, baseHalt)
+			}
+			if out != baseOut {
+				t.Errorf("jit: output diverged\njit: %q\nvm:  %q", out, baseOut)
 			}
 		})
 	}

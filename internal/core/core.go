@@ -65,10 +65,6 @@ func CompilePascal(src string, extra map[string]fir.ExternSig) (*Program, error)
 	return &Program{FIR: p}, nil
 }
 
-// Optimize runs the FIR optimization pass (constant folding, copy
-// propagation, branch folding, dead-binding elimination) in place.
-func (p *Program) Optimize() fir.OptStats { return fir.Optimize(p.FIR) }
-
 // Encode serializes the program in the canonical migration format.
 func (p *Program) Encode() []byte { return fir.EncodeProgram(p.FIR) }
 

@@ -2,7 +2,6 @@ package fir
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 )
 
@@ -62,24 +61,26 @@ func Check(p *Program, externs map[string]ExternSig) error {
 		return &CheckError{Fn: entry.Name, Msg: "entry function must take no parameters"}
 	}
 	// One environment serves every function: nothing keeps it once a
-	// body is checked (If branches work on clones), and a lowered program
-	// is hundreds of small continuation functions.
-	env := make(map[string]Type)
+	// body is checked, and a lowered program is hundreds of small
+	// continuation functions.
+	c := &checker{prog: p, externs: externs, env: make(map[string]Type)}
 	for _, f := range p.Funcs {
-		c := &checker{prog: p, externs: externs, fn: f.Name}
-		clear(env)
+		c.fn = f.Name
 		for _, prm := range f.Params {
 			if prm.Name == "" {
 				return &CheckError{Fn: f.Name, Msg: "parameter with empty name"}
 			}
-			if _, dup := env[prm.Name]; dup {
+			if _, dup := c.env[prm.Name]; dup {
 				return &CheckError{Fn: f.Name, Msg: fmt.Sprintf("duplicate parameter %q", prm.Name)}
 			}
-			env[prm.Name] = prm.Type
+			c.bind(prm.Name, prm.Type)
 		}
-		if err := c.expr(f.Body, env); err != nil {
+		if err := c.expr(f.Body); err != nil {
 			return err
 		}
+		// Emptied binding by binding: clearing the map would cost its
+		// capacity per function.
+		c.undoTo(0)
 	}
 	return nil
 }
@@ -88,6 +89,36 @@ type checker struct {
 	prog    *Program
 	externs map[string]ExternSig
 	fn      string
+	env     map[string]Type
+	undo    []typeUndo // env changes, undone at the end of an If's then arm and of a function
+}
+
+// typeUndo restores one env entry when an If's then arm is done.
+type typeUndo struct {
+	name string
+	had  bool
+	prev Type
+}
+
+// bind extends env along the current path. Within a chain there are no
+// forks; sibling If arms are kept apart by undoing the then arm's
+// bindings before the else arm — copying env per branch instead made
+// checking allocate per If.
+func (c *checker) bind(name string, t Type) {
+	prev, had := c.env[name]
+	c.undo = append(c.undo, typeUndo{name: name, had: had, prev: prev})
+	c.env[name] = t
+}
+
+func (c *checker) undoTo(mark int) {
+	for i := len(c.undo) - 1; i >= mark; i-- {
+		if u := c.undo[i]; u.had {
+			c.env[u.name] = u.prev
+		} else {
+			delete(c.env, u.name)
+		}
+	}
+	c.undo = c.undo[:mark]
 }
 
 func (c *checker) errf(format string, args ...any) error {
@@ -95,10 +126,10 @@ func (c *checker) errf(format string, args ...any) error {
 }
 
 // atom returns the type of an atom under env.
-func (c *checker) atom(a Atom, env map[string]Type) (Type, error) {
+func (c *checker) atom(a Atom) (Type, error) {
 	switch a := a.(type) {
 	case Var:
-		t, ok := env[a.Name]
+		t, ok := c.env[a.Name]
 		if !ok {
 			return Type{}, c.errf("unbound variable %q", a.Name)
 		}
@@ -122,8 +153,8 @@ func (c *checker) atom(a Atom, env map[string]Type) (Type, error) {
 	}
 }
 
-func (c *checker) want(a Atom, env map[string]Type, want Type, ctx string) error {
-	t, err := c.atom(a, env)
+func (c *checker) want(a Atom, want Type, ctx string) error {
+	t, err := c.atom(a)
 	if err != nil {
 		return err
 	}
@@ -135,40 +166,72 @@ func (c *checker) want(a Atom, env map[string]Type, want Type, ctx string) error
 
 // callable checks that fn is a function atom whose parameters accept args
 // (optionally with extra leading parameter types, used by speculate's c).
-func (c *checker) callable(fn Atom, args []Atom, env map[string]Type, lead []Type, ctx string) error {
-	ft, err := c.atom(fn, env)
-	if err != nil {
-		return err
-	}
-	if ft.Kind != KindFun {
-		return c.errf("%s: callee has type %s, want a function", ctx, ft)
-	}
-	want := ft.Params
-	if len(want) != len(lead)+len(args) {
-		return c.errf("%s: callee takes %d arguments, given %d", ctx, len(want), len(lead)+len(args))
-	}
-	for i, lt := range lead {
-		if !want[i].Equal(lt) {
-			return c.errf("%s: implicit argument %d has type %s, callee wants %s", ctx, i, lt, want[i])
+func (c *checker) callable(fn Atom, args []Atom, lead *Type, ctx string) error {
+	// A direct callee's parameters are read in place: building its
+	// function type would allocate per call site.
+	var sig calleeSig
+	if fl, ok := fn.(FunLit); ok {
+		if sig.fn, _ = c.prog.Lookup(fl.Name); sig.fn == nil {
+			return c.errf("reference to undefined function %q", fl.Name)
 		}
-	}
-	for i, a := range args {
-		at, err := c.atom(a, env)
+	} else {
+		ft, err := c.atom(fn)
 		if err != nil {
 			return err
 		}
-		if !want[len(lead)+i].Equal(at) {
-			return c.errf("%s: argument %d has type %s, callee wants %s", ctx, i, at, want[len(lead)+i])
+		if ft.Kind != KindFun {
+			return c.errf("%s: callee has type %s, want a function", ctx, ft)
+		}
+		sig.typ = ft
+	}
+	nlead := 0
+	if lead != nil {
+		nlead = 1
+	}
+	if n := sig.arity(); n != nlead+len(args) {
+		return c.errf("%s: callee takes %d arguments, given %d", ctx, n, nlead+len(args))
+	}
+	if lead != nil && !sig.param(0).Equal(*lead) {
+		return c.errf("%s: implicit argument %d has type %s, callee wants %s", ctx, 0, *lead, sig.param(0))
+	}
+	for i, a := range args {
+		at, err := c.atom(a)
+		if err != nil {
+			return err
+		}
+		if want := sig.param(nlead + i); !want.Equal(at) {
+			return c.errf("%s: argument %d has type %s, callee wants %s", ctx, i, at, want)
 		}
 	}
 	return nil
 }
 
-func (c *checker) expr(e Expr, env map[string]Type) error {
+// calleeSig is a call target's parameter list: a direct callee's, or a
+// function-typed value's.
+type calleeSig struct {
+	fn  *Function
+	typ Type
+}
+
+func (s calleeSig) arity() int {
+	if s.fn != nil {
+		return len(s.fn.Params)
+	}
+	return len(s.typ.Params)
+}
+
+func (s calleeSig) param(i int) Type {
+	if s.fn != nil {
+		return s.fn.Params[i].Type
+	}
+	return s.typ.Params[i]
+}
+
+func (c *checker) expr(e Expr) error {
 	for {
 		switch e2 := e.(type) {
 		case Let:
-			sig, ok := opSigs[e2.Op]
+			sig, ok := sigOf(e2.Op)
 			if !ok {
 				return c.errf("unknown operator %v", e2.Op)
 			}
@@ -177,7 +240,7 @@ func (c *checker) expr(e Expr, env map[string]Type) error {
 			}
 			var moveType Type
 			for i, wt := range sig.args {
-				at, err := c.atom(e2.Args[i], env)
+				at, err := c.atom(e2.Args[i])
 				if err != nil {
 					return err
 				}
@@ -216,7 +279,7 @@ func (c *checker) expr(e Expr, env map[string]Type) error {
 			if !rt.Equal(e2.DstType) {
 				return c.errf("let %s: operator %s yields %s, binding declares %s", e2.Dst, e2.Op, rt, e2.DstType)
 			}
-			env = extend(env, e2.Dst, rt)
+			c.bind(e2.Dst, rt)
 			e = e2.Body
 
 		case Extern:
@@ -231,7 +294,7 @@ func (c *checker) expr(e Expr, env map[string]Type) error {
 				return c.errf("extern %q takes %d arguments, given %d", e2.Name, len(sig.Args), len(e2.Args))
 			}
 			for i, wt := range sig.Args {
-				if err := c.want(e2.Args[i], env, wt, fmt.Sprintf("extern %q argument %d", e2.Name, i)); err != nil {
+				if err := c.want(e2.Args[i], wt, fmt.Sprintf("extern %q argument %d", e2.Name, i)); err != nil {
 					return err
 				}
 			}
@@ -241,54 +304,55 @@ func (c *checker) expr(e Expr, env map[string]Type) error {
 			if !sig.Result.Equal(e2.DstType) {
 				return c.errf("extern %q yields %s, binding declares %s", e2.Name, sig.Result, e2.DstType)
 			}
-			env = extend(env, e2.Dst, sig.Result)
+			c.bind(e2.Dst, sig.Result)
 			e = e2.Body
 
 		case If:
-			if err := c.want(e2.Cond, env, TyInt, "if condition"); err != nil {
+			if err := c.want(e2.Cond, TyInt, "if condition"); err != nil {
 				return err
 			}
-			// The then branch gets a clone so its bindings stay invisible
-			// to the else branch; extend can then mutate in place.
-			if err := c.expr(e2.Then, maps.Clone(env)); err != nil {
+			// The then arm's bindings are undone before the else arm.
+			mark := len(c.undo)
+			if err := c.expr(e2.Then); err != nil {
 				return err
 			}
+			c.undoTo(mark)
 			e = e2.Else
 
 		case Call:
-			return c.callable(e2.Fn, e2.Args, env, nil, "tail call")
+			return c.callable(e2.Fn, e2.Args, nil, "tail call")
 
 		case Halt:
-			return c.want(e2.Code, env, TyInt, "halt code")
+			return c.want(e2.Code, TyInt, "halt code")
 
 		case Migrate:
 			if e2.Label < 0 {
 				return c.errf("migrate label %d must be non-negative", e2.Label)
 			}
-			if err := c.want(e2.Target, env, TyPtr, "migrate target"); err != nil {
+			if err := c.want(e2.Target, TyPtr, "migrate target"); err != nil {
 				return err
 			}
-			if err := c.want(e2.TargetOff, env, TyInt, "migrate target offset"); err != nil {
+			if err := c.want(e2.TargetOff, TyInt, "migrate target offset"); err != nil {
 				return err
 			}
-			return c.callable(e2.Fn, e2.Args, env, nil, "migrate continuation")
+			return c.callable(e2.Fn, e2.Args, nil, "migrate continuation")
 
 		case Speculate:
 			// The continuation receives the speculation status c as an
 			// implicit leading int argument (§4.3.1).
-			return c.callable(e2.Fn, e2.Args, env, []Type{TyInt}, "speculate continuation")
+			return c.callable(e2.Fn, e2.Args, &TyInt, "speculate continuation")
 
 		case Commit:
-			if err := c.want(e2.Level, env, TyInt, "commit level"); err != nil {
+			if err := c.want(e2.Level, TyInt, "commit level"); err != nil {
 				return err
 			}
-			return c.callable(e2.Fn, e2.Args, env, nil, "commit continuation")
+			return c.callable(e2.Fn, e2.Args, nil, "commit continuation")
 
 		case Rollback:
-			if err := c.want(e2.Level, env, TyInt, "rollback level"); err != nil {
+			if err := c.want(e2.Level, TyInt, "rollback level"); err != nil {
 				return err
 			}
-			return c.want(e2.C, env, TyInt, "rollback c")
+			return c.want(e2.C, TyInt, "rollback c")
 
 		case nil:
 			return c.errf("nil expression (missing control transfer)")
@@ -297,14 +361,6 @@ func (c *checker) expr(e Expr, env map[string]Type) error {
 			return c.errf("unknown expression %T", e2)
 		}
 	}
-}
-
-func extend(env map[string]Type, name string, t Type) map[string]Type {
-	// In-place extension: along a CPS chain there are no forks, so no copy
-	// is needed — sibling If branches are kept independent by the clone at
-	// the branch point. Copying here instead made checking O(bindings²).
-	env[name] = t
-	return env
 }
 
 func externNames(externs map[string]ExternSig) string {

@@ -104,7 +104,8 @@ var (
 	tUnit  = &TyUnit
 )
 
-var opSigs = map[Op]opSig{
+// opSigs is indexed by Op; see sigOf.
+var opSigs = [...]opSig{
 	OpAdd: {[]*Type{tInt, tInt}, tInt},
 	OpSub: {[]*Type{tInt, tInt}, tInt},
 	OpMul: {[]*Type{tInt, tInt}, tInt},
@@ -153,4 +154,13 @@ var opSigs = map[Op]opSig{
 	OpPtrIsNil: {[]*Type{tPtr}, tInt},
 
 	OpMove: {[]*Type{nil}, nil},
+}
+
+// sigOf returns op's signature; ok is false for an unknown operator (every
+// known one has a non-nil argument list).
+func sigOf(op Op) (sig opSig, ok bool) {
+	if int(op) < len(opSigs) {
+		sig = opSigs[op]
+	}
+	return sig, sig.args != nil
 }

@@ -1,6 +1,7 @@
 package fir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -95,5 +96,190 @@ func TestOptimizeBranchEnvIsolation(t *testing.T) {
 	}
 	if err := Check(p, nil); err != nil {
 		t.Fatalf("Check after optimize: %v", err)
+	}
+}
+
+// optimized runs Optimize over p, requires the result to pass Check and
+// returns the stats and the printed program.
+func optimized(t *testing.T, p *Program) (OptStats, string) {
+	t.Helper()
+	st := Optimize(p)
+	if err := Check(p, nil); err != nil {
+		t.Fatalf("optimized program fails Check: %v\n%s", err, Format(p))
+	}
+	return st, Format(p)
+}
+
+func TestCSEMergesPureOpsButNotLoads(t *testing.T) {
+	b := NewBuilder()
+	b.Let("p", TyPtr, OpAlloc, I(2))
+	b.Let("x", TyInt, OpLoad, V("p"), I(1))
+	b.Let("a", TyInt, OpAdd, V("x"), I(1))
+	b.Let("a2", TyInt, OpAdd, I(1), V("x")) // the same sum, operands swapped
+	b.Let("l1", TyInt, OpLoad, V("p"), I(0))
+	b.Let("u", TyUnit, OpStore, V("p"), I(0), V("a"))
+	b.Let("l2", TyInt, OpLoad, V("p"), I(0)) // reads what the store wrote
+	b.Let("s1", TyInt, OpAdd, V("a"), V("a2"))
+	b.Let("s2", TyInt, OpAdd, V("l1"), V("l2"))
+	b.Let("r", TyInt, OpAdd, V("s1"), V("s2"))
+	st, out := optimized(t, NewProgram("main", Fn("main", nil, b.Halt(V("r")))))
+	if st.CSE != 1 || strings.Contains(out, "a2") {
+		t.Errorf("CSE = %d, want the swapped add merged:\n%s", st.CSE, out)
+	}
+	if n := strings.Count(out, "load(p, 0)"); n != 2 {
+		t.Errorf("%d loads of p[0] left, want both (a store sits between them):\n%s", n, out)
+	}
+}
+
+func TestCSEStaysInsideIfArms(t *testing.T) {
+	arms := func(pre bool) string {
+		b := NewBuilder()
+		b.Let("p", TyPtr, OpAlloc, I(2))
+		b.Let("x", TyInt, OpLoad, V("p"), I(0))
+		b.Let("c", TyInt, OpLoad, V("p"), I(1))
+		if pre {
+			b.Let("d", TyInt, OpMul, V("x"), I(3))
+			b.Let("u", TyUnit, OpStore, V("p"), I(0), V("d"))
+		}
+		tb := NewBuilder()
+		tb.Let("a", TyInt, OpMul, V("x"), I(3))
+		eb := NewBuilder()
+		eb.Let("e", TyInt, OpMul, V("x"), I(3))
+		eb.Let("e2", TyInt, OpAdd, V("e"), I(1))
+		body := b.If(V("c"), tb.Halt(V("a")), eb.Halt(V("e2")))
+		_, out := optimized(t, NewProgram("main", Fn("main", nil, body)))
+		return out
+	}
+	// A product computed in one arm is not available in the other.
+	if out := arms(false); strings.Count(out, "mul(") != 2 {
+		t.Errorf("a binding leaked from one If arm into the other:\n%s", out)
+	}
+	// One computed before the If dominates both arms.
+	if out := arms(true); strings.Count(out, "mul(") != 1 {
+		t.Errorf("the dominating product was not reused in the arms:\n%s", out)
+	}
+}
+
+// invariantLoop is main → loop(i, n, d, s): each iteration adds n*3, and
+// from the fourth on also 100/d. Both n*3 and 100/d are loop-invariant;
+// only the first cannot trap. Hoisting spends only bytes the other passes
+// saved, so main carries dead bindings to pay for it.
+func invariantLoop() *Program {
+	b := NewBuilder()
+	b.Let("p", TyPtr, OpAlloc, I(2))
+	b.Let("n", TyInt, OpLoad, V("p"), I(0))
+	b.Let("d", TyInt, OpLoad, V("p"), I(1))
+	for _, dead := range []string{"unused_a", "unused_b", "unused_c", "unused_d"} {
+		b.Let(dead, TyInt, OpAdd, V("n"), V("d"))
+	}
+	main := Fn("main", nil, b.CallNamed("loop", I(0), V("n"), V("d"), I(0)))
+
+	guarded := NewBuilder()
+	guarded.Let("q", TyInt, OpDiv, I(100), V("d"))
+	guarded.Let("m", TyInt, OpMul, V("n"), I(3))
+	guarded.Let("s1", TyInt, OpAdd, V("s"), V("q"))
+	guarded.Let("s2", TyInt, OpAdd, V("s1"), V("m"))
+	guarded.Let("i1", TyInt, OpAdd, V("i"), I(1))
+	plain := NewBuilder()
+	plain.Let("m2", TyInt, OpMul, V("n"), I(3))
+	plain.Let("s3", TyInt, OpAdd, V("s"), V("m2"))
+	plain.Let("i2", TyInt, OpAdd, V("i"), I(1))
+	inner := NewBuilder()
+	inner.Let("g", TyInt, OpGt, V("i"), I(2))
+	step := inner.If(V("g"),
+		guarded.CallNamed("loop", V("i1"), V("n"), V("d"), V("s2")),
+		plain.CallNamed("loop", V("i2"), V("n"), V("d"), V("s3")))
+	lb := NewBuilder()
+	lb.Let("c", TyInt, OpLt, V("i"), V("n"))
+	loop := Fn("loop", Ps("i", TyInt, "n", TyInt, "d", TyInt, "s", TyInt),
+		lb.If(V("c"), step, Halt{Code: V("s")}))
+	return NewProgram("main", main, loop)
+}
+
+func TestHoistingKeepsGuardedDivInPlace(t *testing.T) {
+	p := invariantLoop()
+	st, out := optimized(t, p)
+	if st.Hoisted == 0 {
+		t.Fatalf("n*3 was not hoisted:\n%s", out)
+	}
+	main, _ := p.Lookup("main")
+	loop, _ := p.Lookup("loop")
+	if s := Format(NewProgram("main", main)); !strings.Contains(s, "mul(") || strings.Contains(s, "div(") {
+		t.Errorf("main should compute n*3 and nothing that can trap:\n%s", out)
+	}
+	if s := Format(NewProgram("loop", loop)); strings.Count(s, "div(") != 1 || strings.Contains(s, "mul(") {
+		t.Errorf("the loop should keep its guarded div and lose its products:\n%s", out)
+	}
+}
+
+func TestDeadParamsSkipSpeculateContinuation(t *testing.T) {
+	b := NewBuilder()
+	b.Let("p", TyPtr, OpAlloc, I(1))
+	main := Fn("main", nil, b.Speculate("k", V("p"), I(7)))
+	// k never reads unused, but the runtime enters it: its signature stays.
+	k := Fn("k", Ps("c", TyInt, "p", TyPtr, "unused", TyInt),
+		NewBuilder().CallNamed("h", V("p"), V("c"), I(9)))
+	// h is only ever called directly, so junk goes.
+	hb := NewBuilder()
+	hb.Let("x", TyInt, OpLoad, V("p"), I(0))
+	hb.Let("y", TyInt, OpAdd, V("x"), V("c"))
+	h := Fn("h", Ps("p", TyPtr, "c", TyInt, "junk", TyInt), hb.Halt(V("y")))
+	p := NewProgram("main", main, k, h)
+	st, out := optimized(t, p)
+	if st.DeadParams != 1 {
+		t.Errorf("DeadParams = %d, want 1:\n%s", st.DeadParams, out)
+	}
+	if f, _ := p.Lookup("k"); f == nil || len(f.Params) != 3 {
+		t.Errorf("the speculate continuation lost parameters:\n%s", out)
+	}
+	if f, _ := p.Lookup("h"); f == nil || len(f.Params) != 2 {
+		t.Errorf("h kept its dead parameter:\n%s", out)
+	}
+}
+
+// callers returns main calling the tiny function f once per site, each
+// with an argument of its own; f does four pure operations and halts.
+func callers(sites int) *Program {
+	b := NewBuilder()
+	b.Let("p", TyPtr, OpAlloc, I(int64(sites)))
+	var calls []Expr
+	for i := 0; i < sites; i++ {
+		v := fmt.Sprintf("v%d", i)
+		b.Let(v, TyInt, OpLoad, V("p"), I(int64(i)))
+		calls = append(calls, Call{Fn: FunLit{Name: "f"}, Args: []Atom{V(v)}})
+	}
+	body := calls[len(calls)-1]
+	for i := len(calls) - 2; i >= 0; i-- {
+		c := fmt.Sprintf("c%d", i)
+		body = Let{Dst: c, DstType: TyInt, Op: OpLt, Args: []Atom{V(fmt.Sprintf("v%d", i)), I(5)},
+			Body: If{Cond: V(c), Then: calls[i], Else: body}}
+	}
+	main := Fn("main", nil, b.finish(body))
+	fb := NewBuilder()
+	fb.Let("x1", TyInt, OpAdd, V("a"), I(1))
+	fb.Let("x2", TyInt, OpMul, V("x1"), I(3))
+	fb.Let("x3", TyInt, OpSub, V("x2"), I(7))
+	fb.Let("x4", TyInt, OpXor, V("x3"), I(5))
+	f := Fn("f", Ps("a", TyInt), fb.Halt(V("x4")))
+	return NewProgram("main", main, f)
+}
+
+func TestInliningNeverGrowsTheProgram(t *testing.T) {
+	// One site: f's body replaces the call and f itself goes.
+	p := callers(1)
+	before := len(EncodeProgram(p))
+	st, out := optimized(t, p)
+	if st.Inlined != 1 || st.DeadFuncs != 1 || len(EncodeProgram(p)) > before {
+		t.Errorf("single-site tiny function not inlined (%+v):\n%s", st, out)
+	}
+	// Three sites: three copies of f's body outweigh f.
+	p = callers(3)
+	before = len(EncodeProgram(p))
+	st, out = optimized(t, p)
+	if st.Inlined != 0 || len(p.Funcs) != 2 {
+		t.Errorf("inlining grew the program (%+v):\n%s", st, out)
+	}
+	if after := len(EncodeProgram(p)); after > before {
+		t.Errorf("program grew from %d to %d bytes", before, after)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/workload"
 )
 
 func params(nodes, rows, cols, steps, ck int) Params {
@@ -201,5 +203,35 @@ func TestReferenceDeterministic(t *testing.T) {
 func TestCheckpointNameDistinct(t *testing.T) {
 	if CheckpointName(0) == CheckpointName(1) {
 		t.Fatal("checkpoint names collide")
+	}
+}
+
+// TestStepBudgetPerCell pins what the FIR mid-end buys the grid: a
+// failure-free 4 × 32 × 32 run of 10 steps averages at most 37 engine
+// steps per cell update (83 before the optimiser ran on every compile),
+// and both engines count the same steps. A lowering or optimiser change
+// that gives the saving back fails here, not only in the benchmark.
+func TestStepBudgetPerCell(t *testing.T) {
+	p := params(4, 32, 32, 10, 5)
+	var steps [2]uint64
+	for i, eng := range []string{"vm", "jit"} {
+		wp := fromParams(p)
+		wp.Engine = eng
+		res, err := workload.RunVerified(W{}, wp, workload.RunConfig{Timeout: time.Minute})
+		if err != nil {
+			t.Fatalf("%s: %v", eng, err)
+		}
+		for _, n := range res.Nodes {
+			steps[i] += n.Steps
+		}
+	}
+	if steps[0] != steps[1] {
+		t.Fatalf("vm ran %d steps, jit %d", steps[0], steps[1])
+	}
+	cells := uint64(p.Nodes * p.RowsPerNode * p.Cols * p.Steps)
+	t.Logf("%d steps, %.1f per cell update", steps[0], float64(steps[0])/float64(cells))
+	if steps[0] > 37*cells {
+		t.Fatalf("%d steps for %d cell updates: %.1f per cell, budget 37",
+			steps[0], cells, float64(steps[0])/float64(cells))
 	}
 }

@@ -119,10 +119,19 @@ func (f *fnLower) exprs(list []Expr, ev *env, k func([]fir.Atom) fir.Expr) fir.E
 // gen receives a getter that resolves the temporary's current FIR name at
 // generation time.
 func (f *fnLower) protect(ev *env, ft fir.Type, a fir.Atom, gen func(get func() fir.Atom) fir.Expr) fir.Expr {
-	switch a.(type) {
+	switch a := a.(type) {
 	case fir.IntLit, fir.FloatLit, fir.FunLit, fir.UnitLit:
 		// Literals survive splits unchanged.
 		return gen(func() fir.Atom { return a })
+	case fir.Var:
+		// A variable's current value needs no temporary: expressions never
+		// assign, so after a split the binding's reloaded name holds the
+		// same value. A temporary would stay in the environment — in every
+		// continuation's parameters and closure — for the rest of the
+		// function.
+		if name, ok := ev.current(a.Name); ok {
+			return gen(func() fir.Atom { return fir.V(ev.find(name).fir) })
+		}
 	}
 	tmp := f.l.fresh("tmp")
 	name := tmp // unique, never collides with source names

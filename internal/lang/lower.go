@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/fir"
 )
@@ -58,7 +59,9 @@ type env struct {
 }
 
 func (e *env) clone() *env {
-	out := &env{vars: make([]binding, len(e.vars))}
+	// Room for the few bindings a continuation declares before its next
+	// split; without it the first declare copies the environment again.
+	out := &env{vars: make([]binding, len(e.vars), len(e.vars)+4)}
 	copy(out.vars, e.vars)
 	return out
 }
@@ -78,6 +81,17 @@ func (e *env) find(name string) *binding {
 		}
 	}
 	return nil
+}
+
+// current returns the source name of the binding whose current FIR name is
+// firName, when that binding is the one its name resolves to.
+func (e *env) current(firName string) (string, bool) {
+	for i := len(e.vars) - 1; i >= 0; i-- {
+		if e.vars[i].fir == firName {
+			return e.vars[i].name, e.find(e.vars[i].name) == &e.vars[i]
+		}
+	}
+	return "", false
 }
 
 func (e *env) mark() int     { return len(e.vars) }
@@ -116,7 +130,7 @@ func (l *lowerer) fresh(prefix string) string {
 	if len(prefix) > 0 && prefix[0] == '$' {
 		prefix = prefix[1:]
 	}
-	return fmt.Sprintf("$%s_%d", prefix, l.gen)
+	return "$" + prefix + "_" + strconv.Itoa(l.gen)
 }
 
 func (l *lowerer) emit(f *fir.Function) { l.out = append(l.out, f) }
@@ -217,7 +231,7 @@ func (f *fnLower) emitReturn(e *env, val fir.Atom) fir.Expr {
 func (f *fnLower) materialize(prefix string, e *env, lead []fir.Param, gen func(inner *env) fir.Expr) string {
 	name := f.l.fresh(prefix)
 	inner := e.clone()
-	params := append([]fir.Param{}, lead...)
+	params := append(make([]fir.Param, 0, len(lead)+len(inner.vars)), lead...)
 	for i := range inner.vars {
 		pn := f.l.fresh(inner.vars[i].name)
 		inner.vars[i].fir = pn

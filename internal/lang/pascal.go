@@ -40,18 +40,7 @@ func CompilePascal(src string, externs map[string]fir.ExternSig) (*fir.Program, 
 	if err != nil {
 		return nil, err
 	}
-	sm, err := analyze(ast, externs)
-	if err != nil {
-		return nil, err
-	}
-	p, err := lower(ast, sm)
-	if err != nil {
-		return nil, err
-	}
-	if err := fir.Check(p, externs); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return compile(ast, externs)
 }
 
 // Pascal lexer. Pascal is case-insensitive for keywords; we lowercase
