@@ -2,8 +2,10 @@
 // cluster runtime routes every checkpoint:// migrate through. It supports
 // three modes.
 //
-//	full  — the classic path: synchronous full image per checkpoint
-//	        (bit-identical to the pre-pipeline behaviour; the default).
+//	full  — the classic path: synchronous full image per checkpoint,
+//	        encoded straight from the heap arena while the node is
+//	        quiesced (byte-identical to encoding migrate.Pack's image;
+//	        the default).
 //	delta — synchronous incremental checkpoints: a full image opens a
 //	        chain, then each checkpoint writes only the heap blocks
 //	        dirtied since the previous one; a full image is forced every
@@ -30,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/heap"
 	"repro/internal/migrate"
 	"repro/internal/obs"
 	"repro/internal/rt"
@@ -79,10 +82,17 @@ func ParseMode(s string) (Mode, error) {
 // deltas so recovery never replays an unbounded chain.
 const DefaultK = 8
 
-// imgBufPool recycles full-image encode buffers across checkpoint
-// intervals (Checkpoint may run concurrently for different nodes, so
-// the scratch cannot live on the Committer itself).
-var imgBufPool = sync.Pool{New: func() any { return new([]byte) }}
+// fullScratch is a full-mode checkpoint's encode buffer and heap view.
+// Both are recycled across intervals through fullPool (Checkpoint may run
+// concurrently for different nodes, so the scratch cannot live on the
+// Committer itself): migrate.Store forbids Put from retaining the bytes,
+// and every interval writes an image of roughly the same size.
+type fullScratch struct {
+	buf  []byte
+	view heap.Snapshot
+}
+
+var fullPool = sync.Pool{New: func() any { return new(fullScratch) }}
 
 // Options configures a Committer.
 type Options struct {
@@ -108,14 +118,22 @@ type Options struct {
 }
 
 // Stats counts pipeline activity. All times are cumulative nanoseconds.
+//
+// CaptureNs is the quiesced time before the store is touched and
+// CommitNs the store side. In full mode the image is encoded straight
+// from the heap while the node is quiesced, so CaptureNs is GC + encode,
+// CommitNs is the one Put, and PauseNs is their sum. In delta and async
+// modes CaptureNs is GC + the copying snapshot and CommitNs is encode +
+// member put + head publish; delta's PauseNs covers both, async's only
+// the capture (its commit runs in the background).
 type Stats struct {
 	Checkpoints   uint64 // checkpoints captured
 	Fulls         uint64 // full images among them
 	Deltas        uint64 // delta images among them
 	BytesWritten  uint64 // store bytes written (payloads + head refs)
 	PauseNs       uint64 // time the node was quiesced in the checkpoint path
-	CaptureNs     uint64 // GC + snapshot part of the pause
-	CommitNs      uint64 // encode + store-write time (background in async)
+	CaptureNs     uint64 // quiesced time before the store write (see above)
+	CommitNs      uint64 // store-side time (see above; background in async)
 	Aborted       uint64 // commits discarded because the owner failed first
 	Recoveries    uint64 // checkpoint restores observed
 	RecoveryNs    uint64 // chain fetch + unpack time
@@ -302,18 +320,18 @@ func (c *Committer) Checkpoint(req *rt.MigrationRequest, head string, owner int6
 	t0 := time.Now()
 
 	if c.opts.Mode == ModeFull {
-		img, err := migrate.Pack(req.Rt, req.Label, req.FnIndex, req.Args)
+		// The image is encoded straight from the heap into the recycled
+		// buffer: the node stays quiesced until Put returns, so nothing
+		// needs a copy of the heap to outlive the pause.
+		sc := fullPool.Get().(*fullScratch)
+		defer fullPool.Put(sc)
+		data, err := migrate.AppendPack(sc.buf[:0], &sc.view, req.Rt, req.Label, req.FnIndex, req.Args)
+		sc.view.Release()
+		sc.buf = data[:0]
 		if err != nil {
 			return err
 		}
 		capture := time.Since(t0)
-		// The encode buffer is recycled across intervals: migrate.Store
-		// forbids Put from retaining data, and every interval writes an
-		// image of roughly the same size under the same head name.
-		bufp := imgBufPool.Get().(*[]byte)
-		data := wire.AppendImage((*bufp)[:0], img)
-		*bufp = data[:0]
-		defer imgBufPool.Put(bufp)
 		if err := c.store.Put(head, data); err != nil {
 			return err
 		}

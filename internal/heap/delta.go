@@ -127,19 +127,12 @@ func (h *Heap) SnapshotDelta() *DeltaSnapshot {
 		copy(words, h.arena[e.Addr:e.Addr+e.Size])
 		d.Changed = append(d.Changed, EntrySnap{Idx: idx, Level: h.ordOf(e.Level), Words: words})
 	}
-	for _, lv := range h.levels {
-		ls := LevelSnap{}
-		for _, sh := range lv.shadows {
-			words := make([]Value, sh.OldSize)
-			copy(words, h.arena[sh.OldAddr:sh.OldAddr+sh.OldSize])
-			ls.Shadows = append(ls.Shadows, ShadowSnap{Idx: sh.Idx, OldLevel: h.ordOf(sh.OldLevel), Words: words})
+	d.Levels = h.viewLevels(nil)
+	for _, ls := range d.Levels {
+		for j := range ls.Shadows {
+			sh := &ls.Shadows[j]
+			sh.Words = append(make([]Value, 0, len(sh.Words)), sh.Words...)
 		}
-		for _, r := range lv.allocs {
-			if h.refValid(r) {
-				ls.Allocs = append(ls.Allocs, r.idx)
-			}
-		}
-		d.Levels = append(d.Levels, ls)
 	}
 
 	// The captured state is the next baseline; scratch and the dirty set

@@ -54,45 +54,115 @@ func (h *Heap) ordOf(id int64) int {
 	return 0
 }
 
-// Snapshot captures the current heap state. Callers normally run a major
-// collection first (the paper's pack operation begins with one), producing
-// a minimal image.
-func (h *Heap) Snapshot() *Snapshot {
-	s := &Snapshot{TableLen: len(h.table)}
-	live, total := 0, 0
+// View fills s with the heap's current state — the live entries, levels,
+// checkpoint records and in-level allocations Snapshot captures, with the
+// same level ordinals — without copying a block: every Words slice is a
+// window on the arena itself. s is therefore valid only until the heap
+// next changes (an allocation, store, collection or level operation),
+// and must be treated as read-only. s's slices keep their capacity across
+// calls, so a caller that views the heap every checkpoint interval
+// allocates nothing in steady state; Release drops the arena windows
+// before s is parked in a pool.
+func (h *Heap) View(s *Snapshot) {
+	s.TableLen = len(h.table)
+	live := 0
 	for i := range h.table {
 		if h.table[i].Addr >= 0 {
 			live++
-			total += h.table[i].Size
 		}
 	}
-	s.Entries = make([]EntrySnap, 0, live)
-	// One backing array for every entry's words; three-index slicing keeps
-	// the per-entry views from aliasing on append.
-	backing := make([]Value, 0, total)
+	if cap(s.Entries) < live {
+		s.Entries = make([]EntrySnap, 0, live)
+	}
+	s.Entries = s.Entries[:0]
 	for i := range h.table {
 		e := &h.table[i]
 		if e.Addr < 0 {
 			continue
 		}
-		lo := len(backing)
-		backing = append(backing, h.arena[e.Addr:e.Addr+e.Size]...)
-		words := backing[lo:len(backing):len(backing)]
-		s.Entries = append(s.Entries, EntrySnap{Idx: int64(i), Level: h.ordOf(e.Level), Words: words})
+		s.Entries = append(s.Entries, EntrySnap{Idx: int64(i), Level: h.ordOf(e.Level), Words: h.window(e.Addr, e.Size)})
 	}
-	for _, lv := range h.levels {
-		ls := LevelSnap{}
+	s.Levels = h.viewLevels(s.Levels)
+}
+
+// window returns the arena words [addr, addr+size) with the capacity
+// clipped, so an append to a view can never write into the arena.
+func (h *Heap) window(addr, size int) []Value {
+	return h.arena[addr : addr+size : addr+size]
+}
+
+// viewLevels fills dst (reusing its slices) with the open speculation
+// levels, outermost first; shadow words are arena windows.
+func (h *Heap) viewLevels(dst []LevelSnap) []LevelSnap {
+	n := len(h.levels)
+	if cap(dst) < n {
+		dst = append(dst[:cap(dst)], make([]LevelSnap, n-cap(dst))...)
+	}
+	dst = dst[:n]
+	for i := range h.levels {
+		lv, ls := &h.levels[i], &dst[i]
+		ls.Shadows, ls.Allocs = ls.Shadows[:0], ls.Allocs[:0]
 		for _, sh := range lv.shadows {
-			words := make([]Value, sh.OldSize)
-			copy(words, h.arena[sh.OldAddr:sh.OldAddr+sh.OldSize])
-			ls.Shadows = append(ls.Shadows, ShadowSnap{Idx: sh.Idx, OldLevel: h.ordOf(sh.OldLevel), Words: words})
+			ls.Shadows = append(ls.Shadows, ShadowSnap{Idx: sh.Idx, OldLevel: h.ordOf(sh.OldLevel), Words: h.window(sh.OldAddr, sh.OldSize)})
 		}
 		for _, r := range lv.allocs {
 			if h.refValid(r) {
 				ls.Allocs = append(ls.Allocs, r.idx)
 			}
 		}
-		s.Levels = append(s.Levels, ls)
+	}
+	return dst
+}
+
+// Release drops every arena window a View left in s, keeping the slices'
+// capacity for the next View, so a pooled view never pins the arena of a
+// heap that has since grown, compacted or been discarded.
+func (s *Snapshot) Release() {
+	clear(s.Entries[:cap(s.Entries)])
+	for i := range s.Levels[:cap(s.Levels)] {
+		ls := &s.Levels[i]
+		clear(ls.Shadows[:cap(ls.Shadows)])
+	}
+}
+
+// EntryWords returns the number of words in s's live blocks (checkpoint
+// records excluded): the heap size an image announces.
+func (s *Snapshot) EntryWords() int {
+	n := 0
+	for _, e := range s.Entries {
+		n += len(e.Words)
+	}
+	return n
+}
+
+// Snapshot captures the current heap state: View plus a copy of every
+// block, so the result stays valid while the heap moves on. Callers
+// normally run a major collection first (the paper's pack operation
+// begins with one), producing a minimal image.
+func (h *Heap) Snapshot() *Snapshot {
+	s := &Snapshot{}
+	h.View(s)
+	total := s.EntryWords()
+	for _, ls := range s.Levels {
+		for _, sh := range ls.Shadows {
+			total += len(sh.Words)
+		}
+	}
+	// One backing array for every copied block; three-index slicing keeps
+	// the per-block views from aliasing on append.
+	backing := make([]Value, 0, total)
+	own := func(words []Value) []Value {
+		lo := len(backing)
+		backing = append(backing, words...)
+		return backing[lo:len(backing):len(backing)]
+	}
+	for i := range s.Entries {
+		s.Entries[i].Words = own(s.Entries[i].Words)
+	}
+	for _, ls := range s.Levels {
+		for j := range ls.Shadows {
+			ls.Shadows[j].Words = own(ls.Shadows[j].Words)
+		}
 	}
 	return s
 }

@@ -31,46 +31,25 @@ func PackDelta(r rt.Runtime, label int, fnIdx int64, args []heap.Value, base str
 	if !h.DeltaReady() {
 		return nil, nil
 	}
-	env, err := h.Alloc(int64(len(args)) + 1)
+	code, err := prepare(r, label, fnIdx, args)
 	if err != nil {
-		return nil, fmt.Errorf("migrate: allocating migrate_env: %w", err)
-	}
-	r.Pin(env)
-	if err := h.Store(env, 0, heap.FunVal(fnIdx)); err != nil {
 		return nil, err
 	}
-	for i, a := range args {
-		if err := h.Store(env, int64(i)+1, a); err != nil {
-			return nil, err
-		}
-	}
-	h.CollectMajor()
 	delta := h.SnapshotDelta()
 	if delta == nil {
 		return nil, nil
 	}
-	words := 0
+	code.Program = nil // byte-identical to the chain base's program
+	code.TableLen = delta.TableLen
+	// HeapWords here is the delta's own payload, not the full heap: the
+	// rebuilt image's heap size comes from the snapshot itself.
 	for _, e := range delta.Changed {
-		words += len(e.Words)
-	}
-	procArgs := make([]int64, r.NArgs())
-	for i := range procArgs {
-		procArgs[i] = r.Arg(int64(i))
+		code.HeapWords += len(e.Words)
 	}
 	return &wire.DeltaImage{
-		Base: base,
-		Seq:  seq,
-		Code: wire.CodePart{
-			Name:     r.Name(),
-			Program:  nil, // byte-identical to the chain base's program
-			Label:    label,
-			EnvIndex: env.I,
-			TableLen: delta.TableLen,
-			// HeapWords here is the delta's own payload, not the full heap:
-			// the rebuilt image's heap size comes from the snapshot itself.
-			HeapWords: words,
-			Args:      procArgs,
-		},
+		Base:  base,
+		Seq:   seq,
+		Code:  code,
 		Delta: *delta,
 		// The continuation stack is small and not diffed; like the level
 		// structure it travels whole so a checkpoint taken with open

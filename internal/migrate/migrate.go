@@ -112,49 +112,67 @@ func encodedProgram(p *fir.Program) []byte {
 // image (§4.2.2). It stores the continuation function and live variables
 // into a freshly allocated migrate_env block (so that no state lives
 // outside the heap), runs a full garbage collection, and snapshots the
-// heap, pointer table and speculation continuations.
+// heap, pointer table and speculation continuations. The image is a deep
+// copy: it stays valid while the process runs on.
 func Pack(r rt.Runtime, label int, fnIdx int64, args []heap.Value) (*wire.Image, error) {
+	code, err := prepare(r, label, fnIdx, args)
+	if err != nil {
+		return nil, err
+	}
+	snap := r.Heap().Snapshot()
+	code.TableLen, code.HeapWords = snap.TableLen, snap.EntryWords()
+	return &wire.Image{Code: code, State: wire.StatePart{Heap: snap, Conts: r.Spec().Snapshot()}}, nil
+}
+
+// AppendPack appends to buf the checkpoint-file encoding of the image
+// Pack would capture — byte for byte wire.AppendImage(buf, Pack(...)) —
+// but encodes it straight from the heap arena through view (scratch the
+// caller recycles; heap.View), with no copy of the heap in between. The
+// process must not run until it returns. This is the synchronous
+// checkpoint path: the bytes are written out before the process resumes.
+func AppendPack(buf []byte, view *heap.Snapshot, r rt.Runtime, label int, fnIdx int64, args []heap.Value) ([]byte, error) {
+	code, err := prepare(r, label, fnIdx, args)
+	if err != nil {
+		return buf, err
+	}
+	r.Heap().View(view)
+	code.TableLen, code.HeapWords = view.TableLen, view.EntryWords()
+	img := wire.Image{Code: code, State: wire.StatePart{Heap: view, Conts: r.Spec().Snapshot()}}
+	return wire.AppendImage(buf, &img), nil
+}
+
+// prepare is the first half of pack: it stores the resume continuation
+// and live variables into a fresh, pinned migrate_env block, runs the
+// full collection, and returns the code part without the heap sizes
+// (the caller reads them off its snapshot or view).
+func prepare(r rt.Runtime, label int, fnIdx int64, args []heap.Value) (wire.CodePart, error) {
 	h := r.Heap()
 	env, err := h.Alloc(int64(len(args)) + 1)
 	if err != nil {
-		return nil, fmt.Errorf("migrate: allocating migrate_env: %w", err)
+		return wire.CodePart{}, fmt.Errorf("migrate: allocating migrate_env: %w", err)
 	}
 	r.Pin(env)
 	if err := h.Store(env, 0, heap.FunVal(fnIdx)); err != nil {
-		return nil, err
+		return wire.CodePart{}, err
 	}
 	for i, a := range args {
 		if err := h.Store(env, int64(i)+1, a); err != nil {
-			return nil, err
+			return wire.CodePart{}, err
 		}
 	}
 	// "The pack operation first performs garbage collection on the heap."
 	h.CollectMajor()
-	snap := h.Snapshot()
-	words := 0
-	for _, e := range snap.Entries {
-		words += len(e.Words)
-	}
 	procArgs := make([]int64, r.NArgs())
 	for i := range procArgs {
 		procArgs[i] = r.Arg(int64(i))
 	}
-	img := &wire.Image{
-		Code: wire.CodePart{
-			Name:      r.Name(),
-			Program:   encodedProgram(r.Program()),
-			Label:     label,
-			EnvIndex:  env.I,
-			TableLen:  snap.TableLen,
-			HeapWords: words,
-			Args:      procArgs,
-		},
-		State: wire.StatePart{
-			Heap:  snap,
-			Conts: r.Spec().Snapshot(),
-		},
-	}
-	return img, nil
+	return wire.CodePart{
+		Name:     r.Name(),
+		Program:  encodedProgram(r.Program()),
+		Label:    label,
+		EnvIndex: env.I,
+		Args:     procArgs,
+	}, nil
 }
 
 // Options configures Unpack.

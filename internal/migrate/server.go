@@ -329,8 +329,8 @@ func (s *Server) handle(raw net.Conn) {
 	}
 	trusted := mode[0] == modeBinary
 	if trusted && !s.cfg.AllowBinary {
-		_ = sendStatus(conn, errors.New("binary protocol not allowed"))
 		s.reject()
+		_ = sendStatus(conn, errors.New("binary protocol not allowed"))
 		return
 	}
 
@@ -340,8 +340,8 @@ func (s *Server) handle(raw net.Conn) {
 	}
 	code, err := wire.DecodeCode(codeBytes)
 	if err != nil {
-		_ = sendStatus(conn, err)
 		s.reject()
+		_ = sendStatus(conn, err)
 		return
 	}
 	// The unpack (verify + recompile) work happens once the state arrives;
@@ -357,8 +357,8 @@ func (s *Server) handle(raw net.Conn) {
 	}
 	state, err := wire.DecodeState(stateBytes)
 	if err != nil {
-		_ = sendStatus(conn, err)
 		s.reject()
+		_ = sendStatus(conn, err)
 		return
 	}
 
@@ -370,8 +370,8 @@ func (s *Server) handle(raw net.Conn) {
 		Config:  s.cfg.Config,
 	})
 	if err != nil {
-		_ = sendStatus(conn, err)
 		s.reject()
+		_ = sendStatus(conn, err)
 		return
 	}
 
@@ -400,6 +400,8 @@ func (s *Server) handle(raw net.Conn) {
 	_ = sendStatus(conn, nil)
 }
 
+// reject counts a refused transfer. Callers count before they send the
+// refusal, so a peer that has read it also finds it in Stats.
 func (s *Server) reject() {
 	s.mu.Lock()
 	s.stats.Rejected++

@@ -206,6 +206,59 @@ func TestStreamOverwrite(t *testing.T) {
 	}
 }
 
+// TestStreamGrowsToCap: a ring that starts small grows through several
+// doublings to a cap that is not a power of two, loses nothing on the
+// way, and from the cap on overwrites oldest-first exactly like a ring
+// allocated at full size, across a drain in the middle.
+func TestStreamGrowsToCap(t *testing.T) {
+	const capN = 100
+	tr := NewTracer(capN)
+	s := tr.Stream("node/0")
+	window := func() []Event {
+		t.Helper()
+		evs := tr.Snapshot()
+		for i := 1; i < len(evs); i++ {
+			if evs[i].Seq != evs[i-1].Seq+1 || evs[i].Step != evs[i].Seq {
+				t.Fatalf("window out of order at %d: %+v after %+v", i, evs[i], evs[i-1])
+			}
+		}
+		return evs
+	}
+	emit := func(n int) {
+		for i := 0; i < n; i++ {
+			seq := s.next
+			s.Emit(EvSpecCommit, 0, 0, seq, int64(seq), 0, "")
+		}
+	}
+
+	emit(capN - 1) // 16 -> 32 -> 64 -> 100 slots, nothing dropped yet
+	if evs := window(); len(evs) != capN-1 || evs[0].Seq != 0 || tr.Dropped() != 0 {
+		t.Fatalf("below the cap: %d events from seq %d, %d dropped", len(evs), evs[0].Seq, tr.Dropped())
+	}
+	if len(s.ring) != capN {
+		t.Fatalf("ring has %d slots, want the cap %d", len(s.ring), capN)
+	}
+	emit(2*capN + 1) // 300 emitted in all: the last 100 survive
+	evs := window()
+	if len(evs) != capN || evs[0].Seq != 200 || evs[capN-1].Seq != 299 {
+		t.Fatalf("past the cap: %d events, seq %d..%d", len(evs), evs[0].Seq, evs[len(evs)-1].Seq)
+	}
+	if tr.Dropped() != 200 {
+		t.Fatalf("dropped = %d, want 200", tr.Dropped())
+	}
+	if len(s.ring) != capN {
+		t.Fatalf("ring grew past its cap to %d slots", len(s.ring))
+	}
+
+	if got := tr.Drain(); len(got) != capN || tr.Dropped() != 0 {
+		t.Fatalf("drain returned %d events, left %d dropped", len(got), tr.Dropped())
+	}
+	emit(capN + 5)
+	if evs := window(); len(evs) != capN || evs[0].Seq != 305 || tr.Dropped() != 5 {
+		t.Fatalf("after drain: %d events from seq %d, %d dropped", len(evs), evs[0].Seq, tr.Dropped())
+	}
+}
+
 func TestKindNamesStable(t *testing.T) {
 	for k := EvNone; k <= EvServeSweep; k++ {
 		name := k.String()

@@ -144,16 +144,23 @@ type rawEvent struct {
 // node's driver goroutine, the engine's control path, an async
 // checkpoint committer). The per-stream mutex is therefore uncontended
 // in steady state — it exists so concurrent Snapshot/Drain calls (a
-// metrics scrape racing the producer) are race-detector clean, while
-// Emit stays O(1) with no allocation beyond the fixed ring.
+// metrics scrape racing the producer) are race-detector clean. The ring
+// starts small and doubles whenever it fills, up to the tracer's
+// per-stream cap, so a stream costs memory for the events it actually
+// holds; only at the cap does a new event overwrite the oldest. Emit is
+// amortised O(1).
 type Stream struct {
 	mu      sync.Mutex
 	name    string
 	ring    []rawEvent
+	max     int    // the ring never grows past max slots
 	next    uint64 // seq of the next event to be written
 	dropped uint64 // events overwritten before being drained
 	base    uint64 // seq of the oldest event still in the ring
 }
+
+// initialRing is a new stream's ring size (or its cap, if smaller).
+const initialRing = 16
 
 // Emit appends one event. Nil-safe: a nil stream is a single branch.
 func (s *Stream) Emit(kind Kind, node int, epoch, step uint64, a, b int64, name string) {
@@ -162,17 +169,31 @@ func (s *Stream) Emit(kind Kind, node int, epoch, step uint64, a, b int64, name 
 	}
 	wall := time.Now().UnixNano()
 	s.mu.Lock()
-	i := s.next % uint64(len(s.ring))
-	if s.next >= uint64(len(s.ring)) && s.next-s.base >= uint64(len(s.ring)) {
-		s.dropped++
-		s.base++
+	if s.next-s.base >= uint64(len(s.ring)) {
+		if len(s.ring) < s.max {
+			s.grow()
+		} else {
+			s.dropped++
+			s.base++
+		}
 	}
-	s.ring[i] = rawEvent{
+	s.ring[s.next%uint64(len(s.ring))] = rawEvent{
 		seq: s.next, kind: kind, node: node, epoch: epoch, step: step,
 		a: a, b: b, name: name, wall: wall,
 	}
 	s.next++
 	s.mu.Unlock()
+}
+
+// grow doubles the ring (capped at max), re-placing the live window by
+// sequence number so every event keeps its slot seq % len(ring).
+func (s *Stream) grow() {
+	n := min(2*len(s.ring), s.max)
+	ring := make([]rawEvent, n)
+	for seq := s.base; seq < s.next; seq++ {
+		ring[seq%uint64(n)] = s.ring[seq%uint64(len(s.ring))]
+	}
+	s.ring = ring
 }
 
 // events copies the live window oldest-first, optionally consuming it.
@@ -197,9 +218,10 @@ func (s *Stream) events(drain bool) (out []Event, dropped uint64) {
 	return out, dropped
 }
 
-// DefaultStreamCap is the per-stream ring size when the caller does not
-// choose one. At ~80 bytes per slot this is ~320 KiB per stream — deep
-// enough to hold a full rollback cascade on every node of a large run.
+// DefaultStreamCap is the per-stream ring cap when the caller does not
+// choose one. At ~80 bytes per slot a full stream is ~320 KiB — deep
+// enough to hold a full rollback cascade on every node of a large run;
+// rings grow to it only as events arrive.
 const DefaultStreamCap = 4096
 
 // Tracer owns a set of named streams. A nil *Tracer is the disabled
@@ -213,8 +235,9 @@ type Tracer struct {
 	order   []string // creation order, for stable export
 }
 
-// NewTracer creates a tracer whose streams each hold perStreamCap
-// events (DefaultStreamCap if <= 0).
+// NewTracer creates a tracer whose streams each hold at most
+// perStreamCap events (DefaultStreamCap if <= 0). The cap is a bound,
+// not an allocation: each ring starts small and grows on demand.
 func NewTracer(perStreamCap int) *Tracer {
 	if perStreamCap <= 0 {
 		perStreamCap = DefaultStreamCap
@@ -232,7 +255,7 @@ func (t *Tracer) Stream(name string) *Stream {
 	defer t.mu.Unlock()
 	s := t.streams[name]
 	if s == nil {
-		s = &Stream{name: name, ring: make([]rawEvent, t.perCap)}
+		s = &Stream{name: name, ring: make([]rawEvent, min(initialRing, t.perCap)), max: t.perCap}
 		t.streams[name] = s
 		t.order = append(t.order, name)
 	}

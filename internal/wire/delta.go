@@ -93,8 +93,8 @@ func IsRefHeader(data []byte) bool {
 // the code part).
 func encodeDeltaPart(d *DeltaImage) []byte {
 	e := &enc{}
-	e.buf.WriteString(deltaMagic)
-	e.buf.WriteByte(version)
+	e.b = append(e.b, deltaMagic...)
+	e.b = append(e.b, stateVersion)
 	e.str(d.Base)
 	e.u(uint64(d.Seq))
 	e.u(uint64(d.Delta.TableLen))
@@ -116,7 +116,8 @@ func encodeDeltaPart(d *DeltaImage) []byte {
 			ce.u(uint64(en.Level))
 			ce.values(en.Words)
 		}
-		e.bytes(ce.finish()) // finish() appends the chunk's own CRC-32
+		ce.check(0) // the chunk's own CRC-32
+		e.bytes(ce.b)
 	}
 
 	e.u(uint64(len(d.Delta.Freed)))
@@ -141,12 +142,13 @@ func encodeDeltaPart(d *DeltaImage) []byte {
 		e.i(c.FnIndex)
 		e.values(c.Args)
 	}
-	return e.finish()
+	e.check(0)
+	return e.b
 }
 
 // decodeDeltaPart parses the delta-specific payload.
 func decodeDeltaPart(data []byte) (*DeltaImage, error) {
-	d, err := newDec(data, deltaMagic)
+	d, err := newDec(data, deltaMagic, stateVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -215,19 +217,14 @@ func decodeDeltaPart(data []byte) (*DeltaImage, error) {
 // followed by length-prefixed code and delta parts (mirroring
 // EncodeImage's layout).
 func EncodeDeltaImage(d *DeltaImage) []byte {
-	code := EncodeCode(&d.Code)
+	e := enc{b: []byte(DeltaHeader)}
+	at := e.reserve()
+	e.codePart(&d.Code)
+	e.fill(at)
 	delta := encodeDeltaPart(d)
-	var buf bytes.Buffer
-	buf.Grow(len(DeltaHeader) + 8 + len(code) + len(delta))
-	buf.WriteString(DeltaHeader)
-	var lens [8]byte
-	binary.BigEndian.PutUint32(lens[:4], uint32(len(code)))
-	buf.Write(lens[:4])
-	buf.Write(code)
-	binary.BigEndian.PutUint32(lens[4:], uint32(len(delta)))
-	buf.Write(lens[4:])
-	buf.Write(delta)
-	return buf.Bytes()
+	e.b = binary.BigEndian.AppendUint32(e.b, uint32(len(delta)))
+	e.b = append(e.b, delta...)
+	return e.b
 }
 
 // DecodeDeltaImage parses a delta checkpoint file.

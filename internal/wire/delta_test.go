@@ -131,9 +131,9 @@ func TestDeltaImageCorruptChunk(t *testing.T) {
 	// chunk CRC can catch it.
 	body := bytes.Clone(raw[:len(raw)-4])
 	body[len(body)/2] ^= 0x10
-	e := &enc{}
-	e.buf.Write(body)
-	patched := e.finish()
+	e := &enc{b: body}
+	e.check(0)
+	patched := e.b
 	if _, err := decodeDeltaPart(patched); err == nil {
 		t.Fatal("corrupt chunk accepted")
 	} else if !errors.Is(err, ErrChecksum) && err.Error() == "" {

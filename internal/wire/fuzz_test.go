@@ -3,6 +3,9 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/heap"
+	"repro/internal/spec"
 )
 
 // FuzzWireDecode feeds arbitrary bytes to every decoder entry point: a
@@ -34,6 +37,30 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(EncodeRef("name@3"))
 	f.Add([]byte(DeltaHeader))
 	f.Add([]byte(RefHeader))
+	// Run-encoded states: a ledger-shaped one (one big int block, which is
+	// one run, beside a small migrate_env), a mixed-kind block whose
+	// stretches straddle minRun, a run of payload-free unit values, and a
+	// version-1 image the decoder must refuse.
+	ledger := make([]heap.Value, 2048)
+	for i := range ledger {
+		ledger[i] = heap.IntVal(int64(i*40503) % 1000003)
+	}
+	f.Add(EncodeImage(&Image{Code: img.Code, State: StatePart{Heap: &heap.Snapshot{
+		TableLen: 2,
+		Entries: []heap.EntrySnap{
+			{Idx: 0, Words: ledger},
+			{Idx: 1, Words: []heap.Value{heap.FunVal(3), heap.PtrVal(0, 0)}},
+		},
+	}}}))
+	mixed := []heap.Value{heap.IntVal(1), heap.FloatVal(2), heap.FloatVal(3), heap.PtrVal(0, 1), heap.PtrVal(0, 2), heap.PtrVal(0, 3),
+		heap.Null(), heap.FunVal(1), heap.FunVal(2), heap.FunVal(3), heap.FunVal(4), heap.IntVal(-1), heap.IntVal(-2), heap.IntVal(-3)}
+	f.Add(EncodeState(&StatePart{Heap: &heap.Snapshot{TableLen: 1, Entries: []heap.EntrySnap{{Idx: 0, Words: mixed}}}}))
+	f.Add(EncodeState(&StatePart{Heap: &heap.Snapshot{}, Conts: []spec.Continuation{
+		{FnIndex: 1, Args: []heap.Value{heap.UnitVal(), heap.UnitVal(), heap.UnitVal(), heap.UnitVal(), heap.IntVal(5)}},
+	}}))
+	state := EncodeState(&img.State)
+	codeEnd := len(whole) - len(state)
+	f.Add(append(whole[:codeEnd:codeEnd], reversion(state, statMagic, 1)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if c, err := DecodeCode(data); err == nil {

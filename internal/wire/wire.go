@@ -12,17 +12,35 @@
 //
 // Everything is explicit varints or big-endian fixed-width words, so the
 // encoding is identical on every architecture; integrity is protected by a
-// trailing CRC-32 on each part.
+// trailing CRC-32 on each part. Each part opens with a magic and a format
+// version: the code part is version 1, the state part (and the delta part,
+// delta.go, which shares its value lists) is version 2. A decoder refuses
+// any other version with ErrVersion.
+//
+// A value list — a block's words, a checkpoint record's words, a
+// continuation's arguments — is a uvarint count followed by the values in
+// runs. A value on its own is a kind byte and its payload: a zigzag varint
+// for int and fun, eight big-endian bytes for float, two zigzag varints
+// (table index, offset) for ptr, nothing for unit. A run of at least three
+// consecutive values of one kind is written as one byte 0x80|kind, a
+// uvarint run length, and then the run's payloads back to back with no
+// kind bytes. Heap blocks are mostly homogeneous (an array of ints is one
+// run), so most kind bytes vanish, and because a shorter stretch keeps
+// the per-value form no list encodes larger than it would with one kind
+// byte per value.
+//
+// The encoder reads *heap.Snapshot values, whether copied (Snapshot), a
+// window on a live arena (heap.View, the checkpoint path) or decoded, so
+// every source of the same state yields the same bytes.
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sync"
+	"slices"
 
 	"repro/internal/heap"
 	"repro/internal/spec"
@@ -35,7 +53,16 @@ const (
 	// as executable files so a resurrection daemon can simply execute the
 	// saved checkpoint.
 	ExecHeader = "#!mcc-run\n"
-	version    = 1
+
+	// codeVersion and stateVersion are the format versions of the code
+	// part and of the state and delta parts.
+	codeVersion  = 1
+	stateVersion = 2
+
+	// runFlag marks a kind byte that opens a run of same-kind values;
+	// minRun is the shortest stretch written as a run.
+	runFlag = 0x80
+	minRun  = 3
 )
 
 // CodePart is the first transmission of a migration: everything the target
@@ -80,84 +107,108 @@ var (
 	ErrChecksum  = errors.New("wire: checksum mismatch")
 	ErrTruncated = errors.New("wire: truncated input")
 	ErrBadMagic  = errors.New("wire: bad magic")
+	ErrVersion   = errors.New("wire: unsupported format version")
 )
 
+// enc appends an encoding to b; callers hand in a buffer to reuse.
 type enc struct {
-	buf bytes.Buffer
-	tmp [binary.MaxVarintLen64]byte
+	b []byte
 }
 
-func (e *enc) u(v uint64) {
-	n := binary.PutUvarint(e.tmp[:], v)
-	e.buf.Write(e.tmp[:n])
-}
+// grow makes room for n more bytes without reallocating mid-part.
+func (e *enc) grow(n int) { e.b = slices.Grow(e.b, n) }
 
-func (e *enc) i(v int64) {
-	n := binary.PutVarint(e.tmp[:], v)
-	e.buf.Write(e.tmp[:n])
-}
+func (e *enc) u(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+
+func (e *enc) i(v int64) { e.b = binary.AppendVarint(e.b, v) }
 
 func (e *enc) str(s string) {
 	e.u(uint64(len(s)))
-	e.buf.WriteString(s)
+	e.b = append(e.b, s...)
 }
 
 func (e *enc) bytes(b []byte) {
 	e.u(uint64(len(b)))
-	e.buf.Write(b)
+	e.b = append(e.b, b...)
 }
 
 func (e *enc) f64(f float64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], math.Float64bits(f))
-	e.buf.Write(b[:])
+	e.b = binary.BigEndian.AppendUint64(e.b, math.Float64bits(f))
 }
 
-func (e *enc) value(v heap.Value) {
-	e.buf.WriteByte(byte(v.Kind))
-	switch v.Kind {
+// payloads writes the payloads of vs, all of kind k, with no kind bytes.
+func (e *enc) payloads(k heap.Kind, vs []heap.Value) {
+	switch k {
 	case heap.KInt, heap.KFun:
-		e.i(v.I)
+		for i := range vs {
+			e.i(vs[i].I)
+		}
 	case heap.KFloat:
-		e.f64(v.F)
+		for i := range vs {
+			e.f64(vs[i].F)
+		}
 	case heap.KPtr:
-		e.i(v.I)
-		e.i(v.Off)
+		for i := range vs {
+			e.i(vs[i].I)
+			e.i(vs[i].Off)
+		}
 	}
 }
 
+// values writes a value list: the count, then each maximal stretch of
+// same-kind values as a run when it is at least minRun long, otherwise
+// as kind byte + payload per value.
 func (e *enc) values(vs []heap.Value) {
 	e.u(uint64(len(vs)))
-	for _, v := range vs {
-		e.value(v)
+	for i := 0; i < len(vs); {
+		k := vs[i].Kind
+		j := i + 1
+		for j < len(vs) && vs[j].Kind == k {
+			j++
+		}
+		if j-i >= minRun {
+			e.b = append(e.b, runFlag|byte(k))
+			e.u(uint64(j - i))
+			e.payloads(k, vs[i:j])
+		} else {
+			for ; i < j; i++ {
+				e.b = append(e.b, byte(k))
+				e.payloads(k, vs[i:i+1])
+			}
+		}
+		i = j
 	}
 }
 
-func (e *enc) finish() []byte {
-	sum := crc32.ChecksumIEEE(e.buf.Bytes())
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], sum)
-	e.buf.Write(tail[:])
-	return e.buf.Bytes()
+// check appends the CRC-32 of everything written since offset start, so
+// a part encoded mid-buffer carries the same trailer as one encoded alone.
+func (e *enc) check(start int) {
+	e.b = binary.BigEndian.AppendUint32(e.b, crc32.ChecksumIEEE(e.b[start:]))
 }
 
-// check appends the checksum of everything written since offset start,
-// so a part encoded mid-buffer carries the same trailer finish gives a
-// part encoded alone.
-func (e *enc) check(start int) {
-	sum := crc32.ChecksumIEEE(e.buf.Bytes()[start:])
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], sum)
-	e.buf.Write(tail[:])
+// reserve appends a 4-byte length prefix to be filled by fill once the
+// part after it is written, and returns its offset.
+func (e *enc) reserve() int {
+	e.b = append(e.b, 0, 0, 0, 0)
+	return len(e.b) - 4
+}
+
+func (e *enc) fill(at int) {
+	binary.BigEndian.PutUint32(e.b[at:at+4], uint32(len(e.b)-at-4))
 }
 
 type dec struct {
 	data []byte
 	pos  int
 	err  error
+	// units counts unit values decoded from runs. A unit has no payload,
+	// so a run of them costs a few bytes however long it is; the count is
+	// capped at the input length, which keeps the values a decode can
+	// produce linear in its input like every other kind's.
+	units uint64
 }
 
-func newDec(data []byte, magic string) (*dec, error) {
+func newDec(data []byte, magic string, version byte) (*dec, error) {
 	if len(data) < len(magic)+1+4 {
 		return nil, ErrTruncated
 	}
@@ -170,7 +221,7 @@ func newDec(data []byte, magic string) (*dec, error) {
 		return nil, ErrBadMagic
 	}
 	if v := d.byte(); v != version {
-		return nil, fmt.Errorf("wire: unsupported version %d", v)
+		return nil, fmt.Errorf("%w %d for %s (want %d)", ErrVersion, v, magic, version)
 	}
 	return d, nil
 }
@@ -258,8 +309,8 @@ func (d *dec) f64() float64 {
 	return math.Float64frombits(binary.BigEndian.Uint64(b))
 }
 
-func (d *dec) value() heap.Value {
-	k := heap.Kind(d.byte())
+// payload reads one value of kind k (its kind byte already consumed).
+func (d *dec) payload(k heap.Kind) heap.Value {
 	switch k {
 	case heap.KUnit:
 		return heap.UnitVal()
@@ -279,11 +330,39 @@ func (d *dec) value() heap.Value {
 	}
 }
 
+// values reads a value list. A run's length is checked before anything
+// is appended: it must fit in what is left of the list, and a run of a
+// kind with a payload (at least one byte per value) in what is left of
+// the input, so no count read off the wire sizes work on its own.
 func (d *dec) values() []heap.Value {
 	n := d.count()
 	out := make([]heap.Value, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, d.value())
+	for len(out) < n && d.err == nil {
+		b := d.byte()
+		if b&runFlag == 0 {
+			out = append(out, d.payload(heap.Kind(b)))
+			continue
+		}
+		k, r := heap.Kind(b&^runFlag), d.u()
+		switch left := uint64(n - len(out)); {
+		case d.err != nil:
+		case r < minRun || r > left:
+			d.fail("run of %d %s values in a list with %d left", r, k, left)
+		case k == heap.KUnit:
+			if d.units += r; d.units > uint64(len(d.data)) {
+				d.fail("more unit values than input bytes")
+				break
+			}
+			for ; r > 0; r-- {
+				out = append(out, heap.UnitVal())
+			}
+		case r > uint64(len(d.data)-d.pos):
+			d.fail("run of %d %s values in %d bytes", r, k, len(d.data)-d.pos)
+		default:
+			for ; r > 0 && d.err == nil; r-- {
+				out = append(out, d.payload(k))
+			}
+		}
 	}
 	return out
 }
@@ -302,15 +381,15 @@ func (d *dec) done() error {
 func EncodeCode(c *CodePart) []byte {
 	e := &enc{}
 	e.codePart(c)
-	return e.buf.Bytes()
+	return e.b
 }
 
-// codePart writes the code part (magic through checksum) to e.buf.
+// codePart appends the code part (magic through checksum).
 func (e *enc) codePart(c *CodePart) {
-	start := e.buf.Len()
-	e.buf.Grow(64 + len(c.Name) + len(c.Program) + 10*len(c.Args))
-	e.buf.WriteString(codeMagic)
-	e.buf.WriteByte(version)
+	start := len(e.b)
+	e.grow(64 + len(c.Name) + len(c.Program) + 10*len(c.Args))
+	e.b = append(e.b, codeMagic...)
+	e.b = append(e.b, codeVersion)
 	e.str(c.Name)
 	e.bytes(c.Program)
 	e.u(uint64(c.Label))
@@ -327,7 +406,7 @@ func (e *enc) codePart(c *CodePart) {
 
 // DecodeCode parses a code part.
 func DecodeCode(data []byte) (*CodePart, error) {
-	d, err := newDec(data, codeMagic)
+	d, err := newDec(data, codeMagic, codeVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -353,14 +432,12 @@ func DecodeCode(data []byte) (*CodePart, error) {
 func EncodeState(s *StatePart) []byte {
 	e := &enc{}
 	e.statePart(s)
-	return e.buf.Bytes()
+	return e.b
 }
 
-// statePart writes the state part (magic through checksum) to e.buf.
+// statePart appends the state part (magic through checksum).
 func (e *enc) statePart(s *StatePart) {
-	start := e.buf.Len()
-	// Pre-size to the worst-case encoding (a value is a kind byte plus at
-	// most two 10-byte varints) so the buffer never regrows mid-encode.
+	start := len(e.b)
 	words := 0
 	for _, en := range s.Heap.Entries {
 		words += len(en.Words)
@@ -374,12 +451,13 @@ func (e *enc) statePart(s *StatePart) {
 	for _, c := range s.Conts {
 		words += len(c.Args)
 	}
-	// Typical-case reservation: small varints dominate heap words, so
-	// budgeting the worst case (21 bytes/word) would allocate over twice
-	// the final size; one residual growth is cheaper than that.
-	e.buf.Grow(64 + 24*(len(s.Heap.Entries)+len(s.Conts)+len(s.Heap.Levels)) + 8*words)
-	e.buf.WriteString(statMagic)
-	e.buf.WriteByte(version)
+	// Typical-case reservation: in runs, a small-int word is a one- to
+	// four-byte varint. Budgeting the worst case (20 bytes for a ptr)
+	// would allocate several times the final size; one residual growth
+	// for a float-heavy heap is cheaper than that.
+	e.grow(64 + 24*(len(s.Heap.Entries)+len(s.Conts)+len(s.Heap.Levels)) + 4*words)
+	e.b = append(e.b, statMagic...)
+	e.b = append(e.b, stateVersion)
 	snap := s.Heap
 	e.u(uint64(snap.TableLen))
 	e.u(uint64(len(snap.Entries)))
@@ -411,7 +489,7 @@ func (e *enc) statePart(s *StatePart) {
 
 // DecodeState parses a state part.
 func DecodeState(data []byte) (*StatePart, error) {
-	d, err := newDec(data, statMagic)
+	d, err := newDec(data, statMagic, stateVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -456,33 +534,20 @@ func EncodeImage(img *Image) []byte {
 	return AppendImage(nil, img)
 }
 
-// imgEncPool recycles image encoders: a checkpointing process encodes
-// an image every interval, and migrate.Store forbids Put from retaining
-// the bytes, so the scratch buffer can be handed back immediately.
-var imgEncPool = sync.Pool{New: func() any { return new(enc) }}
-
 // AppendImage appends img's checkpoint-file encoding (EncodeImage's
-// layout) to buf and returns the extended slice. The checkpoint hot
-// path reuses buf across intervals; encoding scratch is pooled, so a
-// steady-state checkpoint loop allocates nothing here.
+// layout) to buf and returns the extended slice. Both parts are encoded
+// in place, so a checkpoint loop that hands back the same buffer every
+// interval allocates nothing here once the buffer has grown to size.
 func AppendImage(buf []byte, img *Image) []byte {
-	e := imgEncPool.Get().(*enc)
-	e.buf.Reset()
-	e.buf.WriteString(ExecHeader)
-	var lens [4]byte
-	// Each part's 4-byte length prefix is reserved up front and
-	// backfilled once the part is encoded in place.
-	e.buf.Write(lens[:])
-	start := e.buf.Len()
+	e := enc{b: buf}
+	e.b = append(e.b, ExecHeader...)
+	at := e.reserve()
 	e.codePart(&img.Code)
-	binary.BigEndian.PutUint32(e.buf.Bytes()[start-4:start], uint32(e.buf.Len()-start))
-	e.buf.Write(lens[:])
-	start = e.buf.Len()
+	e.fill(at)
+	at = e.reserve()
 	e.statePart(&img.State)
-	binary.BigEndian.PutUint32(e.buf.Bytes()[start-4:start], uint32(e.buf.Len()-start))
-	out := append(buf, e.buf.Bytes()...)
-	imgEncPool.Put(e)
-	return out
+	e.fill(at)
+	return e.b
 }
 
 // DecodeImage parses a checkpoint file.

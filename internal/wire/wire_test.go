@@ -1,7 +1,12 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -156,5 +161,145 @@ func TestValueEncodingQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// reversion rewrites a part's version byte and re-seals its checksum.
+func reversion(part []byte, magic string, v byte) []byte {
+	b := bytes.Clone(part[:len(part)-4])
+	b[len(magic)] = v
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// stateBytes assembles a state part by hand, for inputs the encoder
+// never writes: head writes everything after the version byte.
+func stateBytes(version byte, head func(e *enc)) []byte {
+	e := &enc{b: []byte(statMagic)}
+	e.b = append(e.b, version)
+	head(e)
+	e.check(0)
+	return e.b
+}
+
+// TestOldVersionRefused: a version-1 state part (one kind byte per value)
+// is refused with ErrVersion, not misread as runs, alone, inside a
+// checkpoint file and as a delta part.
+func TestOldVersionRefused(t *testing.T) {
+	img := sampleImage()
+	old := func(part []byte, magic string) []byte {
+		if part[len(magic)] != stateVersion {
+			t.Fatalf("%s part has version %d", magic, part[len(magic)])
+		}
+		return reversion(part, magic, 1)
+	}
+	state := old(EncodeState(&img.State), statMagic)
+	if _, err := DecodeState(state); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-1 state part: err = %v, want ErrVersion", err)
+	}
+	file := EncodeImage(img)
+	file = append(file[:len(file)-len(state)], state...)
+	if _, err := DecodeImage(file); !errors.Is(err, ErrVersion) {
+		t.Fatalf("checkpoint file with a version-1 state part: err = %v, want ErrVersion", err)
+	}
+	if _, err := decodeDeltaPart(old(encodeDeltaPart(sampleDelta()), deltaMagic)); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-1 delta part: err = %v, want ErrVersion", err)
+	}
+}
+
+// TestRunCountsBounded: a run may not claim more values than its list
+// has left, fewer than minRun, more payload-carrying values than there
+// are bytes left, or — for payload-free unit values — more values over
+// the whole decode than the input has bytes.
+func TestRunCountsBounded(t *testing.T) {
+	run := func(e *enc, k heap.Kind, n uint64) {
+		e.b = append(e.b, runFlag|byte(k))
+		e.u(n)
+	}
+	entry := func(e *enc, n uint64, body func()) {
+		e.i(0)
+		e.u(0)
+		e.u(n)
+		body()
+	}
+	cases := []struct {
+		name, want string // want: the refusal names this bound
+		data       []byte
+	}{
+		{"run longer than its list", "with 3 left", stateBytes(stateVersion, func(e *enc) {
+			e.u(1)
+			e.u(1)
+			entry(e, 3, func() { run(e, heap.KInt, 4); e.i(1); e.i(2); e.i(3); e.i(4) })
+			e.u(0)
+			e.u(0)
+		})},
+		{"run shorter than minRun", "run of 2", stateBytes(stateVersion, func(e *enc) {
+			e.u(1)
+			e.u(1)
+			entry(e, 2, func() { run(e, heap.KInt, 2); e.i(1); e.i(2) })
+			e.u(0)
+			e.u(0)
+		})},
+		{"run longer than the input", "in 2 bytes", stateBytes(stateVersion, func(e *enc) {
+			e.u(2)
+			e.u(2)
+			entry(e, 60, func() { run(e, heap.KInt, 60); e.b = append(e.b, make([]byte, 60)...) })
+			entry(e, 60, func() { run(e, heap.KFloat, 60) })
+			e.u(0)
+			e.u(0)
+		})},
+		{"unit runs outgrow the input", "more unit values than input bytes", stateBytes(stateVersion, func(e *enc) {
+			e.u(1)
+			e.u(0)
+			e.u(0)
+			e.u(80)
+			for i := 0; i < 80; i++ {
+				e.i(0)
+				entry(e, 100, func() { run(e, heap.KUnit, 100) })
+			}
+		})},
+	}
+	for _, c := range cases {
+		if _, err := DecodeState(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want a refusal mentioning %q", c.name, err, c.want)
+		}
+	}
+
+	// Within those bounds the same shapes decode.
+	ok := stateBytes(stateVersion, func(e *enc) {
+		e.u(1)
+		e.u(1)
+		entry(e, 4, func() {
+			run(e, heap.KInt, 3)
+			e.i(1)
+			e.i(2)
+			e.i(3)
+			e.b = append(e.b, byte(heap.KInt))
+			e.i(4)
+		})
+		e.u(0)
+		e.u(1)
+		e.i(0)
+		e.u(5)
+		run(e, heap.KUnit, 5)
+	})
+	s, err := DecodeState(ok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Heap.Entries[0].Words) != 4 || s.Heap.Entries[0].Words[3].I != 4 || len(s.Conts[0].Args) != 5 {
+		t.Fatalf("decoded %+v", s)
+	}
+}
+
+// TestRunLayout pins the v2 list layout on the encoder side: stretches
+// of minRun or more share one marker byte, shorter ones keep a kind byte
+// per value.
+func TestRunLayout(t *testing.T) {
+	vs := []heap.Value{heap.IntVal(1), heap.IntVal(2), heap.FloatVal(0), heap.IntVal(3), heap.IntVal(4), heap.IntVal(5)}
+	e := &enc{}
+	e.values(vs)
+	want := []byte{6, byte(heap.KInt), 2, byte(heap.KInt), 4, byte(heap.KFloat), 0, 0, 0, 0, 0, 0, 0, 0, runFlag | byte(heap.KInt), 3, 6, 8, 10}
+	if !bytes.Equal(e.b, want) {
+		t.Fatalf("encoded % x, want % x", e.b, want)
 	}
 }
