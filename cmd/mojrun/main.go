@@ -14,7 +14,6 @@
 //	-size N      per-node problem size (0 = workload default)
 //	-aux N       workload-specific knob (grid: columns; pipeline:
 //	             migration batch; 0 = workload default)
-//	-rows/-cols  grid-compatible aliases for -size/-aux
 //	-steps N     timesteps / rounds / batches (0 = workload default)
 //	-ck N        checkpoint interval (0 = workload default)
 //	-workers N   concurrently executing node quanta (0 = unbounded)
@@ -31,7 +30,7 @@
 //	-timeout D   run timeout (default 2m)
 //	-v           print per-node halt codes
 //
-// Distributed mode (same flags as gridrun):
+// Distributed mode:
 //
 //	-distributed, -coordinator, -listen, -storedir, -join, -node, -resume
 //
@@ -44,9 +43,9 @@ import (
 
 	"repro/internal/workload/cli"
 
-	_ "repro/internal/workload/apps" // register grid, allreduce, taskfarm, pipeline
+	_ "repro/internal/workload/apps" // register the shipped apps
 )
 
 func main() {
-	os.Exit(cli.Main(os.Args[1:], "mojrun", "grid", os.Stdout, os.Stderr))
+	os.Exit(cli.Main(os.Args[1:], os.Stdout, os.Stderr))
 }

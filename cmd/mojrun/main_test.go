@@ -1,13 +1,16 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // buildMojrun compiles this command once per test binary so the
@@ -120,5 +123,103 @@ func TestDistributedSubprocessPipeline(t *testing.T) {
 	ents, err := os.ReadDir(storeDir)
 	if err != nil || len(ents) == 0 {
 		t.Fatalf("shared store dir empty (%v); checkpoints never hit the mount", err)
+	}
+}
+
+// TestDistributedSubprocessLoopback: the coordinator spawns one grid
+// worker OS process per node over loopback TCP; the merged grid must
+// match the sequential reference bit-exactly.
+func TestDistributedSubprocessLoopback(t *testing.T) {
+	out, err := exec.Command(bin(t), "-app", "grid", "-size", "4", "-aux", "8", "-distributed",
+		"-nodes", "3", "-steps", "20", "-v").CombinedOutput()
+	if err != nil {
+		t.Fatalf("mojrun -app grid -distributed: %v\n%s", err, out)
+	}
+	if !bytes.Contains(out, []byte("matches the sequential reference exactly")) {
+		t.Fatalf("no exact-match verdict in output:\n%s", out)
+	}
+}
+
+// TestDistributedSubprocessFailure: one grid worker process is killed
+// after its second checkpoint and a fresh process resurrects it from the
+// directory-backed shared store (the paper's NFS mount).
+func TestDistributedSubprocessFailure(t *testing.T) {
+	storeDir := t.TempDir()
+	out, err := exec.Command(bin(t), "-app", "grid", "-size", "4", "-aux", "8", "-distributed",
+		"-nodes", "3", "-steps", "20", "-fail", "1@2", "-storedir", storeDir).CombinedOutput()
+	if err != nil {
+		t.Fatalf("mojrun -app grid -distributed -fail: %v\n%s", err, out)
+	}
+	if !bytes.Contains(out, []byte("matches the sequential reference exactly")) {
+		t.Fatalf("no exact-match verdict:\n%s", out)
+	}
+	if !bytes.Contains(out, []byte("resurrections 1")) {
+		t.Fatalf("no resurrection recorded:\n%s", out)
+	}
+	ents, err := os.ReadDir(storeDir)
+	if err != nil || len(ents) == 0 {
+		t.Fatalf("shared store dir empty (%v); checkpoints never hit the mount", err)
+	}
+}
+
+// TestCoordinatorWithManualJoins: -coordinator spawns nothing; workers
+// started separately with -join find it and the run completes.
+func TestCoordinatorWithManualJoins(t *testing.T) {
+	shape := []string{"-app", "grid", "-nodes", "2", "-size", "4", "-aux", "8", "-steps", "8"}
+	coord := exec.Command(bin(t), append([]string{"-coordinator", "-listen", "127.0.0.1:0", "-timeout", "1m"}, shape...)...)
+	stderr, err := coord.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout bytes.Buffer
+	coord.Stdout = &stdout
+	if err := coord.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = coord.Process.Kill() }()
+
+	// The coordinator prints the join address once it is listening.
+	addrRe := regexp.MustCompile(`join (127\.0\.0\.1:\d+)`)
+	addrCh := make(chan string, 1)
+	var errLines strings.Builder
+	go func() {
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			line := sc.Text()
+			errLines.WriteString(line + "\n")
+			if m := addrRe.FindStringSubmatch(line); m != nil {
+				select {
+				case addrCh <- m[1]:
+				default:
+				}
+			}
+		}
+	}()
+	var addr string
+	select {
+	case addr = <-addrCh:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("coordinator never announced its address\n%s", errLines.String())
+	}
+
+	for n := 0; n < 2; n++ {
+		w := exec.Command(bin(t), append([]string{"-join", addr, "-node", fmt.Sprint(n)}, shape...)...)
+		wout := &bytes.Buffer{}
+		w.Stdout, w.Stderr = wout, wout
+		if err := w.Start(); err != nil {
+			t.Fatal(err)
+		}
+		go func(n int, cmd *exec.Cmd, out *bytes.Buffer) {
+			if err := cmd.Wait(); err != nil {
+				t.Errorf("worker %d: %v\n%s", n, err, out.String())
+			}
+		}(n, w, wout)
+	}
+
+	if err := coord.Wait(); err != nil {
+		t.Fatalf("coordinator: %v\n%s\n%s", err, stdout.String(), errLines.String())
+	}
+	if !strings.Contains(stdout.String(), "matches the sequential reference exactly") {
+		t.Fatalf("no exact-match verdict:\n%s", stdout.String())
 	}
 }

@@ -11,44 +11,48 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/grid"
+	"repro/internal/workload"
+	_ "repro/internal/workload/apps" // register grid
 )
 
 func main() {
-	p := grid.Params{
-		Nodes: 3, RowsPerNode: 4, Cols: 8,
-		Steps: 20, CheckpointInterval: 4,
+	w, err := workload.Get("grid")
+	if err != nil {
+		fatal(err)
 	}
+	// Size = rows per node, Aux = columns.
+	p := workload.Params{Nodes: 3, Size: 4, Aux: 8, Steps: 20, CheckpointInterval: 4}
 
 	fmt.Println("== failure-free run ==")
-	clean, err := grid.Run(p, nil, 2*time.Minute)
+	clean, err := workload.Run(w, p, workload.RunConfig{})
 	if err != nil {
 		fatal(err)
 	}
-	report(p, clean)
+	report(w, p, clean)
 
 	fmt.Println("== run with node 1 killed after its 2nd checkpoint ==")
-	fail := &grid.FailurePlan{Node: 1, AfterCheckpoints: 2, RestartDelay: 25 * time.Millisecond}
-	faulty, err := grid.Run(p, fail, 2*time.Minute)
+	faulty, err := workload.Run(w, p, workload.RunConfig{
+		Script: workload.OneFailure(1, 2, 25*time.Millisecond),
+	})
 	if err != nil {
 		fatal(err)
 	}
-	report(p, faulty)
+	report(w, p, faulty)
 	fmt.Printf("   (survivor rollbacks: %d, resurrections: %d)\n",
 		faulty.Rollbacks, faulty.Resurrections)
 
-	for n := range clean.Checksums {
-		if clean.Checksums[n] != faulty.Checksums[n] {
-			fatal(fmt.Errorf("node %d: failure changed the answer (%d vs %d)",
-				n, faulty.Checksums[n], clean.Checksums[n]))
+	for n, c := range clean.Nodes {
+		if f := faulty.Nodes[n]; f.Halt != c.Halt {
+			fatal(fmt.Errorf("node %d: failure changed the answer (%d vs %d)", n, f.Halt, c.Halt))
 		}
 	}
 	fmt.Println("grid: the failure was fully masked — identical results")
 }
 
-func report(p grid.Params, r *grid.Result) {
-	want := grid.Reference(p)
-	for n, got := range r.Checksums {
+func report(w workload.Workload, p workload.Params, r *workload.Result) {
+	want := w.Reference(p)
+	for n := int64(0); n < int64(p.Nodes); n++ {
+		got := r.Nodes[n].Halt
 		status := "ok"
 		if got != want[n] {
 			status = "MISMATCH"
@@ -56,6 +60,9 @@ func report(p grid.Params, r *grid.Result) {
 		fmt.Printf("   node %d: checksum %d (reference %d) %s\n", n, got, want[n], status)
 	}
 	fmt.Printf("   elapsed: %s\n", r.Elapsed.Round(time.Millisecond))
+	if err := w.Verify(p, r.Nodes); err != nil {
+		fatal(err)
+	}
 }
 
 func fatal(err error) {

@@ -1,27 +1,20 @@
 // Package cluster simulates the paper's test bed: a set of compute nodes
 // running MCC processes, connected by the message-passing router, with a
 // shared reliable checkpoint store (the paper's NFS mount), per-node
-// failure injection, resurrection of failed processes from checkpoint
-// files, and a bandwidth-throttled network that models the 100 Mbps link
-// of §5 for the migration experiments.
+// failure injection, and resurrection of failed processes from
+// checkpoint files. Engine runs the nodes.
 package cluster
 
 import (
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/fir"
-	"repro/internal/heap"
-	"repro/internal/migrate"
 	"repro/internal/msg"
 	"repro/internal/rt"
 )
@@ -212,56 +205,6 @@ func (s *DirStore) List() ([]string, error) {
 	return out, nil
 }
 
-// throttledConn rate-limits writes to model a fixed-bandwidth link. Reads
-// are left unthrottled: migration traffic is overwhelmingly one-way, and
-// the paper's transfer fraction is dominated by the state upload.
-type throttledConn struct {
-	net.Conn
-	bytesPerSec float64
-	mu          sync.Mutex
-	debt        time.Duration
-	last        time.Time
-}
-
-func (c *throttledConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	if n > 0 && c.bytesPerSec > 0 {
-		c.mu.Lock()
-		now := time.Now()
-		if !c.last.IsZero() {
-			// Pay down transmission debt accumulated since the last write.
-			elapsed := now.Sub(c.last)
-			if elapsed > c.debt {
-				c.debt = 0
-			} else {
-				c.debt -= elapsed
-			}
-		}
-		c.last = now
-		c.debt += time.Duration(float64(n) / c.bytesPerSec * float64(time.Second))
-		sleep := c.debt
-		c.mu.Unlock()
-		time.Sleep(sleep)
-	}
-	return n, err
-}
-
-// ThrottledDialer returns a migrate.Dialer whose connections model a link
-// of the given bandwidth in bits per second (e.g. 100_000_000 for the
-// paper's 100 Mbps network). Zero means unthrottled.
-func ThrottledDialer(bitsPerSec int64) migrate.Dialer {
-	return func(addr string) (net.Conn, error) {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		if bitsPerSec <= 0 {
-			return conn, nil
-		}
-		return &throttledConn{Conn: conn, bytesPerSec: float64(bitsPerSec) / 8}, nil
-	}
-}
-
 // ProcState is a node process's final disposition.
 type ProcState struct {
 	Node   int64
@@ -270,45 +213,6 @@ type ProcState struct {
 	Err    error
 	Killed bool
 	Steps  uint64
-}
-
-// Config configures a simulated cluster.
-type Config struct {
-	// Store is the shared checkpoint store (default: a fresh MemStore).
-	Store migrate.Store
-	// Stdout receives process output (default: discard).
-	Stdout io.Writer
-	// Fuel bounds each process (default 500M steps).
-	Fuel uint64
-	// Heap configures per-process heaps.
-	Heap heap.Config
-	// Quantum is the kill-check granularity in steps (default 20_000).
-	Quantum uint64
-	// Workers bounds concurrently executing node quanta (0 = unbounded);
-	// see EngineConfig.Workers.
-	Workers int
-	// Ckpt selects the checkpoint pipeline mode; see EngineConfig.Ckpt.
-	Ckpt ckpt.Options
-}
-
-// Cluster is a set of simulated nodes sharing a router and a checkpoint
-// store. It is a thin facade over Engine, which owns process lifecycle,
-// the worker pool and migration handoff.
-type Cluster struct {
-	*Engine
-}
-
-// New creates a cluster.
-func New(cfg Config) *Cluster {
-	return &Cluster{Engine: NewEngine(EngineConfig{
-		Store:   cfg.Store,
-		Stdout:  cfg.Stdout,
-		Fuel:    cfg.Fuel,
-		Heap:    cfg.Heap,
-		Quantum: cfg.Quantum,
-		Workers: cfg.Workers,
-		Ckpt:    cfg.Ckpt,
-	})}
 }
 
 // Externs returns the extern signature set a program running on this

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"io"
-	"net"
 	"os"
 	"testing"
 	"time"
@@ -112,54 +110,6 @@ func TestDirStorePutAtomic(t *testing.T) {
 	}
 }
 
-func TestThrottledDialerLimitsBandwidth(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				_, _ = io.Copy(io.Discard, conn)
-				conn.Close()
-			}()
-		}
-	}()
-
-	const payload = 1 << 18 // 256 KiB
-	send := func(bps int64) time.Duration {
-		dial := ThrottledDialer(bps)
-		conn, err := dial(l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		buf := make([]byte, 16384)
-		start := time.Now()
-		for sent := 0; sent < payload; sent += len(buf) {
-			if _, err := conn.Write(buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return time.Since(start)
-	}
-
-	fast := send(0)
-	// 256 KiB at 20 Mbps ≈ 105 ms.
-	slow := send(20_000_000)
-	if slow < 80*time.Millisecond {
-		t.Fatalf("throttled send took %s, expected ≳100ms", slow)
-	}
-	if slow < fast {
-		t.Fatalf("throttled (%s) faster than unthrottled (%s)", slow, fast)
-	}
-}
-
 const helloSrc = `
 int main() {
 	print_int(node_id());
@@ -172,7 +122,7 @@ func TestClusterRunsProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	c := New(Config{Stdout: &out})
+	c := NewEngine(EngineConfig{Stdout: &out})
 	defer c.Close()
 	for n := int64(0); n < 3; n++ {
 		if err := c.StartProcess(n, prog, nil, nil); err != nil {
@@ -214,7 +164,7 @@ func TestClusterMessagePassing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(Config{})
+	c := NewEngine(EngineConfig{})
 	defer c.Close()
 	for n := int64(0); n < 2; n++ {
 		if err := c.StartProcess(n, prog, nil, nil); err != nil {
@@ -247,7 +197,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(Config{})
+	c := NewEngine(EngineConfig{})
 	defer c.Close()
 	if err := c.StartProcess(0, prog, nil, nil); err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ func TestWorkersOneNoDeadlock(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			c := New(Config{Workers: workers})
+			c := NewEngine(EngineConfig{Workers: workers})
 			defer c.Close()
 			for n := int64(0); n < 2; n++ {
 				if err := c.StartProcess(n, prog, nil, nil); err != nil {

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fir"
-	"repro/internal/grid"
 	"repro/internal/heap"
 	"repro/internal/jit"
 	"repro/internal/lang"
@@ -25,6 +24,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/rt"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 // subject is one program with everything needed to run it; setup is called
@@ -127,7 +127,9 @@ func programs(t *testing.T) []subject {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := lang.Compile(string(src), grid.ExternSigs())
+	sigs := cluster.Externs()
+	sigs["ck_name"] = fir.ExternSig{Result: fir.TyPtr}
+	prog, err := lang.Compile(string(src), sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func programs(t *testing.T) []subject {
 		name: "grid", prog: prog, startAt: -1,
 		cfg: rt.Config{Args: []int64{1, 4, 8, 6, 3}}, // nodes, rows, cols, steps, checkpoint interval
 		setup: func(p rt.Proc) {
-			for _, reg := range []rt.Registry{msg.NewRouter().Externs(0), grid.CheckpointExtern(0)} {
+			for _, reg := range []rt.Registry{msg.NewRouter().Externs(0), workload.CkExtern("grid-ck-0")} {
 				for n, e := range reg {
 					p.RegisterExtern(n, e.Sig, e.Fn)
 				}

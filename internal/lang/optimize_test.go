@@ -10,9 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/fir"
-	"repro/internal/grid"
 	"repro/internal/lang"
 	"repro/internal/rt"
 	"repro/internal/workload"
@@ -182,7 +182,9 @@ func TestOptimizerOracleApps(t *testing.T) {
 		t.Fatal(err)
 	}
 	apps = append(apps, app{"grid.mc", gw, func(workload.Params) (*fir.Program, error) {
-		return lang.Compile(string(gridMC), grid.ExternSigs())
+		sigs := cluster.Externs()
+		sigs["ck_name"] = fir.ExternSig{Result: fir.TyPtr}
+		return lang.Compile(string(gridMC), sigs)
 	}})
 
 	for _, a := range apps {

@@ -84,7 +84,7 @@ type BlockHooks struct {
 // buffers of tagged payloads, plus the node's rollback-epoch cursor.
 type mailbox struct {
 	mu    sync.Mutex
-	cond  sync.Cond // embedded, L set to &mu at construction
+	cond  sync.Cond                        // embedded, L set to &mu at construction
 	links map[int64]map[int64][]heap.Value // src -> tag -> payload
 	seen  int64                            // last rollback epoch observed
 	// free holds payload buffers reclaimed by GC for reuse by later

@@ -10,9 +10,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
-	_ "repro/internal/grid" // register grid
 	"repro/internal/workload"
-	_ "repro/internal/workload/apps" // register allreduce/taskfarm/pipeline
+	_ "repro/internal/workload/apps" // register the shipped apps
 )
 
 // startServer runs a daemon on loopback and tears it down with the test.

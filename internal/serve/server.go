@@ -86,11 +86,11 @@ type Server struct {
 	store migrate.Store
 	queue chan *job
 
-	reg     *obs.Registry
-	trace   *obs.Tracer
-	ev      *obs.Stream    // the "serve" admission-lifecycle stream
-	qwAll   *obs.Histogram // daemon-wide queue wait (ns)
-	runAll  *obs.Histogram // daemon-wide run duration (ns)
+	reg    *obs.Registry
+	trace  *obs.Tracer
+	ev     *obs.Stream    // the "serve" admission-lifecycle stream
+	qwAll  *obs.Histogram // daemon-wide queue wait (ns)
+	runAll *obs.Histogram // daemon-wide run duration (ns)
 
 	mu      sync.Mutex
 	closing bool

@@ -431,42 +431,65 @@ func TestGCDuringExecution(t *testing.T) {
 	}
 }
 
-func TestSchedulerRunsProcessesToCompletion(t *testing.T) {
-	mk := func(n int64) *Process {
-		b := fir.NewBuilder()
-		b.Let("done", fir.TyInt, fir.OpGe, fir.V("i"), fir.I(n))
-		loop := fir.Fn("loop", fir.Ps("i", fir.TyInt),
-			b.If(fir.V("done"),
-				fir.Halt{Code: fir.V("i")},
-				func() fir.Expr {
-					b2 := fir.NewBuilder()
-					b2.Let("i2", fir.TyInt, fir.OpAdd, fir.V("i"), fir.I(1))
-					return b2.CallNamed("loop", fir.V("i2"))
-				}()))
-		main := fir.Fn("main", nil, fir.NewBuilder().CallNamed("loop", fir.I(0)))
-		p := NewProcess(fir.NewProgram("main", main, loop), nil, rt.Config{Fuel: 1_000_000})
-		if err := p.Start(); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	s := NewScheduler(10)
-	p1, p2, p3 := mk(100), mk(500), mk(50)
-	for _, p := range []*Process{p1, p2, p3} {
-		if err := s.Add(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Run(); err != nil {
+// spinProg builds `loop(n): if n <= 0 halt 0 else tick(); loop(n-1)` —
+// one extern call per iteration so a yield point exists on every step.
+func spinProg(iters int64) *fir.Program {
+	b := fir.NewBuilder()
+	b.Let("done", fir.TyInt, fir.OpLe, fir.V("n"), fir.I(0))
+	loop := fir.Fn("loop", fir.Ps("n", fir.TyInt),
+		b.If(fir.V("done"),
+			fir.Halt{Code: fir.I(0)},
+			func() fir.Expr {
+				b2 := fir.NewBuilder()
+				b2.Extern("t", fir.TyInt, "tick")
+				b2.Let("n2", fir.TyInt, fir.OpSub, fir.V("n"), fir.I(1))
+				return b2.CallNamed("loop", fir.V("n2"))
+			}()))
+	main := fir.Fn("main", nil, fir.NewBuilder().CallNamed("loop", fir.I(iters)))
+	return fir.NewProgram("main", main, loop)
+}
+
+func startSpin(t *testing.T, iters int64, tick func(p *Process)) *Process {
+	t.Helper()
+	p := NewProcess(spinProg(iters), nil, rt.Config{Fuel: 10_000_000})
+	p.RegisterExtern("tick", fir.ExternSig{Result: fir.TyInt},
+		func(r rt.Runtime, a []heap.Value) (heap.Value, error) {
+			if tick != nil {
+				tick(p)
+			}
+			return heap.IntVal(0), nil
+		})
+	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range []*Process{p1, p2, p3} {
-		if p.Status() != rt.StatusHalted {
-			t.Fatalf("process %d status = %s", i, p.Status())
-		}
+	return p
+}
+
+// TestYieldEndsQuantumEarly: an extern calling Yield must end a bounded
+// RunSteps after the current step, while an unbounded Run ignores it.
+func TestYieldEndsQuantumEarly(t *testing.T) {
+	p := startSpin(t, 1000, func(p *Process) { p.Yield() })
+	before := p.Steps()
+	st, err := p.RunSteps(500)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.Switches() == 0 {
-		t.Fatal("no context switches recorded")
+	if st != rt.StatusRunning {
+		t.Fatalf("status = %s, want running", st)
+	}
+	// The first tick extern fires on the third step of an iteration; the
+	// yield must have stopped the quantum right there, far short of 500.
+	if used := p.Steps() - before; used >= 500 || used == 0 {
+		t.Fatalf("quantum used %d steps, want an early yield", used)
+	}
+
+	// Unbounded Run drops yield requests and finishes the program.
+	st, err = p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != rt.StatusHalted {
+		t.Fatalf("status = %s, want halted", st)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package apps is the workload library: it registers every shipped
 // application with the workload registry. Importing it (usually blank,
-// from a main or a test) makes grid, allreduce, taskfarm and pipeline
-// available to workload.Get / cmd/mojrun -app.
+// from a main or a test) makes grid, allreduce, taskfarm, pipeline and
+// kvserve available to workload.Get / cmd/mojrun -app.
 //
 // Each workload is a named package of {MojC program, typed parameters,
-// bit-exact sequential Go reference, result verifier}; the three
-// non-grid applications deliberately exercise machinery the paper's §2
-// grid program never touches:
+// bit-exact sequential Go reference, result verifier}. grid is the
+// paper's §2 application; the others deliberately exercise machinery
+// the grid program never touches:
 //
 //   - allreduce: a ring global reduction — a failure mid-collective rolls
 //     every node back to the last speculation and the keyed idempotent
@@ -27,12 +27,11 @@ package apps
 import (
 	"repro/internal/cluster"
 	"repro/internal/fir"
-	"repro/internal/grid"
 	"repro/internal/workload"
 )
 
 func init() {
-	workload.Register(grid.W{})
+	workload.Register(grid{})
 	workload.Register(allreduce{})
 	workload.Register(taskfarm{})
 	workload.Register(pipeline{})

@@ -235,6 +235,9 @@ func TestDistributedMultiFailureConverges(t *testing.T) {
 				if res.Resurrections != len(script.Events) {
 					t.Fatalf("resurrections = %d, want %d", res.Resurrections, len(script.Events))
 				}
+				if res.Rollbacks == 0 {
+					t.Fatal("no MSG_ROLL deliveries: survivors never rolled back")
+				}
 			})
 		}
 	}

@@ -247,7 +247,7 @@ func (k kvserve) Externs(p workload.Params, node int64) rt.Registry {
 
 // kvReq mirrors the MojC request-stream functions exactly.
 func kvReq(t, shards int64) (key, wr, val int64) {
-	x := ((t*2654435761)+12345) % 1000003
+	x := ((t * 2654435761) + 12345) % 1000003
 	key = x % 16
 	if x%4 < 2 {
 		key -= key % shards
@@ -256,7 +256,7 @@ func kvReq(t, shards int64) (key, wr, val int64) {
 	if x%3 == 0 {
 		wr = 1
 	}
-	val = ((x*7)+3) % 100003
+	val = ((x * 7) + 3) % 100003
 	return key, wr, val
 }
 

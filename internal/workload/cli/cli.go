@@ -1,8 +1,7 @@
-// Package cli implements the mojrun command (and its gridrun alias):
-// run any registered workload on the in-process simulated cluster or
-// distributed across OS processes, drive it through a declarative fault
-// script, and verify the result bit-exactly against the workload's
-// sequential reference.
+// Package cli implements the mojrun command: run any registered
+// workload on the in-process simulated cluster or distributed across OS
+// processes, drive it through a declarative fault script, and verify
+// the result bit-exactly against the workload's sequential reference.
 package cli
 
 import (
@@ -98,26 +97,21 @@ func openStore(opt options, tracer *obs.Tracer, reg *obs.Registry) (migrate.Stor
 	})
 }
 
-// Main is the shared entry point: prog names the binary in messages
-// ("mojrun" or "gridrun"), defaultApp is the -app default (gridrun pins
-// "grid"). It returns the process exit code; a worker ordered to die by
-// the coordinator's fault injection returns 3 (simulated crash, not an
-// error).
-func Main(argv []string, prog, defaultApp string, stdout, stderr io.Writer) int {
-	var (
-		opt  options
-		rows int
-		cols int
-	)
+// prog names the binary in messages.
+const prog = "mojrun"
+
+// Main is mojrun's entry point. It returns the process exit code; a
+// worker ordered to die by the coordinator's fault injection returns 3
+// (simulated crash, not an error).
+func Main(argv []string, stdout, stderr io.Writer) int {
+	var opt options
 	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.StringVar(&opt.app, "app", defaultApp, "workload to run (see -list)")
+	fs.StringVar(&opt.app, "app", "grid", "workload to run (see -list)")
 	fs.BoolVar(&opt.list, "list", false, "list registered workloads and exit")
 	fs.IntVar(&opt.params.Nodes, "nodes", 0, "cluster nodes (0 = workload default)")
 	fs.IntVar(&opt.params.Size, "size", 0, "per-node problem size (0 = workload default)")
 	fs.IntVar(&opt.params.Aux, "aux", 0, "workload-specific secondary knob (0 = workload default)")
-	fs.IntVar(&rows, "rows", 0, "rows per node (grid alias for -size)")
-	fs.IntVar(&cols, "cols", 0, "columns (grid alias for -aux)")
 	fs.IntVar(&opt.params.Steps, "steps", 0, "timesteps / rounds / batches (0 = workload default)")
 	fs.IntVar(&opt.params.CheckpointInterval, "ck", 0, "checkpoint interval (0 = workload default)")
 	fs.IntVar(&opt.params.Workers, "workers", 0, "concurrently executing node quanta (0 = unbounded)")
@@ -144,12 +138,6 @@ func Main(argv []string, prog, defaultApp string, stdout, stderr io.Writer) int 
 	fs.StringVar(&opt.resume, "resume", "", "checkpoint name to resurrect from (with -join)")
 	if err := fs.Parse(argv); err != nil {
 		return 2
-	}
-	if opt.params.Size == 0 {
-		opt.params.Size = rows
-	}
-	if opt.params.Aux == 0 {
-		opt.params.Aux = cols
 	}
 
 	// Reject an unknown -engine before any work starts; the error lists
@@ -193,7 +181,7 @@ func Main(argv []string, prog, defaultApp string, stdout, stderr io.Writer) int 
 	}
 
 	if opt.join != "" {
-		return runWorker(w, opt, prog, stdout, stderr)
+		return runWorker(w, opt, stdout, stderr)
 	}
 
 	script, err := buildScript(opt)
@@ -283,7 +271,7 @@ func Main(argv []string, prog, defaultApp string, stdout, stderr io.Writer) int 
 	var res *workload.Result
 	switch {
 	case opt.distributed, opt.coordOnly:
-		res, err = runCoordinator(w, p, script, opt, st, tracer, prog, stderr)
+		res, err = runCoordinator(w, p, script, opt, st, tracer, stderr)
 	default:
 		res, err = workload.Run(w, p, workload.RunConfig{
 			Script: script, Timeout: opt.timeout, Trace: tracer, Metrics: reg,
@@ -417,7 +405,7 @@ func buildScript(opt options) (*workload.FaultScript, error) {
 
 // runWorker is the -join mode: host one node, exit 0 on a clean finish
 // and 3 when the coordinator's failure injection killed us.
-func runWorker(w workload.Workload, opt options, prog string, stdout, stderr io.Writer) int {
+func runWorker(w workload.Workload, opt options, stdout, stderr io.Writer) int {
 	var tracer *obs.Tracer
 	if opt.trace != "" {
 		tracer = obs.NewTracer(0)
@@ -456,7 +444,7 @@ func runWorker(w workload.Workload, opt options, prog string, stdout, stderr io.
 // transport's remote-store protocol, so compression, replication and
 // the admission gate apply to every worker's checkpoints.
 func runCoordinator(w workload.Workload, p workload.Params, script *workload.FaultScript,
-	opt options, st migrate.Store, tracer *obs.Tracer, prog string, stderr io.Writer) (*workload.Result, error) {
+	opt options, st migrate.Store, tracer *obs.Tracer, stderr io.Writer) (*workload.Result, error) {
 	cfg := workload.DistributedConfig{
 		Listen: opt.listen,
 		Store:  st,

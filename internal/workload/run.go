@@ -44,12 +44,6 @@ type RunConfig struct {
 	// Program, when set, runs instead of Compile(w, p)'s shared program —
 	// for a caller that wants a compile of its own to measure.
 	Program *fir.Program
-	// Quantum overrides the engine's kill-check granularity in steps.
-	// Zero picks the engine default for failure-free runs and a small
-	// quantum (500) when a fault script is present — without it, a small
-	// program can halt cleanly inside the quantum the kill was posted in,
-	// and the "failure" would miss its victim.
-	Quantum uint64
 	// Store, when set, backs the run's checkpoints instead of a private
 	// MemStore. A multi-tenant server hands every run a namespaced view
 	// of one shared store.
@@ -127,8 +121,11 @@ func Run(w Workload, p Params, cfg RunConfig) (*Result, error) {
 		}
 	}
 
-	quantum := cfg.Quantum
-	if quantum == 0 && cfg.Script != nil && len(cfg.Script.Events) > 0 {
+	// The engine default quantum for failure-free runs; a small one under
+	// a fault script, or a small program could halt cleanly inside the
+	// quantum a kill was posted in and the "failure" would miss its victim.
+	var quantum uint64
+	if cfg.Script != nil && len(cfg.Script.Events) > 0 {
 		quantum = 500
 	}
 	ckptOpts, err := p.CkptOptions()

@@ -76,8 +76,8 @@ type FaultScript struct {
 	Events []FaultEvent
 }
 
-// OneFailure is the single-event sugar the old grid.FailurePlan form
-// maps onto.
+// OneFailure is the single-event script: kill node after its
+// afterCheckpoints-th checkpoint, resurrect it after delay.
 func OneFailure(node int64, afterCheckpoints int, delay time.Duration) *FaultScript {
 	return &FaultScript{Events: []FaultEvent{{Node: node, AfterCheckpoints: afterCheckpoints, Delay: delay}}}
 }

@@ -188,30 +188,30 @@ func TestParseScriptMalformed(t *testing.T) {
 		src  string
 		line string // expected "line N" fragment
 	}{
-		{"resurrect 1", "line 1"},                        // unknown event kind
-		{"fail 1@2\nnuke 0@1", "line 2"},                 // unknown kind, later line
-		{"fail 1@2 delay=ck:", "line 1"},                 // empty ck count
-		{"fail 1@2 delay=ck:0", "line 1"},                // ck count must be positive
-		{"fail 1@2 delay=ck:x", "line 1"},                // ck count not a number
-		{"\n\nfail 1@2 delay=zz", "line 3"},              // bad duration, line 3
-		{"crashresurrect 1", "line 1"},                   // missing spec
-		{"crashresurrect 1@2 delay=never", "line 1"},     // never is storekill-only
-		{"crashresurrect x@2", "line 1"},                 // bad node
-		{"storekill 1@2 delay=ck:3", "line 1"},           // ck delay is not for storekill
-		{"partition 0,1", "line 1"},                      // missing heal=
-		{"partition 0,1|2", "line 1"},                    // still missing heal=
-		{"partition 0,1|2 heal=", "line 1"},              // malformed heal arg
-		{"partition 0,1|2 heal=x", "line 1"},             // heal not a number
-		{"partition 0,1|2 heal=0", "line 1"},             // heal must be positive
-		{"partition 0,1|2 heal=-3", "line 1"},            // negative heal
-		{"partition 0,1|2 after=0 heal=2", "line 1"},     // after must be positive
-		{"partition 0,1|2 after=x heal=2", "line 1"},     // after not a number
-		{"partition 0|1 wedge=3 heal=2", "line 1"},       // unknown option
-		{"partition 0,x|2 heal=2", "line 1"},             // bad node in set
-		{"partition |2 heal=2", "line 1"},                // empty left set
-		{"partition 0,1 2 heal=2", "line 1"},             // no | separator
-		{"partition 0,1|1,2 heal=2", "line 1"},           // overlapping sets
-		{"fail 1@2\npartition 0|1,x heal=2", "line 2"},   // bad set, line 2
+		{"resurrect 1", "line 1"},                      // unknown event kind
+		{"fail 1@2\nnuke 0@1", "line 2"},               // unknown kind, later line
+		{"fail 1@2 delay=ck:", "line 1"},               // empty ck count
+		{"fail 1@2 delay=ck:0", "line 1"},              // ck count must be positive
+		{"fail 1@2 delay=ck:x", "line 1"},              // ck count not a number
+		{"\n\nfail 1@2 delay=zz", "line 3"},            // bad duration, line 3
+		{"crashresurrect 1", "line 1"},                 // missing spec
+		{"crashresurrect 1@2 delay=never", "line 1"},   // never is storekill-only
+		{"crashresurrect x@2", "line 1"},               // bad node
+		{"storekill 1@2 delay=ck:3", "line 1"},         // ck delay is not for storekill
+		{"partition 0,1", "line 1"},                    // missing heal=
+		{"partition 0,1|2", "line 1"},                  // still missing heal=
+		{"partition 0,1|2 heal=", "line 1"},            // malformed heal arg
+		{"partition 0,1|2 heal=x", "line 1"},           // heal not a number
+		{"partition 0,1|2 heal=0", "line 1"},           // heal must be positive
+		{"partition 0,1|2 heal=-3", "line 1"},          // negative heal
+		{"partition 0,1|2 after=0 heal=2", "line 1"},   // after must be positive
+		{"partition 0,1|2 after=x heal=2", "line 1"},   // after not a number
+		{"partition 0|1 wedge=3 heal=2", "line 1"},     // unknown option
+		{"partition 0,x|2 heal=2", "line 1"},           // bad node in set
+		{"partition |2 heal=2", "line 1"},              // empty left set
+		{"partition 0,1 2 heal=2", "line 1"},           // no | separator
+		{"partition 0,1|1,2 heal=2", "line 1"},         // overlapping sets
+		{"fail 1@2\npartition 0|1,x heal=2", "line 2"}, // bad set, line 2
 	}
 	for _, c := range cases {
 		s, err := ParseScriptString(c.src)

@@ -8,10 +8,10 @@
 // The paper's claim (conf_ipps_SmithTH07) is that speculate/commit/abort
 // and migrate turn fault tolerance into a handful of source annotations
 // for *any* long-running cluster application; this package is where
-// "any" stops being hypothetical. internal/grid registers the paper's §2
-// grid computation as the first workload; internal/workload/apps adds a
-// ring allreduce, a master–worker task farm, and a multi-stage pipeline
-// that migrates a stage mid-run.
+// "any" stops being hypothetical. internal/workload/apps registers the
+// paper's §2 grid computation next to a ring allreduce, a master–worker
+// task farm, a multi-stage pipeline that migrates a stage mid-run, and a
+// replicated key-value serving tier.
 package workload
 
 import (
