@@ -116,6 +116,10 @@ func Execute(s *Scenario, cfg ExecConfig) *Report {
 		}()
 		ch <- done{err: runScenario(s, cfg)}
 	}()
+	// A stopped timer, not time.After: under pre-1.23 timer semantics an
+	// armed one stays in the runtime's timer heap for the full timeout.
+	t := time.NewTimer(cfg.Timeout)
+	defer t.Stop()
 
 	select {
 	case d := <-ch:
@@ -134,7 +138,7 @@ func Execute(s *Scenario, cfg ExecConfig) *Report {
 		default:
 			rep.Outcome, rep.Err = OutcomeError, d.err
 		}
-	case <-time.After(cfg.Timeout):
+	case <-t.C:
 		rep.Elapsed = time.Since(start)
 		rep.Outcome = OutcomeHang
 		rep.Err = fmt.Errorf("scenario still running after %s", cfg.Timeout)

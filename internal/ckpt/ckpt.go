@@ -30,6 +30,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/heap"
@@ -94,6 +95,12 @@ type fullScratch struct {
 
 var fullPool = sync.Pool{New: func() any { return new(fullScratch) }}
 
+// fullHint is the size of the last full image. Every GC empties
+// fullPool, and a fresh scratch sized from the hint costs one allocation
+// instead of a chain of doublings, so allocation per checkpoint does not
+// depend on how often the collector runs.
+var fullHint atomic.Int64
+
 // Options configures a Committer.
 type Options struct {
 	// Mode selects the pipeline behaviour (default ModeFull).
@@ -146,7 +153,6 @@ type job struct {
 	head   string
 	member string
 	seq    int
-	base   string
 	full   bool
 	owner  int64
 	img    *wire.Image
@@ -157,12 +163,6 @@ type job struct {
 type memberRec struct {
 	name string
 	seq  int
-}
-
-// deleter is the optional store extension pruning uses. Stores without
-// it (e.g. the remote store) simply accumulate members.
-type deleter interface {
-	Delete(name string) error
 }
 
 // chain is the per-checkpoint-name pipeline state. One node owns a chain
@@ -204,8 +204,7 @@ type durableWait struct {
 // Committer drives checkpoint captures and commits against a store.
 // A single Committer serves every node of an engine.
 type Committer struct {
-	store migrate.DeltaStore
-	raw   migrate.Store // the undecorated store, probed for Delete
+	store migrate.Store
 	opts  Options
 
 	mu     sync.Mutex
@@ -213,15 +212,15 @@ type Committer struct {
 	stats  Stats
 }
 
-// New creates a committer over store. A plain 3-method store is upgraded
-// with the generic delta adapter.
+// New creates a committer over store. Delta members are ordinary Puts:
+// each delta image names its chain predecessor itself, so the store
+// needs no chain-aware extension.
 func New(store migrate.Store, opts Options) *Committer {
 	if opts.K <= 0 {
 		opts.K = DefaultK
 	}
 	return &Committer{
-		store:  migrate.AsDeltaStore(store),
-		raw:    store,
+		store:  store,
 		opts:   opts,
 		chains: make(map[string]*chain),
 	}
@@ -325,12 +324,17 @@ func (c *Committer) Checkpoint(req *rt.MigrationRequest, head string, owner int6
 		// needs a copy of the heap to outlive the pause.
 		sc := fullPool.Get().(*fullScratch)
 		defer fullPool.Put(sc)
+		if sc.buf == nil {
+			n := fullHint.Load()
+			sc.buf = make([]byte, 0, n+n/8)
+		}
 		data, err := migrate.AppendPack(sc.buf[:0], &sc.view, req.Rt, req.Label, req.FnIndex, req.Args)
 		sc.view.Release()
 		sc.buf = data[:0]
 		if err != nil {
 			return err
 		}
+		fullHint.Store(int64(len(data)))
 		capture := time.Since(t0)
 		if err := c.store.Put(head, data); err != nil {
 			return err
@@ -386,7 +390,7 @@ func (c *Committer) Checkpoint(req *rt.MigrationRequest, head string, owner int6
 	}
 	c.mu.Unlock()
 
-	j := job{head: head, member: member, seq: seq, base: base, full: full, owner: owner}
+	j := job{head: head, member: member, seq: seq, full: full, owner: owner}
 	if full {
 		j.img, err = migrate.Pack(req.Rt, req.Label, req.FnIndex, req.Args)
 		if err == nil {
@@ -563,12 +567,7 @@ func (c *Committer) commit(ch *chain, j job) error {
 	} else {
 		data = wire.EncodeDeltaImage(j.delta)
 	}
-	var err error
-	if j.full {
-		err = c.store.Put(j.member, data)
-	} else {
-		err = c.store.PutDelta(j.member, j.base, data)
-	}
+	err := c.store.Put(j.member, data)
 	written := 0
 	published := false
 	if err == nil {
@@ -613,16 +612,11 @@ func (c *Committer) commit(ch *chain, j job) error {
 }
 
 // prune deletes chain members older than a just-published full image:
-// the head now resolves without them. Best-effort and only on stores
-// that support Delete — a failure (or an unsupporting store, like the
-// remote one) merely leaves dead objects behind. Failures are counted
+// the head now resolves without them. Best-effort — a failure merely
+// leaves dead objects behind. Failures are counted
 // (Stats.PruneFailures) and reported through Options.OnPruneError so a
 // leaking store is visible instead of silently filling up.
 func (c *Committer) prune(ch *chain, fullSeq int) {
-	d, ok := c.raw.(deleter)
-	if !ok {
-		return
-	}
 	c.mu.Lock()
 	var dead []string
 	kept := ch.members[:0]
@@ -637,7 +631,7 @@ func (c *Committer) prune(ch *chain, fullSeq int) {
 	c.mu.Unlock()
 	var pruned, failed uint64
 	for _, name := range dead {
-		if err := d.Delete(name); err != nil {
+		if err := c.store.Delete(name); err != nil {
 			failed++
 			if c.opts.OnPruneError != nil {
 				c.opts.OnPruneError(name, err)

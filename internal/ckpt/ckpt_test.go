@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-
-	"repro/internal/migrate"
 )
 
 type fakeStore struct {
@@ -31,6 +29,13 @@ func (s *fakeStore) Get(name string) ([]byte, error) {
 		return nil, fmt.Errorf("ckpt_test: %q not found", name)
 	}
 	return d, nil
+}
+
+func (s *fakeStore) Delete(name string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.m, name)
+	return nil
 }
 
 func (s *fakeStore) List() ([]string, error) {
@@ -207,10 +212,7 @@ func (s *flakyDeleteStore) Delete(name string) error {
 	if s.bad[name] {
 		return fmt.Errorf("ckpt_test: delete %q refused", name)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.m, name)
-	return nil
+	return s.fakeStore.Delete(name)
 }
 
 // TestPruneObservability: best-effort chain pruning stays best-effort,
@@ -260,17 +262,5 @@ func TestPruneObservability(t *testing.T) {
 	c.prune(ch, 3)
 	if st2 := c.Stats(); st2.Pruned != 2 || st2.PruneFailures != 1 {
 		t.Fatalf("idle prune moved counters: %+v", st2)
-	}
-}
-
-// TestAdapterResolveChain: the generic 3-method adapter resolves chains
-// through the linkage inside the images (no native store support).
-func TestAdapterResolveChain(t *testing.T) {
-	ds := migrate.AsDeltaStore(newFakeStore())
-	if err := ds.PutDelta("x@1", "x@0", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := ds.Get("x@1"); err != nil || string(got) != "payload" {
-		t.Fatalf("adapter PutDelta did not store: %q %v", got, err)
 	}
 }

@@ -841,9 +841,11 @@ func (e *Engine) Resurrect(node int64, checkpoint string, extra rt.Registry) err
 	// stop; resurrecting while a zombie of the old incarnation still runs
 	// would give the node two processes.
 	if d := e.driver(node); d != nil {
+		t := time.NewTimer(30 * time.Second)
 		select {
 		case <-d.done:
-		case <-time.After(30 * time.Second):
+			t.Stop()
+		case <-t.C:
 			return fmt.Errorf("cluster: node %d did not stop within 30s of failure", node)
 		}
 	}
@@ -897,13 +899,20 @@ func (e *Engine) Resurrect(node int64, checkpoint string, extra rt.Registry) err
 // never terminate — Resume them first.
 func (e *Engine) Wait(timeout time.Duration) (map[int64]*ProcState, error) {
 	done := e.idleChan()
+	// A stopped timer, not time.After: under pre-1.23 timer semantics
+	// an armed timer stays in the runtime's timer heap until it fires,
+	// long after Wait returns.
+	t := time.NewTimer(timeout)
 	select {
 	case <-done:
-	case <-time.After(timeout):
+		t.Stop()
+	case <-t.C:
 		e.Router.Close() // release blocked receivers
+		t.Reset(5 * time.Second)
 		select {
 		case <-done:
-		case <-time.After(5 * time.Second):
+			t.Stop()
+		case <-t.C:
 			return e.snapshot(), fmt.Errorf("cluster: processes still running after router close")
 		}
 		return e.snapshot(), fmt.Errorf("cluster: timeout after %s", timeout)

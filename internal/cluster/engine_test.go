@@ -290,15 +290,6 @@ type notifyStore struct {
 	onPut func(name string, count int)
 }
 
-// Delete forwards pruning to the wrapped store (interface embedding
-// would otherwise hide the optional method from the committer).
-func (s *notifyStore) Delete(name string) error {
-	if d, ok := s.Store.(interface{ Delete(string) error }); ok {
-		return d.Delete(name)
-	}
-	return nil
-}
-
 func (s *notifyStore) Put(name string, data []byte) error {
 	if err := s.Store.Put(name, data); err != nil {
 		return err

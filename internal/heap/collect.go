@@ -248,112 +248,6 @@ func (h *Heap) CollectMinor() {
 	h.stats.MinorGCs++
 }
 
-// CollectMajorBFS is the ablation baseline for experiment A4: a full
-// collection that relocates live runs in breadth-first reachability order
-// from the roots (the order a Cheney-style copying collector produces)
-// instead of sliding in allocation order. It is correct but destroys
-// temporal locality, which BenchmarkGCCompactionLocality quantifies.
-func (h *Heap) CollectMajorBFS() {
-	h.markMajor()
-	h.sweepUnmarked(false)
-
-	// Determine BFS order over entries.
-	order := make([]int64, 0, len(h.table))
-	seen := make(map[int64]bool)
-	var queue []int64
-	enqueue := func(idx int64) {
-		if h.validLive(idx) && !seen[idx] {
-			seen[idx] = true
-			queue = append(queue, idx)
-		}
-	}
-	h.gatherRoots(func(v Value) {
-		if v.Kind == KPtr && v.I >= 0 {
-			enqueue(v.I)
-		}
-	})
-	for len(queue) > 0 {
-		idx := queue[0]
-		queue = queue[1:]
-		order = append(order, idx)
-		e := &h.table[idx]
-		for i := e.Addr; i < e.Addr+e.Size; i++ {
-			if w := h.arena[i]; w.Kind == KPtr && w.I >= 0 {
-				enqueue(w.I)
-			}
-		}
-	}
-	// Entries live but unreached by BFS (pinned by checkpoint records)
-	// go after the reachable ones, in table order.
-	for i := range h.table {
-		if h.table[i].Addr >= 0 && h.table[i].Mark && !seen[int64(i)] {
-			order = append(order, int64(i))
-		}
-	}
-
-	// Copy into a fresh semispace in BFS order; shadows follow at the end.
-	to := make([]Value, len(h.arena))
-	dst := 0
-	for _, idx := range order {
-		e := &h.table[idx]
-		copy(to[dst:dst+e.Size], h.arena[e.Addr:e.Addr+e.Size])
-		h.stats.WordsMoved += uint64(e.Size)
-		e.Addr = dst
-		dst += e.Size
-	}
-	for lp := range h.levels {
-		for sp := range h.levels[lp].shadows {
-			s := &h.levels[lp].shadows[sp]
-			copy(to[dst:dst+s.OldSize], h.arena[s.OldAddr:s.OldAddr+s.OldSize])
-			s.OldAddr = dst
-			dst += s.OldSize
-		}
-	}
-	h.arena = to
-	h.allocPtr = dst
-	h.clearMarks()
-	h.promoteAll()
-	h.stats.MajorGCs++
-}
-
-// TemporalLocalityScore measures how well the arena layout preserves
-// temporal allocation order: the mean absolute arena distance between the
-// current copies of consecutively-allocated live blocks. Lower is better;
-// sliding compaction keeps it low, breadth-first copying inflates it.
-func (h *Heap) TemporalLocalityScore() float64 {
-	type sb struct {
-		seq  uint64
-		addr int
-	}
-	var blocks []sb
-	for i := range h.table {
-		if h.table[i].Addr >= 0 {
-			blocks = append(blocks, sb{seq: h.table[i].Seq, addr: h.table[i].Addr})
-		}
-	}
-	if len(blocks) < 2 {
-		return 0
-	}
-	slices.SortFunc(blocks, func(a, b sb) int {
-		switch {
-		case a.seq < b.seq:
-			return -1
-		case a.seq > b.seq:
-			return 1
-		}
-		return 0
-	})
-	total := 0.0
-	for i := 1; i < len(blocks); i++ {
-		d := blocks[i].addr - blocks[i-1].addr
-		if d < 0 {
-			d = -d
-		}
-		total += float64(d)
-	}
-	return total / float64(len(blocks)-1)
-}
-
 // CheckInvariants verifies the heap's representation invariants. It is
 // called from property-based tests after randomized operation sequences;
 // any violation is a bug in the heap, the collector or the speculation

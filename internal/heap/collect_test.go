@@ -203,73 +203,6 @@ func TestOutOfMemory(t *testing.T) {
 	}
 }
 
-func TestBFSCompactionCorrectness(t *testing.T) {
-	h := New(Config{})
-	roots := &rootSet{}
-	roots.attach(h)
-
-	var ptrs []Value
-	for i := 0; i < 40; i++ {
-		p := mustAlloc(t, h, 3)
-		mustStore(t, h, p, 0, IntVal(int64(i*i)))
-		ptrs = append(ptrs, p)
-	}
-	// Link even-indexed blocks into a chain rooted at ptrs[0]; odd blocks
-	// are rooted directly.
-	for i := 0; i+2 < len(ptrs); i += 2 {
-		mustStore(t, h, ptrs[i], 1, ptrs[i+2])
-	}
-	roots.vals = []Value{ptrs[0]}
-	for i := 1; i < len(ptrs); i += 2 {
-		roots.vals = append(roots.vals, ptrs[i])
-	}
-	h.CollectMajorBFS()
-	checkInv(t, h)
-	for i, p := range ptrs {
-		if got := mustLoad(t, h, p, 0); !got.Equal(IntVal(int64(i * i))) {
-			t.Fatalf("block %d word = %s, want %d", i, got, i*i)
-		}
-	}
-}
-
-func TestSlidingPreservesTemporalLocalityVsBFS(t *testing.T) {
-	build := func() (*Heap, *rootSet) {
-		h := New(Config{})
-		roots := &rootSet{}
-		roots.attach(h)
-		// Allocate a binary-tree-ish structure where BFS order diverges
-		// strongly from allocation order: children allocated depth-first.
-		var build func(depth int) Value
-		build = func(depth int) Value {
-			n := mustAlloc(t, h, 3)
-			roots.vals = append(roots.vals, n) // pin during construction
-			if depth > 0 {
-				l := build(depth - 1)
-				r := build(depth - 1)
-				mustStore(t, h, n, 1, l)
-				mustStore(t, h, n, 2, r)
-			}
-			roots.vals = roots.vals[:len(roots.vals)-1]
-			return n
-		}
-		root := build(7)
-		roots.vals = []Value{root}
-		return h, roots
-	}
-
-	h1, _ := build()
-	h1.CollectMajor()
-	slide := h1.TemporalLocalityScore()
-
-	h2, _ := build()
-	h2.CollectMajorBFS()
-	bfs := h2.TemporalLocalityScore()
-
-	if slide >= bfs {
-		t.Fatalf("sliding locality score %v should beat (be lower than) BFS %v", slide, bfs)
-	}
-}
-
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	h := New(Config{})
 	p := mustAlloc(t, h, 4)

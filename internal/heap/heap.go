@@ -43,9 +43,6 @@ type Config struct {
 	InitialWords int
 	// MaxWords caps arena growth (default 1<<24 words).
 	MaxWords int
-	// DisableChecks turns off the pointer-table safety checks, for
-	// measuring their cost (ablation A3). Never set in production use.
-	DisableChecks bool
 	// TrackDirty enables dirty-entry tracking from birth so the heap can
 	// emit incremental DeltaSnapshots (see delta.go). Off by default: the
 	// bookkeeping costs one map write per dirtying operation.
@@ -361,27 +358,23 @@ func (h *Heap) freeEntry(idx int64) {
 // pointer table, returning the entry index. These are the per-access
 // safety checks of §4.1.1.
 func (h *Heap) check(ptr Value, off int64) (int64, error) {
-	if !h.cfg.DisableChecks {
-		h.stats.Checks++
-		if ptr.Kind != KPtr {
-			return 0, fmt.Errorf("%w: %s", ErrNotPointer, ptr)
-		}
-		if ptr.I < 0 {
-			return 0, ErrNullPointer
-		}
-		if ptr.I >= int64(len(h.table)) {
-			return 0, fmt.Errorf("%w: %d >= %d", ErrBadIndex, ptr.I, len(h.table))
-		}
+	h.stats.Checks++
+	if ptr.Kind != KPtr {
+		return 0, fmt.Errorf("%w: %s", ErrNotPointer, ptr)
+	}
+	if ptr.I < 0 {
+		return 0, ErrNullPointer
+	}
+	if ptr.I >= int64(len(h.table)) {
+		return 0, fmt.Errorf("%w: %d >= %d", ErrBadIndex, ptr.I, len(h.table))
 	}
 	e := &h.table[ptr.I]
-	if !h.cfg.DisableChecks {
-		if e.Addr < 0 {
-			return 0, fmt.Errorf("%w: index %d", ErrFreeEntry, ptr.I)
-		}
-		eff := ptr.Off + off
-		if eff < 0 || eff >= int64(e.Size) {
-			return 0, fmt.Errorf("%w: offset %d, block size %d (index %d)", ErrBounds, eff, e.Size, ptr.I)
-		}
+	if e.Addr < 0 {
+		return 0, fmt.Errorf("%w: index %d", ErrFreeEntry, ptr.I)
+	}
+	eff := ptr.Off + off
+	if eff < 0 || eff >= int64(e.Size) {
+		return 0, fmt.Errorf("%w: offset %d, block size %d (index %d)", ErrBounds, eff, e.Size, ptr.I)
 	}
 	return ptr.I, nil
 }

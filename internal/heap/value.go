@@ -90,9 +90,6 @@ func Null() Value { return Value{Kind: KPtr, I: -1} }
 // IsNull reports whether v is the null pointer.
 func (v Value) IsNull() bool { return v.Kind == KPtr && v.I < 0 }
 
-// Truthy reports whether an integer value is non-zero.
-func (v Value) Truthy() bool { return v.Kind == KInt && v.I != 0 }
-
 func (v Value) String() string {
 	switch v.Kind {
 	case KUnit:

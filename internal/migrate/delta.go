@@ -1,9 +1,9 @@
-// Incremental checkpoints: capture (PackDelta), the delta-aware store
-// contract (DeltaStore / AsDeltaStore), and chain resolution (FetchImage,
-// ResolveChain). A checkpoint chain is a full Image followed by delta
-// images, each naming its predecessor; the head name holds a tiny ref
-// record pointing at the last durable member, published only after that
-// member's payload — the durability watermark resurrect reads.
+// Incremental checkpoints: capture (PackDelta) and chain resolution
+// (FetchImage, ResolveChain). A checkpoint chain is a full Image followed
+// by delta images, each naming its predecessor, all stored as ordinary
+// Store objects; the head name holds a tiny ref record pointing at the
+// last durable member, published only after that member's payload — the
+// durability watermark resurrect reads.
 package migrate
 
 import (
@@ -57,43 +57,6 @@ func PackDelta(r rt.Runtime, label int, fnIdx int64, args []heap.Value, base str
 		// continuation per open level).
 		Conts: r.Spec().Snapshot(),
 	}, nil
-}
-
-// DeltaStore is the chunk/delta-aware extension of Store. Native
-// implementations may index chain linkage or deduplicate content;
-// AsDeltaStore upgrades any plain 3-method Store with a generic adapter
-// (the linkage travels inside the delta images themselves, so no extra
-// store state is required).
-type DeltaStore interface {
-	Store
-	// PutDelta stores a delta checkpoint whose chain predecessor is base.
-	PutDelta(name, base string, data []byte) error
-	// ResolveChain returns the chain ending at name (following one head
-	// ref if name holds one), full-image root first.
-	ResolveChain(name string) ([]string, error)
-}
-
-// deltaAdapter upgrades a plain Store.
-type deltaAdapter struct{ Store }
-
-// AsDeltaStore returns s itself when it already implements DeltaStore,
-// otherwise a generic adapter over its 3-method surface.
-func AsDeltaStore(s Store) DeltaStore {
-	if ds, ok := s.(DeltaStore); ok {
-		return ds
-	}
-	return deltaAdapter{s}
-}
-
-// PutDelta stores the delta like any other checkpoint; the base name is
-// already recorded inside the image.
-func (a deltaAdapter) PutDelta(name, base string, data []byte) error {
-	return a.Put(name, data)
-}
-
-// ResolveChain walks the chain by reading and sniffing each member.
-func (a deltaAdapter) ResolveChain(name string) ([]string, error) {
-	return ResolveChain(a.Store, name)
 }
 
 // ErrBadHeadRef is the errors.Is identity of every BadHeadRefError:

@@ -82,18 +82,25 @@ func ParseTarget(s string) (Proto, string, error) {
 	}
 }
 
-// Store is the reliable persistent storage checkpoints are written to.
-// The paper uses an NFS mount visible across the cluster; internal/cluster
-// provides in-memory and directory-backed implementations.
+// Store is the reliable persistent storage checkpoints are written to:
+// the one store seam every layer (checkpoint pipeline, store tier, hub,
+// daemon) speaks. The paper uses an NFS mount visible across the
+// cluster; internal/cluster provides in-memory and directory-backed
+// implementations, internal/store the production tier.
 //
 // Put must not retain data after it returns: the checkpoint hot path
 // reuses its encode buffer across intervals, so an implementation that
 // needs the bytes later has to copy them (as MemStore does) or write
 // them out before returning.
+//
+// A missing name is an ordinary answer, not a failure: Get reports it
+// with an error matching os.ErrNotExist ("no checkpoint yet"), and
+// Delete of a missing name returns nil (pruning is idempotent).
 type Store interface {
 	Put(name string, data []byte) error
 	Get(name string) ([]byte, error)
 	List() ([]string, error)
+	Delete(name string) error
 }
 
 // encodeCache memoizes fir.EncodeProgram per program identity. A

@@ -44,6 +44,13 @@ func (s *memStore) Get(name string) ([]byte, error) {
 	return d, nil
 }
 
+func (s *memStore) Delete(name string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.m, name)
+	return nil
+}
+
 func (s *memStore) List() ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

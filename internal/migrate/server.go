@@ -237,7 +237,6 @@ type Server struct {
 
 	mu      sync.Mutex
 	stats   ServerStats
-	procs   []rt.Proc
 	wg      sync.WaitGroup
 	closing bool
 }
@@ -255,15 +254,6 @@ func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
-}
-
-// Processes returns the processes resumed so far.
-func (s *Server) Processes() []rt.Proc {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]rt.Proc, len(s.procs))
-	copy(out, s.procs)
-	return out
 }
 
 // Serve accepts migration sessions until the listener closes.
@@ -385,7 +375,6 @@ func (s *Server) handle(raw net.Conn) {
 	if !tm.Cached {
 		s.stats.LastMiss = tm
 	}
-	s.procs = append(s.procs, proc)
 	s.mu.Unlock()
 
 	if s.cfg.OnResume != nil {

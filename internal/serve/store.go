@@ -42,13 +42,9 @@ func (p prefixStore) List() ([]string, error) {
 	return out, nil
 }
 
-// Delete forwards pruning into the namespace. A shared store without
-// Delete support degrades to accumulate-until-GC.
+// Delete forwards pruning into the namespace.
 func (p prefixStore) Delete(name string) error {
-	if d, ok := p.inner.(interface{ Delete(string) error }); ok {
-		return d.Delete(p.prefix + name)
-	}
-	return nil
+	return p.inner.Delete(p.prefix + name)
 }
 
 // sweep deletes every object in the namespace from the shared store —
@@ -57,10 +53,6 @@ func (p prefixStore) Delete(name string) error {
 // error (every failure still counts in the daemon's gc_failures metric
 // via the returned failed count).
 func (p prefixStore) sweep() (deleted, failed int, first error) {
-	d, ok := p.inner.(interface{ Delete(string) error })
-	if !ok {
-		return 0, 0, nil
-	}
 	names, err := p.inner.List()
 	if err != nil {
 		return 0, 0, fmt.Errorf("serve: listing store for gc: %w", err)
@@ -69,7 +61,7 @@ func (p prefixStore) sweep() (deleted, failed int, first error) {
 		if !strings.HasPrefix(n, p.prefix) {
 			continue
 		}
-		if err := d.Delete(n); err != nil {
+		if err := p.inner.Delete(n); err != nil {
 			failed++
 			if first == nil {
 				first = fmt.Errorf("serve: gc %q: %w", n, err)

@@ -210,12 +210,6 @@ func (m *Manager) Rollback(ordinal int) (Continuation, error) {
 	return cont, nil
 }
 
-// Abandon closes level `ordinal` without restoring or preserving anything
-// beyond a commit. It is the C-level abort epilogue: after a rollback
-// re-enters a level, user code that chose the failure path commits the
-// (empty) re-entered level to leave speculation entirely.
-func (m *Manager) Abandon(ordinal int) error { return m.Commit(ordinal) }
-
 // Snapshot captures the continuation stack for migration (IDs are
 // reassigned on restore; ordinals are preserved).
 func (m *Manager) Snapshot() []Continuation {

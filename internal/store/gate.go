@@ -103,4 +103,4 @@ func (g *Gate) Get(name string) ([]byte, error) { return g.inner.Get(name) }
 
 func (g *Gate) List() ([]string, error) { return g.inner.List() }
 
-func (g *Gate) Delete(name string) error { return deleteFrom(g.inner, name) }
+func (g *Gate) Delete(name string) error { return g.inner.Delete(name) }

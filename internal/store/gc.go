@@ -3,7 +3,6 @@ package store
 import (
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/migrate"
@@ -130,7 +129,7 @@ func RunGC(s migrate.Store, opts Options) (GCStats, error) {
 		if data, err := s.Get(m.name); err == nil {
 			size = len(data)
 		}
-		if err := deleteFrom(s, m.name); err != nil {
+		if err := s.Delete(m.name); err != nil {
 			stats.Failures++
 			count(fails, 1)
 			continue
@@ -148,9 +147,6 @@ func RunGC(s migrate.Store, opts Options) (GCStats, error) {
 type GC struct {
 	stop chan struct{}
 	done chan struct{}
-
-	mu   sync.Mutex
-	last GCStats
 }
 
 // StartGC launches a background retention sweeper over s.
@@ -168,24 +164,13 @@ func StartGC(s migrate.Store, interval time.Duration, opts Options) *GC {
 			case <-g.stop:
 				return
 			case <-t.C:
-				stats, err := RunGC(s, opts)
-				if err != nil && opts.Registry != nil {
+				if _, err := RunGC(s, opts); err != nil && opts.Registry != nil {
 					opts.Registry.Counter("store.gc.failures").Inc()
 				}
-				g.mu.Lock()
-				g.last = stats
-				g.mu.Unlock()
 			}
 		}
 	}()
 	return g
-}
-
-// Last returns the most recent sweep's stats.
-func (g *GC) Last() GCStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.last
 }
 
 // Stop halts the sweeper and waits for an in-progress sweep to finish.

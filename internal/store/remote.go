@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 
@@ -13,31 +14,131 @@ import (
 	"repro/internal/migrate"
 )
 
-// Remote store protocol: a replica endpoint a repl: spec can point at
-// over TCP, so quorum members live on separate machines (the paper's
-// NFS mount generalized to a replica set). It speaks the repo-standard
-// length-prefixed framing.
+// The store protocol: the one wire format a migrate.Store travels in,
+// spoken by cmd/mojstored on its own TCP connection (Server/Remote) and
+// carried verbatim inside the transport hub's id-tagged store frames —
+// the paper's NFS mount generalized to a replica endpoint or a
+// coordinator.
 //
-// Request frame:  op byte + u16 name length + name + payload
+// Request:  op byte + u16 name length + name + payload
+//
 //	'P' put, 'G' get, 'L' list (empty name), 'D' delete
-// Response frame: status byte + body
+//
+// Response: status byte + body
+//
 //	'+' ok (body: data for get, '\n'-joined names for list)
 //	'0' not-exist (get only)
 //	'-' error (body: message)
 //
-// One request is in flight per connection at a time; the client
-// serializes callers and reconnects on a broken connection.
+// AppendRequest encodes, Handle runs a request against a backing store,
+// and DecodeResponse maps the status back to nil, os.ErrNotExist or an
+// error, so every carrier keeps the migrate.Store contract unchanged.
+
+// Request ops.
+const (
+	OpPut    = 'P'
+	OpGet    = 'G'
+	OpList   = 'L'
+	OpDelete = 'D'
+)
 
 const (
-	opPut    = 'P'
-	opGet    = 'G'
-	opList   = 'L'
-	opDelete = 'D'
-
 	statusOK       = '+'
 	statusNotExist = '0'
 	statusError    = '-'
 )
+
+// Request is one decoded store request. Payload aliases the encoded
+// bytes it was decoded from.
+type Request struct {
+	Op      byte
+	Name    string
+	Payload []byte
+}
+
+// AppendRequest appends the encoding of one request to dst — the one
+// copy of the payload the sending side makes.
+func AppendRequest(dst []byte, op byte, name string, payload []byte) ([]byte, error) {
+	if len(name) > 1<<16-1 {
+		return dst, fmt.Errorf("store: name of %d bytes too long for wire", len(name))
+	}
+	dst = slices.Grow(dst, 3+len(name)+len(payload))
+	dst = append(dst, op, byte(len(name)>>8), byte(len(name)))
+	dst = append(dst, name...)
+	return append(dst, payload...), nil
+}
+
+func decodeRequest(req []byte) (Request, error) {
+	if len(req) < 3 {
+		return Request{}, errors.New("store: short request")
+	}
+	nameLen := int(binary.BigEndian.Uint16(req[1:3]))
+	if len(req) < 3+nameLen {
+		return Request{}, errors.New("store: truncated request name")
+	}
+	return Request{Op: req[0], Name: string(req[3 : 3+nameLen]), Payload: req[3+nameLen:]}, nil
+}
+
+// Handle decodes one request, runs it against s and appends the encoded
+// response to dst. It also returns the decoded request and the outcome
+// (nil on success), so a carrier can observe completed writes.
+func Handle(dst []byte, s migrate.Store, req []byte) ([]byte, Request, error) {
+	r, err := decodeRequest(req)
+	if err != nil {
+		return append(append(dst, statusError), err.Error()...), r, err
+	}
+	var body []byte
+	switch r.Op {
+	case OpPut:
+		err = s.Put(r.Name, r.Payload)
+	case OpGet:
+		body, err = s.Get(r.Name)
+		if errors.Is(err, os.ErrNotExist) {
+			return append(dst, statusNotExist), r, err
+		}
+	case OpList:
+		var names []string
+		if names, err = s.List(); err == nil {
+			body = []byte(strings.Join(names, "\n"))
+		}
+	case OpDelete:
+		err = s.Delete(r.Name)
+	default:
+		err = fmt.Errorf("store: unknown op %q", r.Op)
+	}
+	if err != nil {
+		return append(append(dst, statusError), err.Error()...), r, err
+	}
+	dst = slices.Grow(dst, 1+len(body))
+	return append(append(dst, statusOK), body...), r, nil
+}
+
+// DecodeResponse returns a response's body on success, an error matching
+// os.ErrNotExist for a missing name, and the remote error otherwise. The
+// body aliases resp.
+func DecodeResponse(resp []byte) ([]byte, error) {
+	if len(resp) == 0 {
+		return nil, errors.New("store: empty response")
+	}
+	switch resp[0] {
+	case statusOK:
+		return resp[1:], nil
+	case statusNotExist:
+		return nil, os.ErrNotExist
+	case statusError:
+		return nil, errors.New(string(resp[1:]))
+	default:
+		return nil, fmt.Errorf("store: bad response status %q", resp[0])
+	}
+}
+
+// SplitNames decodes a list response body.
+func SplitNames(body []byte) []string {
+	if len(body) == 0 {
+		return nil
+	}
+	return strings.Split(string(body), "\n")
+}
 
 // Server serves a migrate.Store over TCP (cmd/mojstored wraps it).
 type Server struct {
@@ -113,81 +214,11 @@ func (s *Server) handle(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		resp := s.dispatch(req)
+		resp, _, _ := Handle(nil, s.backing, req)
 		if err := fc.WriteFrame(resp); err != nil {
 			return
 		}
 	}
-}
-
-// dispatch executes one request and encodes the response.
-func (s *Server) dispatch(req []byte) []byte {
-	op, name, payload, err := decodeRequest(req)
-	if err != nil {
-		return statusResp(statusError, err.Error())
-	}
-	switch op {
-	case opPut:
-		if err := s.backing.Put(name, payload); err != nil {
-			return statusResp(statusError, err.Error())
-		}
-		return []byte{statusOK}
-	case opGet:
-		data, err := s.backing.Get(name)
-		if errors.Is(err, os.ErrNotExist) {
-			return []byte{statusNotExist}
-		}
-		if err != nil {
-			return statusResp(statusError, err.Error())
-		}
-		resp := make([]byte, 1+len(data))
-		resp[0] = statusOK
-		copy(resp[1:], data)
-		return resp
-	case opList:
-		names, err := s.backing.List()
-		if err != nil {
-			return statusResp(statusError, err.Error())
-		}
-		return statusResp(statusOK, strings.Join(names, "\n"))
-	case opDelete:
-		if err := deleteFrom(s.backing, name); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return statusResp(statusError, err.Error())
-		}
-		return []byte{statusOK}
-	default:
-		return statusResp(statusError, fmt.Sprintf("unknown op %q", op))
-	}
-}
-
-func statusResp(status byte, body string) []byte {
-	resp := make([]byte, 1+len(body))
-	resp[0] = status
-	copy(resp[1:], body)
-	return resp
-}
-
-func encodeRequest(op byte, name string, payload []byte) ([]byte, error) {
-	if len(name) > 1<<16-1 {
-		return nil, fmt.Errorf("store: name of %d bytes too long for wire", len(name))
-	}
-	req := make([]byte, 3+len(name)+len(payload))
-	req[0] = op
-	binary.BigEndian.PutUint16(req[1:3], uint16(len(name)))
-	copy(req[3:], name)
-	copy(req[3+len(name):], payload)
-	return req, nil
-}
-
-func decodeRequest(req []byte) (op byte, name string, payload []byte, err error) {
-	if len(req) < 3 {
-		return 0, "", nil, errors.New("short request")
-	}
-	nameLen := int(binary.BigEndian.Uint16(req[1:3]))
-	if len(req) < 3+nameLen {
-		return 0, "", nil, errors.New("truncated request name")
-	}
-	return req[0], string(req[3 : 3+nameLen]), req[3+nameLen:], nil
 }
 
 // Remote is the client side: a migrate.Store proxying to a Server. It
@@ -219,11 +250,11 @@ func (r *Remote) Close() error {
 	return nil
 }
 
-// roundTrip sends one request and reads the response, holding the
+// roundTrip sends one request and decodes the response, holding the
 // connection lock. A transport error tears the connection down so the
 // next call redials.
 func (r *Remote) roundTrip(op byte, name string, payload []byte) ([]byte, error) {
-	req, err := encodeRequest(op, name, payload)
+	req, err := AppendRequest(nil, op, name, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -247,42 +278,28 @@ func (r *Remote) roundTrip(op byte, name string, payload []byte) ([]byte, error)
 		r.conn, r.fc = nil, nil
 		return nil, fmt.Errorf("store: %s: %w", r.addr, err)
 	}
-	if len(resp) == 0 {
-		return nil, fmt.Errorf("store: %s: empty response", r.addr)
+	body, err := DecodeResponse(resp)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: checkpoint %q: %w", r.addr, name, err)
 	}
-	switch resp[0] {
-	case statusOK:
-		return resp[1:], nil
-	case statusNotExist:
-		return nil, fmt.Errorf("store: checkpoint %q: %w", name, os.ErrNotExist)
-	case statusError:
-		return nil, fmt.Errorf("store: %s: %s", r.addr, resp[1:])
-	default:
-		return nil, fmt.Errorf("store: %s: bad status %q", r.addr, resp[0])
-	}
+	return body, nil
 }
 
 func (r *Remote) Put(name string, data []byte) error {
-	_, err := r.roundTrip(opPut, name, data)
+	_, err := r.roundTrip(OpPut, name, data)
 	return err
 }
 
 func (r *Remote) Get(name string) ([]byte, error) {
-	return r.roundTrip(opGet, name, nil)
+	return r.roundTrip(OpGet, name, nil)
 }
 
 func (r *Remote) List() ([]string, error) {
-	body, err := r.roundTrip(opList, "", nil)
-	if err != nil {
-		return nil, err
-	}
-	if len(body) == 0 {
-		return nil, nil
-	}
-	return strings.Split(string(body), "\n"), nil
+	body, err := r.roundTrip(OpList, "", nil)
+	return SplitNames(body), err
 }
 
 func (r *Remote) Delete(name string) error {
-	_, err := r.roundTrip(opDelete, name, nil)
+	_, err := r.roundTrip(OpDelete, name, nil)
 	return err
 }

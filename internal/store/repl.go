@@ -355,7 +355,7 @@ func (r *Replicated) Delete(name string) error {
 		go func(i int) {
 			rep, err := r.replica(i)
 			if err == nil {
-				err = deleteFrom(rep, name)
+				err = rep.Delete(name)
 			}
 			ch <- err
 		}(i)

@@ -1,6 +1,8 @@
 // Package store is the production checkpoint store tier: pluggable
-// backends behind the 3-method migrate.Store interface, selected by a
-// URL-style spec string. It layers, from the inside out:
+// backends behind the four-method migrate.Store interface (Put, Get,
+// List, Delete), selected by a URL-style spec string, and the one store
+// wire protocol (remote.go) that both cmd/mojstored and the transport
+// hub speak. It layers, from the inside out:
 //
 //	backend   — where bytes live: in-memory (mem), a directory
 //	            (dir:PATH), a directory with per-chunk compression at
@@ -157,20 +159,6 @@ func FindReplicated(s migrate.Store) *Replicated {
 	return nil
 }
 
-// deleter is the optional pruning extension of migrate.Store.
-type deleter interface {
-	Delete(name string) error
-}
-
-// deleteFrom forwards a Delete to s when it supports one (no-op
-// otherwise — an accumulating store degrades to GC-later).
-func deleteFrom(s migrate.Store, name string) error {
-	if d, ok := s.(deleter); ok {
-		return d.Delete(name)
-	}
-	return nil
-}
-
 // obsStore times every operation and forwards the measurements to the
 // registry and tracer. It is the one instrumentation point every
 // backend shares, sitting inside the gate so queue wait and backend
@@ -228,7 +216,7 @@ func (s *obsStore) Get(name string) ([]byte, error) {
 
 func (s *obsStore) List() ([]string, error) { return s.inner.List() }
 
-func (s *obsStore) Delete(name string) error { return deleteFrom(s.inner, name) }
+func (s *obsStore) Delete(name string) error { return s.inner.Delete(name) }
 
 // count / record are nil-safe metric helpers: the whole tier works with
 // no registry attached.

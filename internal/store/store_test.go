@@ -266,6 +266,7 @@ func (b *blockingStore) Put(name string, data []byte) error {
 
 func (b *blockingStore) Get(name string) ([]byte, error) { return b.inner.Get(name) }
 func (b *blockingStore) List() ([]string, error)         { return b.inner.List() }
+func (b *blockingStore) Delete(name string) error        { return b.inner.Delete(name) }
 
 func TestGateFIFOAndBound(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -340,7 +341,7 @@ func TestRemoteStore(t *testing.T) {
 	if err != nil || len(names) != 1 || names[0] != "ck@0" {
 		t.Fatalf("remote List = %v, %v", names, err)
 	}
-	if err := deleteFrom(s, "ck@0"); err != nil {
+	if err := s.Delete("ck@0"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get("ck@0"); !errors.Is(err, os.ErrNotExist) {
@@ -447,4 +448,51 @@ func TestStartGC(t *testing.T) {
 	if _, err := migrate.ResolveChain(s, "n"); err != nil {
 		t.Fatalf("head no longer resolves under background GC: %v", err)
 	}
+}
+
+// FuzzStoreRequest feeds arbitrary bytes to the shared request handler
+// over a MemStore: it never panics, always answers with a response the
+// shared decoder accepts, and a request that decodes re-encodes to the
+// same bytes.
+func FuzzStoreRequest(f *testing.F) {
+	for _, seed := range []Request{
+		{Op: OpPut, Name: "ck@0", Payload: []byte("image")},
+		{Op: OpGet, Name: "ck"},
+		{Op: OpGet, Name: "ghost"},
+		{Op: OpList},
+		{Op: OpDelete, Name: "ck"},
+		{Op: 'Z', Name: "ck"},
+	} {
+		req, err := AppendRequest(nil, seed.Op, seed.Name, seed.Payload)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(req)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{OpGet, 0xff, 0xff, 'c'})
+	f.Fuzz(func(t *testing.T, req []byte) {
+		s := cluster.NewMemStore()
+		if err := s.Put("ck", []byte("image")); err != nil {
+			t.Fatal(err)
+		}
+		resp, _, _ := Handle(nil, s, req)
+		if len(resp) == 0 {
+			t.Fatal("empty response")
+		}
+		if _, err := DecodeResponse(resp); err != nil && resp[0] != statusNotExist && resp[0] != statusError {
+			t.Fatalf("response %q does not decode: %v", resp, err)
+		}
+		r, err := decodeRequest(req)
+		if err != nil {
+			return
+		}
+		again, err := AppendRequest(nil, r.Op, r.Name, r.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, req) {
+			t.Fatalf("re-encoded %q as %q", req, again)
+		}
+	})
 }

@@ -13,10 +13,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Compression at rest rides the same 64 KiB chunk granularity as the
-// transport's content-hash dedup path (PR 4): each chunk is compressed
+// Compression at rest works in 64 KiB chunks: each chunk is compressed
 // independently, so identical chunks produce identical compressed
-// blobs and compression composes with dedup instead of defeating it.
+// blobs.
 // Every chunk carries the CRC-32 of its *uncompressed* bytes, verified
 // on Get after decompression — a bit flipped at rest is an error, never
 // silently decompressed garbage.
@@ -26,7 +25,7 @@ const (
 	// it (written before the wrapper was configured, or by a plain
 	// backend sharing the directory) pass through Get untouched.
 	zMagic = "#!mcc-zst\n"
-	// zChunk is the compression granularity — the transport chunk size.
+	// zChunk is the compression granularity.
 	zChunk = 64 << 10
 	// zFlate/zRaw flag how a chunk is stored: deflate-compressed, or
 	// raw when compression did not shrink it (already-compressed or
@@ -169,4 +168,4 @@ func (c *Compressed) Get(name string) ([]byte, error) {
 
 func (c *Compressed) List() ([]string, error) { return c.inner.List() }
 
-func (c *Compressed) Delete(name string) error { return deleteFrom(c.inner, name) }
+func (c *Compressed) Delete(name string) error { return c.inner.Delete(name) }

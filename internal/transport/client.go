@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +15,7 @@ import (
 	"repro/internal/migrate"
 	"repro/internal/msg"
 	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -92,27 +93,15 @@ type Client struct {
 	gen     int                              // connection generation, for reader teardown
 	out     map[int64]map[int64][]heap.Value // dst -> tag -> words (replay buffer)
 	owned   []int64                          // nodes adopted via handoff; re-announced on reconnect
-	pending map[uint32]chan rpcReply
+	pending map[uint32]chan []byte           // rpc id -> its reply frame
 	nextID  uint32
 	closed  bool
-
-	chunks *chunkCache // content-addressed cache for store streaming
 
 	// ev is the worker's wire trace stream; nil when tracing is off, in
 	// which case every Emit is a single branch.
 	ev *obs.Stream
 
 	wg sync.WaitGroup
-}
-
-type rpcReply struct {
-	kind    byte // reply frame type (fAck, fData, fNames, fNeed, fManif)
-	errStr  string
-	data    []byte
-	names   []string
-	indices []uint32    // fNeed: chunk indices the hub lacks
-	hashes  []chunkHash // fManif: content hashes of the payload's chunks
-	total   uint32      // fManif: payload size
 }
 
 // Dial connects a worker to the hub and completes the HELLO/WELCOME
@@ -146,8 +135,7 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		cfg:     cfg,
 		out:     make(map[int64]map[int64][]heap.Value),
-		pending: make(map[uint32]chan rpcReply),
-		chunks:  newChunkCache(1024),
+		pending: make(map[uint32]chan []byte),
 	}
 	if cfg.Trace != nil {
 		c.ev = cfg.Trace.Stream(fmt.Sprintf("wire/%d", cfg.Node))
@@ -357,25 +345,11 @@ func (c *Client) readLoop(fc FrameConn, gen int) {
 			if c.cfg.OnFail != nil {
 				c.cfg.OnFail()
 			}
-		case fAck:
-			if id, errStr, err := decodeAck(b); err == nil {
-				c.deliverReply(id, rpcReply{kind: fAck, errStr: errStr})
-			}
-		case fData:
-			if id, errStr, data, err := decodeData(b); err == nil {
-				c.deliverReply(id, rpcReply{kind: fData, errStr: errStr, data: data})
-			}
-		case fNames:
-			if id, errStr, names, err := decodeNames(b); err == nil {
-				c.deliverReply(id, rpcReply{kind: fNames, errStr: errStr, names: names})
-			}
-		case fNeed:
-			if id, errStr, indices, err := decodeNeed(b); err == nil {
-				c.deliverReply(id, rpcReply{kind: fNeed, errStr: errStr, indices: indices})
-			}
-		case fManif:
-			if id, errStr, total, hashes, err := decodeManif(b); err == nil {
-				c.deliverReply(id, rpcReply{kind: fManif, errStr: errStr, total: total, hashes: hashes})
+		case fAck, fStored:
+			// Both replies lead with the rpc id; the caller decodes the rest.
+			d := &dec{b: b, off: 1}
+			if id := d.u32(); d.err == nil {
+				c.deliverReply(id, b)
 			}
 		case fMigrate:
 			id, _, dst, seen, image, err := decodeMigrate(b)
@@ -420,7 +394,7 @@ func (c *Client) adopt(id uint32, dst, seen int64, image []byte) {
 	}
 }
 
-func (c *Client) deliverReply(id uint32, rep rpcReply) {
+func (c *Client) deliverReply(id uint32, rep []byte) {
 	c.mu.Lock()
 	ch := c.pending[id]
 	delete(c.pending, id)
@@ -483,154 +457,49 @@ func (c *Client) GC(node, below int64) error {
 	return c.writeFrame(encodeGC(node, below))
 }
 
-// round performs one request/reply exchange: register id (0 allocates a
-// fresh one), write the frames, wait for the single reply. ok=false
-// reports a dead connection — any hub-side state for the exchange is
-// gone and the caller must restart its flow on the new connection.
-func (c *Client) round(id uint32, deadline time.Time, frames func(id uint32) [][]byte) (rep rpcReply, usedID uint32, ok bool, err error) {
-	c.mu.Lock()
-	if err := c.ensureLocked(); err != nil {
-		c.mu.Unlock()
-		return rpcReply{}, 0, false, err
-	}
-	if id == 0 {
-		c.nextID++
-		id = c.nextID
-	}
-	ch := make(chan rpcReply, 1)
-	c.pending[id] = ch
-	for _, f := range frames(id) {
-		if err := c.conn.WriteFrame(f); err != nil {
-			delete(c.pending, id)
-			c.teardownLocked()
-			c.mu.Unlock()
-			return rpcReply{}, id, false, nil
-		}
-	}
-	c.mu.Unlock()
-
-	select {
-	case rep, alive := <-ch:
-		if !alive {
-			// Connection died before the reply; the caller retries.
-			return rpcReply{}, id, false, nil
-		}
-		return rep, id, true, nil
-	case <-time.After(time.Until(deadline)):
+// rpc performs one request/reply round trip and returns the reply frame,
+// retrying across reconnects (store operations and handoffs are
+// idempotent). build encodes the request under a freshly allocated id.
+func (c *Client) rpc(build func(id uint32) []byte) ([]byte, error) {
+	deadline := time.Now().Add(c.cfg.RPCTimeout)
+	for {
 		c.mu.Lock()
-		delete(c.pending, id)
+		if err := c.ensureLocked(); err != nil {
+			c.mu.Unlock()
+			return nil, err
+		}
+		c.nextID++
+		id := c.nextID
+		ch := make(chan []byte, 1)
+		c.pending[id] = ch
+		if err := c.conn.WriteFrame(build(id)); err != nil {
+			c.teardownLocked() // closes ch: the request retries below
+		}
 		c.mu.Unlock()
-		return rpcReply{}, id, false, fmt.Errorf("transport: rpc timed out after %s", c.cfg.RPCTimeout)
-	}
-}
 
-// rpc performs one single-frame round trip, retrying across reconnects
-// (the store operations are idempotent).
-func (c *Client) rpc(build func(id uint32) []byte) (rpcReply, error) {
-	deadline := time.Now().Add(c.cfg.RPCTimeout)
-	for {
-		rep, _, ok, err := c.round(0, deadline, func(id uint32) [][]byte {
-			return [][]byte{build(id)}
-		})
-		if err != nil {
-			return rpcReply{}, err
-		}
-		if ok {
-			return rep, nil
+		// Stop the timer on every path, never time.After: under pre-1.23
+		// timer semantics (a main module declaring go < 1.23) an armed
+		// timer stays in the runtime's timer heap until its deadline, and
+		// a heap full of armed timers also keeps stopped ones, and all
+		// their callbacks reference, from being swept: a finished run's
+		// hub and store would stay reachable for the whole RPC timeout.
+		t := time.NewTimer(time.Until(deadline))
+		select {
+		case rep, alive := <-ch:
+			t.Stop()
+			if alive {
+				return rep, nil
+			}
+			// The connection died before the reply; retry on a new one.
+		case <-t.C:
+			c.mu.Lock()
+			delete(c.pending, id)
+			c.mu.Unlock()
 		}
 		if time.Now().After(deadline) {
-			return rpcReply{}, fmt.Errorf("transport: rpc timed out after %s", c.cfg.RPCTimeout)
+			return nil, fmt.Errorf("transport: rpc timed out after %s", c.cfg.RPCTimeout)
 		}
 	}
-}
-
-// putChunked streams a large store write as content-hashed chunks: an
-// announce frame carrying the hashes, a need-list reply, then only the
-// chunks the hub lacks. A reconnect anywhere restarts the whole flow —
-// the announce is cheap and chunks already shipped are in the hub's
-// cache, so the retry converges fast.
-func (c *Client) putChunked(name string, data []byte) error {
-	chunks, hashes, release := splitChunksPooled(data)
-	defer release()
-	deadline := time.Now().Add(c.cfg.RPCTimeout)
-	for {
-		rep, id, ok, err := c.round(0, deadline, func(id uint32) [][]byte {
-			return [][]byte{encodePutC(id, name, uint32(len(data)), hashes)}
-		})
-		if err != nil {
-			return err
-		}
-		if ok && rep.kind == fNeed && rep.errStr == "" {
-			good := true
-			for _, idx := range rep.indices {
-				if int(idx) >= len(chunks) {
-					good = false
-					break
-				}
-			}
-			if !good {
-				return errors.New("transport: hub requested an out-of-range chunk")
-			}
-			rep, _, ok, err = c.round(id, deadline, func(id uint32) [][]byte {
-				frames := make([][]byte, 0, len(rep.indices))
-				for _, idx := range rep.indices {
-					frames = append(frames, encodeChunk(id, idx, chunks[idx]))
-				}
-				return frames
-			})
-			if err != nil {
-				return err
-			}
-		}
-		if ok {
-			if rep.errStr == errNoChunkedPut {
-				// The hub session (and with it the announce state) died in
-				// a reconnect between the two rounds; restart the flow.
-				if time.Now().After(deadline) {
-					return fmt.Errorf("transport: chunked put timed out after %s", c.cfg.RPCTimeout)
-				}
-				continue
-			}
-			if rep.errStr != "" {
-				return errors.New(rep.errStr)
-			}
-			if rep.kind != fAck {
-				return fmt.Errorf("transport: unexpected %q reply to chunked put", rep.kind)
-			}
-			// The hub now holds every chunk; remember them locally so a
-			// later read of this (or an overlapping) checkpoint skips them.
-			for i, h := range hashes {
-				c.chunks.put(h, chunks[i])
-			}
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("transport: chunked put timed out after %s", c.cfg.RPCTimeout)
-		}
-	}
-}
-
-// assembleManifest reconstructs a chunked get from the local cache plus
-// per-chunk fetches. ok=false means the caller should fall back to a
-// plain full read.
-func (c *Client) assembleManifest(rep rpcReply) ([]byte, bool) {
-	out := make([]byte, 0, rep.total)
-	for _, h := range rep.hashes {
-		if chunk, ok := c.chunks.get(h); ok {
-			out = append(out, chunk...)
-			continue
-		}
-		crep, err := c.rpc(func(id uint32) []byte { return encodeHashGet(id, h) })
-		if err != nil || crep.errStr != "" || sha256.Sum256(crep.data) != h {
-			return nil, false
-		}
-		c.chunks.put(h, crep.data)
-		out = append(out, crep.data...)
-	}
-	if uint32(len(out)) != rep.total {
-		return nil, false
-	}
-	return out, true
 }
 
 // Exit reports a node's final state to the coordinator.
@@ -648,66 +517,62 @@ func (c *Client) Handoff(src, dst int64, img *wire.Image, seen int64) error {
 	if err != nil {
 		return err
 	}
-	if rep.errStr != "" {
-		return errors.New(rep.errStr)
+	_, errStr, err := decodeAck(rep)
+	if err == nil && errStr != "" {
+		err = errors.New(errStr)
 	}
-	return nil
+	return err
 }
 
-// remoteStore is the worker's view of the coordinator's checkpoint store.
+// remoteStore is the worker's view of the coordinator's checkpoint
+// store: internal/store's protocol carried in fStore/fStored frames.
 type remoteStore struct{ c *Client }
 
 // RemoteStore returns a migrate.Store whose operations run on the hub —
 // the paper's shared NFS mount, served over the transport.
 func (c *Client) RemoteStore() migrate.Store { return remoteStore{c} }
 
-func (s remoteStore) Put(name string, data []byte) error {
-	if len(data) > chunkSize {
-		return s.c.putChunked(name, data)
-	}
-	rep, err := s.c.rpc(func(id uint32) []byte { return encodePut(id, name, data) })
+// call runs one store request on the hub. The request is encoded once,
+// straight after the frame header (the one copy of a Put payload); each
+// attempt only stamps its rpc id.
+func (s remoteStore) call(op byte, name string, payload []byte) ([]byte, error) {
+	req, err := store.AppendRequest(make([]byte, storeHdr), op, name, payload)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if rep.errStr != "" {
-		return errors.New(rep.errStr)
+	req[0] = fStore
+	rep, err := s.c.rpc(func(id uint32) []byte {
+		binary.BigEndian.PutUint32(req[1:storeHdr], id)
+		return req
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if len(rep) < storeHdr || rep[0] != fStored {
+		return nil, fmt.Errorf("transport: bad store reply for %q", name)
+	}
+	body, err := store.DecodeResponse(rep[storeHdr:])
+	if err != nil {
+		return nil, fmt.Errorf("transport: hub store %q: %w", name, err)
+	}
+	return body, nil
+}
+
+func (s remoteStore) Put(name string, data []byte) error {
+	_, err := s.call(store.OpPut, name, data)
+	return err
 }
 
 func (s remoteStore) Get(name string) ([]byte, error) {
-	rep, err := s.c.rpc(func(id uint32) []byte { return encodeGet(id, name, false) })
-	if err != nil {
-		return nil, err
-	}
-	if rep.errStr != "" {
-		return nil, errors.New(rep.errStr)
-	}
-	if rep.kind != fManif {
-		return rep.data, nil
-	}
-	if data, ok := s.c.assembleManifest(rep); ok {
-		return data, nil
-	}
-	// Dedup is an optimization only: any miss or mismatch falls back to
-	// the plain single-frame read.
-	rep, err = s.c.rpc(func(id uint32) []byte { return encodeGet(id, name, true) })
-	if err != nil {
-		return nil, err
-	}
-	if rep.errStr != "" {
-		return nil, errors.New(rep.errStr)
-	}
-	return rep.data, nil
+	return s.call(store.OpGet, name, nil)
 }
 
 func (s remoteStore) List() ([]string, error) {
-	rep, err := s.c.rpc(func(id uint32) []byte { return encodeList(id) })
-	if err != nil {
-		return nil, err
-	}
-	if rep.errStr != "" {
-		return nil, errors.New(rep.errStr)
-	}
-	return rep.names, nil
+	body, err := s.call(store.OpList, "", nil)
+	return store.SplitNames(body), err
+}
+
+func (s remoteStore) Delete(name string) error {
+	_, err := s.call(store.OpDelete, name, nil)
+	return err
 }

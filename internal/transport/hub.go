@@ -6,7 +6,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/frame"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/rt"
+	"repro/internal/store"
 )
 
 // Result is a node's final disposition as reported by its worker process.
@@ -45,11 +45,6 @@ type Hub struct {
 	// "hub" stream. Hub events carry wall-clock ordering only — the hub
 	// has no step counter; logical time lives in the workers' events.
 	Trace *obs.Tracer
-
-	chunks *chunkCache // content-addressed chunk cache for store streaming
-	// chunksIn counts put chunks actually shipped by workers — the dedup
-	// observability hook (announced-but-cached chunks never increment it).
-	chunksIn atomic.Int64
 
 	mu        sync.Mutex
 	sessions  map[int64]*session
@@ -84,20 +79,6 @@ type session struct {
 
 	wmu   sync.Mutex // serializes frame writes
 	nodes []int64    // nodes registered through this session
-
-	// puts holds in-progress chunked store writes. Only serve() touches
-	// it (one reader goroutine per session), so no lock is needed; the
-	// state dies with the session and the client retries from scratch.
-	puts map[uint32]*pendingPut
-}
-
-// pendingPut is one chunked store write awaiting its missing chunks.
-type pendingPut struct {
-	name    string
-	total   uint32
-	hashes  []chunkHash
-	chunks  [][]byte
-	missing map[uint32]bool
 }
 
 // Listen starts a hub on addr ("host:0" picks a port) backed by store,
@@ -111,7 +92,6 @@ func Listen(addr string, store migrate.Store) (*Hub, error) {
 	h := &Hub{
 		store:     store,
 		ln:        ln,
-		chunks:    newChunkCache(1024),
 		sessions:  make(map[int64]*session),
 		buf:       make(map[int64]map[int64]map[int64][]heap.Value),
 		failed:    make(map[int64]bool),
@@ -145,20 +125,6 @@ func (h *Hub) Epoch() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.epoch
-}
-
-// SessionNodes returns the node IDs currently registered through live
-// worker sessions, sorted. Coordinators and fault-injection tests use it
-// to observe joins, kills and reconnects as events instead of sleeping.
-func (h *Hub) SessionNodes() []int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]int64, 0, len(h.sessions))
-	for n := range h.sessions {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // HasSession reports whether a live worker session currently owns node.
@@ -385,17 +351,6 @@ func (h *Hub) ClearResult(node int64) {
 	h.mu.Unlock()
 }
 
-// Results returns the node results reported so far.
-func (h *Hub) Results() map[int64]Result {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make(map[int64]Result, len(h.results))
-	for k, v := range h.results {
-		out[k] = v
-	}
-	return out
-}
-
 func (s *session) write(frameBytes []byte) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -437,47 +392,11 @@ func (s *session) serve() {
 				return
 			}
 			s.hub.pruneBuf(node, below)
-		case fPut:
-			id, name, data, err := decodePut(b)
-			if err != nil {
+		case fStore:
+			if len(b) < storeHdr {
 				return
 			}
-			s.hub.handlePut(s, id, name, data)
-		case fGet:
-			id, name, full, err := decodeGet(b)
-			if err != nil {
-				return
-			}
-			s.handleGet(id, name, full)
-		case fPutC:
-			id, name, total, hashes, err := decodePutC(b)
-			if err != nil {
-				return
-			}
-			s.handlePutC(id, name, total, hashes)
-		case fChunk:
-			id, index, data, err := decodeChunk(b)
-			if err != nil {
-				return
-			}
-			s.handleChunk(id, index, data)
-		case fHashGet:
-			id, hash, err := decodeHashGet(b)
-			if err != nil {
-				return
-			}
-			if data, ok := s.hub.chunks.get(hash); ok {
-				_ = s.write(encodeData(id, "", data))
-			} else {
-				_ = s.write(encodeData(id, "transport: chunk not cached", nil))
-			}
-		case fList:
-			id, err := decodeList(b)
-			if err != nil {
-				return
-			}
-			names, lerr := s.hub.store.List()
-			_ = s.write(encodeNames(id, errString(lerr), names))
+			s.handleStore(b)
 		case fExit:
 			res, err := decodeExit(b)
 			if err != nil {
@@ -642,125 +561,36 @@ func (h *Hub) pruneBuf(node, below int64) {
 	}
 }
 
-// handleGet serves a store read: one plain frame for small payloads (or
-// when the worker insists), a chunk manifest for large ones — the worker
-// then fetches only the chunks its cache lacks (fHashGet).
-func (s *session) handleGet(id uint32, name string, full bool) {
-	data, err := s.hub.store.Get(name)
-	if err != nil || full || len(data) <= chunkSize {
-		_ = s.write(encodeData(id, errString(err), data))
-		return
-	}
-	chunks, hashes, release := splitChunksPooled(data)
-	defer release()
-	for i, c := range chunks {
-		s.hub.chunks.put(hashes[i], c)
-	}
-	_ = s.write(encodeManif(id, "", uint32(len(data)), hashes))
-}
-
-// handlePutC starts a chunked store write: chunks already in the content
-// cache are taken from there; the worker is asked for the rest.
-func (s *session) handlePutC(id uint32, name string, total uint32, hashes []chunkHash) {
-	p := &pendingPut{
-		name:    name,
-		total:   total,
-		hashes:  hashes,
-		chunks:  make([][]byte, len(hashes)),
-		missing: make(map[uint32]bool),
-	}
-	var need []uint32
-	for i, h := range hashes {
-		if data, ok := s.hub.chunks.get(h); ok {
-			p.chunks[i] = data
-		} else {
-			p.missing[uint32(i)] = true
-			need = append(need, uint32(i))
-		}
-	}
-	if len(need) == 0 {
-		s.finishPut(id, p)
-		return
-	}
-	if s.puts == nil {
-		s.puts = make(map[uint32]*pendingPut)
-	}
-	s.puts[id] = p
-	_ = s.write(encodeNeed(id, "", need))
-}
-
-// handleChunk accepts one streamed put chunk; the last missing chunk
-// completes the write.
-func (s *session) handleChunk(id, index uint32, data []byte) {
-	p := s.puts[id]
-	if p == nil {
-		_ = s.write(encodeAck(id, errNoChunkedPut))
-		return
-	}
-	if int(index) >= len(p.hashes) || !p.missing[index] {
-		delete(s.puts, id)
-		_ = s.write(encodeAck(id, "transport: unexpected chunk index"))
-		return
-	}
-	if sha256.Sum256(data) != p.hashes[index] {
-		delete(s.puts, id)
-		_ = s.write(encodeAck(id, "transport: chunk content hash mismatch"))
-		return
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	p.chunks[index] = cp
-	// Cache each verified chunk immediately — not only at completion — so
-	// a put restarted after a mid-flow reconnect re-ships nothing already
-	// received (the re-announce's need-list hits the cache).
-	s.hub.chunks.put(p.hashes[index], cp)
-	s.hub.chunksIn.Add(1)
-	delete(p.missing, index)
-	if len(p.missing) == 0 {
-		delete(s.puts, id)
-		s.finishPut(id, p)
-	}
-}
-
-// finishPut assembles a chunked write, populates the content cache, and
-// funnels the payload through the ordinary put path (counting hooks,
-// ack).
-func (s *session) finishPut(id uint32, p *pendingPut) {
-	data := make([]byte, 0, p.total)
-	for i, c := range p.chunks {
-		s.hub.chunks.put(p.hashes[i], c)
-		data = append(data, c...)
-	}
-	if uint32(len(data)) != p.total {
-		_ = s.write(encodeAck(id, "transport: chunked put size mismatch"))
-		return
-	}
-	s.hub.handlePut(s, id, p.name, data)
-}
-
-func (h *Hub) handlePut(s *session, id uint32, name string, data []byte) {
-	err := h.store.Put(name, data)
+// handleStore runs one store request on the hub's backing store and
+// replies with the same id. The response is appended straight after the
+// id header, so a Get payload is copied once, into the reply frame. A
+// successful put is counted for OnPut after the reply is written.
+func (s *session) handleStore(b []byte) {
+	h := s.hub
+	resp := append(make([]byte, 0, storeHdr+1), fStored)
+	resp = append(resp, b[1:storeHdr]...)
+	resp, req, err := store.Handle(resp, h.store, b[storeHdr:])
 	count := 0
 	var hook func(string, int)
-	if err == nil {
+	if req.Op == store.OpPut && err == nil {
 		// An RPC retried across a reconnect re-delivers identical bytes;
 		// counting it again would fire failure plans after fewer real
 		// checkpoints than configured. Dedup by content hash (successive
 		// genuine checkpoints always differ — the step counter is in the
 		// image).
-		sum := sha256.Sum256(data)
+		sum := sha256.Sum256(req.Payload)
 		h.mu.Lock()
-		if prev, seen := h.putHashes[name]; !seen || prev != sum {
-			h.putCounts[name]++
-			h.putHashes[name] = sum
-			count = h.putCounts[name]
+		if prev, seen := h.putHashes[req.Name]; !seen || prev != sum {
+			h.putCounts[req.Name]++
+			h.putHashes[req.Name] = sum
+			count = h.putCounts[req.Name]
 			hook = h.OnPut
 		}
 		h.mu.Unlock()
 	}
-	_ = s.write(encodeAck(id, errString(err)))
+	_ = s.write(resp)
 	if hook != nil {
-		hook(name, count)
+		hook(req.Name, count)
 	}
 }
 
@@ -820,11 +650,4 @@ func (h *Hub) relayMigrateAck(hubID uint32, errStr string) {
 	if ok {
 		_ = origin.sess.write(encodeAck(origin.id, errStr))
 	}
-}
-
-func errString(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
 }

@@ -10,7 +10,9 @@
 // failed node — replays exactly the messages an in-process mailbox would
 // still hold, broadcasts rollback epochs (the paper's MSG_ROLL) when a
 // node fails, serves the shared checkpoint store over RPC (the paper's
-// NFS mount), and routes cross-process migrate("node://K") handoffs.
+// NFS mount; internal/store's request/response protocol carried inside
+// id-tagged fStore/fStored frames), and routes cross-process
+// migrate("node://K") handoffs.
 //
 // Delivery is keyed and idempotent end to end: re-sending a (src, dst,
 // tag) key overwrites with identical content (the computation is
@@ -41,22 +43,16 @@ const (
 	fFail    = 'F' // H→W: node — you are the failed node; die now
 	fGC      = 'G' // W→H: node, below — prune the hub buffer for node
 	fOwn     = 'O' // W→H: node — this connection now hosts node too
-	fPut     = 'P' // W→H: id, name, data — checkpoint store write
-	fGet     = 'Q' // W→H: id, name — checkpoint store read
-	fList    = 'L' // W→H: id — checkpoint store listing
-	fAck     = 'A' // both: id, err — Put/adoption acknowledgement
-	fData    = 'D' // H→W: id, err, data — Get reply
-	fNames   = 'N' // H→W: id, err, names — List reply
+	fStore   = 'S' // W→H: id, store request — checkpoint store RPC
+	fStored  = 's' // H→W: id, store response — its reply
+	fAck     = 'A' // both: id, err — adoption acknowledgement
 	fExit    = 'X' // W→H: node's final state — the run result
 	fMigrate = 'V' // both: id, src, dst, seen, image — node://K handoff
-
-	// Chunked store streaming (content-hash dedup; see chunk.go).
-	fPutC    = 'p' // W→H: id, name, total, hashes — chunked put announce
-	fNeed    = 'n' // H→W: id, err, indices — chunks the hub lacks
-	fChunk   = 'k' // W→H: id, index, data — one put chunk
-	fManif   = 'm' // H→W: id, err, total, hashes — chunked get manifest
-	fHashGet = 'h' // W→H: id, hash — fetch one chunk by content hash
 )
+
+// storeHdr is the length of the type byte + id that prefix the
+// internal/store request or response inside fStore/fStored frames.
+const storeHdr = 5
 
 // enc is a tiny append-only big-endian encoder.
 type enc struct{ b []byte }
@@ -265,59 +261,6 @@ func decodeGC(b []byte) (node, below int64, err error) {
 	return node, below, d.err
 }
 
-func encodePut(id uint32, name string, data []byte) []byte {
-	e := &enc{b: make([]byte, 0, 16+len(name)+len(data))}
-	e.u8(fPut)
-	e.u32(id)
-	e.str(name)
-	e.blob(data)
-	return e.b
-}
-
-func decodePut(b []byte) (id uint32, name string, data []byte, err error) {
-	d := &dec{b: b, off: 1}
-	id = d.u32()
-	name = d.str()
-	data = d.blob()
-	return id, name, data, d.err
-}
-
-// encodeGet carries a full flag: a worker that failed to assemble a
-// chunked manifest re-requests the payload as one plain frame.
-func encodeGet(id uint32, name string, full bool) []byte {
-	e := &enc{b: make([]byte, 0, 13+len(name))}
-	e.u8(fGet)
-	e.u32(id)
-	e.str(name)
-	if full {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-	return e.b
-}
-
-func decodeGet(b []byte) (id uint32, name string, full bool, err error) {
-	d := &dec{b: b, off: 1}
-	id = d.u32()
-	name = d.str()
-	full = d.u8() != 0
-	return id, name, full, d.err
-}
-
-func encodeList(id uint32) []byte {
-	e := &enc{}
-	e.u8(fList)
-	e.u32(id)
-	return e.b
-}
-
-func decodeList(b []byte) (uint32, error) {
-	d := &dec{b: b, off: 1}
-	id := d.u32()
-	return id, d.err
-}
-
 func encodeAck(id uint32, errStr string) []byte {
 	e := &enc{}
 	e.u8(fAck)
@@ -331,183 +274,6 @@ func decodeAck(b []byte) (id uint32, errStr string, err error) {
 	id = d.u32()
 	errStr = d.str()
 	return id, errStr, d.err
-}
-
-func encodeData(id uint32, errStr string, data []byte) []byte {
-	e := &enc{b: make([]byte, 0, 16+len(errStr)+len(data))}
-	e.u8(fData)
-	e.u32(id)
-	e.str(errStr)
-	e.blob(data)
-	return e.b
-}
-
-func decodeData(b []byte) (id uint32, errStr string, data []byte, err error) {
-	d := &dec{b: b, off: 1}
-	id = d.u32()
-	errStr = d.str()
-	data = d.blob()
-	return id, errStr, data, d.err
-}
-
-func encodeNames(id uint32, errStr string, names []string) []byte {
-	e := &enc{}
-	e.u8(fNames)
-	e.u32(id)
-	e.str(errStr)
-	e.u32(uint32(len(names)))
-	for _, n := range names {
-		e.str(n)
-	}
-	return e.b
-}
-
-func decodeNames(b []byte) (id uint32, errStr string, names []string, err error) {
-	d := &dec{b: b, off: 1}
-	id = d.u32()
-	errStr = d.str()
-	n := d.u32()
-	if d.err == nil && int(n) > len(b) {
-		d.err = fmt.Errorf("transport: name count %d exceeds frame", n)
-	}
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		names = append(names, d.str())
-	}
-	return id, errStr, names, d.err
-}
-
-func encodePutC(id uint32, name string, total uint32, hashes []chunkHash) []byte {
-	e := &enc{b: make([]byte, 0, 24+len(name)+len(hashes)*32)}
-	e.u8(fPutC)
-	e.u32(id)
-	e.str(name)
-	e.u32(total)
-	e.u32(uint32(len(hashes)))
-	for _, h := range hashes {
-		e.b = append(e.b, h[:]...)
-	}
-	return e.b
-}
-
-func decodePutC(b []byte) (id uint32, name string, total uint32, hashes []chunkHash, err error) {
-	d := &dec{b: b, off: 1}
-	id = d.u32()
-	name = d.str()
-	total = d.u32()
-	n := d.u32()
-	if d.err == nil && int(n)*32 > len(b) {
-		d.err = fmt.Errorf("transport: hash count %d exceeds frame", n)
-	}
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		if d.off+32 > len(d.b) {
-			d.fail()
-			break
-		}
-		var h chunkHash
-		copy(h[:], d.b[d.off:])
-		d.off += 32
-		hashes = append(hashes, h)
-	}
-	return id, name, total, hashes, d.err
-}
-
-func encodeNeed(id uint32, errStr string, indices []uint32) []byte {
-	e := &enc{b: make([]byte, 0, 16+len(errStr)+len(indices)*4)}
-	e.u8(fNeed)
-	e.u32(id)
-	e.str(errStr)
-	e.u32(uint32(len(indices)))
-	for _, i := range indices {
-		e.u32(i)
-	}
-	return e.b
-}
-
-func decodeNeed(b []byte) (id uint32, errStr string, indices []uint32, err error) {
-	d := &dec{b: b, off: 1}
-	id = d.u32()
-	errStr = d.str()
-	n := d.u32()
-	if d.err == nil && int(n)*4 > len(b) {
-		d.err = fmt.Errorf("transport: index count %d exceeds frame", n)
-	}
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		indices = append(indices, d.u32())
-	}
-	return id, errStr, indices, d.err
-}
-
-func encodeChunk(id, index uint32, data []byte) []byte {
-	e := &enc{b: make([]byte, 0, 16+len(data))}
-	e.u8(fChunk)
-	e.u32(id)
-	e.u32(index)
-	e.blob(data)
-	return e.b
-}
-
-func decodeChunk(b []byte) (id, index uint32, data []byte, err error) {
-	d := &dec{b: b, off: 1}
-	id = d.u32()
-	index = d.u32()
-	data = d.blob()
-	return id, index, data, d.err
-}
-
-func encodeManif(id uint32, errStr string, total uint32, hashes []chunkHash) []byte {
-	e := &enc{b: make([]byte, 0, 20+len(errStr)+len(hashes)*32)}
-	e.u8(fManif)
-	e.u32(id)
-	e.str(errStr)
-	e.u32(total)
-	e.u32(uint32(len(hashes)))
-	for _, h := range hashes {
-		e.b = append(e.b, h[:]...)
-	}
-	return e.b
-}
-
-func decodeManif(b []byte) (id uint32, errStr string, total uint32, hashes []chunkHash, err error) {
-	d := &dec{b: b, off: 1}
-	id = d.u32()
-	errStr = d.str()
-	total = d.u32()
-	n := d.u32()
-	if d.err == nil && int(n)*32 > len(b) {
-		d.err = fmt.Errorf("transport: hash count %d exceeds frame", n)
-	}
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		if d.off+32 > len(d.b) {
-			d.fail()
-			break
-		}
-		var h chunkHash
-		copy(h[:], d.b[d.off:])
-		d.off += 32
-		hashes = append(hashes, h)
-	}
-	return id, errStr, total, hashes, d.err
-}
-
-func encodeHashGet(id uint32, h chunkHash) []byte {
-	e := &enc{b: make([]byte, 0, 37)}
-	e.u8(fHashGet)
-	e.u32(id)
-	e.b = append(e.b, h[:]...)
-	return e.b
-}
-
-func decodeHashGet(b []byte) (id uint32, h chunkHash, err error) {
-	d := &dec{b: b, off: 1}
-	id = d.u32()
-	if d.err == nil && d.off+32 > len(d.b) {
-		d.fail()
-	}
-	if d.err == nil {
-		copy(h[:], d.b[d.off:])
-		d.off += 32
-	}
-	return id, h, d.err
 }
 
 func encodeEpoch(typ byte, epoch int64) []byte {

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -215,8 +217,27 @@ func TestRemoteStore(t *testing.T) {
 	if err != nil || len(names) != 1 || names[0] != "grid-ck-0" {
 		t.Fatalf("List = %v, %v", names, err)
 	}
-	if _, err := s.Get("ghost"); err == nil {
-		t.Fatal("missing checkpoint returned data")
+	if _, err := s.Get("ghost"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Get(missing) = %v, want os.ErrNotExist", err)
+	}
+	if err := s.Delete("grid-ck-0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get("grid-ck-0"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Get after Delete = %v, want os.ErrNotExist", err)
+	}
+	if err := s.Delete("ghost"); err != nil {
+		t.Fatalf("Delete(missing) = %v, want nil", err)
+	}
+	big := make([]byte, 1<<20)
+	for i := range big {
+		big[i] = byte(i * 31 >> 7)
+	}
+	if err := s.Put("big", big); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get("big"); err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("1 MiB round trip: %d bytes, %v", len(got), err)
 	}
 }
 

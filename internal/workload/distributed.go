@@ -147,12 +147,14 @@ func RunWorker(w Workload, cfg WorkerConfig) (*cluster.ProcState, error) {
 	case spare:
 		// A spare hosts no initial process: it waits for a cross-process
 		// node://K handoff to adopt, then runs the adopted incarnation.
+		t := time.NewTimer(cfg.Timeout)
+		defer t.Stop()
 		select {
 		case <-adoptedCh:
 		case <-failedCh:
 			engine.Close()
 			return nil, ErrNodeFailed
-		case <-time.After(cfg.Timeout):
+		case <-t.C:
 			return nil, fmt.Errorf("workload %s: spare node %d was never migrated to within %s", w.Name(), cfg.Node, cfg.Timeout)
 		}
 	default:

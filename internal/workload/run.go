@@ -76,15 +76,6 @@ type observableStore struct {
 	puts  map[string]int
 }
 
-// Delete forwards to the wrapped store when it supports pruning; the
-// interface embedding alone would hide the optional method.
-func (s *observableStore) Delete(name string) error {
-	if d, ok := s.Store.(interface{ Delete(string) error }); ok {
-		return d.Delete(name)
-	}
-	return nil
-}
-
 func (s *observableStore) Put(name string, data []byte) error {
 	if err := s.Store.Put(name, data); err != nil {
 		return err

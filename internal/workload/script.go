@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/migrate"
+	"repro/internal/store"
 )
 
 // DefaultRestartDelay is the restart delay a fault event without an
@@ -417,54 +418,37 @@ func newScriptDriver(script *FaultScript, ckName func(int64) string,
 	return d
 }
 
-// replicaFaults is the replica fault-injection surface storekill events
-// drive. The quorum-replicated store layer (internal/store.Replicated)
-// implements it; matching structurally keeps workload decoupled from
-// the store package.
-type replicaFaults interface {
-	KillReplica(i int)
-	ReviveReplica(i int)
-	NReplicas() int
-}
-
-// wireStoreFaults finds the replica fault surface inside s — walking
-// Unwrap wrappers (gate, instrumentation) down the store tier — and
-// arms the driver's storekill controls against it. No-op when s has no
-// replicated layer; a storekill event then fails with a clear error
-// instead of wedging the script.
+// wireStoreFaults finds the quorum-replicated layer inside s (beneath
+// any gate or instrumentation wrappers) and arms the driver's storekill
+// controls against it. No-op when s has no replicated layer; a storekill
+// event then fails with a clear error instead of wedging the script.
 func wireStoreFaults(d *scriptDriver, s migrate.Store) {
-	for s != nil {
-		if rf, ok := s.(replicaFaults); ok {
-			n := rf.NReplicas()
-			check := func(i int) error {
-				if i < 0 || i >= n {
-					return fmt.Errorf("replica %d out of range (store has %d replicas)", i, n)
-				}
-				return nil
-			}
-			d.setStoreFaults(
-				func(i int) error {
-					if err := check(i); err != nil {
-						return err
-					}
-					rf.KillReplica(i)
-					return nil
-				},
-				func(i int) error {
-					if err := check(i); err != nil {
-						return err
-					}
-					rf.ReviveReplica(i)
-					return nil
-				})
-			return
-		}
-		u, ok := s.(interface{ Unwrap() migrate.Store })
-		if !ok {
-			return
-		}
-		s = u.Unwrap()
+	rf := store.FindReplicated(s)
+	if rf == nil {
+		return
 	}
+	n := rf.NReplicas()
+	check := func(i int) error {
+		if i < 0 || i >= n {
+			return fmt.Errorf("replica %d out of range (store has %d replicas)", i, n)
+		}
+		return nil
+	}
+	d.setStoreFaults(
+		func(i int) error {
+			if err := check(i); err != nil {
+				return err
+			}
+			rf.KillReplica(i)
+			return nil
+		},
+		func(i int) error {
+			if err := check(i); err != nil {
+				return err
+			}
+			rf.ReviveReplica(i)
+			return nil
+		})
 }
 
 // setStoreFaults hands the driver the replica kill/revive controls of
