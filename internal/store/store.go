@@ -52,7 +52,7 @@ type Options struct {
 //	mem                      in-memory (test / single-process)
 //	dir:PATH                 directory of checkpoint files
 //	zdir:PATH                dir:PATH with per-chunk compression at rest
-//	zmem                     mem with compression (tests, benchmarks)
+//	zmem                     mem with compression (a test backend)
 //	tcp:ADDR                 remote store server (cmd/mojstored)
 //	repl:N,SPEC,...          N-way replication over N sub-specs, write
 //	                         quorum N/2+1 (sub-specs must not contain

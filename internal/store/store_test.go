@@ -2,10 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -152,6 +154,166 @@ func TestCompressedDetectsCorruption(t *testing.T) {
 	if _, err := z.Get("ck"); err == nil {
 		t.Fatal("truncated object decompressed without error")
 	}
+}
+
+// ledgerShaped returns n bytes of zig-zag varints of values below
+// 1 000 003 — the shape of a checkpoint image of a large integer array,
+// which deflate shrinks by well under 1.2×.
+func ledgerShaped(n int) []byte {
+	out := make([]byte, 0, n+binary.MaxVarintLen64)
+	for i := int64(0); len(out) < n; i++ {
+		out = binary.AppendVarint(out, (i*40503+977)%1000003)
+	}
+	return out[:n]
+}
+
+// chunkFlags walks a stored object's chunk headers and returns each
+// chunk's flag and stored frame (header plus payload).
+func chunkFlags(stored []byte) (flags []byte, frames [][]byte) {
+	rest := stored[len(zMagic):]
+	for len(rest) > 0 {
+		n := 13 + int(binary.BigEndian.Uint32(rest[5:9]))
+		flags = append(flags, rest[0])
+		frames = append(frames, rest[:n])
+		rest = rest[n:]
+	}
+	return flags, frames
+}
+
+// TestCompressedEntropyGate: chunks whose entropy estimate says deflate
+// cannot reach zMinRatio are stored raw, compressible chunks are still
+// deflated, each chunk is decided on its own bytes alone, and payloads
+// shorter than a chunk round-trip (TestCompressedRoundTrip covers empty).
+func TestCompressedEntropyGate(t *testing.T) {
+	mem := cluster.NewMemStore()
+	reg := obs.NewRegistry()
+	z := NewCompressed(mem, Options{Registry: reg})
+	put := func(name string, data []byte) []byte {
+		t.Helper()
+		if err := z.Put(name, data); err != nil {
+			t.Fatal(err)
+		}
+		got, err := z.Get(name)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s: round trip diverged: %v", name, err)
+		}
+		stored, _ := mem.Get(name)
+		return stored
+	}
+	wantFlags := func(name string, stored []byte, want ...byte) {
+		t.Helper()
+		if flags, _ := chunkFlags(stored); !bytes.Equal(flags, want) {
+			t.Fatalf("%s: chunk flags %v, want %v", name, flags, want)
+		}
+	}
+
+	ledger := ledgerShaped(3*zChunk + 5000)
+	wantFlags("ledger", put("ledger", ledger), zRaw, zRaw, zRaw, zRaw)
+	if v := reg.Counter("store.z.raw_chunks").Value(); v != 4 {
+		t.Fatalf("store.z.raw_chunks = %d, want 4", v)
+	}
+
+	// TestCompressedRoundTrip holds such a payload to >= 2x smaller.
+	comp := compressible(2*zChunk + 100)
+	wantFlags("comp", put("comp", comp), zFlate, zFlate, zFlate)
+	if v := reg.Counter("store.z.flate_chunks").Value(); v != 3 {
+		t.Fatalf("store.z.flate_chunks = %d, want 3", v)
+	}
+
+	// One chunk of each kind, then the same two chunks swapped: the
+	// decision and the stored frame depend only on the chunk's bytes.
+	lc, cc := ledger[:zChunk], comp[:zChunk]
+	mixed := put("mixed", append(append([]byte(nil), cc...), lc...))
+	wantFlags("mixed", mixed, zFlate, zRaw)
+	swapped := put("swapped", append(append([]byte(nil), lc...), cc...))
+	_, a := chunkFlags(mixed)
+	_, b := chunkFlags(swapped)
+	if !bytes.Equal(a[0], b[1]) || !bytes.Equal(a[1], b[0]) {
+		t.Fatal("identical chunks stored different bytes")
+	}
+	if again := put("mixed-again", append(append([]byte(nil), cc...), lc...)); !bytes.Equal(again, mixed) {
+		t.Fatal("two puts of the same payload stored different bytes")
+	}
+
+	wantFlags("short", put("short", ledger[:1000]), zRaw)
+	wantFlags("short-comp", put("short-comp", comp[:5000]), zFlate)
+}
+
+// forgedObject is a compressed-at-rest object whose one zFlate header
+// claims a full raw chunk from zero stored bytes, followed by 100 KiB of
+// zeros the header does not account for.
+func forgedObject() []byte {
+	obj := []byte(zMagic)
+	var hdr [13]byte
+	hdr[0] = zFlate
+	binary.BigEndian.PutUint32(hdr[1:5], zChunk)
+	obj = append(obj, hdr[:]...)
+	return append(obj, make([]byte, 100<<10)...)
+}
+
+// getAllocs reads name through z and returns the bytes Get allocated
+// beyond the backend's own copy of the stored object.
+func getAllocs(z *Compressed, mem *cluster.MemStore, name string) (allocated int64, err error) {
+	stored, _ := mem.Get(name)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = z.Get(name)
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc-before.TotalAlloc) - int64(len(stored)), err
+}
+
+// TestCompressedGetForgedHeaderAllocatesLittle: a chunk header is not
+// trusted to size Get's output, so a 100 KiB object claiming far more
+// than it holds fails after allocating little.
+func TestCompressedGetForgedHeaderAllocatesLittle(t *testing.T) {
+	mem := cluster.NewMemStore()
+	z := NewCompressed(mem, Options{})
+	if err := mem.Put("forged", forgedObject()); err != nil {
+		t.Fatal(err)
+	}
+	allocated, err := getAllocs(z, mem, "forged")
+	t.Logf("Get allocated %d B", allocated)
+	if err == nil {
+		t.Fatal("forged object decoded without error")
+	}
+	if allocated >= 4<<20 {
+		t.Fatalf("Get of a %d B forged object allocated %d B, want < 4 MiB", len(forgedObject()), allocated)
+	}
+}
+
+// FuzzCompressedGet: any bytes behind the at-rest magic, read through
+// Get over a MemStore, never panic and allocate at most a small multiple
+// of the bytes that verify; and any payload Put through Compressed reads
+// back byte-identical.
+func FuzzCompressedGet(f *testing.F) {
+	mem := cluster.NewMemStore()
+	z := NewCompressed(mem, Options{})
+	for _, seed := range [][]byte{nil, []byte("x"), compressible(zChunk + 3000), ledgerShaped(20000)} {
+		_ = z.Put("seed", seed)
+		stored, _ := mem.Get("seed")
+		f.Add(stored[len(zMagic):])
+	}
+	f.Add(forgedObject()[len(zMagic):])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		mem := cluster.NewMemStore()
+		z := NewCompressed(mem, Options{})
+		if err := mem.Put("ck", append([]byte(zMagic), body...)); err != nil {
+			t.Fatal(err)
+		}
+		allocated, _ := getAllocs(z, mem, "ck")
+		verified, _ := zDecode(body)
+		if bound := int64(4<<20 + 4*len(verified)); allocated >= bound {
+			t.Fatalf("Get allocated %d B for %d verified bytes, bound %d", allocated, len(verified), bound)
+		}
+
+		if err := z.Put("rt", body); err != nil {
+			t.Fatal(err)
+		}
+		got, err := z.Get("rt")
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("round trip of %d bytes diverged: %v", len(body), err)
+		}
+	})
 }
 
 func TestReplicatedQuorumAndReadRepair(t *testing.T) {
