@@ -34,6 +34,7 @@ package jit
 import (
 	"fmt"
 	"maps"
+	"slices"
 
 	"repro/internal/fir"
 	"repro/internal/heap"
@@ -104,10 +105,11 @@ const (
 	jStoreRun // ≥2 constant-offset stores against one base pointer
 
 	// jCallKnown is a jCall whose callee is a function literal with
-	// matching arity and whose arguments can be written into the callee
-	// frame in place (no clobbered reads). FIR lowers loops to tail
-	// calls, so this is the hot call form; target holds the function
-	// index resolved at compile time.
+	// matching arity: every direct call. FIR lowers loops to tail calls,
+	// so this is the hot call form. target holds the function index
+	// resolved at compile time; run holds the checks of the arguments
+	// whose kind is not already proven, and moves the argument transfer
+	// planned at compile time.
 	jCallKnown
 )
 
@@ -121,7 +123,9 @@ type operand struct {
 	imm  heap.Value
 }
 
-// runElem is one element of a fused load or store run.
+// runElem is one element of a fused load or store run, or one argument
+// check of a known call (dst: the argument's index; val, want, ty: its
+// operand and the parameter's tag and type).
 type runElem struct {
 	off  int64     // constant word offset
 	dst  int32     // destination slot (load: the value; store: the unit binding)
@@ -147,6 +151,13 @@ type ins struct {
 	a, b, c operand
 	args    []operand
 	run     []runElem
+	moves   []move // jCallKnown: the argument transfer, in order
+}
+
+// move is one step of a known call's argument transfer: frame[dst] = src.
+type move struct {
+	dst int32
+	src operand
 }
 
 // jitFn is one function's compiled view. kinds caches each parameter's
@@ -172,28 +183,30 @@ type Compiled struct {
 
 // Precompile lowers prog to threaded code without building a machine; hand
 // the result to NewMachine or ResumeMachine to skip per-machine
-// compilation. It runs the two lowering passes: the slot-resolving walk
-// (one instruction per FIR node, identical structure to the interpreter's)
-// and the fusion rewrite.
+// compilation. It runs the lowering passes: the slot-resolving walk (one
+// instruction per FIR node, identical structure to the interpreter's),
+// the fusion rewrite, and the known calls' move planning.
 func Precompile(prog *fir.Program) (*Compiled, error) {
 	c := &Compiled{prog: prog, fns: make([]jitFn, len(prog.Funcs))}
-	extIdx := make(map[string]int32)
+	fc := &fnCompiler{prog: prog, c: c, extIdx: make(map[string]int32)}
 	for i, f := range prog.Funcs {
 		kinds := make([]heap.Kind, len(f.Params))
 		for j, prm := range f.Params {
 			kinds[j] = wantKind(prm.Type)
 		}
 		c.fns[i] = jitFn{entry: len(c.code), fn: f, kinds: kinds}
-		fc := &fnCompiler{prog: prog, c: c, fn: f, extIdx: extIdx}
+		fc.fn = f
 		env := make(map[string]int32, len(f.Params))
 		for j, prm := range f.Params {
 			env[prm.Name] = int32(j)
+			fc.prove(int32(j), kinds[j])
 		}
 		if err := fc.expr(f.Body, env, int32(len(f.Params))); err != nil {
 			return nil, err
 		}
 	}
 	fuse(c)
+	planMoves(c)
 	return c, nil
 }
 
@@ -202,6 +215,56 @@ type fnCompiler struct {
 	c      *Compiled
 	fn     *fir.Function
 	extIdx map[string]int32 // shared across functions: extern table is per program
+
+	// proven holds, per frame slot, the kind the engine itself has already
+	// enforced on the value the slot holds at the current point of the
+	// walk, or kindSlow when none is. It never rests on fir.Check, which
+	// StartAt and trusted unpacks skip: a parameter's kind is checked on
+	// every entry (Invoke, or a known call's checks), an operator fixes
+	// its result's kind (a load checks its declared type; a move keeps its
+	// source's), and an immediate is what it is. Extern results stay
+	// unproven: their signature is known only at run time.
+	proven []heap.Kind
+	saved  []heap.Kind // stack of proven prefixes, one per enclosing If
+}
+
+// prove records the kind of the value a binding leaves in slot.
+func (fc *fnCompiler) prove(slot int32, k heap.Kind) {
+	for int(slot) >= len(fc.proven) {
+		fc.proven = append(fc.proven, kindSlow)
+	}
+	fc.proven[slot] = k
+}
+
+// kindOf is the proven kind of an operand, or kindSlow.
+func (fc *fnCompiler) kindOf(a operand) heap.Kind {
+	if a.slot < 0 {
+		return a.imm.Kind
+	}
+	return fc.proven[a.slot]
+}
+
+// letKind is the kind a Let's result has whenever its node completes, on
+// the fast path and through ops.Eval alike; kindSlow when the operator
+// does not fix it.
+func (fc *fnCompiler) letKind(in *ins) heap.Kind {
+	switch op := in.alu; {
+	case op <= fir.OpGe, op >= fir.OpFEq && op <= fir.OpFGe, op == fir.OpFloatToInt,
+		op == fir.OpLen, op == fir.OpPtrOff, op == fir.OpPtrEq, op == fir.OpPtrIsNil:
+		return heap.KInt
+	case op >= fir.OpFAdd && op <= fir.OpFNeg, op == fir.OpIntToFloat:
+		return heap.KFloat
+	case op == fir.OpAlloc, op == fir.OpPtrAdd, op == fir.OpPtrBase, op == fir.OpPtrNull:
+		return heap.KPtr
+	case op == fir.OpStore:
+		return heap.KUnit
+	case op == fir.OpLoad:
+		return in.want
+	case op == fir.OpMove && in.args == nil && in.nargs >= 1:
+		return fc.kindOf(in.a)
+	default:
+		return kindSlow
+	}
 }
 
 func (fc *fnCompiler) extern(name string) int32 {
@@ -245,12 +308,9 @@ func (fc *fnCompiler) atom(a fir.Atom, env map[string]int32) (operand, error) {
 	}
 }
 
-// knownCall reports whether a call can use the jCallKnown fast path: the
-// callee is a function literal with matching arity, and writing argument
-// i into frame slot i never clobbers a slot a later argument still reads
-// — every operand is an immediate or reads a slot at or above its own
-// argument position. Tail calls that pass loop state forward in the same
-// slots satisfy this by construction.
+// knownCall reports whether a call is a jCallKnown: the callee is a
+// function literal with matching arity. Only computed callees and arity
+// mismatches take the generic jCall path, through Invoke.
 func (fc *fnCompiler) knownCall(fa operand, args []operand) (int32, bool) {
 	if fa.slot >= 0 || fa.imm.Kind != heap.KFun {
 		return 0, false
@@ -262,12 +322,22 @@ func (fc *fnCompiler) knownCall(fa operand, args []operand) (int32, bool) {
 	if len(fc.prog.Funcs[idx].Params) != len(args) {
 		return 0, false
 	}
-	for i, a := range args {
-		if a.slot >= 0 && a.slot < int32(i) {
-			return 0, false
-		}
-	}
 	return int32(idx), true
+}
+
+// argChecks lists a known call's arguments whose kind is not proven to be
+// the callee parameter's, in argument order: the only ones the call checks
+// at run time.
+func (fc *fnCompiler) argChecks(callee int32, args []operand) []runElem {
+	var out []runElem
+	for i, prm := range fc.prog.Funcs[callee].Params {
+		want := wantKind(prm.Type)
+		if want != kindSlow && fc.kindOf(args[i]) == want {
+			continue
+		}
+		out = append(out, runElem{dst: int32(i), val: args[i], want: want, ty: prm.Type})
+	}
+	return out
 }
 
 func (fc *fnCompiler) atoms(as []fir.Atom, env map[string]int32) ([]operand, error) {
@@ -350,7 +420,9 @@ func (fc *fnCompiler) expr(e fir.Expr, env map[string]int32, depth int32) error 
 				}
 				in.args = args
 			}
+			k := fc.letKind(&in)
 			env, in.dst, depth = fc.bind(env, e2.Dst, depth)
+			fc.prove(in.dst, k)
 			fc.grow(depth)
 			fc.emit(in)
 			e = e2.Body
@@ -362,6 +434,7 @@ func (fc *fnCompiler) expr(e fir.Expr, env map[string]int32, depth int32) error 
 			}
 			in := ins{op: jExtern, nodes: 1, dstTy: e2.DstType, depth: depth, extIdx: fc.extern(e2.Name), args: args}
 			env, in.dst, depth = fc.bind(env, e2.Dst, depth)
+			fc.prove(in.dst, kindSlow)
 			fc.grow(depth)
 			fc.emit(in)
 			e = e2.Body
@@ -374,10 +447,16 @@ func (fc *fnCompiler) expr(e fir.Expr, env map[string]int32, depth int32) error 
 			pos := len(fc.c.code)
 			fc.emit(ins{op: jIf, nodes: 1, a: ca, depth: depth})
 			// The then branch gets a clone so its bindings stay invisible
-			// to the else branch; bind can then mutate in place.
+			// to the else branch; bind can then mutate in place. A rebinding
+			// there changes a live slot's proven kind, so the else branch
+			// starts from the kinds saved here.
+			mark := len(fc.saved)
+			fc.saved = append(fc.saved, fc.proven[:depth]...)
 			if err := fc.expr(e2.Then, maps.Clone(env), depth); err != nil {
 				return err
 			}
+			copy(fc.proven, fc.saved[mark:])
+			fc.saved = fc.saved[:mark]
 			fc.c.code[pos].target = int32(len(fc.c.code))
 			e = e2.Else
 
@@ -391,7 +470,7 @@ func (fc *fnCompiler) expr(e fir.Expr, env map[string]int32, depth int32) error 
 				return err
 			}
 			if idx, ok := fc.knownCall(fa, args); ok {
-				fc.emit(ins{op: jCallKnown, nodes: 1, target: idx, a: fa, args: args, depth: depth})
+				fc.emit(ins{op: jCallKnown, nodes: 1, target: idx, a: fa, args: args, run: fc.argChecks(idx, args), depth: depth})
 			} else {
 				fc.emit(ins{op: jCall, nodes: 1, a: fa, args: args, depth: depth})
 			}
@@ -618,4 +697,98 @@ func fuse(c *Compiled) {
 		c.fns[i].entry = int(remap[c.fns[i].entry])
 	}
 	c.code = out
+}
+
+// ---------------------------------------------------------------------------
+// Move planning.
+
+// planMoves gives every known call its argument transfer, the parallel
+// move args[i] → slot i, as a sequence of single moves that never
+// overwrites a slot a later move still reads (Rideau, Serpette & Leroy,
+// "Tilting at windmills with Coq", JAR 2008). Cycles go through one
+// scratch slot above every depth window, so it is never a GC root.
+func planMoves(c *Compiled) {
+	p := movePlanner{scratch: int32(c.slots)}
+	for i := range c.code {
+		in := &c.code[i]
+		if in.op != jCallKnown {
+			continue
+		}
+		// The moves and the checks carry everything the call reads.
+		in.moves, in.args = p.plan(in.args), nil
+	}
+	if p.usedScratch {
+		c.slots++
+	}
+}
+
+// movePlanner sequentializes one program's known calls, reusing its
+// buffers from call to call: fresh ones per call made a grid compile
+// ~25% slower.
+type movePlanner struct {
+	scratch     int32
+	usedScratch bool
+	pending     []bool  // per parameter slot: its move is not yet emitted
+	readers     []int32 // per parameter slot: pending moves reading it
+	moves       []move
+}
+
+// plan orders the moves args[i] → slot i. A self-move (args[i] already in
+// slot i) is dropped. A move is emitted once no pending move still reads
+// its destination; what is then left are disjoint cycles, each broken by
+// saving one slot in scratch. Immediates read no slot and go last.
+func (p *movePlanner) plan(args []operand) []move {
+	n := int32(len(args))
+	pending := append(p.pending[:0], make([]bool, n)...)
+	readers := append(p.readers[:0], make([]int32, n)...)
+	p.pending, p.readers = pending, readers
+	moves := p.moves[:0]
+	for i, a := range args {
+		if a.slot >= 0 && a.slot != int32(i) {
+			pending[i] = true
+			if a.slot < n {
+				readers[a.slot]++
+			}
+		}
+	}
+	for progress := true; progress; {
+		progress = false
+		for i := int32(0); i < n; i++ {
+			if pending[i] && readers[i] == 0 {
+				moves = append(moves, move{dst: i, src: args[i]})
+				pending[i] = false
+				if s := args[i].slot; s < n {
+					readers[s]--
+				}
+				progress = true
+			}
+		}
+	}
+	for i := int32(0); i < n; i++ {
+		if !pending[i] {
+			continue
+		}
+		// Slot i's value moves to scratch; walk the cycle backwards, each
+		// destination taking its source once that source's old value has
+		// been read, until the move that read slot i takes scratch.
+		p.usedScratch = true
+		moves = append(moves, move{dst: p.scratch, src: operand{slot: i}})
+		for d := i; pending[d]; {
+			pending[d] = false
+			s := args[d].slot
+			if s == i {
+				moves = append(moves, move{dst: d, src: operand{slot: p.scratch}})
+				break
+			}
+			moves = append(moves, move{dst: d, src: operand{slot: s}})
+			d = s
+		}
+	}
+	for i, a := range args {
+		if a.slot < 0 {
+			moves = append(moves, move{dst: int32(i), src: a})
+		}
+	}
+	p.moves = moves
+	return slices.Clone(moves)
 }

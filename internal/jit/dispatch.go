@@ -419,20 +419,22 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			exec++
 
 		case jCallKnown:
-			// Arity and callee were validated at compile time; arguments
-			// write straight into the callee frame (knownCall guarantees
-			// no clobbered reads). Kind checks and their error text match
-			// invoke exactly.
+			// Callee and arity were resolved at compile time. The arguments
+			// whose kind is not proven are checked first, in argument order
+			// and with invoke's error text; then the planned moves write the
+			// callee's parameter slots.
 			f := &fns[in.target]
-			args := in.args
-			for i := range args {
-				v := ld(frame, &args[i])
-				if k := f.kinds[i]; v.Kind != k || k == kindSlow {
-					if err := ops.CheckKind(v, f.fn.Params[i].Type); err != nil {
-						return exec + 1, m.RuntimeErr(rt.ArgError(f.fn, i, err))
+			for i := range in.run {
+				el := &in.run[i]
+				if v := ld(frame, &el.val); v.Kind != el.want || el.want == kindSlow {
+					if err := ops.CheckKind(v, el.ty); err != nil {
+						return exec + 1, m.RuntimeErr(rt.ArgError(f.fn, int(el.dst), err))
 					}
 				}
-				frame[i] = v
+			}
+			for i := range in.moves {
+				mv := &in.moves[i]
+				frame[mv.dst] = ld(frame, &mv.src)
 			}
 			m.CurFn = f.fn.Name
 			pc = f.entry

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -325,4 +326,198 @@ func TestYieldEndsTheQuantumAtTheSameStep(t *testing.T) {
 		t.Fatalf("unbounded Run: %d ticks, status %s; a yield must not stop it", len(seen[0]), ref.Status())
 	}
 	agree(t, "unbounded", ref, sut)
+}
+
+// encoder is a function of the given int parameters that halts with all of
+// them folded in order, h = (…(p0·31 + p1)·31 + …) + p(n−1), so the halt
+// code tells which value reached which parameter.
+func encoder(name string, arity int) *fir.Function {
+	var ps []any
+	for i := 0; i < arity; i++ {
+		ps = append(ps, fmt.Sprintf("p%d", i), fir.TyInt)
+	}
+	b := fir.NewBuilder()
+	b.Let("h0", fir.TyInt, fir.OpMove, fir.V("p0"))
+	for i := 1; i < arity; i++ {
+		b.Let(fmt.Sprintf("t%d", i), fir.TyInt, fir.OpMul, fir.V(fmt.Sprintf("h%d", i-1)), fir.I(31))
+		b.Let(fmt.Sprintf("h%d", i), fir.TyInt, fir.OpAdd, fir.V(fmt.Sprintf("t%d", i)), fir.V(fmt.Sprintf("p%d", i)))
+	}
+	return fir.Fn(name, fir.Ps(ps...), b.Halt(fir.V(fmt.Sprintf("h%d", arity-1))))
+}
+
+// encode is encoder's halt code for the given arguments.
+func encode(vs ...int64) int64 {
+	h := vs[0]
+	for _, v := range vs[1:] {
+		h = h*31 + v
+	}
+	return h
+}
+
+// permute is main → f(1, 2, …, n) → g(args…): f's parameters hold 1…n in
+// slots 0…n−1, and g is an encoder of len(args) parameters.
+func permute(n int, args ...fir.Atom) *fir.Program {
+	var ps []any
+	var ones []fir.Atom
+	for i := 0; i < n; i++ {
+		ps = append(ps, string(rune('a'+i)), fir.TyInt)
+		ones = append(ones, fir.I(int64(i+1)))
+	}
+	return fir.NewProgram("main",
+		fir.Fn("main", nil, fir.NewBuilder().CallNamed("f", ones...)),
+		fir.Fn("f", fir.Ps(ps...), fir.NewBuilder().CallNamed("g", args...)),
+		encoder("g", len(args)))
+}
+
+// TestKnownCallMovesAgreeWithInterpreter: a known call transfers its
+// arguments as moves planned at compile time; swaps, cycles, shifts and
+// fan-out must land every value in the same parameter as the
+// interpreter's copy through a fresh frame.
+func TestKnownCallMovesAgreeWithInterpreter(t *testing.T) {
+	a, b, c, d, e := fir.V("a"), fir.V("b"), fir.V("c"), fir.V("d"), fir.V("e")
+
+	// g(p0, k, p2, p3, p4) passes its ints' code on to the function k.
+	mixed := fir.NewBuilder()
+	mixed.Let("h", fir.TyInt, fir.OpAdd, fir.V("p0"), fir.I(0))
+	for _, p := range []string{"p2", "p3", "p4"} {
+		mixed.Let("h", fir.TyInt, fir.OpMul, fir.V("h"), fir.I(31))
+		mixed.Let("h", fir.TyInt, fir.OpAdd, fir.V("h"), fir.V(p))
+	}
+	mixedProg := fir.NewProgram("main",
+		fir.Fn("main", nil, fir.NewBuilder().CallNamed("f", fir.I(1), fir.I(2), fir.I(3))),
+		fir.Fn("f", fir.Ps("a", fir.TyInt, "b", fir.TyInt, "c", fir.TyInt),
+			fir.NewBuilder().CallNamed("g", c, fir.FunLit{Name: "out"}, fir.I(7), a, b)),
+		fir.Fn("g", fir.Ps("p0", fir.TyInt, "k", fir.TyFun(fir.TyInt), "p2", fir.TyInt, "p3", fir.TyInt, "p4", fir.TyInt),
+			mixed.Call(fir.V("k"), fir.V("h"))),
+		fir.Fn("out", fir.Ps("x", fir.TyInt), fir.NewBuilder().Halt(fir.V("x"))))
+
+	// loop(i, x, y) swaps its state on every iteration: a cycle in a
+	// self tail call.
+	lb := fir.NewBuilder()
+	lb.Let("done", fir.TyInt, fir.OpEq, fir.V("i"), fir.I(0))
+	step := fir.NewBuilder()
+	step.Let("j", fir.TyInt, fir.OpSub, fir.V("i"), fir.I(1))
+	loopProg := fir.NewProgram("main",
+		fir.Fn("main", nil, fir.NewBuilder().CallNamed("loop", fir.I(5), fir.I(1), fir.I(2))),
+		fir.Fn("loop", fir.Ps("i", fir.TyInt, "x", fir.TyInt, "y", fir.TyInt),
+			lb.If(fir.V("done"), fir.NewBuilder().CallNamed("g", fir.V("x"), fir.V("y")), step.CallNamed("loop", fir.V("j"), fir.V("y"), fir.V("x")))),
+		encoder("g", 2))
+
+	for _, tc := range []struct {
+		name string
+		prog *fir.Program
+		want int64
+	}{
+		{"swap", permute(2, b, a), encode(2, 1)},
+		{"3-cycle", permute(3, b, c, a), encode(2, 3, 1)},
+		{"two disjoint cycles", permute(5, b, a, d, e, c), encode(2, 1, 4, 5, 3)},
+		{"shift", permute(4, fir.I(9), a, b, c), encode(9, 1, 2, 3)},
+		{"rotation", permute(4, d, a, b, c), encode(4, 1, 2, 3)},
+		{"fan-out", permute(3, c, a, a), encode(3, 1, 1)},
+		{"fan-out beside self-moves", permute(3, a, a, c), encode(1, 1, 3)},
+		{"immediates and a function literal", mixedProg, encode(3, 7, 1, 2)},
+		{"loop swapping its state", loopProg, encode(2, 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := subject{name: tc.name, prog: tc.prog, startAt: -1}
+			for _, n := range []uint64{0, 1, 2, 3} {
+				ref, _ := lockstep(t, s, n, 0)
+				if ref.Status() != rt.StatusHalted || ref.HaltCode() != tc.want {
+					t.Fatalf("quantum %d: vm %s, halt %d, %v; want halt %d", n, ref.Status(), ref.HaltCode(), ref.Err(), tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestRandomKnownCallsAgreeWithInterpreter: seeded random known calls of
+// arity 1–12 whose arguments come from the caller's parameters, its
+// locals and immediates, each run in lockstep with the interpreter.
+func TestRandomKnownCallsAgreeWithInterpreter(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for call := 0; call < 300; call++ {
+		np, nl, arity := 1+rng.Intn(12), rng.Intn(4), 1+rng.Intn(12)
+		var ps []any
+		var init []fir.Atom
+		for i := 0; i < np; i++ {
+			ps = append(ps, fmt.Sprintf("a%d", i), fir.TyInt)
+			init = append(init, fir.I(int64(100+i)))
+		}
+		body := fir.NewBuilder()
+		for l := 0; l < nl; l++ {
+			body.Let(fmt.Sprintf("l%d", l), fir.TyInt, fir.OpAdd, fir.V(fmt.Sprintf("a%d", rng.Intn(np))), fir.I(int64(1000*(l+1))))
+		}
+		args := make([]fir.Atom, arity)
+		for i := range args {
+			switch r := rng.Intn(8); {
+			case r < 5:
+				args[i] = fir.V(fmt.Sprintf("a%d", rng.Intn(np)))
+			case r < 7 && nl > 0:
+				args[i] = fir.V(fmt.Sprintf("l%d", rng.Intn(nl)))
+			default:
+				args[i] = fir.I(int64(rng.Intn(50)))
+			}
+		}
+		prog := fir.NewProgram("main",
+			fir.Fn("main", nil, fir.NewBuilder().CallNamed("f", init...)),
+			fir.Fn("f", fir.Ps(ps...), body.CallNamed("g", args...)),
+			encoder("g", arity))
+		s := subject{name: fmt.Sprintf("call %d: f/%d with %d locals → g%v", call, np, nl, args), prog: prog, startAt: -1}
+		for _, n := range []uint64{0, 1, 2, 3} {
+			if ref, _ := lockstep(t, s, n, 0); ref.Status() != rt.StatusHalted {
+				t.Fatalf("%s: vm %s, %v", s.name, ref.Status(), ref.Err())
+			}
+		}
+	}
+}
+
+// TestUnprovenArgumentKindsAreChecked: a known call skips the check of an
+// argument only when the engine itself has already enforced its kind,
+// never on the strength of a declared FIR type. Each program here is
+// ill-typed and runs through StartAt, which skips fir.Check; the call
+// must fail at the same step, with the same text, in the same function,
+// as on the interpreter.
+func TestUnprovenArgumentKindsAreChecked(t *testing.T) {
+	intFn := fir.Fn("k", fir.Ps("n", fir.TyInt), fir.NewBuilder().Halt(fir.V("n")))
+	untyped := func(name string, args []heap.Value, setup func(rt.Proc), fns ...*fir.Function) subject {
+		return subject{name: name, prog: fir.NewProgram(fns[0].Name, fns...), startAt: 0, args: args, setup: setup}
+	}
+
+	// An extern registered to return a float, declared in the FIR as int.
+	ext := fir.NewBuilder()
+	ext.Extern("r", fir.TyInt, "half")
+	half := func(p rt.Proc) {
+		p.RegisterExtern("half", fir.ExternSig{Result: fir.TyFloat}, func(rt.Runtime, []heap.Value) (heap.Value, error) {
+			return heap.FloatVal(0.5), nil
+		})
+	}
+
+	// x is rebound to an int in the then arm; the else arm still holds
+	// the float parameter.
+	then := fir.NewBuilder()
+	then.Let("x", fir.TyInt, fir.OpMove, fir.I(1))
+	rebound := fir.NewBuilder().If(fir.V("c"), then.Halt(fir.V("x")), fir.NewBuilder().CallNamed("k", fir.V("x")))
+
+	// A move keeps its source's kind, whatever its declared type.
+	mv := fir.NewBuilder()
+	mv.Let("y", fir.TyInt, fir.OpMove, fir.V("x"))
+
+	for _, s := range []subject{
+		untyped("extern result of the wrong kind", nil, half,
+			fir.Fn("f", nil, ext.CallNamed("k", fir.V("r"))), intFn),
+		untyped("name rebound in the other arm", []heap.Value{heap.FloatVal(1.5), heap.IntVal(0)}, nil,
+			fir.Fn("f", fir.Ps("x", fir.TyFloat, "c", fir.TyInt), rebound), intFn),
+		untyped("move of a float parameter", []heap.Value{heap.FloatVal(1.5)}, nil,
+			fir.Fn("f", fir.Ps("x", fir.TyFloat), mv.CallNamed("k", fir.V("y"))), intFn),
+	} {
+		t.Run(s.name, func(t *testing.T) {
+			for _, n := range []uint64{0, 1, 2, 3} {
+				ref, _ := lockstep(t, s, n, 0)
+				var rte *rt.RuntimeError
+				if ref.Status() != rt.StatusFailed || !errors.As(ref.Err(), &rte) || !strings.Contains(rte.Error(), "argument 0") {
+					t.Fatalf("vm: status=%s err=%v, want a failed argument check", ref.Status(), ref.Err())
+				}
+			}
+		})
+	}
 }

@@ -354,11 +354,17 @@ func TestConcurrentUnpacksOfOneImage(t *testing.T) {
 	}
 }
 
+// lastMissRuns counts invocations of TestServerKeepsLastMiss: the intern
+// table outlives a test, so a repeated run (-count 2) ships a new salt.
+var lastMissRuns int
+
 func TestServerKeepsLastMiss(t *testing.T) {
 	srv, addr := runServer(t, ServerConfig{Externs: migExterns("unused://x")})
+	salt := fmt.Sprintf("server%d", lastMissRuns)
+	lastMissRuns++
 	ship := func() {
 		t.Helper()
-		prog := saltedProgram("server")
+		prog := saltedProgram(salt)
 		proc := vm.NewProcess(prog, nil, rt.Config{Fuel: 100000, Args: []int64{4}})
 		targetExtern(proc, "migrate://"+addr)
 		proc.SetMigrateHandler((&Migrator{}).Handle)

@@ -236,11 +236,18 @@ func TestOverloadThrottlesExplicitly(t *testing.T) {
 // table of its own — workload.Compile hands every run of a shape the same
 // *fir.Program — so the engine's artifact cache, keyed on that pointer,
 // compiles once per distinct shape however many runs arrive.
+// cacheShapeRuns counts invocations of TestProgramCacheSharesCompilations:
+// the compile cache outlives a test, so a repeated run (-count 2) needs
+// shapes the earlier ones did not compile.
+var cacheShapeRuns int
+
 func TestProgramCacheSharesCompilations(t *testing.T) {
 	_, c := startServer(t, Config{PoolWorkers: 2, MaxRuns: 2, QueueDepth: 8})
-	// Shapes no other test in this package submits.
+	// Shapes no other test in this package submits, and no earlier run of
+	// this one: 10+6n steps, then twice that.
 	p := smallParams("allreduce")
-	p.Steps += 2
+	p.Steps += 2 + 6*cacheShapeRuns
+	cacheShapeRuns++
 	before := engine.CacheStats()
 	for i := 0; i < 3; i++ {
 		if _, err := c.Submit(SubmitRequest{App: "allreduce", Params: p}); err != nil {
