@@ -65,6 +65,8 @@ type Batched struct {
 // SendBatch must preserve the keyed-idempotent contract (re-delivery of a
 // (src, dst, tag) key overwrites; deterministic replays converge); GC
 // propagates a node's mailbox pruning so remote buffers can shrink too.
+// SendBatch must not keep batch or its words after it returns: callers
+// reuse them.
 type Uplink interface {
 	SendBatch(src, dst int64, batch []Batched) error
 	GC(node, below int64) error
@@ -484,7 +486,9 @@ func (mb *mailbox) storeLocked(link map[int64][]heap.Value, tag int64, words []h
 
 // SendBatch delivers several tagged payloads from src to dst under one
 // mailbox lock acquisition and a single wakeup — the batched border
-// exchange for applications that ship multiple tags per step.
+// exchange for applications that ship multiple tags per step. Every
+// payload is copied (or encoded, through the uplink) before SendBatch
+// returns, so the caller may reuse batch and its words at once.
 func (r *Router) SendBatch(src, dst int64, batch []Batched) error {
 	if r.closed.Load() {
 		return r.closedErr()

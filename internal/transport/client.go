@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/frame"
-	"repro/internal/heap"
 	"repro/internal/migrate"
 	"repro/internal/msg"
 	"repro/internal/obs"
@@ -90,10 +89,10 @@ type Client struct {
 	mu      sync.Mutex
 	conn    FrameConn
 	raw     net.Conn
-	gen     int                              // connection generation, for reader teardown
-	out     map[int64]map[int64][]heap.Value // dst -> tag -> words (replay buffer)
-	owned   []int64                          // nodes adopted via handoff; re-announced on reconnect
-	pending map[uint32]chan []byte           // rpc id -> its reply frame
+	gen     int                    // connection generation, for reader teardown
+	out     msgBuf                 // dst -> src -> tag -> encoded part (replay buffer)
+	owned   []int64                // nodes adopted via handoff; re-announced on reconnect
+	pending map[uint32]chan []byte // rpc id -> its reply frame
 	nextID  uint32
 	closed  bool
 
@@ -134,7 +133,7 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	}
 	c := &Client{
 		cfg:     cfg,
-		out:     make(map[int64]map[int64][]heap.Value),
+		out:     make(msgBuf),
 		pending: make(map[uint32]chan []byte),
 	}
 	if cfg.Trace != nil {
@@ -273,25 +272,17 @@ func (c *Client) connectLocked() error {
 		}
 	}
 	// Replay the outbound keyed buffer: anything the old connection may
-	// have lost in flight is re-delivered; duplicates overwrite equals.
+	// have lost in flight is re-delivered, each part under the source
+	// that sent it; duplicates overwrite equals.
 	replayed := 0
-	for dst, tags := range c.out {
-		batch := make([]msg.Batched, 0, len(tags))
-		for tag, words := range tags {
-			batch = append(batch, msg.Batched{Tag: tag, Words: words})
+	for dst := range c.out {
+		for _, f := range c.out.frames(dst) {
+			if err := fc.WriteFrame(f); err != nil {
+				c.teardownLocked()
+				return err
+			}
+			replayed++
 		}
-		if len(batch) == 0 {
-			continue
-		}
-		f, err := encodeMsg(c.cfg.Node, dst, batch)
-		if err != nil {
-			continue
-		}
-		if err := fc.WriteFrame(f); err != nil {
-			c.teardownLocked()
-			return err
-		}
-		replayed++
 	}
 	if replayed > 0 {
 		c.ev.Emit(obs.EvFrameReplay, int(c.cfg.Node), uint64(epoch), 0, int64(replayed), 0, "")
@@ -303,9 +294,11 @@ func (c *Client) connectLocked() error {
 
 // readLoop dispatches inbound frames until its connection dies; it then
 // kicks a reconnect so a worker parked in a receive (sending nothing) is
-// not stranded.
+// not stranded. Each message frame is decoded once, into the loop's
+// reused decoder: the router copies a delivery before SendBatch returns.
 func (c *Client) readLoop(fc FrameConn, gen int) {
 	defer c.wg.Done()
+	var md msgDecoder
 	for {
 		b, err := fc.ReadFrame()
 		if err != nil {
@@ -331,10 +324,18 @@ func (c *Client) readLoop(fc FrameConn, gen int) {
 		}
 		switch b[0] {
 		case fMsg:
-			src, dst, batch, err := decodeMsg(b)
+			src, dst, batch, err := md.decode(b)
 			if err == nil && c.cfg.Router.Local(dst) {
 				c.ev.Emit(obs.EvFrameRecv, int(dst), 0, 0, src, int64(len(batch)), "msg")
 				_ = c.cfg.Router.SendBatch(src, dst, batch)
+			}
+		case fGC:
+			// A destination committed past below: the parts sent to it
+			// under older tags will never be asked for again.
+			if node, below, err := decodeGC(b); err == nil {
+				c.mu.Lock()
+				c.out.prune(node, below)
+				c.mu.Unlock()
 			}
 		case fRoll:
 			if epoch, err := decodeEpoch(b); err == nil {
@@ -423,36 +424,28 @@ func (c *Client) writeFrame(b []byte) error {
 	return fmt.Errorf("transport: write to hub %s kept failing", c.cfg.Addr)
 }
 
-// SendBatch implements msg.Uplink: buffer for replay, then forward.
+// SendBatch implements msg.Uplink: encode, keep the frame's parts for
+// replay, then forward the frame. The batch is not kept.
 func (c *Client) SendBatch(src, dst int64, batch []msg.Batched) error {
+	f, err := encodeMsg(src, dst, batch)
+	if err != nil {
+		return err
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return ErrClientClosed
 	}
-	tags := c.out[dst]
-	if tags == nil {
-		tags = make(map[int64][]heap.Value)
-		c.out[dst] = tags
-	}
-	for _, b := range batch {
-		cp := make([]heap.Value, len(b.Words))
-		copy(cp, b.Words)
-		tags[b.Tag] = cp
-	}
+	c.out.putFrame(f, src, dst, len(batch))
 	c.mu.Unlock()
 	c.ev.Emit(obs.EvFrameSend, int(src), 0, 0, dst, int64(len(batch)), "msg")
-	f, err := encodeMsg(src, dst, batch)
-	if err != nil {
-		return err
-	}
 	return c.writeFrame(f)
 }
 
 // GC implements msg.Uplink: the node committed past `below`; the hub's
-// buffer for it can shrink. The worker's own outbound buffer for a
-// destination shrinks when that destination GCs (the hub forgets;
-// re-replay after that point would be re-pruned there).
+// buffer for it can shrink. The hub passes the GC on to every worker that
+// sent the node messages, and each drops those parts from its own replay
+// buffer (readLoop's fGC case).
 func (c *Client) GC(node, below int64) error {
 	return c.writeFrame(encodeGC(node, below))
 }

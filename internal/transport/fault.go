@@ -147,13 +147,13 @@ func (c *faultConn) WriteFrame(b []byte) error {
 		}
 		return c.writeInner(b)
 	}
-	src, dst, batch, err := decodeMsg(b)
-	if err != nil || len(batch) == 0 {
+	src, dst, n, err := scanMsg(b)
+	if err != nil || n == 0 {
 		return c.writeInner(b)
 	}
 	// Frames carry one tag each on the send path; batch replays use the
 	// first tag as the frame's identity.
-	tag := batch[0].Tag
+	tag, _, _ := msgPart(b, msgHead)
 	s := c.spec
 	s.mu.Lock()
 	if s.counts == nil {

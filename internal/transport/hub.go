@@ -4,14 +4,13 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/frame"
-	"repro/internal/heap"
 	"repro/internal/migrate"
-	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/rt"
 	"repro/internal/store"
@@ -48,9 +47,9 @@ type Hub struct {
 
 	mu        sync.Mutex
 	sessions  map[int64]*session
-	buf       map[int64]map[int64]map[int64][]heap.Value // dst -> src -> tag -> words
-	partCut   func(src, dst int64) bool                  // active partition, nil when healed
-	partDsts  map[int64]bool                             // nodes with withheld inbound traffic
+	buf       msgBuf                    // dst -> src -> tag -> encoded part
+	partCut   func(src, dst int64) bool // active partition, nil when healed
+	partDsts  map[int64]bool            // nodes with withheld inbound traffic
 	epoch     int64
 	failed    map[int64]bool
 	results   map[int64]Result
@@ -93,7 +92,7 @@ func Listen(addr string, store migrate.Store) (*Hub, error) {
 		store:     store,
 		ln:        ln,
 		sessions:  make(map[int64]*session),
-		buf:       make(map[int64]map[int64]map[int64][]heap.Value),
+		buf:       make(msgBuf),
 		failed:    make(map[int64]bool),
 		results:   make(map[int64]Result),
 		putCounts: make(map[string]int),
@@ -302,7 +301,7 @@ func (h *Hub) HealPartition() {
 	var replays []replayTo
 	for dst := range dsts {
 		if s := h.sessions[dst]; s != nil && !h.failed[dst] {
-			replays = append(replays, replayTo{s, h.bufferedFramesLocked(dst)})
+			replays = append(replays, replayTo{s, h.buf.frames(dst)})
 		}
 	}
 	h.mu.Unlock()
@@ -381,11 +380,9 @@ func (s *session) serve() {
 			}
 			s.hub.register(s, node, false, false)
 		case fMsg:
-			src, dst, batch, err := decodeMsg(b)
-			if err != nil {
+			if s.hub.relayMsg(b) != nil {
 				return
 			}
-			s.hub.relayMsg(src, dst, batch, b)
 		case fGC:
 			node, below, err := decodeGC(b)
 			if err != nil {
@@ -473,7 +470,7 @@ func (h *Hub) register(s *session, node int64, hello, resurrect bool) {
 	s.nodes = append(s.nodes, node)
 	delete(h.failed, node) // the resurrected incarnation is alive
 	epoch := h.epoch
-	replay := h.bufferedFramesLocked(node)
+	replay := h.buf.frames(node)
 	h.mu.Unlock()
 
 	if hello {
@@ -487,46 +484,19 @@ func (h *Hub) register(s *session, node int64, hello, resurrect bool) {
 	}
 }
 
-// bufferedFramesLocked encodes the keyed buffer for dst as MSG frames,
-// one per source.
-func (h *Hub) bufferedFramesLocked(dst int64) [][]byte {
-	var out [][]byte
-	for src, tags := range h.buf[dst] {
-		batch := make([]msg.Batched, 0, len(tags))
-		for tag, words := range tags {
-			batch = append(batch, msg.Batched{Tag: tag, Words: words})
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		f, err := encodeMsg(src, dst, batch)
-		if err == nil {
-			out = append(out, f)
-		}
+// relayMsg validates a message frame, buffers its parts (latest part per
+// key wins — the keyed idempotent contract) and forwards the frame as it
+// arrived to the destination's live session, if any. Nothing is decoded
+// or copied: the buffer keeps sub-slices of raw, which ReadFrame
+// allocated for this frame alone. A malformed frame is buffered nowhere;
+// its error tells the caller to drop the session.
+func (h *Hub) relayMsg(raw []byte) error {
+	src, dst, n, err := scanMsg(raw)
+	if err != nil {
+		return err
 	}
-	return out
-}
-
-// relayMsg buffers a message batch (latest payload per key wins — the
-// keyed idempotent contract) and forwards the original frame to the
-// destination's live session, if any.
-func (h *Hub) relayMsg(src, dst int64, batch []msg.Batched, raw []byte) {
 	h.mu.Lock()
-	bySrc := h.buf[dst]
-	if bySrc == nil {
-		bySrc = make(map[int64]map[int64][]heap.Value)
-		h.buf[dst] = bySrc
-	}
-	tags := bySrc[src]
-	if tags == nil {
-		tags = make(map[int64][]heap.Value)
-		bySrc[src] = tags
-	}
-	for _, b := range batch {
-		cp := make([]heap.Value, len(b.Words))
-		copy(cp, b.Words)
-		tags[b.Tag] = cp
-	}
+	h.buf.putFrame(raw, src, dst, n)
 	target := h.sessions[dst]
 	if h.failed[dst] {
 		target = nil // the node is dead; its resurrection will replay
@@ -537,27 +507,37 @@ func (h *Hub) relayMsg(src, dst int64, batch []msg.Batched, raw []byte) {
 	}
 	h.mu.Unlock()
 	if s := h.ev(); s != nil {
-		s.Emit(obs.EvFrameRecv, int(src), 0, 0, dst, int64(len(batch)), "msg")
+		s.Emit(obs.EvFrameRecv, int(src), 0, 0, dst, int64(n), "msg")
 		if target != nil {
-			s.Emit(obs.EvFrameSend, int(dst), 0, 0, src, int64(len(batch)), "msg")
+			s.Emit(obs.EvFrameSend, int(dst), 0, 0, src, int64(n), "msg")
 		}
 	}
 	if target != nil {
 		_ = target.write(raw)
 	}
+	return nil
 }
 
 // pruneBuf drops buffered messages for node with tag < below (the
-// receiver committed past them; it can never re-read their step).
+// receiver committed past them; it can never re-read their step) and
+// passes the GC on to the live session of every source the hub holds
+// node's messages from, so their replay buffers shrink too.
 func (h *Hub) pruneBuf(node, below int64) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, tags := range h.buf[node] {
-		for tag := range tags {
-			if tag < below {
-				delete(tags, tag)
-			}
+	h.buf.prune(node, below)
+	var srcs []*session
+	for src := range h.buf[node] {
+		if s := h.sessions[src]; s != nil && !slices.Contains(srcs, s) {
+			srcs = append(srcs, s)
 		}
+	}
+	h.mu.Unlock()
+	if len(srcs) == 0 {
+		return
+	}
+	gc := encodeGC(node, below)
+	for _, s := range srcs {
+		_ = s.write(gc)
 	}
 }
 

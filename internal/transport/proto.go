@@ -14,6 +14,13 @@
 // id-tagged fStore/fStored frames), and routes cross-process
 // migrate("node://K") handoffs.
 //
+// A border message is decoded once, by its receiver. The hub validates
+// each message frame without decoding it, buffers the frame's encoded
+// parts (tag, word count, words) and forwards the frame as it arrived;
+// a sender's replay buffer likewise holds the parts of the frames it
+// sent. A receiver's GC reaches the hub, which prunes its buffer and
+// passes the GC on to the senders, whose replay buffers shrink too.
+//
 // Delivery is keyed and idempotent end to end: re-sending a (src, dst,
 // tag) key overwrites with identical content (the computation is
 // deterministic), so replays after reconnects, duplicated frames and
@@ -26,6 +33,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -41,7 +49,7 @@ const (
 	fMsg     = 'M' // both: src, dst, batch — border-message delivery
 	fRoll    = 'R' // H→W: epoch — a node failed; observe MSG_ROLL once
 	fFail    = 'F' // H→W: node — you are the failed node; die now
-	fGC      = 'G' // W→H: node, below — prune the hub buffer for node
+	fGC      = 'G' // both: node, below — prune buffered messages for node
 	fOwn     = 'O' // W→H: node — this connection now hosts node too
 	fStore   = 'S' // W→H: id, store request — checkpoint store RPC
 	fStored  = 's' // H→W: id, store response — its reply
@@ -145,29 +153,33 @@ func (d *dec) blob() []byte {
 
 func (d *dec) str() string { return string(d.blob()) }
 
-func (d *dec) val() heap.Value {
-	kind := heap.Kind(d.u8())
-	bits := d.i64()
-	switch kind {
-	case heap.KInt:
-		return heap.IntVal(bits)
-	case heap.KFloat:
-		return heap.Value{Kind: heap.KFloat, F: math.Float64frombits(uint64(bits))}
-	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("transport: bad wire value kind %d", kind)
-		}
-		return heap.Value{}
-	}
-}
+// Sizes of an fMsg frame's pieces: the head (type, src, dst, part count),
+// each part's head (tag, word count) and each word (kind, 8 value bytes).
+// A part — tag, count and words — is the unit the replay buffers keep.
+const (
+	msgHead  = 1 + 8 + 8 + 4
+	partHead = 8 + 4
+	wordLen  = 1 + 8
+)
 
-// encodeMsg builds an fMsg frame: src, dst, then the tagged payloads.
-func encodeMsg(src, dst int64, batch []msg.Batched) ([]byte, error) {
-	e := &enc{b: make([]byte, 0, 32+len(batch)*32)}
+// appendMsgHead starts an fMsg frame of n parts.
+func appendMsgHead(b []byte, src, dst int64, n int) []byte {
+	e := enc{b: b}
 	e.u8(fMsg)
 	e.i64(src)
 	e.i64(dst)
-	e.u32(uint32(len(batch)))
+	e.u32(uint32(n))
+	return e.b
+}
+
+// encodeMsg builds an fMsg frame: src, dst, then the tagged payloads. The
+// frame is sized exactly before a byte is written.
+func encodeMsg(src, dst int64, batch []msg.Batched) ([]byte, error) {
+	size := msgHead
+	for _, b := range batch {
+		size += partHead + wordLen*len(b.Words)
+	}
+	e := enc{b: appendMsgHead(make([]byte, 0, size), src, dst, len(batch))}
 	for _, b := range batch {
 		e.i64(b.Tag)
 		e.u32(uint32(len(b.Words)))
@@ -180,33 +192,136 @@ func encodeMsg(src, dst int64, batch []msg.Batched) ([]byte, error) {
 	return e.b, nil
 }
 
-// decodeMsg parses an fMsg frame (payload after the type byte is NOT
-// stripped: pass the full frame).
-func decodeMsg(b []byte) (src, dst int64, batch []msg.Batched, err error) {
-	d := &dec{b: b, off: 1}
-	src = d.i64()
-	dst = d.i64()
-	n := d.u32()
-	if d.err == nil && int(n) > len(b) { // cheap sanity bound before allocating
-		d.err = fmt.Errorf("transport: message count %d exceeds frame", n)
+// scanMsg validates a whole fMsg frame without decoding or allocating
+// (the full frame, type byte included): every part count is bounded by
+// the frame, nothing is truncated and every word is an int or a float.
+// It returns the head; the n parts follow at msgHead, walked by msgPart.
+func scanMsg(b []byte) (src, dst int64, n int, err error) {
+	if len(b) < msgHead {
+		return 0, 0, 0, fmt.Errorf("transport: truncated message head (%d bytes)", len(b))
 	}
-	if d.err == nil {
-		batch = make([]msg.Batched, 0, n)
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			tag := d.i64()
-			nw := d.u32()
-			if d.err == nil && int(nw) > len(b) {
-				d.err = fmt.Errorf("transport: word count %d exceeds frame", nw)
-				break
+	src = int64(binary.BigEndian.Uint64(b[1:]))
+	dst = int64(binary.BigEndian.Uint64(b[9:]))
+	count := binary.BigEndian.Uint32(b[17:])
+	if uint64(count) > uint64(len(b)) {
+		return 0, 0, 0, fmt.Errorf("transport: message count %d exceeds frame", count)
+	}
+	off := msgHead
+	for i := uint32(0); i < count; i++ {
+		if len(b)-off < partHead {
+			return 0, 0, 0, fmt.Errorf("transport: truncated frame at offset %d", off)
+		}
+		nw := uint64(binary.BigEndian.Uint32(b[off+8:]))
+		off += partHead
+		if nw*wordLen > uint64(len(b)-off) {
+			return 0, 0, 0, fmt.Errorf("transport: %d words truncated at offset %d", nw, off)
+		}
+		for end := off + int(nw)*wordLen; off < end; off += wordLen {
+			if k := heap.Kind(b[off]); k != heap.KInt && k != heap.KFloat {
+				return 0, 0, 0, fmt.Errorf("transport: bad wire value kind %d", k)
 			}
-			words := make([]heap.Value, 0, nw)
-			for j := uint32(0); j < nw; j++ {
-				words = append(words, d.val())
-			}
-			batch = append(batch, msg.Batched{Tag: tag, Words: words})
 		}
 	}
-	return src, dst, batch, d.err
+	return src, dst, int(count), nil
+}
+
+// msgPart returns the part at off of a frame scanMsg accepted — its tag
+// and its encoded bytes, capped so an append cannot reach past them — and
+// the offset of the next part.
+func msgPart(b []byte, off int) (tag int64, part []byte, next int) {
+	next = off + partHead + int(binary.BigEndian.Uint32(b[off+8:]))*wordLen
+	return int64(binary.BigEndian.Uint64(b[off:])), b[off:next:next], next
+}
+
+// msgDecoder decodes fMsg frames into a batch and a word buffer that it
+// reuses from frame to frame, so after the first frame of a shape a
+// decode allocates nothing. A decoded batch is valid until the next
+// decode: its consumer copies what it keeps (Router.SendBatch does).
+type msgDecoder struct {
+	batch []msg.Batched
+	words []heap.Value
+}
+
+func (m *msgDecoder) decode(b []byte) (src, dst int64, batch []msg.Batched, err error) {
+	src, dst, n, err := scanMsg(b)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	batch, words := m.batch[:0], m.words[:0]
+	for i, off := 0, msgHead; i < n; i++ {
+		tag, part, next := msgPart(b, off)
+		start := len(words)
+		for w := partHead; w < len(part); w += wordLen {
+			bits := binary.BigEndian.Uint64(part[w+1:])
+			if heap.Kind(part[w]) == heap.KInt {
+				words = append(words, heap.IntVal(int64(bits)))
+			} else {
+				words = append(words, heap.FloatVal(math.Float64frombits(bits)))
+			}
+		}
+		batch = append(batch, msg.Batched{Tag: tag, Words: words[start:len(words):len(words)]})
+		off = next
+	}
+	m.batch, m.words = batch, words
+	return src, dst, batch, nil
+}
+
+// msgBuf is a keyed store-and-forward buffer of encoded message parts,
+// dst → src → tag → part, in which the latest part per key wins. The hub
+// keeps the parts of the frames it relays and each client those of the
+// frames it sends. A part is a sub-slice of its frame, so buffering
+// copies nothing, and a replayed part is byte for byte the one that was
+// sent.
+type msgBuf map[int64]map[int64]map[int64][]byte
+
+// putFrame buffers the n parts of a frame scanMsg accepted.
+func (m msgBuf) putFrame(b []byte, src, dst int64, n int) {
+	for i, off := 0, msgHead; i < n; i++ {
+		tag, part, next := msgPart(b, off)
+		bySrc := m[dst]
+		if bySrc == nil {
+			bySrc = make(map[int64]map[int64][]byte)
+			m[dst] = bySrc
+		}
+		tags := bySrc[src]
+		if tags == nil {
+			tags = make(map[int64][]byte)
+			bySrc[src] = tags
+		}
+		tags[tag] = part
+		off = next
+	}
+}
+
+// prune drops dst's parts with tag < below.
+func (m msgBuf) prune(dst, below int64) {
+	for _, tags := range m[dst] {
+		for tag := range tags {
+			if tag < below {
+				delete(tags, tag)
+			}
+		}
+	}
+}
+
+// frames rebuilds dst's buffered parts as fMsg frames, one per source.
+func (m msgBuf) frames(dst int64) [][]byte {
+	var out [][]byte
+	for src, tags := range m[dst] {
+		if len(tags) == 0 {
+			continue
+		}
+		size := msgHead
+		for _, p := range tags {
+			size += len(p)
+		}
+		f := appendMsgHead(make([]byte, 0, size), src, dst, len(tags))
+		for _, p := range tags {
+			f = append(f, p...)
+		}
+		out = append(out, f)
+	}
+	return out
 }
 
 // encodeHello carries the joining node plus whether this incarnation is a
