@@ -215,3 +215,41 @@ func TestDeltaChainPruning(t *testing.T) {
 		t.Fatal("no chain members in the store at all")
 	}
 }
+
+// TestHandoffWaitsForItsCheckpoints: a process migrates out of its node
+// only once every checkpoint it captured there is durable. A kill keyed
+// on the checkpoint's head Put therefore lands before the process has
+// left; the handoff is refused and the process dies on its node, rather
+// than running on as node 5 while node 0's checkpoint still names it.
+func TestHandoffWaitsForItsCheckpoints(t *testing.T) {
+	prog, err := lang.Compile(`
+int main() {
+	migrate("checkpoint://ck");
+	migrate("node://5");
+	return node_id();
+}`, Externs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &notifyStore{Store: &slowStore{Store: NewMemStore(), memberDelay: 20 * time.Millisecond}}
+	e := NewEngine(EngineConfig{Store: store, Ckpt: ckpt.Options{Mode: ckpt.ModeAsync}})
+	defer e.Close()
+	store.onPut = func(name string, _ int) {
+		if name == "ck" {
+			e.Fail(0)
+		}
+	}
+	if err := e.StartProcess(0, prog, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	states, err := e.Wait(30 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := states[5]; st != nil {
+		t.Fatalf("node 5 = %+v: the process migrated out before its checkpoint was durable", st)
+	}
+	if st := states[0]; st == nil || st.Status == rt.StatusMigrated {
+		t.Fatalf("node 0 = %+v, want killed on its own node", st)
+	}
+}

@@ -473,6 +473,14 @@ func (e *Engine) handoff(src, dst int64, req *rt.MigrationRequest) (rt.MigrateOu
 	if dst == src {
 		return rt.OutcomeContinueLocal, nil
 	}
+	// The process leaves its node only once every checkpoint it captured
+	// there is durable. A kill keyed on one of them (a fault script's
+	// count of head Puts) then lands before the process has left, never
+	// on a node that gave it away: resurrecting that node from its last
+	// checkpoint would start a stale second copy of the process. A kill
+	// that lands here marks the source failed, and the handoff is refused:
+	// below in process, at the hub across processes.
+	e.committer.DrainOwner(src)
 	if s := e.stream(src); s != nil {
 		// On the source node's goroutine, at its migrate instruction.
 		s.Emit(obs.EvHandoff, int(src), uint64(e.Router.Seen(src)),

@@ -1,10 +1,11 @@
 // Package frame implements the length-prefixed framing every TCP protocol
-// in this repository speaks: the migration sessions of internal/migrate
-// (§4.2.2's two-phase transfer) and the distributed cluster transport of
-// internal/transport. A frame is a 4-byte big-endian length followed by
-// that many payload bytes.
+// in this repository speaks — the migration sessions of internal/migrate
+// (§4.2.2's two-phase transfer), the distributed cluster transport of
+// internal/transport, the store protocol and the serving daemon — and
+// Server, the one accept loop all of them run on. A frame is a 4-byte
+// big-endian length followed by that many payload bytes.
 //
-// ReadFrame never trusts the length prefix: the payload is read through a
+// Read never trusts the length prefix: the payload is read through a
 // limited, chunk-growing copy, so a bogus or hostile header can at most
 // make the reader wait for bytes that never arrive — it cannot make the
 // process allocate the advertised size up front.
@@ -68,23 +69,17 @@ func Write(w io.Writer, payload []byte) error {
 }
 
 // Read reads one length-prefixed frame, rejecting payloads larger than
-// MaxPayload.
-func Read(r io.Reader) ([]byte, error) {
-	return ReadLimit(r, MaxPayload)
-}
-
-// ReadLimit reads one length-prefixed frame, rejecting payloads larger
-// than max. Allocation is driven by the bytes that arrive, never by the
+// MaxPayload. Allocation is driven by the bytes that arrive, never by the
 // header alone: the result starts at initialChunk and grows geometrically
 // only as payload bytes land, reading directly into the result's spare
 // capacity (no intermediate buffer, no per-read reader allocations).
-func ReadLimit(r io.Reader, max uint32) ([]byte, error) {
+func Read(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if uint32(n) > max {
+	if uint32(n) > MaxPayload {
 		return nil, fmt.Errorf("frame: frame of %d bytes exceeds limit", n)
 	}
 	if n == 0 {
@@ -119,16 +114,13 @@ func ReadLimit(r io.Reader, max uint32) ([]byte, error) {
 // Conn frames an underlying byte stream. It performs no locking: callers
 // serialize writers themselves (reads and writes may proceed
 // concurrently with each other).
-type Conn struct {
-	RW  io.ReadWriter
-	Max uint32
-}
+type Conn struct{ RW io.ReadWriter }
 
-// NewConn wraps rw with the default payload cap.
-func NewConn(rw io.ReadWriter) *Conn { return &Conn{RW: rw, Max: MaxPayload} }
+// NewConn wraps rw.
+func NewConn(rw io.ReadWriter) *Conn { return &Conn{RW: rw} }
 
 // ReadFrame reads the next frame.
-func (c *Conn) ReadFrame() ([]byte, error) { return ReadLimit(c.RW, c.Max) }
+func (c *Conn) ReadFrame() ([]byte, error) { return Read(c.RW) }
 
 // WriteFrame writes one frame.
 func (c *Conn) WriteFrame(payload []byte) error { return Write(c.RW, payload) }

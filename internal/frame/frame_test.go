@@ -77,6 +77,14 @@ func TestReadLimitTruncatedBody(t *testing.T) {
 	}
 }
 
+// TestReadEmptyStream: a stream that ends before a header is an error,
+// not an empty frame.
+func TestReadEmptyStream(t *testing.T) {
+	if _, err := Read(bytes.NewReader(nil)); err != io.EOF {
+		t.Fatalf("err = %v, want %v", err, io.EOF)
+	}
+}
+
 func TestConn(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf)

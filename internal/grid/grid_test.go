@@ -5,13 +5,18 @@
 package grid_test
 
 import (
+	"io"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/frame"
+	"repro/internal/migrate"
 	"repro/internal/transport"
 	"repro/internal/workload"
 	_ "repro/internal/workload/apps"
@@ -303,6 +308,124 @@ func TestDistributedDupReorderConverges(t *testing.T) {
 	}
 }
 
+// countingStore counts successful Puts per name and calls onPut after
+// each one.
+type countingStore struct {
+	migrate.Store
+	mu    sync.Mutex
+	puts  map[string]int
+	onPut func(name string, n int)
+}
+
+func (s *countingStore) Put(name string, data []byte) error {
+	if err := s.Store.Put(name, data); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.puts[name]++
+	n := s.puts[name]
+	s.mu.Unlock()
+	s.onPut(name, n)
+	return nil
+}
+
+func (s *countingStore) count(name string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.puts[name]
+}
+
+// TestDistributedKillFiresAtNthPut: a distributed run's scripted kill
+// fires inside the Nth successful Put of the victim's head, as it does in
+// process. With "fail 1@2", node 1 is killed exactly once, when its second
+// head checkpoint has landed in the coordinator's store, and a blip that
+// drops every worker link in the middle of the run neither re-fires nor
+// loses the kill. The workers join through a relay in front of the hub,
+// whose CloseConns is the blip.
+func TestDistributedKillFiresAtNthPut(t *testing.T) {
+	w := gridApp(t)
+	p := params(3, 4, 8, 24, 2)
+	script, err := workload.ParseScriptString("fail 1@2")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		mu      sync.Mutex
+		hubAddr string
+		killed  []int // node 1's head Puts at each kill
+		links   atomic.Int32
+		blipped atomic.Bool
+	)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	relay := frame.NewServer(ln, 0, func(conn net.Conn) {
+		mu.Lock()
+		addr := hubAddr
+		mu.Unlock()
+		up, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		defer up.Close()
+		links.Add(1)
+		go func() {
+			_, _ = io.Copy(up, conn)
+			_ = up.Close()
+		}()
+		_, _ = io.Copy(conn, up)
+	})
+	go relay.Serve()
+	defer relay.Close()
+
+	head0, head1 := w.CheckpointName(0), w.CheckpointName(1)
+	st := &countingStore{Store: cluster.NewMemStore(), puts: make(map[string]int)}
+	st.onPut = func(name string, n int) {
+		if name == head0 && n == 4 {
+			blipped.Store(true)
+			relay.CloseConns()
+		}
+	}
+	spawn := goSpawn(t, p, nil)
+	res, err := workload.RunDistributed(w, p, script, workload.DistributedConfig{
+		Store: st,
+		Spawn: func(join string, node int64, resume string) error {
+			mu.Lock()
+			hubAddr = join
+			mu.Unlock()
+			return spawn(relay.Addr(), node, resume)
+		},
+		Logf: func(format string, args ...any) {
+			if strings.HasPrefix(format, "coordinator: killing node") {
+				mu.Lock()
+				killed = append(killed, st.count(head1))
+				mu.Unlock()
+			}
+		},
+	}, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Verify(p, res.Nodes); err != nil {
+		t.Fatal(err)
+	}
+	if res.Resurrections != 1 {
+		t.Fatalf("resurrections = %d, want 1", res.Resurrections)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(killed) != 1 || killed[0] != 2 {
+		t.Fatalf("kills fired at node 1 head Puts %v, want exactly one, at 2", killed)
+	}
+	// Three first incarnations and one resurrection join once each; the
+	// blip makes every live worker join again.
+	if !blipped.Load() || links.Load() <= 4 {
+		t.Fatalf("blip fired %v, %d worker links: the run never lost its links", blipped.Load(), links.Load())
+	}
+}
+
 // tagged reports whether tags contains tag.
 func tagged(tags []int64, tag int64) bool {
 	for _, t := range tags {
@@ -331,7 +454,8 @@ func TestDistributedDropRecoversViaRoll(t *testing.T) {
 		},
 	}
 
-	hub, err := transport.Listen("127.0.0.1:0", cluster.NewMemStore())
+	st := cluster.NewMemStore()
+	hub, err := transport.Listen("127.0.0.1:0", st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +482,7 @@ func TestDistributedDropRecoversViaRoll(t *testing.T) {
 	if spec.Dropped() == 0 {
 		t.Fatal("the drop never triggered")
 	}
-	if _, err := hub.Store().Get(w.CheckpointName(0)); err != nil {
+	if _, err := st.Get(w.CheckpointName(0)); err != nil {
 		t.Fatalf("checkpoint missing at drop time: %v", err)
 	}
 

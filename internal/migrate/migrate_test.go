@@ -500,29 +500,3 @@ func TestLoadCheckpointMissing(t *testing.T) {
 		t.Fatal("missing checkpoint loaded")
 	}
 }
-
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte("hello frames")
-	if err := WriteFrame(&buf, payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("frame = %q", got)
-	}
-	// Oversized frame header must be rejected without allocation.
-	var hdr bytes.Buffer
-	_ = WriteFrame(&hdr, nil)
-	big := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := ReadFrame(bytes.NewReader(big)); err == nil {
-		t.Fatal("oversized frame accepted")
-	}
-	var empty bytes.Buffer
-	if _, err := ReadFrame(&empty); err == nil {
-		t.Fatal("empty read succeeded")
-	}
-}

@@ -26,31 +26,19 @@ const (
 	modeBinary    = 'B'
 )
 
-// WriteFrame writes one length-prefixed frame.
-func WriteFrame(w io.Writer, payload []byte) error {
-	return frame.Write(w, payload)
-}
-
-// ReadFrame reads one length-prefixed frame. The payload is read through
-// the shared codec's capped, chunk-growing copy: an untrusted length
-// prefix can never force a large up-front allocation.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	return frame.Read(r)
-}
-
 func sendStatus(w io.Writer, err error) error {
 	if err != nil {
 		msg := err.Error()
 		if len(msg) > 4096 {
 			msg = msg[:4096]
 		}
-		return WriteFrame(w, append([]byte("ERR "), msg...))
+		return frame.Write(w, append([]byte("ERR "), msg...))
 	}
-	return WriteFrame(w, []byte("OK"))
+	return frame.Write(w, []byte("OK"))
 }
 
 func readStatus(r io.Reader) error {
-	f, err := ReadFrame(r)
+	f, err := frame.Read(r)
 	if err != nil {
 		return err
 	}
@@ -172,14 +160,14 @@ func (m *Migrator) ship(proto Proto, addr string, img *wire.Image) error {
 		return err
 	}
 	// Phase 1: code. The server verifies and recompiles before acking.
-	if err := WriteFrame(conn, wire.EncodeCode(&img.Code)); err != nil {
+	if err := frame.Write(conn, wire.EncodeCode(&img.Code)); err != nil {
 		return err
 	}
 	if err := readStatus(conn); err != nil {
 		return err
 	}
 	// Phase 2: state (pointer table + heap contents).
-	if err := WriteFrame(conn, wire.EncodeState(&img.State)); err != nil {
+	if err := frame.Write(conn, wire.EncodeState(&img.State)); err != nil {
 		return err
 	}
 	return readStatus(conn)
@@ -210,11 +198,9 @@ type ServerConfig struct {
 	// this node.
 	Migrator *Migrator
 	// IdleTimeout bounds how long a session may go without transferring a
-	// single byte (default 60s). It is refreshed on every read and write,
-	// so a large chunked transfer that keeps making progress never trips
-	// it — only a genuinely stalled peer does. (The old behaviour pinned
-	// one 60s deadline on the whole connection, which cut off big, slow
-	// but healthy transfers mid-stream.)
+	// single byte (default 60s): frame.Server refreshes it on every read
+	// and write, so a large transfer that keeps making progress never
+	// trips it — only a genuinely stalled peer does.
 	IdleTimeout time.Duration
 }
 
@@ -233,21 +219,25 @@ type ServerStats struct {
 // Server is a migration daemon listening for inbound processes.
 type Server struct {
 	cfg ServerConfig
-	l   net.Listener
+	fs  *frame.Server
 
-	mu      sync.Mutex
-	stats   ServerStats
-	wg      sync.WaitGroup
-	closing bool
+	mu    sync.Mutex
+	stats ServerStats
+	procs sync.WaitGroup // resumed processes run to completion here
 }
 
 // NewServer wraps a listener; call Serve to accept.
 func NewServer(l net.Listener, cfg ServerConfig) *Server {
-	return &Server{cfg: cfg, l: l}
+	if cfg.IdleTimeout <= 0 {
+		cfg.IdleTimeout = 60 * time.Second
+	}
+	s := &Server{cfg: cfg}
+	s.fs = frame.NewServer(l, cfg.IdleTimeout, s.handle)
+	return s
 }
 
 // Addr returns the listen address.
-func (s *Server) Addr() string { return s.l.Addr().String() }
+func (s *Server) Addr() string { return s.fs.Addr() }
 
 // Stats returns a copy of the counters.
 func (s *Server) Stats() ServerStats {
@@ -257,62 +247,17 @@ func (s *Server) Stats() ServerStats {
 }
 
 // Serve accepts migration sessions until the listener closes.
-func (s *Server) Serve() error {
-	for {
-		conn, err := s.l.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closing := s.closing
-			s.mu.Unlock()
-			if closing {
-				return nil
-			}
-			return err
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
-	}
-}
+func (s *Server) Serve() error { return s.fs.Serve() }
 
-// Close stops accepting and waits for in-flight sessions.
+// Close stops accepting and waits for in-flight sessions and the
+// processes they resumed.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closing = true
-	s.mu.Unlock()
-	err := s.l.Close()
-	s.wg.Wait()
+	err := s.fs.Shutdown()
+	s.procs.Wait()
 	return err
 }
 
-// idleConn refreshes a rolling deadline before every I/O operation: the
-// connection dies after IdleTimeout without progress, not after a fixed
-// wall-clock budget regardless of progress.
-type idleConn struct {
-	net.Conn
-	idle time.Duration
-}
-
-func (c idleConn) Read(p []byte) (int, error) {
-	_ = c.Conn.SetDeadline(time.Now().Add(c.idle))
-	return c.Conn.Read(p)
-}
-
-func (c idleConn) Write(p []byte) (int, error) {
-	_ = c.Conn.SetDeadline(time.Now().Add(c.idle))
-	return c.Conn.Write(p)
-}
-
-func (s *Server) handle(raw net.Conn) {
-	defer raw.Close()
-	idle := s.cfg.IdleTimeout
-	if idle <= 0 {
-		idle = 60 * time.Second
-	}
-	conn := idleConn{Conn: raw, idle: idle}
-
+func (s *Server) handle(conn net.Conn) {
 	var mode [1]byte
 	if _, err := io.ReadFull(conn, mode[:]); err != nil {
 		return
@@ -324,7 +269,7 @@ func (s *Server) handle(raw net.Conn) {
 		return
 	}
 
-	codeBytes, err := ReadFrame(conn)
+	codeBytes, err := frame.Read(conn)
 	if err != nil {
 		return
 	}
@@ -341,7 +286,7 @@ func (s *Server) handle(raw net.Conn) {
 		return
 	}
 
-	stateBytes, err := ReadFrame(conn)
+	stateBytes, err := frame.Read(conn)
 	if err != nil {
 		return
 	}
@@ -380,9 +325,9 @@ func (s *Server) handle(raw net.Conn) {
 	if s.cfg.OnResume != nil {
 		s.cfg.OnResume(proc)
 	} else {
-		s.wg.Add(1)
+		s.procs.Add(1)
 		go func() {
-			defer s.wg.Done()
+			defer s.procs.Done()
 			_, _ = proc.Run()
 		}()
 	}

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/frame"
 	"repro/internal/migrate"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -43,9 +44,9 @@ type Config struct {
 	QueueDepth int
 	// RunTimeout bounds each accepted run (default 2m).
 	RunTimeout time.Duration
-	// IdleTimeout bounds how long a connection may stall between frames
-	// (default 60s). A submission waiting for its result is not idle —
-	// the reply write refreshes the deadline.
+	// IdleTimeout bounds how long a connection may stall on a read or a
+	// write (default 60s). A submission waiting for its result is not
+	// idle: the deadline is pushed forward before each read and write.
 	IdleTimeout time.Duration
 	// Store is the shared checkpoint store (default: one MemStore for
 	// the daemon's lifetime).
@@ -81,7 +82,7 @@ type job struct {
 // Server is the serving daemon.
 type Server struct {
 	cfg   Config
-	l     net.Listener
+	fs    *frame.Server
 	slots chan struct{} // THE worker pool, shared by every engine
 	store migrate.Store
 	queue chan *job
@@ -99,8 +100,7 @@ type Server struct {
 	m       Metrics
 	tenants map[string]*TenantMetrics
 
-	connWg sync.WaitGroup
-	runWg  sync.WaitGroup
+	runWg sync.WaitGroup
 }
 
 // NewServer wraps a listener; call Serve to accept.
@@ -131,7 +131,6 @@ func NewServer(l net.Listener, cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:     cfg,
-		l:       l,
 		slots:   make(chan struct{}, cfg.PoolWorkers),
 		store:   cfg.Store,
 		queue:   make(chan *job, cfg.QueueDepth),
@@ -139,6 +138,7 @@ func NewServer(l net.Listener, cfg Config) *Server {
 		reg:     cfg.Registry,
 		trace:   cfg.Trace,
 	}
+	s.fs = frame.NewServer(l, cfg.IdleTimeout, s.handle)
 	s.ev = s.trace.Stream("serve")
 	s.qwAll = s.reg.Histogram("serve.queue_wait_ns")
 	s.runAll = s.reg.Histogram("serve.run_ns")
@@ -167,7 +167,7 @@ func NewServer(l net.Listener, cfg Config) *Server {
 }
 
 // Addr returns the listen address.
-func (s *Server) Addr() string { return s.l.Addr().String() }
+func (s *Server) Addr() string { return s.fs.Addr() }
 
 // Registry returns the daemon's metrics registry (the 'O' RPC's source).
 func (s *Server) Registry() *obs.Registry { return s.reg }
@@ -176,25 +176,7 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 func (s *Server) Tracer() *obs.Tracer { return s.trace }
 
 // Serve accepts connections until the listener closes.
-func (s *Server) Serve() error {
-	for {
-		conn, err := s.l.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closing := s.closing
-			s.mu.Unlock()
-			if closing {
-				return nil
-			}
-			return err
-		}
-		s.connWg.Add(1)
-		go func() {
-			defer s.connWg.Done()
-			s.handle(conn)
-		}()
-	}
-}
+func (s *Server) Serve() error { return s.fs.Serve() }
 
 // Close stops accepting, waits for in-flight connections (and therefore
 // the runs they are waiting on), then stops the runners.
@@ -202,8 +184,7 @@ func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closing = true
 	s.mu.Unlock()
-	err := s.l.Close()
-	s.connWg.Wait()
+	err := s.fs.Shutdown()
 	close(s.queue)
 	s.runWg.Wait()
 	return err
@@ -216,8 +197,6 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 	kind, body, err := readMsg(conn)
 	if err != nil {
 		return
@@ -226,31 +205,23 @@ func (s *Server) handle(conn net.Conn) {
 	case frameSubmit:
 		s.handleSubmit(conn, body)
 	case frameMetrics:
-		_ = s.reply(conn, frameStats, s.Snapshot())
+		_ = writeMsg(conn, frameStats, s.Snapshot())
 	case frameObs:
-		_ = s.reply(conn, frameObsReply, s.reg.Snapshot())
+		_ = writeMsg(conn, frameObsReply, s.reg.Snapshot())
 	case frameTrace:
-		_ = s.reply(conn, frameTraceReply, s.trace.Drain())
+		_ = writeMsg(conn, frameTraceReply, s.trace.Drain())
 	default:
-		_ = s.reply(conn, frameReject, rejectReply{Reason: fmt.Sprintf("unknown request kind %q", kind)})
+		_ = writeMsg(conn, frameReject, rejectReply{Reason: fmt.Sprintf("unknown request kind %q", kind)})
 	}
-}
-
-// reply writes one frame with a fresh write deadline: a submission's
-// result may come minutes after the request frame, and only a stalled
-// peer should trip the idle timeout.
-func (s *Server) reply(conn net.Conn, kind byte, v any) error {
-	_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.IdleTimeout))
-	return writeMsg(conn, kind, v)
 }
 
 func (s *Server) handleSubmit(conn net.Conn, body []byte) {
 	j, rej := s.admit(body)
 	if rej != nil {
-		_ = s.reply(conn, frameReject, *rej)
+		_ = writeMsg(conn, frameReject, *rej)
 		return
 	}
-	_ = s.reply(conn, frameResult, <-j.done)
+	_ = writeMsg(conn, frameResult, <-j.done)
 }
 
 // admit validates and enqueues one submission. It never blocks: a full

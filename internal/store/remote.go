@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"slices"
 	"strings"
 	"sync"
 
@@ -15,10 +14,10 @@ import (
 )
 
 // The store protocol: the one wire format a migrate.Store travels in,
-// spoken by cmd/mojstored on its own TCP connection (Server/Remote) and
-// carried verbatim inside the transport hub's id-tagged store frames —
-// the paper's NFS mount generalized to a replica endpoint or a
-// coordinator.
+// spoken between Server and Remote over their own TCP connection — by
+// cmd/mojstored, and by the store every transport hub starts beside its
+// message link (the paper's NFS mount generalized to a replica endpoint
+// or a coordinator).
 //
 // Request:  op byte + u16 name length + name + payload
 //
@@ -30,16 +29,16 @@ import (
 //	'0' not-exist (get only)
 //	'-' error (body: message)
 //
-// AppendRequest encodes, Handle runs a request against a backing store,
-// and DecodeResponse maps the status back to nil, os.ErrNotExist or an
-// error, so every carrier keeps the migrate.Store contract unchanged.
+// encodeRequest, serveRequest and decodeResponse are the whole codec:
+// decodeResponse maps the status back to nil, os.ErrNotExist or an
+// error, so a Remote keeps the migrate.Store contract unchanged.
 
 // Request ops.
 const (
-	OpPut    = 'P'
-	OpGet    = 'G'
-	OpList   = 'L'
-	OpDelete = 'D'
+	opPut    = 'P'
+	opGet    = 'G'
+	opList   = 'L'
+	opDelete = 'D'
 )
 
 const (
@@ -48,75 +47,64 @@ const (
 	statusError    = '-'
 )
 
-// Request is one decoded store request. Payload aliases the encoded
-// bytes it was decoded from.
-type Request struct {
-	Op      byte
-	Name    string
-	Payload []byte
-}
-
-// AppendRequest appends the encoding of one request to dst — the one
-// copy of the payload the sending side makes.
-func AppendRequest(dst []byte, op byte, name string, payload []byte) ([]byte, error) {
+// encodeRequest encodes one request: the one copy of the payload the
+// client makes.
+func encodeRequest(op byte, name string, payload []byte) ([]byte, error) {
 	if len(name) > 1<<16-1 {
-		return dst, fmt.Errorf("store: name of %d bytes too long for wire", len(name))
+		return nil, fmt.Errorf("store: name of %d bytes too long for wire", len(name))
 	}
-	dst = slices.Grow(dst, 3+len(name)+len(payload))
-	dst = append(dst, op, byte(len(name)>>8), byte(len(name)))
-	dst = append(dst, name...)
-	return append(dst, payload...), nil
+	b := make([]byte, 0, 3+len(name)+len(payload))
+	b = append(b, op, byte(len(name)>>8), byte(len(name)))
+	b = append(b, name...)
+	return append(b, payload...), nil
 }
 
-func decodeRequest(req []byte) (Request, error) {
+// decodeRequest splits a request; payload aliases req.
+func decodeRequest(req []byte) (op byte, name string, payload []byte, err error) {
 	if len(req) < 3 {
-		return Request{}, errors.New("store: short request")
+		return 0, "", nil, errors.New("store: short request")
 	}
-	nameLen := int(binary.BigEndian.Uint16(req[1:3]))
-	if len(req) < 3+nameLen {
-		return Request{}, errors.New("store: truncated request name")
+	n := int(binary.BigEndian.Uint16(req[1:3]))
+	if len(req) < 3+n {
+		return 0, "", nil, errors.New("store: truncated request name")
 	}
-	return Request{Op: req[0], Name: string(req[3 : 3+nameLen]), Payload: req[3+nameLen:]}, nil
+	return req[0], string(req[3 : 3+n]), req[3+n:], nil
 }
 
-// Handle decodes one request, runs it against s and appends the encoded
-// response to dst. It also returns the decoded request and the outcome
-// (nil on success), so a carrier can observe completed writes.
-func Handle(dst []byte, s migrate.Store, req []byte) ([]byte, Request, error) {
-	r, err := decodeRequest(req)
-	if err != nil {
-		return append(append(dst, statusError), err.Error()...), r, err
-	}
+// serveRequest decodes one request, runs it against s and returns the
+// encoded response.
+func serveRequest(s migrate.Store, req []byte) []byte {
+	op, name, payload, err := decodeRequest(req)
 	var body []byte
-	switch r.Op {
-	case OpPut:
-		err = s.Put(r.Name, r.Payload)
-	case OpGet:
-		body, err = s.Get(r.Name)
+	switch {
+	case err != nil:
+	case op == opPut:
+		err = s.Put(name, payload)
+	case op == opGet:
+		body, err = s.Get(name)
 		if errors.Is(err, os.ErrNotExist) {
-			return append(dst, statusNotExist), r, err
+			return []byte{statusNotExist}
 		}
-	case OpList:
+	case op == opList:
 		var names []string
 		if names, err = s.List(); err == nil {
 			body = []byte(strings.Join(names, "\n"))
 		}
-	case OpDelete:
-		err = s.Delete(r.Name)
+	case op == opDelete:
+		err = s.Delete(name)
 	default:
-		err = fmt.Errorf("store: unknown op %q", r.Op)
+		err = fmt.Errorf("store: unknown op %q", op)
 	}
 	if err != nil {
-		return append(append(dst, statusError), err.Error()...), r, err
+		return append([]byte{statusError}, err.Error()...)
 	}
-	dst = slices.Grow(dst, 1+len(body))
-	return append(append(dst, statusOK), body...), r, nil
+	return append(append(make([]byte, 0, 1+len(body)), statusOK), body...)
 }
 
-// DecodeResponse returns a response's body on success, an error matching
+// decodeResponse returns a response's body on success, an error matching
 // os.ErrNotExist for a missing name, and the remote error otherwise. The
 // body aliases resp.
-func DecodeResponse(resp []byte) ([]byte, error) {
+func decodeResponse(resp []byte) ([]byte, error) {
 	if len(resp) == 0 {
 		return nil, errors.New("store: empty response")
 	}
@@ -132,23 +120,11 @@ func DecodeResponse(resp []byte) ([]byte, error) {
 	}
 }
 
-// SplitNames decodes a list response body.
-func SplitNames(body []byte) []string {
-	if len(body) == 0 {
-		return nil
-	}
-	return strings.Split(string(body), "\n")
-}
-
-// Server serves a migrate.Store over TCP (cmd/mojstored wraps it).
+// Server serves a migrate.Store over TCP: cmd/mojstored, and the store
+// every transport hub starts beside its message link.
 type Server struct {
 	backing migrate.Store
-	ln      net.Listener
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]bool
-	wg     sync.WaitGroup
+	fs      *frame.Server
 }
 
 // Serve listens on addr and serves backing until Close.
@@ -157,65 +133,23 @@ func Serve(addr string, backing migrate.Store) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{backing: backing, ln: ln, conns: make(map[net.Conn]bool)}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &Server{backing: backing}
+	s.fs = frame.NewServer(ln, 0, s.handle)
+	go s.fs.Serve()
 	return s, nil
 }
 
 // Addr returns the bound listen address (useful with ":0").
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.fs.Addr() }
 
 // Close stops the listener and open connections, then waits for the
 // handler goroutines.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = true
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handle(conn)
-	}
-}
+func (s *Server) Close() error { return s.fs.Close() }
 
 func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	fc := frame.NewConn(conn)
 	for {
-		req, err := fc.ReadFrame()
-		if err != nil {
-			return
-		}
-		resp, _, _ := Handle(nil, s.backing, req)
-		if err := fc.WriteFrame(resp); err != nil {
+		req, err := frame.Read(conn)
+		if err != nil || frame.Write(conn, serveRequest(s.backing, req)) != nil {
 			return
 		}
 	}
@@ -230,7 +164,6 @@ type Remote struct {
 
 	mu   sync.Mutex
 	conn net.Conn
-	fc   *frame.Conn
 }
 
 // DialRemote creates a client for addr. The connection is established
@@ -242,19 +175,19 @@ func DialRemote(addr string) *Remote { return &Remote{addr: addr} }
 func (r *Remote) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.conn != nil {
-		err := r.conn.Close()
-		r.conn, r.fc = nil, nil
-		return err
+	if r.conn == nil {
+		return nil
 	}
-	return nil
+	err := r.conn.Close()
+	r.conn = nil
+	return err
 }
 
 // roundTrip sends one request and decodes the response, holding the
 // connection lock. A transport error tears the connection down so the
 // next call redials.
 func (r *Remote) roundTrip(op byte, name string, payload []byte) ([]byte, error) {
-	req, err := AppendRequest(nil, op, name, payload)
+	req, err := encodeRequest(op, name, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -265,20 +198,19 @@ func (r *Remote) roundTrip(op byte, name string, payload []byte) ([]byte, error)
 		if err != nil {
 			return nil, fmt.Errorf("store: dial %s: %w", r.addr, err)
 		}
-		r.conn, r.fc = conn, frame.NewConn(conn)
+		r.conn = conn
 	}
-	if err := r.fc.WriteFrame(req); err != nil {
-		r.conn.Close()
-		r.conn, r.fc = nil, nil
-		return nil, fmt.Errorf("store: %s: %w", r.addr, err)
+	err = frame.Write(r.conn, req)
+	var resp []byte
+	if err == nil {
+		resp, err = frame.Read(r.conn)
 	}
-	resp, err := r.fc.ReadFrame()
 	if err != nil {
 		r.conn.Close()
-		r.conn, r.fc = nil, nil
+		r.conn = nil
 		return nil, fmt.Errorf("store: %s: %w", r.addr, err)
 	}
-	body, err := DecodeResponse(resp)
+	body, err := decodeResponse(resp)
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: checkpoint %q: %w", r.addr, name, err)
 	}
@@ -286,20 +218,23 @@ func (r *Remote) roundTrip(op byte, name string, payload []byte) ([]byte, error)
 }
 
 func (r *Remote) Put(name string, data []byte) error {
-	_, err := r.roundTrip(OpPut, name, data)
+	_, err := r.roundTrip(opPut, name, data)
 	return err
 }
 
 func (r *Remote) Get(name string) ([]byte, error) {
-	return r.roundTrip(OpGet, name, nil)
+	return r.roundTrip(opGet, name, nil)
 }
 
 func (r *Remote) List() ([]string, error) {
-	body, err := r.roundTrip(OpList, "", nil)
-	return SplitNames(body), err
+	body, err := r.roundTrip(opList, "", nil)
+	if err != nil || len(body) == 0 {
+		return nil, err
+	}
+	return strings.Split(string(body), "\n"), nil
 }
 
 func (r *Remote) Delete(name string) error {
-	_, err := r.roundTrip(OpDelete, name, nil)
+	_, err := r.roundTrip(opDelete, name, nil)
 	return err
 }

@@ -1,8 +1,10 @@
 // Package store is the production checkpoint store tier: pluggable
 // backends behind the four-method migrate.Store interface (Put, Get,
 // List, Delete), selected by a URL-style spec string, and the one store
-// wire protocol (remote.go) that both cmd/mojstored and the transport
-// hub speak. It layers, from the inside out:
+// wire protocol (remote.go) with its one server and client: cmd/mojstored
+// runs the Server, every transport hub runs one beside its message link,
+// and distributed workers checkpoint through a Remote. It layers, from
+// the inside out:
 //
 //	backend   — where bytes live: in-memory (mem), a directory
 //	            (dir:PATH), a directory with per-chunk compression at

@@ -509,6 +509,19 @@ func TestRemoteStore(t *testing.T) {
 	if _, err := s.Get("ck@0"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("remote deleted name: %v, want os.ErrNotExist", err)
 	}
+	if err := s.Delete("ghost"); err != nil {
+		t.Fatalf("remote Delete(missing) = %v, want nil", err)
+	}
+	big := make([]byte, 1<<20)
+	for i := range big {
+		big[i] = byte(i * 31 >> 7)
+	}
+	if err := s.Put("big", big); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get("big"); err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("1 MiB round trip: %d bytes, %v", len(got), err)
+	}
 }
 
 // gcStore builds a store with:
@@ -612,44 +625,47 @@ func TestStartGC(t *testing.T) {
 	}
 }
 
-// FuzzStoreRequest feeds arbitrary bytes to the shared request handler
-// over a MemStore: it never panics, always answers with a response the
-// shared decoder accepts, and a request that decodes re-encodes to the
-// same bytes.
+// FuzzStoreRequest feeds arbitrary bytes to the request handler over a
+// MemStore: it never panics, always answers with a response the client's
+// decoder accepts, and a request that decodes re-encodes to the same
+// bytes.
 func FuzzStoreRequest(f *testing.F) {
-	for _, seed := range []Request{
-		{Op: OpPut, Name: "ck@0", Payload: []byte("image")},
-		{Op: OpGet, Name: "ck"},
-		{Op: OpGet, Name: "ghost"},
-		{Op: OpList},
-		{Op: OpDelete, Name: "ck"},
-		{Op: 'Z', Name: "ck"},
+	for _, seed := range []struct {
+		op            byte
+		name, payload string
+	}{
+		{opPut, "ck@0", "image"},
+		{opGet, "ck", ""},
+		{opGet, "ghost", ""},
+		{opList, "", ""},
+		{opDelete, "ck", ""},
+		{'Z', "ck", ""},
 	} {
-		req, err := AppendRequest(nil, seed.Op, seed.Name, seed.Payload)
+		req, err := encodeRequest(seed.op, seed.name, []byte(seed.payload))
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(req)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{OpGet, 0xff, 0xff, 'c'})
+	f.Add([]byte{opGet, 0xff, 0xff, 'c'})
 	f.Fuzz(func(t *testing.T, req []byte) {
 		s := cluster.NewMemStore()
 		if err := s.Put("ck", []byte("image")); err != nil {
 			t.Fatal(err)
 		}
-		resp, _, _ := Handle(nil, s, req)
+		resp := serveRequest(s, req)
 		if len(resp) == 0 {
 			t.Fatal("empty response")
 		}
-		if _, err := DecodeResponse(resp); err != nil && resp[0] != statusNotExist && resp[0] != statusError {
+		if _, err := decodeResponse(resp); err != nil && resp[0] != statusNotExist && resp[0] != statusError {
 			t.Fatalf("response %q does not decode: %v", resp, err)
 		}
-		r, err := decodeRequest(req)
+		op, name, payload, err := decodeRequest(req)
 		if err != nil {
 			return
 		}
-		again, err := AppendRequest(nil, r.Op, r.Name, r.Payload)
+		again, err := encodeRequest(op, name, payload)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,20 +1,18 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/frame"
-	"repro/internal/migrate"
 	"repro/internal/msg"
 	"repro/internal/obs"
-	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -54,8 +52,6 @@ type ClientConfig struct {
 	// HELLO may clear the node's failed mark at the hub. A fresh or
 	// rejoining incarnation of a failed node is re-killed instead.
 	Resurrect bool
-	// Dial overrides the TCP dialer (tests, throttled links).
-	Dial func(addr string) (net.Conn, error)
 	// Wrap, when set, wraps each new connection's framing — the fault
 	// injection hook.
 	Wrap func(FrameConn) FrameConn
@@ -70,7 +66,7 @@ type ClientConfig struct {
 	// tenants — does not produce a synchronized reconnect stampede that
 	// knocks the hub over again the moment it comes back.
 	RetryMax time.Duration
-	// RPCTimeout bounds each store/handoff round trip (default 30s).
+	// RPCTimeout bounds each handoff round trip (default 30s).
 	RPCTimeout time.Duration
 	// Trace, when set, records this worker's wire activity (frame
 	// send/recv, outbound replay on reconnect, inbound ROLL) on the
@@ -96,6 +92,9 @@ type Client struct {
 	nextID  uint32
 	closed  bool
 
+	storePort uint32        // the hub's store server, from the latest WELCOME
+	readDone  chan struct{} // closed when the current connection's reader exits
+
 	// ev is the worker's wire trace stream; nil when tracing is off, in
 	// which case every Emit is a single branch.
 	ev *obs.Stream
@@ -110,11 +109,6 @@ type Client struct {
 func Dial(cfg ClientConfig) (*Client, error) {
 	if cfg.Router == nil {
 		return nil, errors.New("transport: ClientConfig.Router is required")
-	}
-	if cfg.Dial == nil {
-		cfg.Dial = func(addr string) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, 10*time.Second)
-		}
 	}
 	if cfg.DialAttempts <= 0 {
 		cfg.DialAttempts = 8
@@ -148,10 +142,31 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// Close tears the connection down for good.
+// Close tears the connection down for good. The link closes in order:
+// the client stops writing, then reads until the hub hangs up (at most a
+// second), so the hub has read every frame sent before Close — an Exit
+// above all. A socket closed with inbound bytes still unread is reset,
+// and a reset loses whatever the peer had not read yet.
 func (c *Client) Close() {
 	c.mu.Lock()
 	c.closed = true
+	if cw, ok := c.raw.(interface{ CloseWrite() error }); ok {
+		// Flush a fault injector's withheld frames first (teardownLocked).
+		if cl, ok := c.conn.(io.Closer); ok {
+			_ = cl.Close()
+		}
+		if cw.CloseWrite() == nil {
+			done := c.readDone
+			c.mu.Unlock()
+			t := time.NewTimer(time.Second)
+			select {
+			case <-done:
+			case <-t.C:
+			}
+			t.Stop()
+			c.mu.Lock()
+		}
+	}
 	c.teardownLocked()
 	c.mu.Unlock()
 	c.wg.Wait()
@@ -236,7 +251,7 @@ func backoffDelay(attempt int, base, max time.Duration, rnd func(int64) int64) t
 }
 
 func (c *Client) connectLocked() error {
-	raw, err := c.cfg.Dial(c.cfg.Addr)
+	raw, err := net.DialTimeout("tcp", c.cfg.Addr, 10*time.Second)
 	if err != nil {
 		return err
 	}
@@ -253,12 +268,13 @@ func (c *Client) connectLocked() error {
 		_ = raw.Close()
 		return fmt.Errorf("transport: bad welcome (%v)", err)
 	}
-	epoch, err := decodeEpoch(welcome)
+	epoch, storePort, err := decodeWelcome(welcome)
 	if err != nil {
 		_ = raw.Close()
 		return err
 	}
 	c.cfg.Router.SetEpoch(epoch)
+	c.storePort = storePort
 	c.raw = raw
 	c.conn = fc
 	c.gen++
@@ -287,8 +303,9 @@ func (c *Client) connectLocked() error {
 	if replayed > 0 {
 		c.ev.Emit(obs.EvFrameReplay, int(c.cfg.Node), uint64(epoch), 0, int64(replayed), 0, "")
 	}
+	c.readDone = make(chan struct{})
 	c.wg.Add(1)
-	go c.readLoop(fc, c.gen)
+	go c.readLoop(fc, c.gen, c.readDone)
 	return nil
 }
 
@@ -296,8 +313,9 @@ func (c *Client) connectLocked() error {
 // kicks a reconnect so a worker parked in a receive (sending nothing) is
 // not stranded. Each message frame is decoded once, into the loop's
 // reused decoder: the router copies a delivery before SendBatch returns.
-func (c *Client) readLoop(fc FrameConn, gen int) {
+func (c *Client) readLoop(fc FrameConn, gen int, done chan struct{}) {
 	defer c.wg.Done()
+	defer close(done)
 	var md msgDecoder
 	for {
 		b, err := fc.ReadFrame()
@@ -346,11 +364,17 @@ func (c *Client) readLoop(fc FrameConn, gen int) {
 			if c.cfg.OnFail != nil {
 				c.cfg.OnFail()
 			}
-		case fAck, fStored:
-			// Both replies lead with the rpc id; the caller decodes the rest.
+		case fAck:
+			// The reply leads with the rpc id; Handoff decodes the rest.
 			d := &dec{b: b, off: 1}
 			if id := d.u32(); d.err == nil {
-				c.deliverReply(id, b)
+				c.mu.Lock()
+				ch := c.pending[id]
+				delete(c.pending, id)
+				c.mu.Unlock()
+				if ch != nil {
+					ch <- b
+				}
 			}
 		case fMigrate:
 			id, _, dst, seen, image, err := decodeMigrate(b)
@@ -392,16 +416,6 @@ func (c *Client) adopt(id uint32, dst, seen int64, image []byte) {
 	_ = c.writeFrame(encodeAck(id, errStr))
 	if start != nil {
 		start()
-	}
-}
-
-func (c *Client) deliverReply(id uint32, rep []byte) {
-	c.mu.Lock()
-	ch := c.pending[id]
-	delete(c.pending, id)
-	c.mu.Unlock()
-	if ch != nil {
-		ch <- rep
 	}
 }
 
@@ -450,22 +464,29 @@ func (c *Client) GC(node, below int64) error {
 	return c.writeFrame(encodeGC(node, below))
 }
 
-// rpc performs one request/reply round trip and returns the reply frame,
-// retrying across reconnects (store operations and handoffs are
-// idempotent). build encodes the request under a freshly allocated id.
-func (c *Client) rpc(build func(id uint32) []byte) ([]byte, error) {
+// Exit reports a node's final state to the coordinator.
+func (c *Client) Exit(res Result) error {
+	return c.writeFrame(encodeExit(res))
+}
+
+// Handoff implements the engine's RemoteHandoff hook: ship a packed image
+// to whichever worker hosts dst and wait for its adoption ack, retrying
+// across reconnects (a handoff is idempotent). Each attempt carries a
+// freshly allocated rpc id.
+func (c *Client) Handoff(src, dst int64, img *wire.Image, seen int64) error {
+	image := wire.EncodeImage(img)
 	deadline := time.Now().Add(c.cfg.RPCTimeout)
 	for {
 		c.mu.Lock()
 		if err := c.ensureLocked(); err != nil {
 			c.mu.Unlock()
-			return nil, err
+			return err
 		}
 		c.nextID++
 		id := c.nextID
 		ch := make(chan []byte, 1)
 		c.pending[id] = ch
-		if err := c.conn.WriteFrame(build(id)); err != nil {
+		if err := c.conn.WriteFrame(encodeMigrate(id, src, dst, seen, image)); err != nil {
 			c.teardownLocked() // closes ch: the request retries below
 		}
 		c.mu.Unlock()
@@ -481,7 +502,11 @@ func (c *Client) rpc(build func(id uint32) []byte) ([]byte, error) {
 		case rep, alive := <-ch:
 			t.Stop()
 			if alive {
-				return rep, nil
+				_, errStr, err := decodeAck(rep)
+				if err == nil && errStr != "" {
+					err = errors.New(errStr)
+				}
+				return err
 			}
 			// The connection died before the reply; retry on a new one.
 		case <-t.C:
@@ -490,82 +515,18 @@ func (c *Client) rpc(build func(id uint32) []byte) ([]byte, error) {
 			c.mu.Unlock()
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("transport: rpc timed out after %s", c.cfg.RPCTimeout)
+			return fmt.Errorf("transport: handoff timed out after %s", c.cfg.RPCTimeout)
 		}
 	}
 }
 
-// Exit reports a node's final state to the coordinator.
-func (c *Client) Exit(res Result) error {
-	return c.writeFrame(encodeExit(res))
-}
-
-// Handoff implements the engine's RemoteHandoff hook: ship a packed image
-// to whichever worker hosts dst and wait for its adoption ack.
-func (c *Client) Handoff(src, dst int64, img *wire.Image, seen int64) error {
-	image := wire.EncodeImage(img)
-	rep, err := c.rpc(func(id uint32) []byte {
-		return encodeMigrate(id, src, dst, seen, image)
-	})
-	if err != nil {
-		return err
-	}
-	_, errStr, err := decodeAck(rep)
-	if err == nil && errStr != "" {
-		err = errors.New(errStr)
-	}
-	return err
-}
-
-// remoteStore is the worker's view of the coordinator's checkpoint
-// store: internal/store's protocol carried in fStore/fStored frames.
-type remoteStore struct{ c *Client }
-
-// RemoteStore returns a migrate.Store whose operations run on the hub —
-// the paper's shared NFS mount, served over the transport.
-func (c *Client) RemoteStore() migrate.Store { return remoteStore{c} }
-
-// call runs one store request on the hub. The request is encoded once,
-// straight after the frame header (the one copy of a Put payload); each
-// attempt only stamps its rpc id.
-func (s remoteStore) call(op byte, name string, payload []byte) ([]byte, error) {
-	req, err := store.AppendRequest(make([]byte, storeHdr), op, name, payload)
-	if err != nil {
-		return nil, err
-	}
-	req[0] = fStore
-	rep, err := s.c.rpc(func(id uint32) []byte {
-		binary.BigEndian.PutUint32(req[1:storeHdr], id)
-		return req
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(rep) < storeHdr || rep[0] != fStored {
-		return nil, fmt.Errorf("transport: bad store reply for %q", name)
-	}
-	body, err := store.DecodeResponse(rep[storeHdr:])
-	if err != nil {
-		return nil, fmt.Errorf("transport: hub store %q: %w", name, err)
-	}
-	return body, nil
-}
-
-func (s remoteStore) Put(name string, data []byte) error {
-	_, err := s.call(store.OpPut, name, data)
-	return err
-}
-
-func (s remoteStore) Get(name string) ([]byte, error) {
-	return s.call(store.OpGet, name, nil)
-}
-
-func (s remoteStore) List() ([]string, error) {
-	body, err := s.call(store.OpList, "", nil)
-	return store.SplitNames(body), err
-}
-
-func (s remoteStore) Delete(name string) error {
-	_, err := s.call(store.OpDelete, name, nil)
-	return err
+// StoreAddr returns the address of the checkpoint store served beside
+// the hub: the host this client dialed, with the port of the latest
+// WELCOME.
+func (c *Client) StoreAddr() string {
+	host, _, _ := net.SplitHostPort(c.cfg.Addr)
+	c.mu.Lock()
+	port := c.storePort
+	c.mu.Unlock()
+	return net.JoinHostPort(host, strconv.FormatUint(uint64(port), 10))
 }

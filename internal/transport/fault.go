@@ -8,9 +8,8 @@ import (
 
 // FaultSpec injects frame-level faults into a client's link for tests:
 // border-message (fMsg) frames can be dropped, duplicated, reordered and
-// held back (latency skew). Control frames (hello, store RPC, exit, …)
-// always pass — the faults model a lossy message path, not a broken
-// protocol.
+// held back (latency skew). Control frames (hello, GC, exit, …) always
+// pass — the faults model a lossy message path, not a broken protocol.
 //
 // Predicates receive the message key and a 1-based occurrence count per
 // (src, dst, tag), so a test can say "drop the first transmission of this
@@ -19,10 +18,11 @@ import (
 //
 // ReorderWindow, when ≥ 2, holds back up to that many message frames and
 // flushes them in reverse order. The window is flushed by any non-message
-// frame (GC, checkpoint Put, Exit — all of which the grid app emits every
-// checkpoint interval), which bounds how long a frame can be withheld and
-// keeps the lockstep border exchange deadlock-free for windows up to the
-// per-step send burst (2).
+// frame (GC, which a node that calls msg_gc sends after each durable
+// checkpoint, and Exit) and by MaxHold, which bounds how long a frame can
+// be withheld and keeps the lockstep border exchange deadlock-free for
+// windows up to the per-step send burst (2). A checkpoint Put goes to the
+// store server, not over this link, and flushes nothing.
 //
 // Hold, when set, returns how many subsequent message writes on the same
 // connection a frame is withheld for — the straggler/asymmetric-delay

@@ -1,11 +1,11 @@
 package transport
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"net"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -28,16 +28,14 @@ type Result struct {
 
 // Hub is the cluster coordinator: the registry that maps node IDs to
 // worker connections, the store-and-forward relay for border messages,
-// the failure detector's mouthpiece (rollback-epoch broadcast), and the
-// remote face of the shared checkpoint store.
+// the failure detector's mouthpiece (rollback-epoch broadcast) and the
+// router of cross-process handoffs. The shared checkpoint store is not
+// carried on the hub's links: a store.Server beside the hub serves it,
+// and each WELCOME tells the worker its port.
 type Hub struct {
-	store migrate.Store
-	ln    net.Listener
-
-	// OnPut, when set before workers connect, observes every successful
-	// checkpoint write with its per-name count — the hook failure plans
-	// trigger on. Called without internal locks held.
-	OnPut func(name string, count int)
+	fs        *frame.Server
+	store     *store.Server
+	storePort uint32
 
 	// Trace, when set before workers connect, records relay activity
 	// (frame recv/send/replay, failure broadcasts, handoff relays) on the
@@ -45,22 +43,18 @@ type Hub struct {
 	// has no step counter; logical time lives in the workers' events.
 	Trace *obs.Tracer
 
-	mu        sync.Mutex
-	sessions  map[int64]*session
-	buf       msgBuf                    // dst -> src -> tag -> encoded part
-	partCut   func(src, dst int64) bool // active partition, nil when healed
-	partDsts  map[int64]bool            // nodes with withheld inbound traffic
-	epoch     int64
-	failed    map[int64]bool
-	results   map[int64]Result
-	resCond   *sync.Cond
-	putCounts map[string]int
-	putHashes map[string][sha256.Size]byte
-	relays    map[uint32]relayOrigin // hub-assigned migrate RPC id -> origin
-	relayID   uint32
-	closed    bool
-
-	wg sync.WaitGroup
+	mu       sync.Mutex
+	sessions map[int64]*session
+	buf      msgBuf                    // dst -> src -> tag -> encoded part
+	partCut  func(src, dst int64) bool // active partition, nil when healed
+	partDsts map[int64]bool            // nodes with withheld inbound traffic
+	epoch    int64
+	failed   map[int64]bool
+	results  map[int64]Result
+	resCond  *sync.Cond
+	relays   map[uint32]relayOrigin // hub-assigned migrate RPC id -> origin
+	relayID  uint32
+	closed   bool
 }
 
 // relayOrigin remembers where to route a migrate acknowledgement back to.
@@ -74,39 +68,47 @@ type relayOrigin struct {
 type session struct {
 	hub  *Hub
 	conn net.Conn
-	fc   *frame.Conn
 
 	wmu   sync.Mutex // serializes frame writes
 	nodes []int64    // nodes registered through this session
 }
 
-// Listen starts a hub on addr ("host:0" picks a port) backed by store,
-// which defaults to an in-memory store — production coordinators pass a
-// DirStore on the shared mount.
-func Listen(addr string, store migrate.Store) (*Hub, error) {
+// Listen starts a hub on addr ("host:0" picks a port) and, on the same
+// host at a port of its own, a store.Server for st, the shared checkpoint
+// store; every WELCOME carries that port. The store is required:
+// production coordinators pass a DirStore on the shared mount.
+func Listen(addr string, st migrate.Store) (*Hub, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	host, _, _ := net.SplitHostPort(ln.Addr().String())
+	srv, err := store.Serve(net.JoinHostPort(host, "0"), st)
+	if err != nil {
+		_ = ln.Close()
+		return nil, err
+	}
+	_, port, _ := net.SplitHostPort(srv.Addr())
+	p, _ := strconv.ParseUint(port, 10, 16)
 	h := &Hub{
-		store:     store,
-		ln:        ln,
+		store:     srv,
+		storePort: uint32(p),
 		sessions:  make(map[int64]*session),
 		buf:       make(msgBuf),
 		failed:    make(map[int64]bool),
 		results:   make(map[int64]Result),
-		putCounts: make(map[string]int),
-		putHashes: make(map[string][sha256.Size]byte),
 		relays:    make(map[uint32]relayOrigin),
 	}
 	h.resCond = sync.NewCond(&h.mu)
-	h.wg.Add(1)
-	go h.acceptLoop()
+	h.fs = frame.NewServer(ln, 0, func(conn net.Conn) {
+		(&session{hub: h, conn: conn}).serve()
+	})
+	go h.fs.Serve()
 	return h, nil
 }
 
 // Addr returns the hub's listen address — what workers -join.
-func (h *Hub) Addr() string { return h.ln.Addr().String() }
+func (h *Hub) Addr() string { return h.fs.Addr() }
 
 // ev returns the hub trace stream, nil when tracing is off.
 func (h *Hub) ev() *obs.Stream {
@@ -115,9 +117,6 @@ func (h *Hub) ev() *obs.Stream {
 	}
 	return h.Trace.Stream("hub")
 }
-
-// Store returns the backing checkpoint store (coordinator-side access).
-func (h *Hub) Store() migrate.Store { return h.store }
 
 // Epoch returns the current global rollback epoch.
 func (h *Hub) Epoch() int64 {
@@ -136,6 +135,15 @@ func (h *Hub) HasSession(node int64) bool {
 // WaitSession blocks until a live worker session owns node, the hub
 // closes or the timeout expires, and reports whether one does.
 func (h *Hub) WaitSession(node int64, timeout time.Duration) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.waitLocked(timeout, func() bool { return h.sessions[node] != nil })
+	return h.sessions[node] != nil
+}
+
+// waitLocked blocks on resCond until done holds, the hub closes or the
+// timeout expires. Called with h.mu held.
+func (h *Hub) waitLocked(timeout time.Duration, done func() bool) {
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
 		h.mu.Lock()
@@ -143,12 +151,9 @@ func (h *Hub) WaitSession(node int64, timeout time.Duration) bool {
 		h.mu.Unlock()
 	})
 	defer timer.Stop()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for h.sessions[node] == nil && !h.closed && time.Now().Before(deadline) {
+	for !done() && !h.closed && time.Now().Before(deadline) {
 		h.resCond.Wait()
 	}
-	return h.sessions[node] != nil
 }
 
 // BufferedTags returns the tags the hub's store-and-forward buffer holds
@@ -166,23 +171,8 @@ func (h *Hub) BufferedTags(dst, src int64) []int64 {
 	return out
 }
 
-func (h *Hub) acceptLoop() {
-	defer h.wg.Done()
-	for {
-		conn, err := h.ln.Accept()
-		if err != nil {
-			return
-		}
-		s := &session{hub: h, conn: conn, fc: frame.NewConn(conn)}
-		h.wg.Add(1)
-		go func() {
-			defer h.wg.Done()
-			s.serve()
-		}()
-	}
-}
-
-// Close stops the hub: no new connections, all sessions dropped.
+// Close stops the hub and its store server: no new connections, all
+// sessions dropped.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	if h.closed {
@@ -190,40 +180,18 @@ func (h *Hub) Close() {
 		return
 	}
 	h.closed = true
-	conns := h.liveConnsLocked()
 	h.resCond.Broadcast()
 	h.mu.Unlock()
-	_ = h.ln.Close()
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	h.wg.Wait()
-}
-
-func (h *Hub) liveConnsLocked() []net.Conn {
-	seen := make(map[net.Conn]bool)
-	var out []net.Conn
-	for _, s := range h.sessions {
-		if !seen[s.conn] {
-			seen[s.conn] = true
-			out = append(out, s.conn)
-		}
-	}
-	return out
+	_ = h.fs.Close()
+	_ = h.store.Close()
 }
 
 // DropLinks abruptly closes every worker connection without failing any
 // node — a network blip. Workers are expected to reconnect and replay;
 // the keyed buffers on both sides make the blip invisible to the grid
-// computation. Exposed for fault-injection tests.
-func (h *Hub) DropLinks() {
-	h.mu.Lock()
-	conns := h.liveConnsLocked()
-	h.mu.Unlock()
-	for _, c := range conns {
-		_ = c.Close()
-	}
-}
+// computation. Store connections are not links and stay up. Exposed for
+// fault-injection tests.
+func (h *Hub) DropLinks() { h.fs.CloseConns() }
 
 // Fail declares a node failed: the global rollback epoch advances, every
 // connected worker is told to observe MSG_ROLL, and the failed node's
@@ -235,7 +203,12 @@ func (h *Hub) Fail(node int64) {
 	h.epoch++
 	epoch := h.epoch
 	victim := h.sessions[node]
-	sessions := h.sessionSetLocked()
+	var sessions []*session // one per connection, however many nodes it hosts
+	for _, s := range h.sessions {
+		if !slices.Contains(sessions, s) {
+			sessions = append(sessions, s)
+		}
+	}
 	h.mu.Unlock()
 
 	h.ev().Emit(obs.EvFail, int(node), uint64(epoch), 0, int64(len(sessions)), 0, "")
@@ -249,18 +222,6 @@ func (h *Hub) Fail(node int64) {
 	if victim != nil {
 		_ = victim.write(encodeNode(fFail, node))
 	}
-}
-
-func (h *Hub) sessionSetLocked() []*session {
-	seen := make(map[*session]bool)
-	var out []*session
-	for _, s := range h.sessions {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // Partition installs a network cut between node sets a and b: message
@@ -318,18 +279,9 @@ func (h *Hub) HealPartition() {
 // WaitResults blocks until n distinct nodes have reported final states or
 // the timeout expires.
 func (h *Hub) WaitResults(n int, timeout time.Duration) (map[int64]Result, error) {
-	deadline := time.Now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
-		h.mu.Lock()
-		h.resCond.Broadcast()
-		h.mu.Unlock()
-	})
-	defer timer.Stop()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for len(h.results) < n && !h.closed && time.Now().Before(deadline) {
-		h.resCond.Wait()
-	}
+	h.waitLocked(timeout, func() bool { return len(h.results) >= n })
 	out := make(map[int64]Result, len(h.results))
 	for k, v := range h.results {
 		out[k] = v
@@ -353,13 +305,13 @@ func (h *Hub) ClearResult(node int64) {
 func (s *session) write(frameBytes []byte) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	return s.fc.WriteFrame(frameBytes)
+	return frame.Write(s.conn, frameBytes)
 }
 
 func (s *session) serve() {
 	defer s.close()
 	for {
-		b, err := s.fc.ReadFrame()
+		b, err := frame.Read(s.conn)
 		if err != nil {
 			return
 		}
@@ -389,11 +341,6 @@ func (s *session) serve() {
 				return
 			}
 			s.hub.pruneBuf(node, below)
-		case fStore:
-			if len(b) < storeHdr {
-				return
-			}
-			s.handleStore(b)
 		case fExit:
 			res, err := decodeExit(b)
 			if err != nil {
@@ -447,7 +394,7 @@ func (h *Hub) register(s *session, node int64, hello, resurrect bool) {
 		epoch := h.epoch
 		h.mu.Unlock()
 		if hello {
-			_ = s.write(encodeEpoch(fWelcome, epoch))
+			_ = s.write(encodeWelcome(epoch, h.storePort))
 		}
 		_ = s.write(encodeNode(fFail, node))
 		return
@@ -474,7 +421,7 @@ func (h *Hub) register(s *session, node int64, hello, resurrect bool) {
 	h.mu.Unlock()
 
 	if hello {
-		_ = s.write(encodeEpoch(fWelcome, epoch))
+		_ = s.write(encodeWelcome(epoch, h.storePort))
 	}
 	if len(replay) > 0 {
 		h.ev().Emit(obs.EvFrameReplay, int(node), uint64(epoch), 0, int64(len(replay)), 0, "")
@@ -541,39 +488,6 @@ func (h *Hub) pruneBuf(node, below int64) {
 	}
 }
 
-// handleStore runs one store request on the hub's backing store and
-// replies with the same id. The response is appended straight after the
-// id header, so a Get payload is copied once, into the reply frame. A
-// successful put is counted for OnPut after the reply is written.
-func (s *session) handleStore(b []byte) {
-	h := s.hub
-	resp := append(make([]byte, 0, storeHdr+1), fStored)
-	resp = append(resp, b[1:storeHdr]...)
-	resp, req, err := store.Handle(resp, h.store, b[storeHdr:])
-	count := 0
-	var hook func(string, int)
-	if req.Op == store.OpPut && err == nil {
-		// An RPC retried across a reconnect re-delivers identical bytes;
-		// counting it again would fire failure plans after fewer real
-		// checkpoints than configured. Dedup by content hash (successive
-		// genuine checkpoints always differ — the step counter is in the
-		// image).
-		sum := sha256.Sum256(req.Payload)
-		h.mu.Lock()
-		if prev, seen := h.putHashes[req.Name]; !seen || prev != sum {
-			h.putCounts[req.Name]++
-			h.putHashes[req.Name] = sum
-			count = h.putCounts[req.Name]
-			hook = h.OnPut
-		}
-		h.mu.Unlock()
-	}
-	_ = s.write(resp)
-	if hook != nil {
-		hook(req.Name, count)
-	}
-}
-
 // recordResult keeps a node's final state, unless the node stands failed:
 // an incarnation that was declared dead reports nothing (crash semantics),
 // and one that finishes in the instant between its kill and the kill
@@ -596,6 +510,11 @@ func (h *Hub) relayMigrate(origin *session, id uint32, src, dst, seen int64, ima
 	target := h.sessions[dst]
 	var reason string
 	switch {
+	case h.failed[src]:
+		// A zombie that has not yet read its kill order: its state dies
+		// with it, as in process (cluster.Engine.handoff).
+		reason = fmt.Sprintf("node %d is failed; its state cannot migrate out", src)
+		target = nil
 	case h.failed[dst]:
 		reason = fmt.Sprintf("node %d is failed", dst)
 		target = nil

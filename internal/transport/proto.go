@@ -9,10 +9,12 @@
 // worker that (re)connects — including a resurrected incarnation of a
 // failed node — replays exactly the messages an in-process mailbox would
 // still hold, broadcasts rollback epochs (the paper's MSG_ROLL) when a
-// node fails, serves the shared checkpoint store over RPC (the paper's
-// NFS mount; internal/store's request/response protocol carried inside
-// id-tagged fStore/fStored frames), and routes cross-process
-// migrate("node://K") handoffs.
+// node fails, and routes cross-process migrate("node://K") handoffs.
+//
+// The shared checkpoint store (the paper's NFS mount) is a second
+// service, not a frame type: Listen starts a store.Server beside the hub,
+// WELCOME carries its port, and a worker checkpoints through
+// store.DialRemote(client.StoreAddr()) on a connection of its own.
 //
 // A border message is decoded once, by its receiver. The hub validates
 // each message frame without decoding it, buffers the frame's encoded
@@ -29,7 +31,8 @@
 //
 // Frames use the shared internal/frame codec (also spoken by the
 // migration server): a 4-byte length prefix, then a 1-byte frame type and
-// a big-endian payload.
+// a big-endian payload. The hub and its store server run on
+// frame.Server, the accept loop of every TCP service here.
 package transport
 
 import (
@@ -45,22 +48,16 @@ import (
 // Frame types. Direction is noted as worker→hub (W→H) or hub→worker.
 const (
 	fHello   = 'H' // W→H: node, resurrect — join (or rejoin) as this node
-	fWelcome = 'W' // H→W: epoch — hello ack; buffered messages follow
+	fWelcome = 'W' // H→W: epoch, store port — hello ack; buffered messages follow
 	fMsg     = 'M' // both: src, dst, batch — border-message delivery
 	fRoll    = 'R' // H→W: epoch — a node failed; observe MSG_ROLL once
 	fFail    = 'F' // H→W: node — you are the failed node; die now
 	fGC      = 'G' // both: node, below — prune buffered messages for node
 	fOwn     = 'O' // W→H: node — this connection now hosts node too
-	fStore   = 'S' // W→H: id, store request — checkpoint store RPC
-	fStored  = 's' // H→W: id, store response — its reply
 	fAck     = 'A' // both: id, err — adoption acknowledgement
 	fExit    = 'X' // W→H: node's final state — the run result
 	fMigrate = 'V' // both: id, src, dst, seen, image — node://K handoff
 )
-
-// storeHdr is the length of the type byte + id that prefix the
-// internal/store request or response inside fStore/fStored frames.
-const storeHdr = 5
 
 // enc is a tiny append-only big-endian encoder.
 type enc struct{ b []byte }
@@ -389,6 +386,26 @@ func decodeAck(b []byte) (id uint32, errStr string, err error) {
 	id = d.u32()
 	errStr = d.str()
 	return id, errStr, d.err
+}
+
+// encodeWelcome answers a HELLO with the current epoch and the port of
+// the store server beside the hub.
+func encodeWelcome(epoch int64, storePort uint32) []byte {
+	e := &enc{b: make([]byte, 0, 13)}
+	e.u8(fWelcome)
+	e.i64(epoch)
+	e.u32(storePort)
+	return e.b
+}
+
+func decodeWelcome(b []byte) (epoch int64, storePort uint32, err error) {
+	d := &dec{b: b, off: 1}
+	epoch = d.i64()
+	storePort = d.u32()
+	if d.err == nil && storePort > 0xffff {
+		d.err = fmt.Errorf("transport: store port %d out of range", storePort)
+	}
+	return epoch, storePort, d.err
 }
 
 func encodeEpoch(typ byte, epoch int64) []byte {

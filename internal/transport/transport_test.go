@@ -3,7 +3,9 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"net"
 	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/msg"
 	"repro/internal/rt"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -200,15 +203,53 @@ func TestZombieRejoinIsReKilled(t *testing.T) {
 	}
 }
 
-// TestRemoteStore: the checkpoint store served over the transport behaves
-// like the local one, including errors.
+// TestWorkerDialsAdvertisedStore: WELCOME advertises the store server
+// beside the hub; StoreAddr joins the host the worker dialed with that
+// port, and a Put through it lands in the hub's backing store.
+func TestWorkerDialsAdvertisedStore(t *testing.T) {
+	st := cluster.NewMemStore()
+	h, err := Listen("127.0.0.1:0", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Close)
+	_, c := joinNode(t, h, 1, ClientConfig{})
+
+	host, port, err := net.SplitHostPort(c.StoreAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hubPort, _ := net.SplitHostPort(h.Addr())
+	if host != "127.0.0.1" || port == "0" || port == hubPort {
+		t.Fatalf("StoreAddr = %s, hub at %s", c.StoreAddr(), h.Addr())
+	}
+	if c.StoreAddr() != h.store.Addr() {
+		t.Fatalf("StoreAddr = %s, store server at %s", c.StoreAddr(), h.store.Addr())
+	}
+
+	r := store.DialRemote(c.StoreAddr())
+	defer r.Close()
+	if err := r.Put("ck-1", []byte("image")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := st.Get("ck-1"); err != nil || string(got) != "image" {
+		t.Fatalf("hub's backing store holds %q, %v", got, err)
+	}
+}
+
+// TestRemoteStore: the whole store protocol works against the address a
+// worker learns in WELCOME, and dropping the hub's message links leaves
+// the store session standing — the store is served beside the hub, not
+// through it.
 func TestRemoteStore(t *testing.T) {
 	h := newHub(t)
 	_, c := joinNode(t, h, 1, ClientConfig{})
-	s := c.RemoteStore()
+	s := store.DialRemote(c.StoreAddr())
+	defer s.Close()
 	if err := s.Put("grid-ck-0", []byte("image-bytes")); err != nil {
 		t.Fatal(err)
 	}
+	h.DropLinks()
 	got, err := s.Get("grid-ck-0")
 	if err != nil || string(got) != "image-bytes" {
 		t.Fatalf("Get = %q, %v", got, err)
@@ -311,7 +352,7 @@ int main() {
 	defer clientB.Close()
 	routerB.SetUplink(clientB)
 	engineB = cluster.NewEngine(cluster.EngineConfig{
-		Router: routerB, Store: clientB.RemoteStore(),
+		Router: routerB, Store: store.DialRemote(clientB.StoreAddr()),
 	})
 	defer engineB.Close()
 	close(engineReady)
@@ -326,7 +367,7 @@ int main() {
 	defer clientA.Close()
 	routerA.SetUplink(clientA)
 	engineA := cluster.NewEngine(cluster.EngineConfig{
-		Router: routerA, Store: clientA.RemoteStore(),
+		Router: routerA, Store: store.DialRemote(clientA.StoreAddr()),
 		RemoteHandoff: clientA.Handoff,
 	})
 	defer engineA.Close()
@@ -381,7 +422,7 @@ int main() {
 	defer client.Close()
 	router.SetUplink(client)
 	e := cluster.NewEngine(cluster.EngineConfig{
-		Router: router, Store: client.RemoteStore(), RemoteHandoff: client.Handoff,
+		Router: router, Store: store.DialRemote(client.StoreAddr()), RemoteHandoff: client.Handoff,
 	})
 	defer e.Close()
 	if err := e.StartProcess(0, prog, nil, nil); err != nil {
@@ -393,6 +434,82 @@ int main() {
 	}
 	if st := states[0]; st.Status != rt.StatusHalted || st.Halt != 7 {
 		t.Fatalf("node 0 = %+v, want local halt 7", st)
+	}
+}
+
+// TestHubRefusesHandoffFromFailedNode: a worker that has not yet read
+// its kill order cannot hand its node's state to another worker; the
+// state dies with the node, as it does in process.
+func TestHubRefusesHandoffFromFailedNode(t *testing.T) {
+	h := newHub(t)
+	var adopted atomic.Int32
+	joinNode(t, h, 5, ClientConfig{
+		OnAdopt: func(dst, seen int64, img *wire.Image) (func(), error) {
+			adopted.Add(1)
+			return func() {}, nil
+		},
+	})
+	_, c := joinNode(t, h, 0, ClientConfig{})
+	h.Fail(0)
+	hp := heap.New(heap.Config{})
+	img := &wire.Image{
+		Code:  wire.CodePart{Name: "p", Program: []byte("prog"), TableLen: hp.TableLen()},
+		State: wire.StatePart{Heap: hp.Snapshot()},
+	}
+	err := c.Handoff(0, 5, img, 0)
+	if err == nil || !strings.Contains(err.Error(), "node 0 is failed") {
+		t.Fatalf("Handoff from a failed node = %v, want refused", err)
+	}
+	if n := adopted.Load(); n != 0 {
+		t.Fatalf("the image was adopted %d times", n)
+	}
+}
+
+// TestExitSurvivesInboundTraffic: a worker that reports its exit and
+// closes while frames for it are still arriving, and while the hub is
+// still reading what it sent before, must not lose the exit.
+// A socket closed with unread inbound bytes is reset, and the reset
+// throws away whatever the hub had not yet read.
+func TestExitSurvivesInboundTraffic(t *testing.T) {
+	h := newHub(t)
+	r1, _ := joinNode(t, h, 1, ClientConfig{})
+	const workers = 40
+	for i := int64(0); i < workers; i++ {
+		node := 100 + i
+		r := msg.NewRouter()
+		r.SetLocal(node)
+		c, err := Dial(ClientConfig{Addr: h.Addr(), Node: node, Router: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.SetUplink(c)
+		flooded := make(chan struct{})
+		go func() {
+			defer close(flooded)
+			for tag := int64(0); tag < 200; tag++ {
+				_ = r1.Send(1, node, tag, iv(tag))
+			}
+		}()
+		// A backlog ahead of the exit keeps the hub's reader behind.
+		for tag := int64(0); tag < 300; tag++ {
+			if err := r.Send(node, 1, tag, iv(tag)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Exit(Result{Node: node, Halt: node}); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		<-flooded
+	}
+	res, err := h.WaitResults(workers, 10*time.Second)
+	if err != nil {
+		t.Fatalf("%v: the hub lost exits of workers that closed under inbound traffic", err)
+	}
+	for node, r := range res {
+		if r.Halt != node {
+			t.Fatalf("node %d reported halt %d", node, r.Halt)
+		}
 	}
 }
 

@@ -440,9 +440,11 @@ func runWorker(w workload.Workload, opt options, stdout, stderr io.Writer) int {
 }
 
 // runCoordinator is the -distributed / -coordinator mode. The store
-// tier lives in the coordinator: workers reach it through the
-// transport's remote-store protocol, so compression, replication and
-// the admission gate apply to every worker's checkpoints.
+// tier lives in the coordinator: the hub starts a store server for it
+// beside its message link and advertises the port in WELCOME, workers
+// checkpoint through a store client on that port, and so compression,
+// replication and the admission gate apply to every worker's
+// checkpoints.
 func runCoordinator(w workload.Workload, p workload.Params, script *workload.FaultScript,
 	opt options, st migrate.Store, tracer *obs.Tracer, stderr io.Writer) (*workload.Result, error) {
 	cfg := workload.DistributedConfig{

@@ -20,6 +20,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/rt"
+	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -60,7 +61,8 @@ type WorkerConfig struct {
 
 // RunWorker hosts one node of a workload in this OS process: a
 // single-node cluster.Engine whose router uplinks to the coordinator and
-// whose checkpoint store is served remotely. It reports every terminal
+// whose checkpoint store is the store.Server beside the coordinator's
+// hub, reached over a connection of its own. It reports every terminal
 // node state to the coordinator and returns this node's own final state
 // (nil for a spare that adopted nothing before shutdown).
 func RunWorker(w Workload, cfg WorkerConfig) (*cluster.ProcState, error) {
@@ -117,6 +119,8 @@ func RunWorker(w Workload, cfg WorkerConfig) (*cluster.ProcState, error) {
 	}
 	defer client.Close()
 	router.SetUplink(client)
+	st := store.DialRemote(client.StoreAddr())
+	defer st.Close()
 
 	ckptOpts, err := p.CkptOptions()
 	if err != nil {
@@ -124,7 +128,7 @@ func RunWorker(w Workload, cfg WorkerConfig) (*cluster.ProcState, error) {
 	}
 	engine = cluster.NewEngine(cluster.EngineConfig{
 		Engine:        p.Engine,
-		Store:         client.RemoteStore(),
+		Store:         st,
 		Router:        router,
 		Stdout:        cfg.Stdout,
 		RemoteHandoff: client.Handoff,
@@ -180,7 +184,11 @@ func RunWorker(w Workload, cfg WorkerConfig) (*cluster.ProcState, error) {
 	select {
 	case <-failedCh:
 		// Crash semantics: report nothing, flush nothing. The coordinator
-		// already advanced the epoch; survivors are rolling back.
+		// already advanced the epoch; survivors are rolling back. Fail
+		// stops the node and withholds the head refs of its in-flight
+		// commits, as in process: a checkpoint the dead incarnation takes
+		// after its kill must not become its resurrection's.
+		engine.Fail(cfg.Node)
 		engine.Close()
 		return nil, ErrNodeFailed
 	case w2 := <-done:
@@ -265,13 +273,7 @@ func RunDistributed(w Workload, p Params, script *FaultScript, cfg DistributedCo
 		logf = func(string, ...any) {}
 	}
 
-	hub, err := transport.Listen(cfg.Listen, cfg.Store)
-	if err != nil {
-		return nil, err
-	}
-	defer hub.Close()
-	hub.Trace = cfg.Trace
-
+	var hub *transport.Hub
 	driver := newScriptDriver(script, w.CheckpointName,
 		func(node int64) {
 			logf("coordinator: killing node %d (fault script)", node)
@@ -285,7 +287,15 @@ func RunDistributed(w Workload, p Params, script *FaultScript, cfg DistributedCo
 			hub.ClearResult(node)
 			return cfg.Spawn(hub.Addr(), node, checkpoint)
 		})
-	hub.OnPut = driver.OnPut
+	// The hub serves the store through the same put trigger as the
+	// in-process runner: a scripted kill fires inside the Nth Put.
+	hub, err = transport.Listen(cfg.Listen,
+		&observableStore{Store: cfg.Store, onPut: driver.OnPut, puts: make(map[string]int)})
+	if err != nil {
+		return nil, err
+	}
+	defer hub.Close()
+	hub.Trace = cfg.Trace
 	wireStoreFaults(driver, cfg.Store)
 	driver.setPartitioner(hub.Partition, hub.HealPartition)
 	driver.setCrashResurrect(func(node int64, checkpoint string) error {

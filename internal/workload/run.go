@@ -67,12 +67,15 @@ type RunConfig struct {
 	StallTimeout time.Duration
 }
 
-// observableStore wraps a checkpoint store with a put callback: the
-// trigger fault scripts key on (failures land at checkpoint boundaries).
+// observableStore wraps a checkpoint store with a put callback, set
+// before the first Put: the trigger fault scripts key on (failures land
+// at checkpoint boundaries), called inside each successful Put. Both
+// runners wrap their store in one; distributed, it is the store the hub
+// serves.
 type observableStore struct {
 	migrate.Store
-	mu    sync.Mutex
 	onPut func(name string, count int)
+	mu    sync.Mutex
 	puts  map[string]int
 }
 
@@ -81,16 +84,10 @@ func (s *observableStore) Put(name string, data []byte) error {
 		return err
 	}
 	s.mu.Lock()
-	if s.puts == nil {
-		s.puts = make(map[string]int)
-	}
 	s.puts[name]++
 	n := s.puts[name]
-	cb := s.onPut
 	s.mu.Unlock()
-	if cb != nil {
-		cb(name, n)
-	}
+	s.onPut(name, n)
 	return nil
 }
 
@@ -128,7 +125,7 @@ func Run(w Workload, p Params, cfg RunConfig) (*Result, error) {
 	if backing == nil {
 		backing = cluster.NewMemStore()
 	}
-	store := &observableStore{Store: backing}
+	store := &observableStore{Store: backing, puts: make(map[string]int)}
 	eng := cluster.NewEngine(cluster.EngineConfig{
 		Engine:  p.Engine,
 		Store:   store,
