@@ -11,6 +11,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/migrate"
+	"repro/internal/wire"
 )
 
 // buildMojrun compiles this command once per test binary so the
@@ -159,6 +163,63 @@ func TestDistributedSubprocessFailure(t *testing.T) {
 	ents, err := os.ReadDir(storeDir)
 	if err != nil || len(ents) == 0 {
 		t.Fatalf("shared store dir empty (%v); checkpoints never hit the mount", err)
+	}
+}
+
+// TestResumeResolvesCodeObject: checkpoints name their program by hash,
+// and the store holds the program once, as a code object. The worker
+// that resurrects the killed node is a fresh OS process started with
+// -resume: it has never encoded the program, so its restore reads the
+// code object through the hub's store. Afterwards every node's
+// checkpoint still resolves, from this process too, with the program
+// filled in.
+func TestResumeResolvesCodeObject(t *testing.T) {
+	storeDir := t.TempDir()
+	out, err := exec.Command(bin(t), "-app", "grid", "-size", "4", "-aux", "8", "-distributed",
+		"-nodes", "3", "-steps", "20", "-fail", "1@2", "-storedir", storeDir).CombinedOutput()
+	if err != nil {
+		t.Fatalf("mojrun -distributed -fail: %v\n%s", err, out)
+	}
+	if !bytes.Contains(out, []byte("resurrections 1")) || !bytes.Contains(out, []byte("matches the sequential reference exactly")) {
+		t.Fatalf("no verified resurrection:\n%s", out)
+	}
+	st, err := cluster.NewDirStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var codes []string
+	for _, n := range names {
+		if migrate.IsCodeName(n) {
+			codes = append(codes, n)
+		}
+	}
+	if len(codes) != 1 {
+		t.Fatalf("store holds code objects %v, want exactly one", codes)
+	}
+	for node := 0; node < 3; node++ {
+		name := fmt.Sprintf("grid-ck-%d", node)
+		head, err := st.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := wire.DecodeImage(head)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !raw.Code.ByReference() || migrate.CodeName(raw.Code.Hash) != codes[0] {
+			t.Fatalf("%s does not name %s by reference", name, codes[0])
+		}
+		img, err := migrate.FetchImage(st, name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(img.Code.Program) == 0 {
+			t.Fatalf("%s resolved without its program", name)
+		}
 	}
 }
 

@@ -133,8 +133,10 @@ func Replay(s *Scenario, cfg ExecConfig) *Report {
 	return Execute(s, cfg)
 }
 
-// ReplayCorpus executes every *.script repro in dir and returns the
-// reports keyed by file path, in sorted order.
+// ReplayCorpus executes every *.script repro in dir under each
+// combination of execution engine and checkpoint mode it is replayed in
+// (corpusVariants), and returns the reports keyed by file path plus the
+// combination, e.g. "corpus/x.script engine=jit ckpt=async".
 func ReplayCorpus(dir string, cfg ExecConfig) (map[string]*Report, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.script"))
 	if err != nil {
@@ -147,9 +149,37 @@ func ReplayCorpus(dir string, cfg ExecConfig) (map[string]*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[path] = Execute(s, cfg)
+		for _, v := range corpusVariants(s) {
+			key := fmt.Sprintf("%s engine=%s ckpt=%s", path, engineName(v.Params.Engine), ckptName(v.Params.Ckpt))
+			out[key] = Execute(v, cfg)
+		}
 	}
 	return out, nil
+}
+
+// corpusVariants returns the runs a corpus repro is replayed as: on every
+// registered engine unless the repro names one, and both in its own
+// checkpoint mode (full when it names none) and under write-behind
+// commit (async). A fault schedule that is clean in one mode can wedge
+// in another, since async moves commits off the node's goroutine.
+func corpusVariants(s *Scenario) []*Scenario {
+	engines := []string{s.Params.Engine}
+	if s.Params.Engine == "" {
+		engines = engineNames()
+	}
+	modes := []string{ckptName(s.Params.Ckpt)}
+	if modes[0] != "async" {
+		modes = append(modes, "async")
+	}
+	var out []*Scenario
+	for _, eng := range engines {
+		for _, mode := range modes {
+			v := *s
+			v.Params.Engine, v.Params.Ckpt = eng, mode
+			out = append(out, &v)
+		}
+	}
+	return out
 }
 
 // WriteBench writes the campaign's BENCH_chaos.json: throughput plus the

@@ -107,3 +107,46 @@ func TestFullCheckpointAllocatesLittle(t *testing.T) {
 		t.Fatalf("stats %+v: want %d checkpoints and pause = capture + commit", st, 3+n)
 	}
 }
+
+// TestIncrementalModesWriteLessThanFull: when a checkpoint interval
+// changes one block of a large heap, the incremental modes write a small
+// fraction of full mode's bytes — even while the process churns
+// short-lived blocks between checkpoints, which a delta must not list.
+// Code objects are not counted (Stats.CodeBytes): every mode writes the
+// same one.
+func TestIncrementalModesWriteLessThanFull(t *testing.T) {
+	written := map[ckpt.Mode]uint64{}
+	for _, mode := range []ckpt.Mode{ckpt.ModeFull, ckpt.ModeDelta, ckpt.ModeAsync} {
+		r := newRootedRuntime()
+		for i := 0; i < 32; i++ {
+			block, err := r.h.Alloc(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.roots = append(r.roots, block)
+		}
+		c := ckpt.New(cluster.NewMemStore(), ckpt.Options{Mode: mode, K: 8})
+		req := &rt.MigrationRequest{Rt: r, Label: 1, FnIndex: 2}
+		for i := 0; i < 8; i++ {
+			if err := r.h.Store(r.roots[i], 0, heap.IntVal(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < 500; j++ {
+				if _, err := r.h.Alloc(4); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Checkpoint(req, "ck", 0); err != nil {
+				t.Fatal(err)
+			}
+			r.pins = r.pins[:0]
+		}
+		c.Drain("ck")
+		written[mode] = c.Stats().BytesWritten
+	}
+	for _, mode := range []ckpt.Mode{ckpt.ModeDelta, ckpt.ModeAsync} {
+		if written[mode]*4 > written[ckpt.ModeFull] {
+			t.Errorf("%s mode wrote %d B, not under a quarter of full mode's %d B", mode, written[mode], written[ckpt.ModeFull])
+		}
+	}
+}

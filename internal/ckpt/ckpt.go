@@ -4,8 +4,8 @@
 //
 //	full  — the classic path: synchronous full image per checkpoint,
 //	        encoded straight from the heap arena while the node is
-//	        quiesced (byte-identical to encoding migrate.Pack's image;
-//	        the default).
+//	        quiesced (byte-identical to encoding migrate.Pack's image
+//	        by reference; the default).
 //	delta — synchronous incremental checkpoints: a full image opens a
 //	        chain, then each checkpoint writes only the heap blocks
 //	        dirtied since the previous one; a full image is forced every
@@ -15,6 +15,15 @@
 //	        background committer encodes and writes, double-buffered (at
 //	        most one commit in flight and one queued per node — a node
 //	        that checkpoints faster than the store can absorb blocks).
+//
+// Code by reference: every image names its program by SHA-256 instead of
+// carrying it (wire.CodePart.ByReference). The committer writes each
+// program once per store, as an immutable code object under
+// migrate.CodeName, before the first image that names it, and remembers
+// which it has written. The paper's checkpoint is an executable file;
+// here it is the head image plus the code object it names, and
+// migrate.FetchImage (so LoadCheckpoint and every resurrection) resolves
+// both. On kv_failover the program was 99.5% of every image.
 //
 // Durability watermark: chain members are written under immutable names
 // ("<head>@<seq>"); the head name holds a tiny ref record pointing at the
@@ -26,6 +35,7 @@
 package ckpt
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strconv"
 	"strings"
@@ -33,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fir"
 	"repro/internal/heap"
 	"repro/internal/migrate"
 	"repro/internal/obs"
@@ -138,6 +149,8 @@ type Stats struct {
 	Fulls         uint64 // full images among them
 	Deltas        uint64 // delta images among them
 	BytesWritten  uint64 // store bytes written (payloads + head refs)
+	CodeObjects   uint64 // code objects written (not in BytesWritten)
+	CodeBytes     uint64 // their bytes
 	PauseNs       uint64 // time the node was quiesced in the checkpoint path
 	CaptureNs     uint64 // quiesced time before the store write (see above)
 	CommitNs      uint64 // store-side time (see above; background in async)
@@ -210,6 +223,13 @@ type Committer struct {
 	mu     sync.Mutex
 	chains map[string]*chain
 	stats  Stats
+
+	// codeMu serializes code-object writes, so a checkpoint that needs a
+	// program another node is writing waits for that write instead of
+	// repeating it. code holds the programs whose code objects are
+	// durable in the store.
+	codeMu sync.Mutex
+	code   map[[sha256.Size]byte]bool
 }
 
 // New creates a committer over store. Delta members are ordinary Puts:
@@ -223,7 +243,31 @@ func New(store migrate.Store, opts Options) *Committer {
 		store:  store,
 		opts:   opts,
 		chains: make(map[string]*chain),
+		code:   make(map[[sha256.Size]byte]bool),
 	}
+}
+
+// putCode makes prog's code object durable in the store unless this
+// committer already has. Every image names its program by hash, so the
+// object must be durable before the first image that names it. A failed
+// write fails the checkpoint that needed it, and the next one retries.
+func (c *Committer) putCode(prog *fir.Program) error {
+	data, hash := migrate.ProgramCode(prog)
+	c.codeMu.Lock()
+	defer c.codeMu.Unlock()
+	if c.code[hash] {
+		return nil
+	}
+	name := migrate.CodeName(hash)
+	if err := c.store.Put(name, data); err != nil {
+		return fmt.Errorf("ckpt: writing code object %s: %w", name, err)
+	}
+	c.code[hash] = true
+	c.mu.Lock()
+	c.stats.CodeObjects++
+	c.stats.CodeBytes += uint64(len(data))
+	c.mu.Unlock()
+	return nil
 }
 
 // Mode returns the configured pipeline mode.
@@ -317,6 +361,9 @@ func (c *Committer) chainFor(head string, owner int64) (*chain, error) {
 // goroutine: the time spent here is exactly the checkpoint pause.
 func (c *Committer) Checkpoint(req *rt.MigrationRequest, head string, owner int64) error {
 	t0 := time.Now()
+	if err := c.putCode(req.Rt.Program()); err != nil {
+		return err
+	}
 
 	if c.opts.Mode == ModeFull {
 		// The image is encoded straight from the heap into the recycled
@@ -391,21 +438,16 @@ func (c *Committer) Checkpoint(req *rt.MigrationRequest, head string, owner int6
 	c.mu.Unlock()
 
 	j := job{head: head, member: member, seq: seq, full: full, owner: owner}
-	if full {
-		j.img, err = migrate.Pack(req.Rt, req.Label, req.FnIndex, req.Args)
-		if err == nil {
-			h.MarkSnapshotBase()
-		}
-	} else {
+	if !full {
 		j.delta, err = migrate.PackDelta(req.Rt, req.Label, req.FnIndex, req.Args, base, seq)
-		if err == nil && j.delta == nil {
-			// The baseline vanished between the decision and the capture
-			// (cannot happen on a single goroutine, but stay defensive).
-			j.full = true
-			j.img, err = migrate.Pack(req.Rt, req.Label, req.FnIndex, req.Args)
-			if err == nil {
-				h.MarkSnapshotBase()
-			}
+		// A nil delta means the baseline vanished between the decision and
+		// the capture (cannot happen on a single goroutine, but stay
+		// defensive): capture a full image instead.
+		j.full = err == nil && j.delta == nil
+	}
+	if j.full {
+		if j.img, err = migrate.PackByReference(req.Rt, req.Label, req.FnIndex, req.Args); err == nil {
+			h.MarkSnapshotBase()
 		}
 	}
 	capture := time.Since(t0)

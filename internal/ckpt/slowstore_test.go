@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fir"
 	"repro/internal/heap"
+	"repro/internal/migrate"
 	"repro/internal/rt"
 	"repro/internal/spec"
 )
@@ -34,9 +35,11 @@ func (r *ckptRuntime) Arg(int64) int64       { return 0 }
 func (r *ckptRuntime) NArgs() int64          { return 0 }
 func (r *ckptRuntime) Rand(n int64) int64    { return 0 }
 
-// stallStore delays every Put until the test releases it: each arriving
-// Put announces its name on arrived, then blocks until a receive from
-// release (or until release is closed).
+// stallStore delays every checkpoint Put until the test releases it:
+// each arriving Put announces its name on arrived, then blocks until a
+// receive from release (or until release is closed). Code objects pass
+// straight through: the tests here stall the chain, and the committer
+// writes its one code object before the first image.
 type stallStore struct {
 	*fakeStore
 	arrived chan string
@@ -52,6 +55,9 @@ func newStallStore() *stallStore {
 }
 
 func (s *stallStore) Put(name string, data []byte) error {
+	if migrate.IsCodeName(name) {
+		return s.fakeStore.Put(name, data)
+	}
 	s.arrived <- name
 	<-s.release
 	return s.fakeStore.Put(name, data)

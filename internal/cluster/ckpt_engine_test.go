@@ -193,7 +193,7 @@ func TestDeltaChainPruning(t *testing.T) {
 	}
 	byHead := make(map[string][]string)
 	for _, n := range names {
-		if i := strings.IndexByte(n, '@'); i >= 0 {
+		if i := strings.IndexByte(n, '@'); i >= 0 && !migrate.IsCodeName(n) {
 			byHead[n[:i]] = append(byHead[n[:i]], n)
 		}
 	}

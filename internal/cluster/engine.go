@@ -395,7 +395,8 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 		s := e.committer.Stats()
 		return map[string]uint64{
 			"checkpoints": s.Checkpoints, "fulls": s.Fulls, "deltas": s.Deltas,
-			"bytes_written": s.BytesWritten, "pause_ns": s.PauseNs,
+			"bytes_written": s.BytesWritten, "code_objects": s.CodeObjects,
+			"code_bytes": s.CodeBytes, "pause_ns": s.PauseNs,
 			"capture_ns": s.CaptureNs, "commit_ns": s.CommitNs,
 			"aborted": s.Aborted, "recoveries": s.Recoveries,
 			"recovery_ns": s.RecoveryNs, "pruned": s.Pruned,
@@ -498,7 +499,7 @@ func (e *Engine) handoff(src, dst int64, req *rt.MigrationRequest) (rt.MigrateOu
 		srcFailed := e.killed[src]
 		e.mu.Unlock()
 		if srcFailed {
-			return rt.OutcomeContinueLocal, fmt.Errorf("cluster: node %d is failed; its state cannot migrate out", src)
+			return e.refuseFailedSource(src)
 		}
 		img, err := migrate.Pack(req.Rt, req.Label, req.FnIndex, req.Args)
 		if err != nil {
@@ -517,11 +518,7 @@ func (e *Engine) handoff(src, dst int64, req *rt.MigrationRequest) (rt.MigrateOu
 	srcFailed := e.killed[src]
 	e.mu.Unlock()
 	if srcFailed {
-		// The source node failed while this process was migrating out: its
-		// state must die with the node (survivors have already rolled back
-		// for it; only a checkpoint may revive it). Continue-local lets the
-		// driver deliver the kill at the next quantum boundary.
-		return rt.OutcomeContinueLocal, fmt.Errorf("cluster: node %d is failed; its state cannot migrate out", src)
+		return e.refuseFailedSource(src)
 	}
 	if dstFailed {
 		return rt.OutcomeContinueLocal, fmt.Errorf("cluster: node %d is failed", dst)
@@ -547,6 +544,22 @@ func (e *Engine) handoff(src, dst int64, req *rt.MigrationRequest) (rt.MigrateOu
 	e.ctl.Emit(obs.EvAdopt, int(dst), uint64(e.Router.Seen(dst)), 0, src, 0, "")
 	e.startDriver(dst, proc, 0)
 	return rt.OutcomeMigrated, nil
+}
+
+// refuseFailedSource refuses the handoff of a process whose node failed
+// while it was migrating out: its state must die with the node (survivors
+// have already rolled back for it; only a checkpoint may revive it). The
+// process continues locally only to the end of the migrate instruction:
+// the quantum ends there, so the driver delivers the kill at once. Left
+// to run out its quantum, the zombie could park in a receive no live
+// node will ever answer, and Resurrect, which waits for the failed
+// incarnation to stop, would wait for good. It runs on the source's own
+// driver goroutine, the only one that may ask its process to yield.
+func (e *Engine) refuseFailedSource(src int64) (rt.MigrateOutcome, error) {
+	if d := e.driver(src); d != nil {
+		d.proc.Yield()
+	}
+	return rt.OutcomeContinueLocal, fmt.Errorf("cluster: node %d is failed; its state cannot migrate out", src)
 }
 
 // Adopt installs an inbound migrated image as the process for `node` —

@@ -73,17 +73,43 @@ func Write(w io.Writer, payload []byte) error {
 // header alone: the result starts at initialChunk and grows geometrically
 // only as payload bytes land, reading directly into the result's spare
 // capacity (no intermediate buffer, no per-read reader allocations).
-func Read(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func Read(r io.Reader) ([]byte, error) { return ReadInto(r, nil) }
+
+// ReadInto is Read into buf's storage: a frame that fits in cap(buf) is
+// read into it and the result aliases buf; a larger one is read as Read
+// reads it, into a fresh slice. A reader that hands back the previous
+// frame's result, once done with that frame, allocates nothing per frame
+// in steady state.
+func ReadInto(r io.Reader, buf []byte) ([]byte, error) {
+	// The header goes through buf too when it can: read through an
+	// interface, a header array of its own would escape to the heap.
+	hdr := buf[:0]
+	if cap(hdr) < 4 {
+		hdr = make([]byte, 0, 4)
+	}
+	hdr = hdr[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(hdr))
 	if uint32(n) > MaxPayload {
 		return nil, fmt.Errorf("frame: frame of %d bytes exceeds limit", n)
 	}
 	if n == 0 {
-		return []byte{}, nil
+		if buf == nil {
+			return []byte{}, nil
+		}
+		return buf[:0], nil
+	}
+	if n <= cap(buf) {
+		out := buf[:n]
+		if _, err := io.ReadFull(r, out); err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return nil, io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		return out, nil
 	}
 	first := n
 	if first > initialChunk {
@@ -119,8 +145,9 @@ type Conn struct{ RW io.ReadWriter }
 // NewConn wraps rw.
 func NewConn(rw io.ReadWriter) *Conn { return &Conn{RW: rw} }
 
-// ReadFrame reads the next frame.
-func (c *Conn) ReadFrame() ([]byte, error) { return Read(c.RW) }
+// ReadFrameInto reads the next frame into buf's storage (ReadInto); a
+// nil buf reads it into a fresh slice.
+func (c *Conn) ReadFrameInto(buf []byte) ([]byte, error) { return ReadInto(c.RW, buf) }
 
 // WriteFrame writes one frame.
 func (c *Conn) WriteFrame(payload []byte) error { return Write(c.RW, payload) }

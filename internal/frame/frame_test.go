@@ -85,13 +85,55 @@ func TestReadEmptyStream(t *testing.T) {
 	}
 }
 
+// TestReadInto: a frame that fits in the buffer is read into it, a larger
+// one into a fresh slice, an empty one leaves the buffer empty, and a
+// truncated one is an error. Steady state allocates nothing per frame.
+func TestReadInto(t *testing.T) {
+	var stream bytes.Buffer
+	small, large := []byte("border row"), bytes.Repeat([]byte{7}, 300)
+	for _, p := range [][]byte{small, nil, large} {
+		if err := Write(&stream, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	got, err := ReadInto(&stream, buf)
+	if err != nil || !bytes.Equal(got, small) || &got[:1][0] != &buf[:1][0] {
+		t.Fatalf("small frame: %q, %v; want it read into the buffer", got, err)
+	}
+	if got, err = ReadInto(&stream, got[:0]); err != nil || len(got) != 0 || cap(got) != cap(buf) {
+		t.Fatalf("empty frame: len %d cap %d, %v", len(got), cap(got), err)
+	}
+	if got, err = ReadInto(&stream, got); err != nil || !bytes.Equal(got, large) || &got[0] == &buf[:1][0] {
+		t.Fatalf("large frame: %d B, %v; want a fresh slice", len(got), err)
+	}
+
+	half := binary.BigEndian.AppendUint32(nil, 10)
+	if _, err := ReadInto(bytes.NewReader(append(half, "abc"...)), buf); err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated frame: %v, want io.ErrUnexpectedEOF", err)
+	}
+
+	var frames bytes.Buffer
+	for i := 0; i < 100; i++ {
+		_ = Write(&frames, small)
+	}
+	r := bytes.NewReader(frames.Bytes())
+	if allocs := testing.AllocsPerRun(50, func() {
+		if got, err = ReadInto(r, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("ReadInto allocated %.1f times per fitting frame", allocs)
+	}
+}
+
 func TestConn(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf)
 	if err := c.WriteFrame([]byte("ping")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.ReadFrame()
+	got, err := c.ReadFrameInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,9 +29,11 @@ type DeltaSnapshot struct {
 	// Changed holds every live entry dirtied since the baseline (new
 	// blocks and modified blocks alike), in index order.
 	Changed []EntrySnap
-	// Freed lists table indices that may have held a live entry at the
-	// baseline and hold none now. Indices that were never live in the base
-	// are permitted; rebuilding ignores them.
+	// Freed lists table indices that held a live entry at the baseline
+	// and hold none now. Rebuilding ignores an index that was never live
+	// in the base, so a hand-made delta may list one; SnapshotDelta does
+	// not: a block allocated and freed within one interval leaves no
+	// trace.
 	Freed []int64
 	// Levels is the complete speculation-level structure at capture time.
 	// Levels are not diffed: they are small (shadows exist only for blocks
@@ -65,6 +67,10 @@ func (h *Heap) DeltaReady() bool { return h.dirty != nil && h.hasBase }
 func (h *Heap) MarkSnapshotBase() {
 	h.EnableDeltaTracking()
 	clear(h.dirty)
+	h.baseLive = h.baseLive[:0]
+	for i := range h.table {
+		h.baseLive = append(h.baseLive, h.table[i].Addr >= 0)
+	}
 	h.levelsChanged = false
 	h.hasBase = true
 }
@@ -120,12 +126,19 @@ func (h *Heap) SnapshotDelta() *DeltaSnapshot {
 		}
 		e := &h.table[idx]
 		if e.Addr < 0 {
-			d.Freed = append(d.Freed, idx)
+			if idx < int64(len(h.baseLive)) && h.baseLive[idx] {
+				d.Freed = append(d.Freed, idx)
+				h.baseLive[idx] = false
+			}
 			continue
 		}
 		words := make([]Value, e.Size)
 		copy(words, h.arena[e.Addr:e.Addr+e.Size])
 		d.Changed = append(d.Changed, EntrySnap{Idx: idx, Level: h.ordOf(e.Level), Words: words})
+		for int64(len(h.baseLive)) <= idx {
+			h.baseLive = append(h.baseLive, false)
+		}
+		h.baseLive[idx] = true
 	}
 	d.Levels = h.viewLevels(nil)
 	for _, ls := range d.Levels {

@@ -126,6 +126,53 @@ func TestDeltaSnapshotRebuild(t *testing.T) {
 	}
 }
 
+// TestDeltaFreedOnlyBaseEntries: a delta frees only indices that held a
+// live entry in its base and hold none now. A block allocated and
+// collected within one interval is no change at all, so a process that
+// churns short-lived blocks between checkpoints writes deltas no larger
+// than its live change set.
+func TestDeltaFreedOnlyBaseEntries(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		dh := newDeltaHarness(t, seed)
+		prev := dh.h.Snapshot()
+		dh.h.MarkSnapshotBase()
+		for round := 0; round < 6; round++ {
+			for i := 0; i < 40; i++ {
+				dh.step()
+			}
+			d := dh.h.SnapshotDelta()
+			live := make(map[int64]bool, len(prev.Entries))
+			for _, e := range prev.Entries {
+				live[e.Idx] = true
+			}
+			for _, idx := range d.Freed {
+				if !live[idx] {
+					t.Fatalf("seed %d round %d: delta frees %d, not live in its base", seed, round, idx)
+				}
+			}
+			prev = dh.h.Snapshot()
+		}
+	}
+
+	h := New(Config{InitialWords: 256, TrackDirty: true})
+	keep, err := h.Alloc(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.AddRoots(func(yield func(Value)) { yield(keep) })
+	h.MarkSnapshotBase()
+	for i := 0; i < 100; i++ {
+		if _, err := h.Alloc(4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.CollectMajor()
+	if d := h.SnapshotDelta(); len(d.Freed) != 0 || len(d.Changed) != 0 {
+		t.Fatalf("100 blocks born and collected in one interval: delta frees %d and changes %d entries, want none",
+			len(d.Freed), len(d.Changed))
+	}
+}
+
 // TestDeltaSnapshotNeedsBase pins the fall-back contract: without
 // tracking, or without a baseline, SnapshotDelta returns nil.
 func TestDeltaSnapshotNeedsBase(t *testing.T) {

@@ -144,11 +144,14 @@ type Heap struct {
 
 	// Incremental-snapshot state (delta.go). dirty is nil when tracking is
 	// off; levelsChanged notes an ordinal-shifting level commit since the
-	// baseline; hasBase notes that a baseline snapshot exists.
-	// deltaIdxScratch is reused across SnapshotDelta captures.
+	// baseline; hasBase notes that a baseline snapshot exists; baseLive
+	// marks the table indices live at the baseline (shorter than the
+	// table when it has grown since). deltaIdxScratch is reused across
+	// SnapshotDelta captures.
 	dirty           map[int64]struct{}
 	levelsChanged   bool
 	hasBase         bool
+	baseLive        []bool
 	deltaIdxScratch []int64
 
 	// runsScratch and markScratch are reused across collections (the run

@@ -7,6 +7,7 @@
 package migrate
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 
@@ -31,7 +32,7 @@ func PackDelta(r rt.Runtime, label int, fnIdx int64, args []heap.Value, base str
 	if !h.DeltaReady() {
 		return nil, nil
 	}
-	code, err := prepare(r, label, fnIdx, args)
+	code, err := prepare(r, label, fnIdx, args, false)
 	if err != nil {
 		return nil, err
 	}
@@ -168,11 +169,38 @@ func ResolveChain(store Store, name string) ([]string, error) {
 	return rev, nil
 }
 
+// ErrBadCode matches (errors.Is) the error FetchImage returns for a
+// checkpoint whose program reference does not resolve: the code object
+// it names cannot be read, or its bytes do not hash to the reference.
+// The image itself was found, so this is damage, never "no checkpoint
+// yet": the error does not match os.ErrNotExist even when the code
+// object is missing.
+var ErrBadCode = errors.New("migrate: bad code object")
+
+// fetchCode returns the program bytes under hash: the slice codes already
+// holds, or else the code object read from store and checked against
+// the hash, which codes then keeps.
+func fetchCode(store Store, hash [sha256.Size]byte) ([]byte, error) {
+	data, _, err := codes.Do(hash, func() ([]byte, error) {
+		data, err := store.Get(CodeName(hash))
+		if err != nil {
+			return nil, err
+		}
+		if sha256.Sum256(data) != hash {
+			return nil, errors.New("bytes do not hash to the reference")
+		}
+		return data, nil
+	})
+	return data, err
+}
+
 // FetchImage reads checkpoint `name` and resolves it to a full process
 // image: a head ref is followed, a delta chain is walked back to its full
-// root and rebuilt, and a plain full image is returned as-is. This is how
+// root and rebuilt, a plain full image is taken as-is, and a program
+// named by reference is filled in from its code object. This is how
 // every checkpoint consumer (resurrection, -resume, LoadCheckpoint) reads
-// the store, so delta chains are transparent to callers.
+// the store, so delta chains and code objects are transparent to callers:
+// the image returned always carries its program inline.
 func FetchImage(store Store, name string) (*wire.Image, error) {
 	_, deltas, root, err := walkChain(store, name)
 	if err != nil {
@@ -186,5 +214,15 @@ func FetchImage(store Store, name string) (*wire.Image, error) {
 	for i, j := 0, len(deltas)-1; i < j; i, j = i+1, j-1 {
 		deltas[i], deltas[j] = deltas[j], deltas[i]
 	}
-	return wire.RebuildImage(img, deltas...)
+	if img, err = wire.RebuildImage(img, deltas...); err != nil {
+		return nil, err
+	}
+	if img.Code.ByReference() {
+		program, err := fetchCode(store, img.Code.Hash)
+		if err != nil {
+			return nil, fmt.Errorf("migrate: checkpoint %q: code object %s: %v: %w", name, CodeName(img.Code.Hash), err, ErrBadCode)
+		}
+		img.Code.Program, img.Code.Hash = program, [sha256.Size]byte{}
+	}
+	return img, nil
 }

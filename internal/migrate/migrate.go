@@ -2,10 +2,22 @@
 // transmit and unpack operations, the three migration protocols (migrate,
 // suspend, checkpoint), the migration server that receives, verifies,
 // recompiles and resumes inbound processes, and checkpoint storage.
+//
+// The paper formats checkpoints as executable files. Here a checkpoint
+// the cluster's pipeline (internal/ckpt) writes is a head image plus the
+// code object it names: the image carries the process state and the
+// SHA-256 of its program's encoding, and the program itself is stored
+// once per store, under CodeName of that hash, the way Venti stores an
+// immutable block once under its hash. FetchImage and LoadCheckpoint
+// resolve both, so a checkpoint is still everything a resurrection needs
+// to execute. Images that travel to another machine (migrate://, a
+// node:// hand-off, suspend://) keep their program inline: the target
+// may hold no store, or no reason to trust one.
 package migrate
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strings"
@@ -103,26 +115,80 @@ type Store interface {
 	Delete(name string) error
 }
 
-// encodeCache memoizes fir.EncodeProgram per program identity. A
-// checkpointing process re-packs the same (immutable) program every
-// interval; re-encoding it dominated the capture pause. The cached bytes
-// are shared by every image built from the program — consumers treat
-// Code.Program as read-only.
-var encodeCache = memo.New[*fir.Program, []byte](16)
+// The program-bytes tables. A checkpointing process re-packs the same
+// (immutable) program every interval, and re-encoding it dominated the
+// capture pause; a restore reads back a program this process usually
+// encoded itself.
+var (
+	// encodeCache memoizes each program's encoding and its SHA-256 per
+	// program identity. The bytes are shared by every image built from
+	// the program — consumers treat Code.Program as read-only.
+	encodeCache = memo.New[*fir.Program, programCode](16)
+	// codes maps a SHA-256 to program bytes that hash to it: encodings
+	// this process made, and code objects FetchImage read and checked.
+	codes = memo.New[[sha256.Size]byte, []byte](16)
+)
 
-func encodedProgram(p *fir.Program) []byte {
-	b, _, _ := encodeCache.Do(p, func() ([]byte, error) { return fir.EncodeProgram(p), nil })
-	return b
+type programCode struct {
+	data []byte
+	hash [sha256.Size]byte
 }
+
+// ProgramCode returns the canonical encoding of p (fir.EncodeProgram) and
+// its SHA-256, computed once per program. The bytes are shared and
+// read-only. They are what the checkpoint pipeline stores, once, as p's
+// code object under CodeName(hash).
+func ProgramCode(p *fir.Program) (data []byte, hash [sha256.Size]byte) {
+	c, _, _ := encodeCache.Do(p, func() (programCode, error) {
+		data := fir.EncodeProgram(p)
+		hash := sha256.Sum256(data)
+		// Seed codes, so reading back a checkpoint of p needs no store
+		// read. A fetch of the same hash failing at this moment shares
+		// its error with this fill (memo.Table.Do); the encoding stands
+		// on its own then.
+		codes.Do(hash, func() ([]byte, error) { return data, nil })
+		return programCode{data, hash}, nil
+	})
+	return c.data, c.hash
+}
+
+// codePrefix opens every code object's store name. The "sha256-" keeps
+// the part after the '@' from parsing as a number, so nothing that reads
+// "<head>@<seq>" as a checkpoint-chain member (the committer's sequence
+// probe, the store tier's retention GC) mistakes a code object for one.
+const codePrefix = "code@sha256-"
+
+// CodeName returns the store name of the code object holding the
+// program whose encoding hashes to hash. The object is immutable: equal
+// names hold equal bytes, so writing it twice is harmless and it is
+// never superseded.
+func CodeName(hash [sha256.Size]byte) string {
+	return codePrefix + hex.EncodeToString(hash[:])
+}
+
+// IsCodeName reports whether name is a code object's store name.
+func IsCodeName(name string) bool { return strings.HasPrefix(name, codePrefix) }
 
 // Pack captures the complete state of a running process as a migration
 // image (§4.2.2). It stores the continuation function and live variables
 // into a freshly allocated migrate_env block (so that no state lives
 // outside the heap), runs a full garbage collection, and snapshots the
 // heap, pointer table and speculation continuations. The image is a deep
-// copy: it stays valid while the process runs on.
+// copy: it stays valid while the process runs on. Its code part carries
+// the program inline.
 func Pack(r rt.Runtime, label int, fnIdx int64, args []heap.Value) (*wire.Image, error) {
-	code, err := prepare(r, label, fnIdx, args)
+	return pack(r, label, fnIdx, args, false)
+}
+
+// PackByReference is Pack with the image's code part naming the program
+// by hash (wire.CodePart.ByReference) — the form the checkpoint pipeline
+// stores beside the program's code object (ProgramCode).
+func PackByReference(r rt.Runtime, label int, fnIdx int64, args []heap.Value) (*wire.Image, error) {
+	return pack(r, label, fnIdx, args, true)
+}
+
+func pack(r rt.Runtime, label int, fnIdx int64, args []heap.Value, byRef bool) (*wire.Image, error) {
+	code, err := prepare(r, label, fnIdx, args, byRef)
 	if err != nil {
 		return nil, err
 	}
@@ -132,13 +198,15 @@ func Pack(r rt.Runtime, label int, fnIdx int64, args []heap.Value) (*wire.Image,
 }
 
 // AppendPack appends to buf the checkpoint-file encoding of the image
-// Pack would capture — byte for byte wire.AppendImage(buf, Pack(...)) —
-// but encodes it straight from the heap arena through view (scratch the
-// caller recycles; heap.View), with no copy of the heap in between. The
-// process must not run until it returns. This is the synchronous
-// checkpoint path: the bytes are written out before the process resumes.
+// PackByReference would capture — byte for byte
+// wire.AppendImage(buf, PackByReference(...)) — but encodes it straight
+// from the heap arena through view (scratch the caller recycles;
+// heap.View), with no copy of the heap in between. The process must not
+// run until it returns. This is the synchronous checkpoint path: the
+// bytes are written out before the process resumes, and the program's
+// code object (ProgramCode) must already be in the store they go to.
 func AppendPack(buf []byte, view *heap.Snapshot, r rt.Runtime, label int, fnIdx int64, args []heap.Value) ([]byte, error) {
-	code, err := prepare(r, label, fnIdx, args)
+	code, err := prepare(r, label, fnIdx, args, true)
 	if err != nil {
 		return buf, err
 	}
@@ -151,8 +219,9 @@ func AppendPack(buf []byte, view *heap.Snapshot, r rt.Runtime, label int, fnIdx 
 // prepare is the first half of pack: it stores the resume continuation
 // and live variables into a fresh, pinned migrate_env block, runs the
 // full collection, and returns the code part without the heap sizes
-// (the caller reads them off its snapshot or view).
-func prepare(r rt.Runtime, label int, fnIdx int64, args []heap.Value) (wire.CodePart, error) {
+// (the caller reads them off its snapshot or view). The code part
+// carries the program inline, or only its hash when byRef is set.
+func prepare(r rt.Runtime, label int, fnIdx int64, args []heap.Value, byRef bool) (wire.CodePart, error) {
 	h := r.Heap()
 	env, err := h.Alloc(int64(len(args)) + 1)
 	if err != nil {
@@ -173,13 +242,13 @@ func prepare(r rt.Runtime, label int, fnIdx int64, args []heap.Value) (wire.Code
 	for i := range procArgs {
 		procArgs[i] = r.Arg(int64(i))
 	}
-	return wire.CodePart{
-		Name:     r.Name(),
-		Program:  encodedProgram(r.Program()),
-		Label:    label,
-		EnvIndex: env.I,
-		Args:     procArgs,
-	}, nil
+	code := wire.CodePart{Name: r.Name(), Label: label, EnvIndex: env.I, Args: procArgs}
+	if byRef {
+		_, code.Hash = ProgramCode(r.Program())
+	} else {
+		code.Program, _ = ProgramCode(r.Program())
+	}
+	return code, nil
 }
 
 // Options configures Unpack.
@@ -286,6 +355,9 @@ func Unpack(img *wire.Image, opts Options) (rt.Proc, Timings, error) {
 	}
 
 	t0 := time.Now()
+	if img.Code.ByReference() {
+		return nil, tm, fmt.Errorf("migrate: image names program %x by reference; FetchImage resolves it", img.Code.Hash[:8])
+	}
 	prog, cached, err := interned.Do(sha256.Sum256(img.Code.Program), func() (*fir.Program, error) {
 		return fir.DecodeProgram(img.Code.Program)
 	})
@@ -374,8 +446,8 @@ func Unpack(img *wire.Image, opts Options) (rt.Proc, Timings, error) {
 // LoadCheckpoint reads a checkpoint from storage and resumes it — what a
 // resurrection daemon does when a node fails (§2). Full checkpoint files
 // carry the executable header, honouring the paper's "checkpoints are
-// formatted as executable files"; head refs and delta chains written by
-// the incremental pipeline are resolved transparently (FetchImage).
+// formatted as executable files"; head refs, delta chains and the code
+// object an image names are resolved transparently (FetchImage).
 func LoadCheckpoint(store Store, name string, opts Options) (rt.Proc, error) {
 	img, err := FetchImage(store, name)
 	if err != nil {

@@ -142,9 +142,9 @@ var packCases = []struct {
 
 // TestAppendPackMatchesPack pins the checkpoint path's format to the
 // transport's: encoding straight from the heap arena gives exactly the
-// bytes of encoding Pack's deep copy, the image restores to the heap it
-// came from, and re-encoding the decoded image (a third source) gives the
-// same bytes again. It also checks the run layout never loses to one
+// bytes of encoding Pack's deep copy by reference, the image restores to
+// the heap it came from, and re-encoding the decoded image (a third
+// source) gives the same bytes again. It also checks the run layout never loses to one
 // kind byte per value on any list in these images.
 func TestAppendPackMatchesPack(t *testing.T) {
 	for _, tc := range packCases {
@@ -154,7 +154,10 @@ func TestAppendPackMatchesPack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := wire.AppendImage(nil, img)
+			if !bytes.Equal(img.Code.Program, fir.EncodeProgram(r1.prog)) || img.Code.ByReference() {
+				t.Fatal("Pack's code part does not carry the program inline")
+			}
+			want := wire.AppendImage(nil, byReference(img))
 
 			r2 := newPackRuntime()
 			args := tc.build(t, r2)

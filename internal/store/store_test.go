@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -602,6 +603,35 @@ func TestRunGC(t *testing.T) {
 	stats, err = RunGC(s, Options{Registry: reg})
 	if err != nil || stats.Swept != 0 {
 		t.Fatalf("second sweep removed %d objects (%v), want 0", stats.Swept, err)
+	}
+}
+
+// TestRunGCKeepsCodeObjects: a sweep never deletes a code object, named
+// by a head or not yet named by any: there is one per program, and the
+// committer writes it before the first image that names it, so a sweep
+// in between must leave it.
+func TestRunGCKeepsCodeObjects(t *testing.T) {
+	s := gcStore(t)
+	codes := []string{
+		migrate.CodeName(sha256.Sum256([]byte("named program"))),
+		migrate.CodeName(sha256.Sum256([]byte("program no image names yet"))),
+	}
+	for _, name := range codes {
+		if err := s.Put(name, []byte("program bytes")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := RunGC(s, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Swept != 3 {
+		t.Fatalf("swept %d objects, want only the 3 dead members: %+v", stats.Swept, stats)
+	}
+	for _, name := range codes {
+		if _, err := s.Get(name); err != nil {
+			t.Fatalf("code object %q swept: %v", name, err)
+		}
 	}
 }
 

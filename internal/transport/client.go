@@ -20,9 +20,11 @@ import (
 var ErrClientClosed = errors.New("transport: client closed")
 
 // FrameConn is the link a client speaks frames over. Tests wrap the real
-// TCP framing with fault injectors (see FaultSpec).
+// TCP framing with fault injectors (see FaultSpec). ReadFrameInto reads
+// the next frame into buf's storage when it fits (frame.ReadInto); a nil
+// buf gives a fresh slice.
 type FrameConn interface {
-	ReadFrame() ([]byte, error)
+	ReadFrameInto(buf []byte) ([]byte, error)
 	WriteFrame(payload []byte) error
 }
 
@@ -263,7 +265,7 @@ func (c *Client) connectLocked() error {
 		_ = raw.Close()
 		return err
 	}
-	welcome, err := fc.ReadFrame()
+	welcome, err := fc.ReadFrameInto(nil)
 	if err != nil || len(welcome) == 0 || welcome[0] != fWelcome {
 		_ = raw.Close()
 		return fmt.Errorf("transport: bad welcome (%v)", err)
@@ -313,12 +315,19 @@ func (c *Client) connectLocked() error {
 // kicks a reconnect so a worker parked in a receive (sending nothing) is
 // not stranded. Each message frame is decoded once, into the loop's
 // reused decoder: the router copies a delivery before SendBatch returns.
+// Message and GC frames are read into the loop's reused buffer, since
+// nothing of them outlives their dispatch; any other frame may (an ack
+// goes to its caller, an image is adopted off the loop), so the next
+// read after one gets a fresh buffer.
 func (c *Client) readLoop(fc FrameConn, gen int, done chan struct{}) {
 	defer c.wg.Done()
 	defer close(done)
-	var md msgDecoder
+	var (
+		md  msgDecoder
+		buf []byte
+	)
 	for {
-		b, err := fc.ReadFrame()
+		b, err := fc.ReadFrameInto(buf)
 		if err != nil {
 			c.mu.Lock()
 			if c.gen == gen && !c.closed {
@@ -340,14 +349,17 @@ func (c *Client) readLoop(fc FrameConn, gen int, done chan struct{}) {
 		if len(b) == 0 {
 			continue
 		}
+		buf = nil
 		switch b[0] {
 		case fMsg:
+			buf = b[:0]
 			src, dst, batch, err := md.decode(b)
 			if err == nil && c.cfg.Router.Local(dst) {
 				c.ev.Emit(obs.EvFrameRecv, int(dst), 0, 0, src, int64(len(batch)), "msg")
 				_ = c.cfg.Router.SendBatch(src, dst, batch)
 			}
 		case fGC:
+			buf = b[:0]
 			// A destination committed past below: the parts sent to it
 			// under older tags will never be asked for again.
 			if node, below, err := decodeGC(b); err == nil {

@@ -138,7 +138,7 @@ func (c *faultConn) armSafetyFlushLocked() {
 	})
 }
 
-func (c *faultConn) ReadFrame() ([]byte, error) { return c.inner.ReadFrame() }
+func (c *faultConn) ReadFrameInto(buf []byte) ([]byte, error) { return c.inner.ReadFrameInto(buf) }
 
 func (c *faultConn) WriteFrame(b []byte) error {
 	if len(b) == 0 || b[0] != fMsg {

@@ -14,7 +14,7 @@ type recordConn struct {
 	closed bool
 }
 
-func (r *recordConn) ReadFrame() ([]byte, error) { return nil, nil }
+func (r *recordConn) ReadFrameInto([]byte) ([]byte, error) { return nil, nil }
 func (r *recordConn) WriteFrame(b []byte) error {
 	r.frames = append(r.frames, b)
 	return nil

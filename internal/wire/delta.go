@@ -43,10 +43,10 @@ type DeltaImage struct {
 	Base string
 	// Seq is this checkpoint's position in its chain (the full base is 0).
 	Seq int
-	// Code is the checkpoint's code part. Program may be empty when it is
-	// byte-identical to the base's program — the common case, since a
-	// process cannot change its own code — and is then taken from the
-	// chain's full base on rebuild.
+	// Code is the checkpoint's code part. Program and Hash may both be
+	// empty when the program is byte-identical to the base's — the common
+	// case, since a process cannot change its own code — and are then
+	// taken from the chain's full base on rebuild.
 	Code CodePart
 	// Delta is the heap change set since Base.
 	Delta heap.DeltaSnapshot
@@ -290,8 +290,8 @@ func RebuildImage(base *Image, deltas ...*DeltaImage) (*Image, error) {
 		Code:  last.Code,
 		State: StatePart{Heap: snap, Conts: last.Conts},
 	}
-	if len(out.Code.Program) == 0 {
-		out.Code.Program = base.Code.Program
+	if len(out.Code.Program) == 0 && !out.Code.ByReference() {
+		out.Code.Program, out.Code.Hash = base.Code.Program, base.Code.Hash
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 
 	"repro/internal/heap"
@@ -61,6 +62,18 @@ func FuzzWireDecode(f *testing.F) {
 	state := EncodeState(&img.State)
 	codeEnd := len(whole) - len(state)
 	f.Add(append(whole[:codeEnd:codeEnd], reversion(state, statMagic, 1)...))
+	// By-reference code parts: the hash without the program, alone, in a
+	// checkpoint file, with a flipped hash byte, and a version-1 code part.
+	ref := *img
+	ref.Code.Hash = sha256.Sum256(img.Code.Program)
+	ref.Code.Program = nil
+	f.Add(EncodeCode(&ref.Code))
+	refFile := EncodeImage(&ref)
+	f.Add(refFile)
+	rflipped := bytes.Clone(refFile)
+	rflipped[len(ExecHeader)+4+len(codeMagic)+1+1+len(img.Code.Name)+1+1+3] ^= 0x10
+	f.Add(rflipped)
+	f.Add(reversion(EncodeCode(&img.Code), codeMagic, 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if c, err := DecodeCode(data); err == nil {
@@ -68,7 +81,8 @@ func FuzzWireDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-decode of accepted code part failed: %v", err)
 			}
-			if back.Name != c.Name || back.Label != c.Label || len(back.Args) != len(c.Args) {
+			if back.Name != c.Name || back.Label != c.Label || len(back.Args) != len(c.Args) ||
+				back.Hash != c.Hash || back.ByReference() != c.ByReference() {
 				t.Fatalf("code part did not round-trip: %+v vs %+v", back, c)
 			}
 		}

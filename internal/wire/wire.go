@@ -13,9 +13,15 @@
 // Everything is explicit varints or big-endian fixed-width words, so the
 // encoding is identical on every architecture; integrity is protected by a
 // trailing CRC-32 on each part. Each part opens with a magic and a format
-// version: the code part is version 1, the state part (and the delta part,
+// version: the code part is version 2, the state part (and the delta part,
 // delta.go, which shares its value lists) is version 2. A decoder refuses
 // any other version with ErrVersion.
+//
+// A code part carries its program inline or by reference. By
+// reference means the SHA-256 of the program's encoding and no program
+// bytes: the checkpoint pipeline stores each program once, as a code
+// object beside the images that name it, and the reader resolves the
+// hash (migrate.FetchImage). Version 1 code parts had no hash field.
 //
 // A value list — a block's words, a checkpoint record's words, a
 // continuation's arguments — is a uvarint count followed by the values in
@@ -35,6 +41,7 @@
 package wire
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -56,7 +63,7 @@ const (
 
 	// codeVersion and stateVersion are the format versions of the code
 	// part and of the state and delta parts.
-	codeVersion  = 1
+	codeVersion  = 2
 	stateVersion = 2
 
 	// runFlag marks a kind byte that opens a run of same-kind values;
@@ -70,8 +77,14 @@ const (
 type CodePart struct {
 	// Name identifies the process.
 	Name string
-	// Program is the canonical FIR encoding (fir.EncodeProgram).
+	// Program is the canonical FIR encoding (fir.EncodeProgram). It is
+	// empty in a code part that refers to its program by Hash.
 	Program []byte
+	// Hash is set, with Program empty, in a code part that names its
+	// program by reference: it is the SHA-256 of the program's encoding,
+	// the name of the code object holding it. It is all zero otherwise;
+	// beside an inline Program it is ignored.
+	Hash [sha256.Size]byte
 	// Label is the migrate label i identifying the migration point.
 	Label int
 	// EnvIndex is the pointer-table index of the migrate_env block holding
@@ -86,6 +99,12 @@ type CodePart struct {
 	// behave identically after resumption.
 	Args []int64
 	Seed int64
+}
+
+// ByReference reports whether the code part names its program by hash
+// instead of carrying it.
+func (c *CodePart) ByReference() bool {
+	return len(c.Program) == 0 && c.Hash != [sha256.Size]byte{}
 }
 
 // StatePart is the second transmission: heap contents and speculation
@@ -288,6 +307,19 @@ func (d *dec) count() int {
 	return int(n)
 }
 
+// hash reads an optional SHA-256: a count of zero (none) or
+// sha256.Size, then the bytes.
+func (d *dec) hash() (h [sha256.Size]byte) {
+	switch n := d.count(); n {
+	case 0:
+	case sha256.Size:
+		copy(h[:], d.take(n))
+	default:
+		d.fail("hash of %d bytes", n)
+	}
+	return h
+}
+
 func (d *dec) str() string {
 	n := d.count()
 	return string(d.take(n))
@@ -392,6 +424,11 @@ func (e *enc) codePart(c *CodePart) {
 	e.b = append(e.b, codeVersion)
 	e.str(c.Name)
 	e.bytes(c.Program)
+	if c.Hash == ([sha256.Size]byte{}) {
+		e.u(0)
+	} else {
+		e.bytes(c.Hash[:])
+	}
 	e.u(uint64(c.Label))
 	e.i(c.EnvIndex)
 	e.u(uint64(c.TableLen))
@@ -413,6 +450,7 @@ func DecodeCode(data []byte) (*CodePart, error) {
 	c := &CodePart{}
 	c.Name = d.str()
 	c.Program = d.blob()
+	c.Hash = d.hash()
 	c.Label = int(d.u())
 	c.EnvIndex = d.i()
 	c.TableLen = int(d.u())

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -60,6 +61,53 @@ func TestCodePartRoundTrip(t *testing.T) {
 	}
 	if len(got.Args) != 3 || got.Args[1] != -2 {
 		t.Fatalf("args = %v", got.Args)
+	}
+}
+
+// TestCodePartByReference: a code part that names its program by hash
+// round-trips as one (no program bytes, the hash intact), an inline one
+// stays inline, and a hash field of any length but 0 or 32 is refused.
+func TestCodePartByReference(t *testing.T) {
+	c := sampleImage().Code
+	inline, err := DecodeCode(EncodeCode(&c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inline.ByReference() || inline.Hash != ([sha256.Size]byte{}) {
+		t.Fatalf("inline code part decoded as by reference (hash %x)", inline.Hash)
+	}
+
+	ref := c
+	ref.Hash = sha256.Sum256(c.Program)
+	ref.Program = nil
+	data := EncodeCode(&ref)
+	if want := len(EncodeCode(&c)) - len(c.Program) + sha256.Size; len(data) != want {
+		t.Fatalf("by-reference code part is %d B, want %d", len(data), want)
+	}
+	got, err := DecodeCode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.ByReference() || got.Hash != ref.Hash || len(got.Program) != 0 || got.Name != c.Name {
+		t.Fatalf("by-reference code part did not round-trip: %+v", got)
+	}
+
+	for _, n := range []int{1, 31, 33} {
+		e := &enc{b: []byte(codeMagic)}
+		e.b = append(e.b, codeVersion)
+		e.str("p")
+		e.bytes(nil)
+		e.bytes(make([]byte, n))
+		e.u(0)
+		e.i(0)
+		e.u(0)
+		e.u(0)
+		e.u(0)
+		e.i(0)
+		e.check(0)
+		if _, err := DecodeCode(e.b); err == nil {
+			t.Fatalf("a %d-byte hash decoded", n)
+		}
 	}
 }
 
@@ -203,6 +251,35 @@ func TestOldVersionRefused(t *testing.T) {
 	}
 	if _, err := decodeDeltaPart(old(encodeDeltaPart(sampleDelta()), deltaMagic)); !errors.Is(err, ErrVersion) {
 		t.Fatalf("version-1 delta part: err = %v, want ErrVersion", err)
+	}
+}
+
+// TestOldCodeVersionRefused: a version-1 code part (no hash field) is
+// refused with ErrVersion alone, inside a checkpoint file and inside a
+// delta file, not misread with its label as a hash length.
+func TestOldCodeVersionRefused(t *testing.T) {
+	img := sampleImage()
+	code := EncodeCode(&img.Code)
+	if code[len(codeMagic)] != codeVersion {
+		t.Fatalf("code part has version %d", code[len(codeMagic)])
+	}
+	v1 := reversion(code, codeMagic, 1)
+	if _, err := DecodeCode(v1); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-1 code part: err = %v, want ErrVersion", err)
+	}
+	file := EncodeImage(img)
+	at := len(ExecHeader) + 4
+	file = append(append(file[:at:at], v1...), file[at+len(v1):]...)
+	if _, err := DecodeImage(file); !errors.Is(err, ErrVersion) {
+		t.Fatalf("checkpoint file with a version-1 code part: err = %v, want ErrVersion", err)
+	}
+	d := sampleDelta()
+	delta := EncodeDeltaImage(d)
+	dcode := EncodeCode(&d.Code)
+	at = len(DeltaHeader) + 4
+	delta = append(append(delta[:at:at], reversion(dcode, codeMagic, 1)...), delta[at+len(dcode):]...)
+	if _, err := DecodeDeltaImage(delta); !errors.Is(err, ErrVersion) {
+		t.Fatalf("delta file with a version-1 code part: err = %v, want ErrVersion", err)
 	}
 }
 

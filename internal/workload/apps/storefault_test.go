@@ -1,11 +1,14 @@
 package apps
 
 import (
+	"crypto/sha256"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/migrate"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -57,7 +60,7 @@ func checkGCLeavesLiveSet(t *testing.T, st migrate.Store) {
 	}
 	live := make(map[string]bool)
 	for _, n := range names {
-		if isMember(n) {
+		if isMember(n) || migrate.IsCodeName(n) {
 			continue
 		}
 		live[n] = true
@@ -71,6 +74,16 @@ func checkGCLeavesLiveSet(t *testing.T, st migrate.Store) {
 			}
 			live[m] = true
 		}
+		// The code object the head's image names survives every sweep.
+		img, err := migrate.FetchImage(st, n)
+		if err != nil {
+			t.Fatalf("post-GC FetchImage(%q): %v", n, err)
+		}
+		code := migrate.CodeName(sha256.Sum256(img.Code.Program))
+		if _, err := st.Get(code); err != nil {
+			t.Fatalf("post-GC code object %q of %q unreadable: %v", code, n, err)
+		}
+		live[code] = true
 	}
 	for _, n := range names {
 		if !live[n] {
@@ -137,6 +150,74 @@ func TestStoreKillMidCommitResurrection(t *testing.T) {
 				checkGCLeavesLiveSet(t, st)
 			})
 		}
+	}
+}
+
+// gcAfterCodeStore runs a retention sweep right after every code-object
+// Put, before the Put returns: the sweep lands between a program's code
+// object and the first image naming it, the window in which the object
+// is referenced by nothing yet.
+type gcAfterCodeStore struct {
+	migrate.Store
+	t      *testing.T
+	sweeps atomic.Int32
+}
+
+func (s *gcAfterCodeStore) Put(name string, data []byte) error {
+	if err := s.Store.Put(name, data); err != nil {
+		return err
+	}
+	if migrate.IsCodeName(name) {
+		if _, err := store.RunGC(s.Store, store.Options{}); err != nil {
+			s.t.Errorf("RunGC after %s: %v", name, err)
+		}
+		s.sweeps.Add(1)
+	}
+	return nil
+}
+
+// TestGCBetweenCodePutAndFirstImage: a retention sweep between a code
+// object's Put and the Put of the first image that names it leaves the
+// object in place, so every checkpoint stays restorable — the kill and
+// resurrection here restore from one — and a sweep after the run keeps
+// it too.
+func TestGCBetweenCodePutAndFirstImage(t *testing.T) {
+	for _, mode := range []string{"full", "delta", "async"} {
+		t.Run(mode, func(t *testing.T) {
+			w, err := workload.Get("grid")
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := &gcAfterCodeStore{Store: cluster.NewMemStore(), t: t}
+			p := smallParams(w)
+			p.Ckpt = mode
+			p.CkptK = 1
+			script := &workload.FaultScript{Events: []workload.FaultEvent{{Node: 1, AfterCheckpoints: 2}}}
+			res, err := workload.RunVerified(w, p, workload.RunConfig{
+				Script: script, Timeout: time.Minute, Store: st, NoInlinePrune: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Resurrections != 1 {
+				t.Fatalf("resurrections = %d, want 1", res.Resurrections)
+			}
+			if st.sweeps.Load() == 0 {
+				t.Fatal("no code object was written, so no sweep ran in the window")
+			}
+			if _, err := store.RunGC(st.Store, store.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			for n := int64(0); n < int64(p.Nodes); n++ {
+				img, err := migrate.FetchImage(st.Store, w.CheckpointName(n))
+				if err != nil {
+					t.Fatalf("node %d's checkpoint after the sweeps: %v", n, err)
+				}
+				if _, err := st.Store.Get(migrate.CodeName(sha256.Sum256(img.Code.Program))); err != nil {
+					t.Fatalf("node %d's code object after the sweeps: %v", n, err)
+				}
+			}
+		})
 	}
 }
 

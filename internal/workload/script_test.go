@@ -1,11 +1,15 @@
 package workload
 
 import (
+	"crypto/sha256"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/migrate"
 )
 
 func TestParseFailSpec(t *testing.T) {
@@ -270,6 +274,60 @@ func TestScriptDriverCkDelay(t *testing.T) {
 	case <-resurrected:
 	case <-time.After(5 * time.Second):
 		t.Fatal("resurrection never fired after 2 further puts")
+	}
+}
+
+// TestCodeObjectPutIsNotACheckpoint: the store a run's fault script
+// watches passes a code-object Put through but counts it neither for
+// its name nor toward a delay=ck: resurrection; checkpoint writes still
+// count.
+func TestCodeObjectPutIsNotACheckpoint(t *testing.T) {
+	script := &FaultScript{Events: []FaultEvent{
+		{Node: 1, AfterCheckpoints: 1, DelayCk: 1},
+	}}
+	failed := make(chan int64, 1)
+	resurrected := make(chan int64, 1)
+	d := newScriptDriver(script,
+		func(n int64) string { return "ck1" },
+		func(n int64) { failed <- n },
+		func(n int64, ck string) error { resurrected <- n; return nil })
+	d.setStallTimeout(30 * time.Second)
+	backing := cluster.NewMemStore()
+	st := &observableStore{Store: backing, onPut: d.OnPut, puts: make(map[string]int)}
+	code := migrate.CodeName(sha256.Sum256([]byte("program")))
+
+	if err := st.Put(code, []byte("program")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := backing.Get(code); err != nil {
+		t.Fatalf("code object not written through: %v", err)
+	}
+	if err := st.Put("ck1", []byte("image")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-failed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first checkpoint write did not fire the kill")
+	}
+	if err := st.Put(code, []byte("program")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-resurrected:
+		t.Fatal("a code-object put counted toward delay=ck:1")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if err := st.Put("ck0", []byte("image")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-resurrected:
+	case <-time.After(5 * time.Second):
+		t.Fatal("resurrection never fired after 1 further checkpoint write")
+	}
+	if st.puts[code] != 0 || st.puts["ck1"] != 1 {
+		t.Fatalf("per-name counts %v: want the code object uncounted", st.puts)
 	}
 }
 
