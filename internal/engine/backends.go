@@ -72,7 +72,7 @@ var (
 	}
 	jitBackend = &backend[*jit.Compiled, *jit.Machine]{
 		name:    "jit",
-		desc:    "threaded-code engine: FIR recompiled to specialized opcodes + fused superinstructions (compare-and-branch, load/store runs)",
+		desc:    "threaded-code engine: FIR recompiled to specialized opcodes over frame slots (constants included), kind-specialised where the engine has already enforced every operand's kind, + fused superinstructions (compare-and-branch, load/store runs)",
 		cache:   newArtifactCache[*jit.Compiled]("jit"),
 		compile: jit.Precompile, fresh: jit.NewMachine, resume: jit.ResumeMachine,
 	}

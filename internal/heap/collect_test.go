@@ -197,9 +197,12 @@ type collectorFunc func(h *Heap, need int) error
 func (f collectorFunc) Collect(h *Heap, need int) error { return f(h, need) }
 
 func TestOutOfMemory(t *testing.T) {
-	h := New(Config{InitialWords: 64, MaxWords: 64})
-	if _, err := h.Alloc(65); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("Alloc beyond cap: err = %v, want ErrOutOfMemory", err)
+	// A cap below the default arena is kept: the arena starts at the cap.
+	for _, cfg := range []Config{{InitialWords: 64, MaxWords: 64}, {MaxWords: 64}} {
+		h := New(cfg)
+		if _, err := h.Alloc(65); !errors.Is(err, ErrOutOfMemory) {
+			t.Fatalf("%+v: Alloc beyond cap: err = %v, want ErrOutOfMemory", cfg, err)
+		}
 	}
 }
 

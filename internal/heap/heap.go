@@ -37,9 +37,14 @@ type Collector interface {
 
 // Config configures a heap instance.
 type Config struct {
-	// InitialWords is the starting arena capacity in words (default 1024).
-	// The arena doubles on demand up to MaxWords, so the default only
-	// decides how much zeroed memory a short-lived heap pays for up front.
+	// InitialWords is the starting arena capacity in words (default 4096,
+	// or MaxWords when that is smaller). The arena doubles on demand up to
+	// MaxWords, so the default decides how much zeroed memory a
+	// short-lived heap pays for up front against how many regrowths a
+	// working one pays for. At the benchmark's shapes the grid's and
+	// kvserve's node heaps outgrew 1024 words at once, on every start and
+	// every restore, and regrowing from 1024 was ~2/3 of what a
+	// kv_failover run allocated.
 	InitialWords int
 	// MaxWords caps arena growth (default 1<<24 words).
 	MaxWords int
@@ -51,7 +56,10 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.InitialWords <= 0 {
-		c.InitialWords = 1024
+		c.InitialWords = 4096
+		if c.MaxWords > 0 && c.MaxWords < c.InitialWords {
+			c.InitialWords = c.MaxWords
+		}
 	}
 	if c.MaxWords <= 0 {
 		c.MaxWords = 1 << 24
@@ -111,7 +119,6 @@ type Stats struct {
 	AllocWords      uint64 // words allocated (incl. clones)
 	Clones          uint64 // copy-on-write clones
 	CloneWords      uint64
-	Checks          uint64 // pointer-table safety checks executed
 	MinorGCs        uint64
 	MajorGCs        uint64
 	WordsMoved      uint64 // words moved by compaction
@@ -361,7 +368,6 @@ func (h *Heap) freeEntry(idx int64) {
 // pointer table, returning the entry index. These are the per-access
 // safety checks of §4.1.1.
 func (h *Heap) check(ptr Value, off int64) (int64, error) {
-	h.stats.Checks++
 	if ptr.Kind != KPtr {
 		return 0, fmt.Errorf("%w: %s", ErrNotPointer, ptr)
 	}
@@ -390,6 +396,40 @@ func (h *Heap) Load(ptr Value, off int64) (Value, error) {
 	}
 	e := &h.table[idx]
 	return h.arena[e.Addr+int(ptr.Off+off)], nil
+}
+
+// TryLoad is Load's inlinable fast path: it reports ok=false, and reads
+// nothing, wherever Load would fail; call Load then for the error. A free
+// entry has Size 0 (allocEntry, freeEntry and Restore all leave it so),
+// so the bounds test rejects it too.
+func (h *Heap) TryLoad(ptr Value, off int64) (v Value, ok bool) {
+	if ptr.Kind != KPtr || uint64(ptr.I) >= uint64(len(h.table)) {
+		return Value{}, false
+	}
+	e := &h.table[ptr.I]
+	eff := ptr.Off + off
+	if uint64(eff) >= uint64(e.Size) {
+		return Value{}, false
+	}
+	return h.arena[e.Addr+int(eff)], true
+}
+
+// TryStore is Store's fast path for its common case: an int or float word
+// stored into a block the current speculation level already owns, with
+// delta tracking off. It reports false, and writes nothing, wherever Store
+// would fail or has more to do — a copy-on-write clone, a remembered-set
+// entry for a pointer, a dirty mark; call Store then.
+func (h *Heap) TryStore(ptr Value, off int64, v Value) bool {
+	if ptr.Kind != KPtr || uint64(ptr.I) >= uint64(len(h.table)) || v.Kind != KInt && v.Kind != KFloat || h.dirty != nil {
+		return false
+	}
+	e := &h.table[ptr.I]
+	eff := ptr.Off + off
+	if uint64(eff) >= uint64(e.Size) || e.Level < h.curLevelID() {
+		return false
+	}
+	h.arena[e.Addr+int(eff)] = v
+	return true
 }
 
 // Store writes v at ptr.Off+off in the block ptr refers to, applying

@@ -355,3 +355,79 @@ func TestMutateFraction(t *testing.T) {
 		t.Fatalf("MutateFraction = %v, want 0.5", f)
 	}
 }
+
+// fastPathHeap is a heap with a committed block p, a freed entry dead and,
+// inside an open speculation level, a block q that level owns.
+type fastPathHeap struct {
+	h          *Heap
+	p, q, dead Value
+}
+
+func newFastPathHeap(t *testing.T, dirty bool) fastPathHeap {
+	h := New(Config{TrackDirty: dirty})
+	dead := mustAlloc(t, h, 1)
+	h.CollectMajor() // no roots: dead's entry is freed
+	p := mustAlloc(t, h, 3)
+	mustStore(t, h, p, 1, FloatVal(2.5))
+	h.EnterLevel()
+	q := mustAlloc(t, h, 2)
+	return fastPathHeap{h, p, q, dead}
+}
+
+// TestFastPathsAgreeWithLoadStore: TryLoad reads what Load reads and
+// refuses wherever Load fails; TryStore refuses wherever Store fails or has
+// more to do than write the word (a copy-on-write clone, a remembered-set
+// entry, a dirty mark), and otherwise leaves the heap exactly as Store
+// does.
+func TestFastPathsAgreeWithLoadStore(t *testing.T) {
+	b := newFastPathHeap(t, false)
+	at := func(v Value, off int64) Value { v.Off = off; return v }
+	for _, tc := range []struct {
+		ptr Value
+		off int64
+	}{
+		{b.p, 0}, {b.p, 1}, {b.p, 2}, {b.p, 3}, {b.p, -1}, {at(b.p, 2), 0}, {at(b.p, 2), 1}, {at(b.p, 5), -4},
+		{b.q, 1}, {b.dead, 0}, {Null(), 0}, {PtrVal(999, 0), 0}, {PtrVal(-7, 0), 0}, {IntVal(0), 0}, {FloatVal(1), 0},
+	} {
+		want, err := b.h.Load(tc.ptr, tc.off)
+		got, ok := b.h.TryLoad(tc.ptr, tc.off)
+		if ok != (err == nil) || ok && !got.Equal(want) {
+			t.Errorf("load %s+%d: TryLoad %s, %v; Load %s, %v", tc.ptr, tc.off, got, ok, want, err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name  string
+		dirty bool
+		ptr   func(fastPathHeap) Value
+		off   int64
+		v     Value
+		fast  bool // TryStore does the store itself
+	}{
+		{"int into an owned block", false, func(b fastPathHeap) Value { return b.q }, 1, IntVal(4), true},
+		{"float into an owned block", false, func(b fastPathHeap) Value { return b.q }, 0, FloatVal(0.5), true},
+		{"through an offset pointer", false, func(b fastPathHeap) Value { return at(b.q, 1) }, 0, IntVal(4), true},
+		{"into a block an older level owns", false, func(b fastPathHeap) Value { return b.p }, 0, IntVal(4), false},
+		{"a pointer", false, func(b fastPathHeap) Value { return b.q }, 0, PtrVal(0, 0), false},
+		{"a function", false, func(b fastPathHeap) Value { return b.q }, 0, FunVal(1), false},
+		{"unit", false, func(b fastPathHeap) Value { return b.q }, 0, UnitVal(), false},
+		{"out of bounds", false, func(b fastPathHeap) Value { return b.q }, 2, IntVal(4), false},
+		{"negative offset", false, func(b fastPathHeap) Value { return b.q }, -1, IntVal(4), false},
+		{"freed entry", false, func(b fastPathHeap) Value { return b.dead }, 0, IntVal(4), false},
+		{"null", false, func(fastPathHeap) Value { return Null() }, 0, IntVal(4), false},
+		{"not a pointer", false, func(fastPathHeap) Value { return IntVal(0) }, 0, IntVal(4), false},
+		{"with delta tracking on", true, func(b fastPathHeap) Value { return b.q }, 1, IntVal(4), false},
+	} {
+		ref, sut, untouched := newFastPathHeap(t, tc.dirty), newFastPathHeap(t, tc.dirty), newFastPathHeap(t, tc.dirty)
+		err := ref.h.Store(tc.ptr(ref), tc.off, tc.v)
+		ok := sut.h.TryStore(tc.ptr(sut), tc.off, tc.v)
+		switch {
+		case ok != tc.fast:
+			t.Errorf("%s: TryStore = %v, want %v", tc.name, ok, tc.fast)
+		case ok && (err != nil || !sut.h.Snapshot().Equal(ref.h.Snapshot())):
+			t.Errorf("%s: TryStore stored, Store %v or left another heap", tc.name, err)
+		case !ok && !sut.h.Snapshot().Equal(untouched.h.Snapshot()):
+			t.Errorf("%s: TryStore refused but changed the heap", tc.name)
+		}
+	}
+}

@@ -6,13 +6,20 @@
 //
 // The compiler lowers FIR to the same slot-resolved linear shape as the
 // interpreter — one instruction per FIR node, variables resolved to dense
-// frame slots, literal operands interned into the instruction stream at
-// compile time — but with two executable differences:
+// frame slots — but with these executable differences:
 //
+//   - every operand is a frame slot: literal operands are interned into a
+//     per-program constant area of the frame, above every slot the code
+//     writes, which Load fills and which is never a GC root;
 //   - every instruction carries a specialized opcode resolved at compile
 //     time (one per FIR operator), so the machine's next-instruction loop
 //     dispatches straight to an inlined body instead of re-deciding the
 //     operator per step through ops.Eval;
+//   - where the compiler has proven every operand's kind — the engine
+//     itself has enforced it: a checked parameter, an operator's result,
+//     a constant — the opcode is a kind-specialised form that reads the
+//     payload with no tag test (quickening, done ahead of time from
+//     proofs); every other operand keeps the checked, generic form;
 //   - a fusion pass rewrites the hot sequences the workload kernels
 //     actually emit — integer compare-and-branch pairs, and the runs of
 //     constant-offset loads (closure environment unpacking) and stores
@@ -28,12 +35,16 @@
 // the components and proceeds one node at a time, yielding, failing and
 // resuming at exactly the boundaries the interpreter would. Branches into
 // the middle of a fused region land on the components as well, so control
-// transfers never observe the fusion.
+// transfers never observe the fusion. A kind-specialised form keeps only
+// its value checks (a zero divisor, a shift out of range, the heap's
+// checks on a load or store); when one fails it reports through the same
+// path as the generic form, with the interpreter's error text.
 package jit
 
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 
 	"repro/internal/fir"
@@ -111,17 +122,68 @@ const (
 	// whose kind is not already proven, and moves the argument transfer
 	// planned at compile time.
 	jCallKnown
+
+	// Kind-specialised forms ("K": every operand's kind is known). The
+	// compiler picks one in place of its generic opcode wherever it has
+	// proven each operand's kind (fnCompiler.proven), so the form reads
+	// .I or .F with no tag test. jAddK…jFtoIK mirror jAdd…jFtoI value for
+	// value. Only the value checks stay: a zero divisor and a shift out of
+	// range fall back to ops.Eval for the interpreter's error text.
+	jAddK
+	jSubK
+	jMulK
+	jDivK
+	jModK
+	jNegK
+	jAndK
+	jOrK
+	jXorK
+	jNotK
+	jShlK
+	jShrK
+	jEqK
+	jNeK
+	jLtK
+	jLeK
+	jGtK
+	jGeK
+	jFAddK
+	jFSubK
+	jFMulK
+	jFDivK
+	jFNegK
+	jFEqK
+	jFNeK
+	jFLtK
+	jFLeK
+	jFGtK
+	jFGeK
+	jItoFK
+	jFtoIK
+	jIfK    // the condition is an int
+	jLoadK  // the base is a pointer and the index an int; heap checks stay
+	jStoreK // likewise; the stored value's kind is the heap's to check
+
+	// jCmpBrEqK…jCmpBrGeK are jCmpBr over proven ints, one per compare
+	// operator, in jEq…jGe order. Only the quantum can send them to their
+	// components.
+	jCmpBrEqK
+	jCmpBrNeK
+	jCmpBrLtK
+	jCmpBrLeK
+	jCmpBrGtK
+	jCmpBrGeK
 )
 
 // kindSlow marks a load destination type the fast path cannot reduce to a
 // single runtime tag; the generic ops.Eval path handles it.
 const kindSlow heap.Kind = 0xFF
 
-// operand is a resolved operand: a frame slot or an interned immediate.
-type operand struct {
-	slot int32 // >= 0: frame slot; < 0: immediate
-	imm  heap.Value
-}
+// operand is a resolved operand: always a frame slot. An immediate is
+// interned into the program's constant area, frame slots that Load fills
+// and no instruction writes. During compilation constant k is -1-k
+// (^k); placeConsts gives it its slot once the frame's size is known.
+type operand int32
 
 // runElem is one element of a fused load or store run, or one argument
 // check of a known call (dst: the argument's index; val, want, ty: its
@@ -172,23 +234,38 @@ type jitFn struct {
 // Compiled is an opaque compiled program. It is immutable after
 // construction and may be shared by any number of machines created from
 // the same (unmutated) fir.Program — the cluster engine compiles once and
-// fans the artifact out to every node.
+// fans the artifact out to every node. slots is the frame size: every
+// depth window, the move planner's scratch slot, then the constant area,
+// consts at slots constBase on.
 type Compiled struct {
-	prog     *fir.Program
-	code     []ins
-	fns      []jitFn
-	extNames []string
-	slots    int
+	prog      *fir.Program
+	code      []ins
+	fns       []jitFn
+	extNames  []string
+	slots     int
+	consts    []heap.Value
+	constBase int
+}
+
+// imm is the value of a constant operand before placeConsts, or false
+// for a variable's slot.
+func (c *Compiled) imm(a operand) (heap.Value, bool) {
+	if a >= 0 {
+		return heap.Value{}, false
+	}
+	return c.consts[^a], true
 }
 
 // Precompile lowers prog to threaded code without building a machine; hand
 // the result to NewMachine or ResumeMachine to skip per-machine
 // compilation. It runs the lowering passes: the slot-resolving walk (one
-// instruction per FIR node, identical structure to the interpreter's),
-// the fusion rewrite, and the known calls' move planning.
+// instruction per FIR node, identical structure to the interpreter's, each
+// in its kind-specialised form where the operand kinds are proven), the
+// fusion rewrite, the known calls' move planning, and the placement of
+// the constant area.
 func Precompile(prog *fir.Program) (*Compiled, error) {
 	c := &Compiled{prog: prog, fns: make([]jitFn, len(prog.Funcs))}
-	fc := &fnCompiler{prog: prog, c: c, extIdx: make(map[string]int32)}
+	fc := &fnCompiler{prog: prog, c: c, extIdx: make(map[string]int32), constIdx: make(map[constKey]operand)}
 	for i, f := range prog.Funcs {
 		kinds := make([]heap.Kind, len(f.Params))
 		for j, prm := range f.Params {
@@ -207,6 +284,7 @@ func Precompile(prog *fir.Program) (*Compiled, error) {
 	}
 	fuse(c)
 	planMoves(c)
+	placeConsts(c)
 	return c, nil
 }
 
@@ -215,6 +293,8 @@ type fnCompiler struct {
 	c      *Compiled
 	fn     *fir.Function
 	extIdx map[string]int32 // shared across functions: extern table is per program
+
+	constIdx map[constKey]operand // interned immediates, per program
 
 	// proven holds, per frame slot, the kind the engine itself has already
 	// enforced on the value the slot holds at the current point of the
@@ -238,10 +318,46 @@ func (fc *fnCompiler) prove(slot int32, k heap.Kind) {
 
 // kindOf is the proven kind of an operand, or kindSlow.
 func (fc *fnCompiler) kindOf(a operand) heap.Kind {
-	if a.slot < 0 {
-		return a.imm.Kind
+	if v, ok := fc.c.imm(a); ok {
+		return v.Kind
 	}
-	return fc.proven[a.slot]
+	return fc.proven[a]
+}
+
+// aluKinds is the operand kinds a generic ALU opcode (jAdd…jFtoI) checks
+// before it computes, and how many operands it takes.
+func aluKinds(op jop) (want heap.Kind, n int) {
+	switch op {
+	case jNeg, jNot, jItoF:
+		return heap.KInt, 1
+	case jFNeg, jFtoI:
+		return heap.KFloat, 1
+	}
+	if op >= jFAdd {
+		return heap.KFloat, 2
+	}
+	return heap.KInt, 2
+}
+
+// quicken picks a Let's kind-specialised form when the walk has proven
+// every operand's kind, and leaves its generic, checked form otherwise.
+// It reads the operands' kinds, so it runs before bind re-proves the
+// destination slot, which may be one of them.
+func (fc *fnCompiler) quicken(in *ins) {
+	if in.args != nil {
+		return
+	}
+	switch {
+	case in.op >= jAdd && in.op <= jFtoI:
+		want, n := aluKinds(in.op)
+		if int(in.nargs) == n && fc.kindOf(in.a) == want && (n == 1 || fc.kindOf(in.b) == want) {
+			in.op += jAddK - jAdd
+		}
+	case in.op == jLoad && in.nargs == 2 && in.want != kindSlow, in.op == jStore && in.nargs == 3:
+		if fc.kindOf(in.a) == heap.KPtr && fc.kindOf(in.b) == heap.KInt {
+			in.op += jLoadK - jLoad // jStoreK - jStore alike
+		}
+	}
 }
 
 // letKind is the kind a Let's result has whenever its node completes, on
@@ -283,43 +399,62 @@ func (fc *fnCompiler) grow(depth int32) {
 	}
 }
 
+// constKey identifies an immediate by its bits, so 0.0 and -0.0 stay two
+// constants.
+type constKey struct {
+	kind heap.Kind
+	i    int64
+	f    uint64
+}
+
+// constant interns an immediate into the constant area.
+func (fc *fnCompiler) constant(v heap.Value) operand {
+	key := constKey{v.Kind, v.I, math.Float64bits(v.F)}
+	if a, ok := fc.constIdx[key]; ok {
+		return a
+	}
+	a := ^operand(len(fc.c.consts))
+	fc.c.consts = append(fc.c.consts, v)
+	fc.constIdx[key] = a
+	return a
+}
+
 func (fc *fnCompiler) atom(a fir.Atom, env map[string]int32) (operand, error) {
 	switch a := a.(type) {
 	case fir.Var:
 		s, ok := env[a.Name]
 		if !ok {
-			return operand{}, fmt.Errorf("jit: unbound variable %q in %s", a.Name, fc.fn.Name)
+			return 0, fmt.Errorf("jit: unbound variable %q in %s", a.Name, fc.fn.Name)
 		}
-		return operand{slot: s}, nil
+		return operand(s), nil
 	case fir.IntLit:
-		return operand{slot: -1, imm: heap.IntVal(a.V)}, nil
+		return fc.constant(heap.IntVal(a.V)), nil
 	case fir.FloatLit:
-		return operand{slot: -1, imm: heap.FloatVal(a.V)}, nil
+		return fc.constant(heap.FloatVal(a.V)), nil
 	case fir.FunLit:
 		_, idx := fc.prog.Lookup(a.Name)
 		if idx < 0 {
-			return operand{}, fmt.Errorf("jit: undefined function %q in %s", a.Name, fc.fn.Name)
+			return 0, fmt.Errorf("jit: undefined function %q in %s", a.Name, fc.fn.Name)
 		}
-		return operand{slot: -1, imm: heap.FunVal(int64(idx))}, nil
+		return fc.constant(heap.FunVal(int64(idx))), nil
 	case fir.UnitLit:
-		return operand{slot: -1, imm: heap.UnitVal()}, nil
+		return fc.constant(heap.UnitVal()), nil
 	default:
-		return operand{}, fmt.Errorf("jit: unknown atom %T in %s", a, fc.fn.Name)
+		return 0, fmt.Errorf("jit: unknown atom %T in %s", a, fc.fn.Name)
 	}
 }
 
 // knownCall reports whether a call is a jCallKnown: the callee is a
 // function literal with matching arity. Only computed callees and arity
-// mismatches take the generic jCall path, through Invoke.
-func (fc *fnCompiler) knownCall(fa operand, args []operand) (int32, bool) {
-	if fa.slot >= 0 || fa.imm.Kind != heap.KFun {
+// mismatches take the generic jCall path, through Invoke. A known call
+// never reads its callee, so the literal takes no constant slot.
+func (fc *fnCompiler) knownCall(fn fir.Atom, nargs int) (int32, bool) {
+	lit, ok := fn.(fir.FunLit)
+	if !ok {
 		return 0, false
 	}
-	idx := fa.imm.I
-	if idx < 0 || idx >= int64(len(fc.prog.Funcs)) {
-		return 0, false
-	}
-	if len(fc.prog.Funcs[idx].Params) != len(args) {
+	_, idx := fc.prog.Lookup(lit.Name)
+	if idx < 0 || len(fc.prog.Funcs[idx].Params) != nargs {
 		return 0, false
 	}
 	return int32(idx), true
@@ -421,6 +556,7 @@ func (fc *fnCompiler) expr(e fir.Expr, env map[string]int32, depth int32) error 
 				in.args = args
 			}
 			k := fc.letKind(&in)
+			fc.quicken(&in)
 			env, in.dst, depth = fc.bind(env, e2.Dst, depth)
 			fc.prove(in.dst, k)
 			fc.grow(depth)
@@ -445,7 +581,11 @@ func (fc *fnCompiler) expr(e fir.Expr, env map[string]int32, depth int32) error 
 				return err
 			}
 			pos := len(fc.c.code)
-			fc.emit(ins{op: jIf, nodes: 1, a: ca, depth: depth})
+			op := jIf
+			if fc.kindOf(ca) == heap.KInt {
+				op = jIfK
+			}
+			fc.emit(ins{op: op, nodes: 1, a: ca, depth: depth})
 			// The then branch gets a clone so its bindings stay invisible
 			// to the else branch; bind can then mutate in place. A rebinding
 			// there changes a live slot's proven kind, so the else branch
@@ -461,16 +601,20 @@ func (fc *fnCompiler) expr(e fir.Expr, env map[string]int32, depth int32) error 
 			e = e2.Else
 
 		case fir.Call:
-			fa, err := fc.atom(e2.Fn, env)
-			if err != nil {
-				return err
+			idx, known := fc.knownCall(e2.Fn, len(e2.Args))
+			var fa operand
+			if !known {
+				var err error
+				if fa, err = fc.atom(e2.Fn, env); err != nil {
+					return err
+				}
 			}
 			args, err := fc.atoms(e2.Args, env)
 			if err != nil {
 				return err
 			}
-			if idx, ok := fc.knownCall(fa, args); ok {
-				fc.emit(ins{op: jCallKnown, nodes: 1, target: idx, a: fa, args: args, run: fc.argChecks(idx, args), depth: depth})
+			if known {
+				fc.emit(ins{op: jCallKnown, nodes: 1, target: idx, args: args, run: fc.argChecks(idx, args), depth: depth})
 			} else {
 				fc.emit(ins{op: jCall, nodes: 1, a: fa, args: args, depth: depth})
 			}
@@ -561,7 +705,11 @@ func (fc *fnCompiler) emit(in ins) {
 // out-sizes a scheduling quantum by orders of magnitude.
 const maxRun = 64
 
-func isIntCmp(op jop) bool { return op >= jEq && op <= jGe }
+func isIntCmp(op jop) bool { return op >= jEq && op <= jGe || op >= jEqK && op <= jGeK }
+
+func isBranch(op jop) bool {
+	return op == jIf || op == jIfK || op == jCmpBr || op >= jCmpBrEqK && op <= jCmpBrGeK
+}
 
 // cmpBrAt reports whether the two instructions starting at pc form a
 // fusible integer compare-and-branch pair: the branch tests exactly the
@@ -571,26 +719,32 @@ func cmpBrAt(code []ins, pc int) bool {
 		return false
 	}
 	cmp, br := &code[pc], &code[pc+1]
-	return isIntCmp(cmp.op) && br.op == jIf && br.a.slot == cmp.dst
+	return isIntCmp(cmp.op) && (br.op == jIf || br.op == jIfK) && br.a == operand(cmp.dst)
+}
+
+// constOff reports whether a load or store addresses a constant int
+// offset off a variable base, and the offset.
+func (c *Compiled) constOff(in *ins) (int64, bool) {
+	off, ok := c.imm(in.b)
+	return off.I, in.a >= 0 && ok && off.Kind == heap.KInt
 }
 
 // loadRunAt returns the length (≥2) of the maximal fusible load run
 // starting at pc, or 0. Elements load constant offsets off one base slot;
 // an element whose destination overwrites the base ends the run with it.
-func loadRunAt(code []ins, pc int) int {
-	first := &code[pc]
-	if first.op != jLoad || first.a.slot < 0 || first.b.slot >= 0 || first.b.imm.Kind != heap.KInt || first.want == kindSlow || first.want == heap.KUnit {
-		return 0
-	}
-	base := first.a.slot
+func (c *Compiled) loadRunAt(code []ins, pc int) int {
+	base := code[pc].a
 	n := 0
 	for pc+n < len(code) && n < maxRun {
 		in := &code[pc+n]
-		if in.op != jLoad || in.a.slot != base || in.b.slot >= 0 || in.b.imm.Kind != heap.KInt || in.want == kindSlow || in.want == heap.KUnit {
+		if in.op != jLoad && in.op != jLoadK || in.a != base || in.want == kindSlow || in.want == heap.KUnit {
+			break
+		}
+		if _, ok := c.constOff(in); !ok {
 			break
 		}
 		n++
-		if in.dst == base {
+		if operand(in.dst) == base {
 			break
 		}
 	}
@@ -603,20 +757,19 @@ func loadRunAt(code []ins, pc int) int {
 // storeRunAt returns the length (≥2) of the maximal fusible store run
 // starting at pc, or 0. Value operands are read per element at execution
 // time, so stores may consume slots earlier elements bound.
-func storeRunAt(code []ins, pc int) int {
-	first := &code[pc]
-	if first.op != jStore || first.a.slot < 0 || first.b.slot >= 0 || first.b.imm.Kind != heap.KInt {
-		return 0
-	}
-	base := first.a.slot
+func (c *Compiled) storeRunAt(code []ins, pc int) int {
+	base := code[pc].a
 	n := 0
 	for pc+n < len(code) && n < maxRun {
 		in := &code[pc+n]
-		if in.op != jStore || in.a.slot != base || in.b.slot >= 0 || in.b.imm.Kind != heap.KInt {
+		if in.op != jStore && in.op != jStoreK || in.a != base {
+			break
+		}
+		if _, ok := c.constOff(in); !ok {
 			break
 		}
 		n++
-		if in.dst == base {
+		if operand(in.dst) == base {
 			break
 		}
 	}
@@ -643,6 +796,9 @@ func fuse(c *Compiled) {
 			fusedTo := len(out)
 			fused := cmp
 			fused.op = jCmpBr
+			if cmp.op >= jEqK {
+				fused.op = jCmpBrEqK + (cmp.op - jEqK)
+			}
 			fused.nodes = 2
 			fused.target = br.target // remapped below, in old coordinates
 			out = append(out, fused)
@@ -651,12 +807,13 @@ func fuse(c *Compiled) {
 			out = append(out, cmp, br)
 			pc += 2
 
-		case loadRunAt(old, pc) > 0:
-			n := loadRunAt(old, pc)
+		case c.loadRunAt(old, pc) > 0:
+			n := c.loadRunAt(old, pc)
 			fused := ins{op: jLoadRun, nodes: uint8(n), a: old[pc].a, depth: old[pc].depth, run: make([]runElem, n)}
 			for i := 0; i < n; i++ {
 				el := &old[pc+i]
-				fused.run[i] = runElem{off: el.b.imm.I, dst: el.dst, want: el.want, ty: el.dstTy}
+				off, _ := c.constOff(el)
+				fused.run[i] = runElem{off: off, dst: el.dst, want: el.want, ty: el.dstTy}
 				remap[pc+i] = int32(len(out) + 1 + i)
 			}
 			remap[pc] = int32(len(out))
@@ -664,12 +821,13 @@ func fuse(c *Compiled) {
 			out = append(out, old[pc:pc+n]...)
 			pc += n
 
-		case storeRunAt(old, pc) > 0:
-			n := storeRunAt(old, pc)
+		case c.storeRunAt(old, pc) > 0:
+			n := c.storeRunAt(old, pc)
 			fused := ins{op: jStoreRun, nodes: uint8(n), a: old[pc].a, depth: old[pc].depth, run: make([]runElem, n)}
 			for i := 0; i < n; i++ {
 				el := &old[pc+i]
-				fused.run[i] = runElem{off: el.b.imm.I, dst: el.dst, val: el.c}
+				off, _ := c.constOff(el)
+				fused.run[i] = runElem{off: off, dst: el.dst, val: el.c}
 				remap[pc+i] = int32(len(out) + 1 + i)
 			}
 			remap[pc] = int32(len(out))
@@ -688,8 +846,7 @@ func fuse(c *Compiled) {
 	// Rewrite branch targets (migrate's target is a label, not a pc) and
 	// function entries into new coordinates.
 	for i := range out {
-		switch out[i].op {
-		case jIf, jCmpBr:
+		if isBranch(out[i].op) {
 			out[i].target = remap[out[i].target]
 		}
 	}
@@ -744,10 +901,10 @@ func (p *movePlanner) plan(args []operand) []move {
 	p.pending, p.readers = pending, readers
 	moves := p.moves[:0]
 	for i, a := range args {
-		if a.slot >= 0 && a.slot != int32(i) {
+		if a >= 0 && a != operand(i) {
 			pending[i] = true
-			if a.slot < n {
-				readers[a.slot]++
+			if int32(a) < n {
+				readers[a]++
 			}
 		}
 	}
@@ -757,7 +914,7 @@ func (p *movePlanner) plan(args []operand) []move {
 			if pending[i] && readers[i] == 0 {
 				moves = append(moves, move{dst: i, src: args[i]})
 				pending[i] = false
-				if s := args[i].slot; s < n {
+				if s := int32(args[i]); s < n {
 					readers[s]--
 				}
 				progress = true
@@ -772,23 +929,55 @@ func (p *movePlanner) plan(args []operand) []move {
 		// destination taking its source once that source's old value has
 		// been read, until the move that read slot i takes scratch.
 		p.usedScratch = true
-		moves = append(moves, move{dst: p.scratch, src: operand{slot: i}})
+		moves = append(moves, move{dst: p.scratch, src: operand(i)})
 		for d := i; pending[d]; {
 			pending[d] = false
-			s := args[d].slot
+			s := int32(args[d])
 			if s == i {
-				moves = append(moves, move{dst: d, src: operand{slot: p.scratch}})
+				moves = append(moves, move{dst: d, src: operand(p.scratch)})
 				break
 			}
-			moves = append(moves, move{dst: d, src: operand{slot: s}})
+			moves = append(moves, move{dst: d, src: operand(s)})
 			d = s
 		}
 	}
 	for i, a := range args {
-		if a.slot < 0 {
+		if a < 0 {
 			moves = append(moves, move{dst: int32(i), src: a})
 		}
 	}
 	p.moves = moves
 	return slices.Clone(moves)
+}
+
+// ---------------------------------------------------------------------------
+// Constant placement.
+
+// placeConsts puts the constant area above every slot the code writes —
+// each depth window and the move planner's scratch slot — so no constant
+// is ever in a GC root window (frame[:depth]) or overwritten, and rewrites
+// every constant operand to its slot there.
+func placeConsts(c *Compiled) {
+	c.constBase = c.slots
+	c.slots += len(c.consts)
+	place := func(a *operand) {
+		if *a < 0 {
+			*a = operand(c.constBase) + ^*a
+		}
+	}
+	for i := range c.code {
+		in := &c.code[i]
+		place(&in.a)
+		place(&in.b)
+		place(&in.c)
+		for j := range in.args {
+			place(&in.args[j])
+		}
+		for j := range in.run {
+			place(&in.run[j].val)
+		}
+		for j := range in.moves {
+			place(&in.moves[j].src)
+		}
+	}
 }

@@ -14,6 +14,17 @@ func b2i(b bool) int64 {
 	return 0
 }
 
+// branch completes a proven compare-and-branch at pc: it writes the
+// compare's result and returns where control goes — past both components
+// when the branch is taken.
+func branch(frame []heap.Value, in *ins, pc int, taken bool) int {
+	frame[in.dst] = heap.BoolVal(taken)
+	if taken {
+		return pc + 3
+	}
+	return int(in.target)
+}
+
 // RunSeg implements rt.Core.
 func (m *Machine) RunSeg(budget uint64) error {
 	exec, err := m.runSeg(budget)
@@ -23,12 +34,14 @@ func (m *Machine) RunSeg(budget uint64) error {
 
 // runSeg executes up to budget FIR nodes starting at m.pc and returns how
 // many of them it has not charged yet (including a node that errored — the
-// interpreter charges failed steps too). m.pc is kept current for every
-// node that can reach the collector or trap, so GC root windows match the
-// interpreter's exactly; on return m.pc points at the next node (or the
-// failed one).
+// interpreter charges failed steps too). m.pc is stored before every node
+// that can reach the collector, trap or leave the loop, so GC root windows
+// match the interpreter's exactly; the pure forms skip the store. On
+// return m.pc points at the next node (or the failed one).
 //
-// Fast paths handle the common well-typed cases inline; any precondition
+// Kind-specialised forms run where the compiler has proven every
+// operand's kind and test no tag. In the generic forms, fast paths handle
+// the common well-typed cases inline; any precondition
 // miss (wrong operand kind, division by zero, shift range) falls back to
 // the generic ops.Eval path so error text and evaluation order stay
 // identical to the interpreter's. Fused superinstructions execute only
@@ -44,12 +57,281 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 	var exec uint64
 
 	for exec < budget {
-		m.pc = pc
 		in := &code[pc]
 		switch in.op {
+		// --- kind-specialised forms: every operand's kind is proven, so
+		// each reads its payload directly; m.pc is stored only before a
+		// fallback that may trap or collect ---
+
+		case jAddK:
+			frame[in.dst] = heap.IntVal(frame[in.a].I + frame[in.b].I)
+			pc++
+			exec++
+
+		case jSubK:
+			frame[in.dst] = heap.IntVal(frame[in.a].I - frame[in.b].I)
+			pc++
+			exec++
+
+		case jMulK:
+			frame[in.dst] = heap.IntVal(frame[in.a].I * frame[in.b].I)
+			pc++
+			exec++
+
+		case jAndK:
+			frame[in.dst] = heap.IntVal(frame[in.a].I & frame[in.b].I)
+			pc++
+			exec++
+
+		case jOrK:
+			frame[in.dst] = heap.IntVal(frame[in.a].I | frame[in.b].I)
+			pc++
+			exec++
+
+		case jXorK:
+			frame[in.dst] = heap.IntVal(frame[in.a].I ^ frame[in.b].I)
+			pc++
+			exec++
+
+		case jEqK:
+			frame[in.dst] = heap.IntVal(b2i(frame[in.a].I == frame[in.b].I))
+			pc++
+			exec++
+
+		case jNeK:
+			frame[in.dst] = heap.IntVal(b2i(frame[in.a].I != frame[in.b].I))
+			pc++
+			exec++
+
+		case jLtK:
+			frame[in.dst] = heap.IntVal(b2i(frame[in.a].I < frame[in.b].I))
+			pc++
+			exec++
+
+		case jLeK:
+			frame[in.dst] = heap.IntVal(b2i(frame[in.a].I <= frame[in.b].I))
+			pc++
+			exec++
+
+		case jGtK:
+			frame[in.dst] = heap.IntVal(b2i(frame[in.a].I > frame[in.b].I))
+			pc++
+			exec++
+
+		case jGeK:
+			frame[in.dst] = heap.IntVal(b2i(frame[in.a].I >= frame[in.b].I))
+			pc++
+			exec++
+
+		case jNegK:
+			frame[in.dst] = heap.IntVal(-frame[in.a].I)
+			pc++
+			exec++
+
+		case jNotK:
+			frame[in.dst] = heap.IntVal(b2i(frame[in.a].I == 0))
+			pc++
+			exec++
+
+		case jDivK:
+			if d := frame[in.b].I; d != 0 {
+				frame[in.dst] = heap.IntVal(frame[in.a].I / d)
+			} else {
+				m.pc = pc // division by zero: ops.Eval says so
+				if err := m.evalGen(in); err != nil {
+					return exec + 1, err
+				}
+			}
+			pc++
+			exec++
+
+		case jModK:
+			if d := frame[in.b].I; d != 0 {
+				frame[in.dst] = heap.IntVal(frame[in.a].I % d)
+			} else {
+				m.pc = pc // division by zero: ops.Eval says so
+				if err := m.evalGen(in); err != nil {
+					return exec + 1, err
+				}
+			}
+			pc++
+			exec++
+
+		case jShlK:
+			if n := frame[in.b].I; uint64(n) <= 63 {
+				frame[in.dst] = heap.IntVal(frame[in.a].I << uint(n))
+			} else {
+				m.pc = pc // shift out of range: ops.Eval says so
+				if err := m.evalGen(in); err != nil {
+					return exec + 1, err
+				}
+			}
+			pc++
+			exec++
+
+		case jShrK:
+			if n := frame[in.b].I; uint64(n) <= 63 {
+				frame[in.dst] = heap.IntVal(frame[in.a].I >> uint(n))
+			} else {
+				m.pc = pc // shift out of range: ops.Eval says so
+				if err := m.evalGen(in); err != nil {
+					return exec + 1, err
+				}
+			}
+			pc++
+			exec++
+
+		case jFAddK:
+			frame[in.dst] = heap.FloatVal(frame[in.a].F + frame[in.b].F)
+			pc++
+			exec++
+
+		case jFSubK:
+			frame[in.dst] = heap.FloatVal(frame[in.a].F - frame[in.b].F)
+			pc++
+			exec++
+
+		case jFMulK:
+			frame[in.dst] = heap.FloatVal(frame[in.a].F * frame[in.b].F)
+			pc++
+			exec++
+
+		case jFDivK:
+			frame[in.dst] = heap.FloatVal(frame[in.a].F / frame[in.b].F)
+			pc++
+			exec++
+
+		case jFEqK:
+			frame[in.dst] = heap.BoolVal(frame[in.a].F == frame[in.b].F)
+			pc++
+			exec++
+
+		case jFNeK:
+			frame[in.dst] = heap.BoolVal(frame[in.a].F != frame[in.b].F)
+			pc++
+			exec++
+
+		case jFLtK:
+			frame[in.dst] = heap.BoolVal(frame[in.a].F < frame[in.b].F)
+			pc++
+			exec++
+
+		case jFLeK:
+			frame[in.dst] = heap.BoolVal(frame[in.a].F <= frame[in.b].F)
+			pc++
+			exec++
+
+		case jFGtK:
+			frame[in.dst] = heap.BoolVal(frame[in.a].F > frame[in.b].F)
+			pc++
+			exec++
+
+		case jFGeK:
+			frame[in.dst] = heap.BoolVal(frame[in.a].F >= frame[in.b].F)
+			pc++
+			exec++
+
+		case jFNegK:
+			frame[in.dst] = heap.FloatVal(-frame[in.a].F)
+			pc++
+			exec++
+
+		case jItoFK:
+			frame[in.dst] = heap.FloatVal(float64(frame[in.a].I))
+			pc++
+			exec++
+
+		case jFtoIK:
+			frame[in.dst] = heap.IntVal(int64(frame[in.a].F))
+			pc++
+			exec++
+
+		case jIfK:
+			if frame[in.a].I != 0 {
+				pc++
+			} else {
+				pc = int(in.target)
+			}
+			exec++
+
+		case jLoadK:
+			v, ok := h.TryLoad(frame[in.a], frame[in.b].I)
+			if !ok || v.Kind != in.want {
+				m.pc = pc
+				return exec + 1, m.loadErr(in, v, ok)
+			}
+			frame[in.dst] = v
+			pc++
+			exec++
+
+		case jStoreK:
+			if !h.TryStore(frame[in.a], frame[in.b].I, frame[in.c]) {
+				// The full store may clone a block, and so collect: the
+				// root window must be this node's.
+				m.pc = pc
+				if err := h.Store(frame[in.a], frame[in.b].I, frame[in.c]); err != nil {
+					return exec + 1, m.RuntimeErr(err)
+				}
+			}
+			frame[in.dst] = heap.UnitVal()
+			pc++
+			exec++
+
+		// Proven compare-and-branch: only a quantum too short for both
+		// nodes sends it to its components.
+		case jCmpBrEqK:
+			if budget-exec < 2 {
+				pc++
+				continue
+			}
+			pc = branch(frame, in, pc, frame[in.a].I == frame[in.b].I)
+			exec += 2
+
+		case jCmpBrNeK:
+			if budget-exec < 2 {
+				pc++
+				continue
+			}
+			pc = branch(frame, in, pc, frame[in.a].I != frame[in.b].I)
+			exec += 2
+
+		case jCmpBrLtK:
+			if budget-exec < 2 {
+				pc++
+				continue
+			}
+			pc = branch(frame, in, pc, frame[in.a].I < frame[in.b].I)
+			exec += 2
+
+		case jCmpBrLeK:
+			if budget-exec < 2 {
+				pc++
+				continue
+			}
+			pc = branch(frame, in, pc, frame[in.a].I <= frame[in.b].I)
+			exec += 2
+
+		case jCmpBrGtK:
+			if budget-exec < 2 {
+				pc++
+				continue
+			}
+			pc = branch(frame, in, pc, frame[in.a].I > frame[in.b].I)
+			exec += 2
+
+		case jCmpBrGeK:
+			if budget-exec < 2 {
+				pc++
+				continue
+			}
+			pc = branch(frame, in, pc, frame[in.a].I >= frame[in.b].I)
+			exec += 2
+
+		// --- generic forms: an operand's kind is checked at run time ---
 
 		case jAdd, jSub, jMul, jAnd, jOr, jXor, jEq, jNe, jLt, jLe, jGt, jGe:
-			a, b := ld(frame, &in.a), ld(frame, &in.b)
+			m.pc = pc
+			a, b := frame[in.a], frame[in.b]
 			if a.Kind == heap.KInt && b.Kind == heap.KInt {
 				var v int64
 				switch in.op {
@@ -86,7 +368,8 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			exec++
 
 		case jDiv, jMod, jShl, jShr:
-			a, b := ld(frame, &in.a), ld(frame, &in.b)
+			m.pc = pc
+			a, b := frame[in.a], frame[in.b]
 			ok := a.Kind == heap.KInt && b.Kind == heap.KInt
 			if ok {
 				switch in.op {
@@ -116,7 +399,8 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			exec++
 
 		case jNeg, jNot:
-			a := ld(frame, &in.a)
+			m.pc = pc
+			a := frame[in.a]
 			if a.Kind == heap.KInt {
 				if in.op == jNeg {
 					frame[in.dst] = heap.IntVal(-a.I)
@@ -130,7 +414,8 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			exec++
 
 		case jFAdd, jFSub, jFMul, jFDiv, jFEq, jFNe, jFLt, jFLe, jFGt, jFGe:
-			a, b := ld(frame, &in.a), ld(frame, &in.b)
+			m.pc = pc
+			a, b := frame[in.a], frame[in.b]
 			if a.Kind == heap.KFloat && b.Kind == heap.KFloat {
 				switch in.op {
 				case jFAdd:
@@ -161,7 +446,8 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			exec++
 
 		case jFNeg:
-			a := ld(frame, &in.a)
+			m.pc = pc
+			a := frame[in.a]
 			if a.Kind == heap.KFloat {
 				frame[in.dst] = heap.FloatVal(-a.F)
 			} else if err := m.evalGen(in); err != nil {
@@ -171,7 +457,8 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			exec++
 
 		case jItoF:
-			a := ld(frame, &in.a)
+			m.pc = pc
+			a := frame[in.a]
 			if a.Kind == heap.KInt {
 				frame[in.dst] = heap.FloatVal(float64(a.I))
 			} else if err := m.evalGen(in); err != nil {
@@ -181,7 +468,8 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			exec++
 
 		case jFtoI:
-			a := ld(frame, &in.a)
+			m.pc = pc
+			a := frame[in.a]
 			if a.Kind == heap.KFloat {
 				frame[in.dst] = heap.IntVal(int64(a.F))
 			} else if err := m.evalGen(in); err != nil {
@@ -191,11 +479,12 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			exec++
 
 		case jMove:
-			frame[in.dst] = ld(frame, &in.a)
+			frame[in.dst] = frame[in.a]
 			pc++
 			exec++
 
 		case jAlloc:
+			m.pc = pc
 			if err := m.evalGen(in); err != nil {
 				return exec + 1, err
 			}
@@ -203,7 +492,8 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			exec++
 
 		case jLoad:
-			a, b := ld(frame, &in.a), ld(frame, &in.b)
+			m.pc = pc
+			a, b := frame[in.a], frame[in.b]
 			if a.Kind == heap.KPtr && b.Kind == heap.KInt && in.want != kindSlow {
 				v, err := h.Load(a, b.I)
 				if err != nil {
@@ -220,9 +510,10 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			exec++
 
 		case jStore:
-			a, b := ld(frame, &in.a), ld(frame, &in.b)
+			m.pc = pc
+			a, b := frame[in.a], frame[in.b]
 			if a.Kind == heap.KPtr && b.Kind == heap.KInt {
-				if err := h.Store(a, b.I, ld(frame, &in.c)); err != nil {
+				if err := h.Store(a, b.I, frame[in.c]); err != nil {
 					return exec + 1, m.RuntimeErr(err)
 				}
 				frame[in.dst] = heap.UnitVal()
@@ -233,7 +524,8 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			exec++
 
 		case jLen:
-			a := ld(frame, &in.a)
+			m.pc = pc
+			a := frame[in.a]
 			if a.Kind == heap.KPtr {
 				n, err := h.BlockSize(a)
 				if err != nil {
@@ -247,7 +539,8 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			exec++
 
 		case jPtrAdd:
-			a, b := ld(frame, &in.a), ld(frame, &in.b)
+			m.pc = pc
+			a, b := frame[in.a], frame[in.b]
 			if a.Kind == heap.KPtr && b.Kind == heap.KInt {
 				a.Off += b.I
 				frame[in.dst] = a
@@ -258,7 +551,8 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			exec++
 
 		case jPtrBase:
-			a := ld(frame, &in.a)
+			m.pc = pc
+			a := frame[in.a]
 			if a.Kind == heap.KPtr {
 				a.Off = 0
 				frame[in.dst] = a
@@ -269,7 +563,8 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			exec++
 
 		case jPtrOff:
-			a := ld(frame, &in.a)
+			m.pc = pc
+			a := frame[in.a]
 			if a.Kind == heap.KPtr {
 				frame[in.dst] = heap.IntVal(a.Off)
 			} else if err := m.evalGen(in); err != nil {
@@ -279,7 +574,8 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			exec++
 
 		case jPtrEq:
-			a, b := ld(frame, &in.a), ld(frame, &in.b)
+			m.pc = pc
+			a, b := frame[in.a], frame[in.b]
 			if a.Kind == heap.KPtr && b.Kind == heap.KPtr {
 				frame[in.dst] = heap.BoolVal(a.Equal(b))
 			} else if err := m.evalGen(in); err != nil {
@@ -294,7 +590,8 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			exec++
 
 		case jPtrIsNil:
-			a := ld(frame, &in.a)
+			m.pc = pc
+			a := frame[in.a]
 			if a.Kind == heap.KPtr {
 				frame[in.dst] = heap.BoolVal(a.IsNull())
 			} else if err := m.evalGen(in); err != nil {
@@ -313,7 +610,7 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 				pc++
 				continue
 			}
-			a, b := ld(frame, &in.a), ld(frame, &in.b)
+			a, b := frame[in.a], frame[in.b]
 			if a.Kind != heap.KInt || b.Kind != heap.KInt {
 				pc++
 				continue
@@ -347,7 +644,7 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 				pc++
 				continue
 			}
-			base := frame[in.a.slot]
+			base := frame[in.a]
 			if base.Kind != heap.KPtr {
 				pc++
 				continue
@@ -374,7 +671,7 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 				pc++
 				continue
 			}
-			base := frame[in.a.slot]
+			base := frame[in.a]
 			if base.Kind != heap.KPtr {
 				pc++
 				continue
@@ -384,7 +681,7 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 				// A store may trigger a collection (copy-on-write clone):
 				// point pc at the component so the root window matches.
 				m.pc = pc + 1 + i
-				v := ld(frame, &el.val)
+				v := frame[el.val]
 				if err := h.Store(base, el.off, v); err != nil {
 					return exec + uint64(i) + 1, m.RuntimeErr(err)
 				}
@@ -396,7 +693,8 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 		// --- control ---
 
 		case jIf:
-			c := ld(frame, &in.a)
+			m.pc = pc
+			c := frame[in.a]
 			if c.Kind != heap.KInt {
 				return exec + 1, m.RuntimeErrf("if condition is %s, want int", c.Kind)
 			}
@@ -408,7 +706,8 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			exec++
 
 		case jCall:
-			fnv := ld(frame, &in.a)
+			m.pc = pc
+			fnv := frame[in.a]
 			if fnv.Kind != heap.KFun {
 				return exec + 1, m.RuntimeErrf("call target is %s, want fun", fnv)
 			}
@@ -426,15 +725,16 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			f := &fns[in.target]
 			for i := range in.run {
 				el := &in.run[i]
-				if v := ld(frame, &el.val); v.Kind != el.want || el.want == kindSlow {
+				if v := frame[el.val]; v.Kind != el.want || el.want == kindSlow {
 					if err := ops.CheckKind(v, el.ty); err != nil {
+						m.pc = pc
 						return exec + 1, m.RuntimeErr(rt.ArgError(f.fn, int(el.dst), err))
 					}
 				}
 			}
 			for i := range in.moves {
 				mv := &in.moves[i]
-				frame[mv.dst] = ld(frame, &mv.src)
+				frame[mv.dst] = frame[mv.src]
 			}
 			m.CurFn = f.fn.Name
 			pc = f.entry
@@ -445,6 +745,7 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 		// up to and including this node first. Each either fails, stops
 		// the machine, or leaves m.pc at the node to continue with.
 		case jExtern, jHalt, jSpeculate, jCommit, jRollback, jMigrate:
+			m.pc = pc
 			m.Charge(exec + 1)
 			budget -= exec + 1
 			exec = 0
@@ -457,15 +758,15 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 					m.pc = pc + 1
 				}
 			case jHalt:
-				err = m.Halt(ld(frame, &in.a))
+				err = m.Halt(frame[in.a])
 			case jSpeculate:
-				err = m.Speculate(ld(frame, &in.a), m.gather(in.args))
+				err = m.Speculate(frame[in.a], m.gather(in.args))
 			case jCommit:
-				err = m.Commit(ld(frame, &in.a), ld(frame, &in.b), m.gather(in.args))
+				err = m.Commit(frame[in.a], frame[in.b], m.gather(in.args))
 			case jRollback:
-				err = m.Rollback(ld(frame, &in.a), ld(frame, &in.b))
+				err = m.Rollback(frame[in.a], frame[in.b])
 			case jMigrate:
-				err = m.Migrate(int(in.target), ld(frame, &in.a), ld(frame, &in.b), ld(frame, &in.c), m.gather(in.args))
+				err = m.Migrate(int(in.target), frame[in.a], frame[in.b], frame[in.c], m.gather(in.args))
 			}
 			if err != nil || m.Status() != rt.StatusRunning || m.Yielding() {
 				return 0, err
@@ -473,6 +774,7 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			pc = m.pc
 
 		default:
+			m.pc = pc
 			return exec + 1, m.RuntimeErrf("unknown opcode %d", in.op)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/rt"
 	"repro/internal/vm"
 	"repro/internal/workload"
+	_ "repro/internal/workload/apps" // registers the grid
 )
 
 // subject is one program with everything needed to run it; setup is called
@@ -194,7 +196,8 @@ func TestProgramsAgreeWithInterpreter(t *testing.T) {
 }
 
 // fusedFallbacks are programs on which a fused form starts and cannot
-// finish: the interpreter defines where they stop and what they report.
+// finish, or on which a kind-specialised form's value check fails: the
+// interpreter defines where they stop and what they report.
 func fusedFallbacks() []subject {
 	block := func() *fir.Builder { // p = alloc 4; p[0] = 7; p[1] = 2.5  (a fused store run)
 		b := fir.NewBuilder()
@@ -234,6 +237,16 @@ func fusedFallbacks() []subject {
 	cmp := fir.NewBuilder() // a float reaches an integer compare-and-branch
 	cmp.Let("c", fir.TyInt, fir.OpLt, fir.V("x"), fir.I(1))
 
+	// op(7, b) over proven ints: every operand's kind is known, and the
+	// value check alone must still trap.
+	proven := func(op fir.Op, b int64) fir.Expr {
+		pb := fir.NewBuilder()
+		pb.Let("a", fir.TyInt, fir.OpMove, fir.I(7))
+		pb.Let("b", fir.TyInt, fir.OpMove, fir.I(b))
+		pb.Let("r", fir.TyInt, op, fir.V("a"), fir.V("b"))
+		return pb.Halt(fir.V("r"))
+	}
+
 	return []subject{
 		typed("load run: wrong kind in the heap", loadKind.Halt(fir.V("a"))),
 		typed("load run: offset out of range", loadRange.Halt(fir.V("a"))),
@@ -256,6 +269,11 @@ func fusedFallbacks() []subject {
 			fir.Fn("f", fir.Ps("g", fir.TyFun(fir.TyInt)), fir.NewBuilder().Call(fir.V("g"), fir.F(1.5))), intFn),
 		untyped("halt: float code", []heap.Value{heap.FloatVal(1.5)},
 			fir.Fn("f", fir.Ps("x", fir.TyFloat), fir.NewBuilder().Halt(fir.V("x")))),
+		typed("proven ints: division by zero", proven(fir.OpDiv, 0)),
+		typed("proven ints: modulo by zero", proven(fir.OpMod, 0)),
+		typed("proven ints: shift left by 64", proven(fir.OpShl, 64)),
+		typed("proven ints: shift right by 64", proven(fir.OpShr, 64)),
+		typed("proven ints: shift by -1", proven(fir.OpShl, -1)),
 	}
 }
 
@@ -472,18 +490,20 @@ func TestRandomKnownCallsAgreeWithInterpreter(t *testing.T) {
 }
 
 // TestUnprovenArgumentKindsAreChecked: a known call skips the check of an
-// argument only when the engine itself has already enforced its kind,
-// never on the strength of a declared FIR type. Each program here is
-// ill-typed and runs through StartAt, which skips fir.Check; the call
-// must fail at the same step, with the same text, in the same function,
-// as on the interpreter.
+// argument, and an operator, branch or load takes its kind-specialised
+// form, only when the engine itself has already enforced the operand's
+// kind, never on the strength of a declared FIR type. Each program here is
+// ill-typed and runs through StartAt, which skips fir.Check; it must fail
+// at the same step, with the same text, in the same function, as on the
+// interpreter.
 func TestUnprovenArgumentKindsAreChecked(t *testing.T) {
 	intFn := fir.Fn("k", fir.Ps("n", fir.TyInt), fir.NewBuilder().Halt(fir.V("n")))
 	untyped := func(name string, args []heap.Value, setup func(rt.Proc), fns ...*fir.Function) subject {
 		return subject{name: name, prog: fir.NewProgram(fns[0].Name, fns...), startAt: 0, args: args, setup: setup}
 	}
 
-	// An extern registered to return a float, declared in the FIR as int.
+	// An extern registered to return a float, declared in the FIR as int
+	// or as a pointer.
 	ext := fir.NewBuilder()
 	ext.Extern("r", fir.TyInt, "half")
 	half := func(p rt.Proc) {
@@ -491,33 +511,112 @@ func TestUnprovenArgumentKindsAreChecked(t *testing.T) {
 			return heap.FloatVal(0.5), nil
 		})
 	}
+	extAdd := fir.NewBuilder()
+	extAdd.Extern("r", fir.TyInt, "half")
+	extAdd.Let("s", fir.TyInt, fir.OpAdd, fir.V("r"), fir.I(1))
+	extLoad := fir.NewBuilder()
+	extLoad.Extern("r", fir.TyPtr, "half")
+	extLoad.Let("w", fir.TyInt, fir.OpLoad, fir.V("r"), fir.I(0))
 
 	// x is rebound to an int in the then arm; the else arm still holds
 	// the float parameter.
 	then := fir.NewBuilder()
 	then.Let("x", fir.TyInt, fir.OpMove, fir.I(1))
 	rebound := fir.NewBuilder().If(fir.V("c"), then.Halt(fir.V("x")), fir.NewBuilder().CallNamed("k", fir.V("x")))
+	thenAdd := fir.NewBuilder()
+	thenAdd.Let("x", fir.TyInt, fir.OpMove, fir.I(1))
+	elseAdd := fir.NewBuilder()
+	elseAdd.Let("s", fir.TyInt, fir.OpAdd, fir.V("x"), fir.I(1))
+	reboundAdd := fir.NewBuilder().If(fir.V("c"), thenAdd.Halt(fir.V("x")), elseAdd.Halt(fir.V("s")))
 
-	// A move keeps its source's kind, whatever its declared type.
+	// An int add rebinds the name of its own float operand: the add must
+	// check the float it reads, not the int it is about to write.
+	self := fir.NewBuilder()
+	self.Let("x", fir.TyInt, fir.OpAdd, fir.V("x"), fir.I(1))
+
+	// A move keeps its source's kind, whatever its declared type. (A float
+	// parameter as the condition itself is fusedFallbacks' "branch: float
+	// condition".)
 	mv := fir.NewBuilder()
 	mv.Let("y", fir.TyInt, fir.OpMove, fir.V("x"))
+	mvIf := fir.NewBuilder()
+	mvIf.Let("y", fir.TyInt, fir.OpMove, fir.V("x"))
 
-	for _, s := range []subject{
-		untyped("extern result of the wrong kind", nil, half,
-			fir.Fn("f", nil, ext.CallNamed("k", fir.V("r"))), intFn),
-		untyped("name rebound in the other arm", []heap.Value{heap.FloatVal(1.5), heap.IntVal(0)}, nil,
-			fir.Fn("f", fir.Ps("x", fir.TyFloat, "c", fir.TyInt), rebound), intFn),
-		untyped("move of a float parameter", []heap.Value{heap.FloatVal(1.5)}, nil,
-			fir.Fn("f", fir.Ps("x", fir.TyFloat), mv.CallNamed("k", fir.V("y"))), intFn),
+	for _, tc := range []struct {
+		s    subject
+		want string
+	}{
+		{untyped("extern result of the wrong kind", nil, half,
+			fir.Fn("f", nil, ext.CallNamed("k", fir.V("r"))), intFn), "argument 0"},
+		{untyped("name rebound in the other arm", []heap.Value{heap.FloatVal(1.5), heap.IntVal(0)}, nil,
+			fir.Fn("f", fir.Ps("x", fir.TyFloat, "c", fir.TyInt), rebound), intFn), "argument 0"},
+		{untyped("move of a float parameter", []heap.Value{heap.FloatVal(1.5)}, nil,
+			fir.Fn("f", fir.Ps("x", fir.TyFloat), mv.CallNamed("k", fir.V("y"))), intFn), "argument 0"},
+		{untyped("extern result as an int add operand", nil, half,
+			fir.Fn("f", nil, extAdd.Halt(fir.V("s")))), "add operand 0 is float"},
+		{untyped("extern result as a load base", nil, half,
+			fir.Fn("f", nil, extLoad.Halt(fir.V("w")))), "load operand 0 is float"},
+		{untyped("name rebound in the other arm feeds an int add", []heap.Value{heap.FloatVal(1.5), heap.IntVal(0)}, nil,
+			fir.Fn("f", fir.Ps("x", fir.TyFloat, "c", fir.TyInt), reboundAdd)), "add operand 0 is float"},
+		{untyped("int add rebinding its float operand's name", []heap.Value{heap.FloatVal(1.5)}, nil,
+			fir.Fn("f", fir.Ps("x", fir.TyFloat), self.Halt(fir.V("x")))), "add operand 0 is float"},
+		{untyped("if condition: a float parameter moved to an int name", []heap.Value{heap.FloatVal(0.5)}, nil,
+			fir.Fn("f", fir.Ps("x", fir.TyFloat), mvIf.If(fir.V("y"), fir.NewBuilder().Halt(fir.I(1)), fir.NewBuilder().Halt(fir.I(2))))),
+			"if condition is float"},
 	} {
-		t.Run(s.name, func(t *testing.T) {
+		t.Run(tc.s.name, func(t *testing.T) {
 			for _, n := range []uint64{0, 1, 2, 3} {
-				ref, _ := lockstep(t, s, n, 0)
+				ref, _ := lockstep(t, tc.s, n, 0)
 				var rte *rt.RuntimeError
-				if ref.Status() != rt.StatusFailed || !errors.As(ref.Err(), &rte) || !strings.Contains(rte.Error(), "argument 0") {
-					t.Fatalf("vm: status=%s err=%v, want a failed argument check", ref.Status(), ref.Err())
+				if ref.Status() != rt.StatusFailed || !errors.As(ref.Err(), &rte) || !strings.Contains(rte.Error(), tc.want) {
+					t.Fatalf("vm: status=%s err=%v, want a failure naming %q", ref.Status(), ref.Err(), tc.want)
 				}
 			}
 		})
+	}
+}
+
+// TestConstantsKeepTheirBits: immediates share a constant slot only when
+// they are the same bits, so 0.0 and -0.0 stay apart (1/-0.0 < 1/0.0).
+func TestConstantsKeepTheirBits(t *testing.T) {
+	b := fir.NewBuilder()
+	b.Let("n", fir.TyFloat, fir.OpFDiv, fir.F(1), fir.F(math.Copysign(0, -1)))
+	b.Let("p", fir.TyFloat, fir.OpFDiv, fir.F(1), fir.F(0))
+	b.Let("c", fir.TyInt, fir.OpFLt, fir.V("n"), fir.V("p"))
+	s := subject{name: "signed zeros", prog: fir.NewProgram("main", fir.Fn("main", nil, b.Halt(fir.V("c")))), startAt: -1}
+	if ref, _ := lockstep(t, s, 0, 0); ref.HaltCode() != 1 {
+		t.Fatalf("vm halts %d, want 1", ref.HaltCode())
+	}
+}
+
+// TestGridKernelIsSpecialised: compiled at the benchmark's shape, the grid
+// has three loops that call no extern — init_grid's, do_computation's and
+// checksum's, do_computation's being where the engine spends its time —
+// and every int and float operator, compare, branch, load and store in
+// them has its kind-specialised form. A compiler or optimiser change that
+// loses a kind proof in the kernel fails here instead of quietly slowing
+// the engine's hottest loop.
+func TestGridKernelIsSpecialised(t *testing.T) {
+	w, err := workload.Get("grid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := w.Program(workload.Params{Nodes: 4, Size: 32, Aux: 32, Steps: 100, CheckpointInterval: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := jit.Precompile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loops := jit.ExternFreeLoops(c)
+	t.Logf("extern-free loops %v; an instruction is %d bytes", loops, jit.InsSize)
+	if len(loops) != 3 {
+		t.Fatalf("extern-free loops %v, want init_grid's, do_computation's and checksum's", loops)
+	}
+	for _, l := range loops {
+		for _, g := range jit.GenericForms(c, l) {
+			t.Error(g)
+		}
 	}
 }

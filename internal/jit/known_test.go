@@ -45,8 +45,10 @@ func TestLiteralCallsAreKnown(t *testing.T) {
 			switch in.op {
 			case jCall:
 				generic++
-				if in.a.slot < 0 && in.a.imm.Kind == heap.KFun && len(prog.Funcs[in.a.imm.I].Params) == len(in.args) {
-					t.Errorf("%s: pc %d calls %s through jCall", f, pc, prog.Funcs[in.a.imm.I].Name)
+				if int(in.a) >= c.constBase {
+					if fn := c.consts[int(in.a)-c.constBase]; fn.Kind == heap.KFun && len(prog.Funcs[fn.I].Params) == len(in.args) {
+						t.Errorf("%s: pc %d calls %s through jCall", f, pc, prog.Funcs[fn.I].Name)
+					}
 				}
 			case jCallKnown:
 				known++

@@ -55,7 +55,8 @@ func (m *Machine) Roots(yield func(heap.Value)) {
 }
 
 // Load implements rt.Core: it compiles the program to threaded code (or
-// adopts the precompiled artifact) and sizes the frame.
+// adopts the precompiled artifact), sizes the frame and fills its
+// constant area.
 func (m *Machine) Load() ([]string, error) {
 	if m.c == nil || m.c.prog != m.Program() {
 		c, err := Precompile(m.Program())
@@ -66,6 +67,7 @@ func (m *Machine) Load() ([]string, error) {
 	}
 	m.code = m.c.code
 	m.frame = make([]heap.Value, m.c.slots)
+	copy(m.frame[m.c.constBase:], m.c.consts)
 	return m.c.extNames, nil
 }
 
@@ -95,15 +97,6 @@ func (m *Machine) Invoke(fnIdx int64, args []heap.Value) error {
 	return nil
 }
 
-// ld reads one resolved operand: a live frame slot or an interned
-// immediate.
-func ld(frame []heap.Value, a *operand) heap.Value {
-	if a.slot >= 0 {
-		return frame[a.slot]
-	}
-	return a.imm
-}
-
 // gatherIns reads an instruction's operand list into the reused scratch
 // buffer; valid until the next gather.
 func (m *Machine) gatherIns(in *ins) []heap.Value {
@@ -111,11 +104,11 @@ func (m *Machine) gatherIns(in *ins) []heap.Value {
 		for i := 0; i < int(in.nargs); i++ {
 			switch i {
 			case 0:
-				m.evalbuf[0] = ld(m.frame, &in.a)
+				m.evalbuf[0] = m.frame[in.a]
 			case 1:
-				m.evalbuf[1] = ld(m.frame, &in.b)
+				m.evalbuf[1] = m.frame[in.b]
 			case 2:
-				m.evalbuf[2] = ld(m.frame, &in.c)
+				m.evalbuf[2] = m.frame[in.c]
 			}
 		}
 		return m.evalbuf[:in.nargs]
@@ -129,9 +122,19 @@ func (m *Machine) gather(args []operand) []heap.Value {
 	}
 	buf := m.argbuf[:len(args)]
 	for i := range args {
-		buf[i] = ld(m.frame, &args[i])
+		buf[i] = m.frame[args[i]]
 	}
 	return buf
+}
+
+// loadErr is the interpreter's error for a proven load that TryLoad
+// refused (ok false: Load says why) or whose word has the wrong kind.
+func (m *Machine) loadErr(in *ins, v heap.Value, ok bool) error {
+	if !ok {
+		_, err := m.Heap().Load(m.frame[in.a], m.frame[in.b].I)
+		return m.RuntimeErr(err)
+	}
+	return m.RuntimeErr(ops.CheckKind(v, in.dstTy))
 }
 
 // evalGen executes one Let node through the generic ops.Eval path — the
