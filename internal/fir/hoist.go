@@ -23,6 +23,15 @@ import (
 // one value for as long as control stays in the loop — it is invariant.
 // A pure binding whose operands are invariants or literals becomes a new
 // parameter of every member, computed once by each call entering the loop.
+//
+// The new parameters go at the same index in every member: the loop's
+// shortest arity. lang lowers a join over the variables in scope in
+// declaration order, so the members' parameters share an aligned prefix;
+// with the hoisted ones after that prefix and ahead of each member's own
+// tail, a call inside the loop passes every invariant in the slot it
+// already occupies, which the engine's move planner drops. Appended after
+// each member's own parameters instead, they would shift by one slot on
+// every call between members whose arities differ.
 
 // maxRegion bounds the functions in a loop eligible for hoisting: each
 // hoisted value is one more argument on every call inside the loop.
@@ -207,6 +216,7 @@ type hoister struct {
 	byKey   map[hoistKey]int32
 	local   map[string]int32 // hoisted bindings in scope → value
 	params  []Atom           // the accepted values' parameters, in order
+	at      int              // where they go in every member: its shortest arity
 	undo    []string
 	fresh   func() string
 	removed int
@@ -289,9 +299,11 @@ func (h *hoister) run(budget *int) int {
 	p := h.p
 	h.pos = make(map[int32]int32, len(h.members))
 	h.off = make([]int32, len(h.members)+1)
+	h.at = len(p.Funcs[h.members[0]].Params)
 	for i, v := range h.members {
 		h.pos[v] = int32(i)
 		h.off[i+1] = h.off[i] + int32(len(p.Funcs[v].Params))
+		h.at = min(h.at, len(p.Funcs[v].Params))
 	}
 	slots := h.off[len(h.members)]
 	h.parent = make([]int32, slots)
@@ -350,15 +362,20 @@ func (h *hoister) run(budget *int) int {
 	}
 
 	// Accept values while the estimated growth stays within budget; a
-	// value whose operand was refused is refused too.
+	// value whose operand was refused is refused too. An entry of the
+	// wrong arity has no slot h.at to pass them at: the loop is left alone.
 	callers := h.callers()
-	entries := 0
+	entries, wellFormed := 0, true
 	for _, i := range callers {
 		visitCalls(p.Funcs[i].Body, func(c Call) {
-			if _, ok := h.member(c); ok {
+			if j, ok := h.member(c); ok {
 				entries++
+				wellFormed = wellFormed && len(c.Args) == len(p.Funcs[h.members[j]].Params)
 			}
 		})
+	}
+	if !wellFormed {
+		return 0
 	}
 	accepted, left := 0, *budget
 	for i := range h.vals {
@@ -407,13 +424,13 @@ func (h *hoister) run(budget *int) int {
 		h.indexParams(v)
 		h.closeScope(0)
 		f.Body, _ = h.rewrite(f.Body, v, nil)
-		params := append(make([]Param, 0, len(f.Params)+len(h.params)), f.Params...)
+		params := append(make([]Param, 0, len(f.Params)+len(h.params)), f.Params[:h.at]...)
 		for _, val := range h.vals {
 			if val.ok {
 				params = append(params, Param{Name: val.name, Type: val.ty})
 			}
 		}
-		f.Params = params
+		f.Params = append(params, f.Params[h.at:]...)
 	}
 	for _, i := range callers {
 		f := p.Funcs[i]
@@ -641,7 +658,7 @@ func (h *hoister) rewrite(e Expr, v int32, sub map[string]Atom) (Expr, bool) {
 	case Call:
 		args, ach := substIn(x.Args, sub)
 		if _, in := h.member(x); in {
-			args = append(append(make([]Atom, 0, len(args)+len(h.params)), args...), h.params...)
+			args = h.insert(args, h.params)
 			ach = true
 		}
 		if !ach {
@@ -663,7 +680,7 @@ func (h *hoister) enter(c Call) (Expr, bool) {
 	callee := h.members[j]
 	names := make([]Atom, len(h.vals))
 	var lets []Let
-	args := append([]Atom(nil), c.Args...)
+	var passed []Atom
 	for i, val := range h.vals {
 		if !val.ok {
 			continue
@@ -675,14 +692,21 @@ func (h *hoister) enter(c Call) (Expr, bool) {
 		name := h.fresh()
 		names[i] = Var{Name: name}
 		lets = append(lets, Let{Dst: name, DstType: val.ty, Op: val.key.op, Args: ops})
-		args = append(args, names[i])
+		passed = append(passed, names[i])
 	}
-	var out Expr = Call{Fn: c.Fn, Args: args}
+	var out Expr = Call{Fn: c.Fn, Args: h.insert(c.Args, passed)}
 	for i := len(lets) - 1; i >= 0; i-- {
 		lets[i].Body = out
 		out = lets[i]
 	}
 	return out, true
+}
+
+// insert returns a call's arguments to a member with the hoisted values
+// passed at index h.at.
+func (h *hoister) insert(args, hoisted []Atom) []Atom {
+	out := make([]Atom, 0, len(args)+len(hoisted))
+	return append(append(append(out, args[:h.at]...), hoisted...), args[h.at:]...)
 }
 
 // entryOperand is an operand of a hoisted value at a call entering the

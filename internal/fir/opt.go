@@ -42,12 +42,15 @@ import (
 //     innermost loops are hoisted from. A parameter every call inside the
 //     region passes through unchanged is invariant; a pure binding over
 //     invariants and literals becomes a new parameter of every function in
-//     the region, computed once at each call that enters it. div/mod/shl/
-//     shr hoist only with a literal operand that cannot trap, so a trap
-//     stays where it was. Regions containing a function that escapes as a
-//     value (speculate/commit/migrate continuations, closures) are left
-//     alone: the runtime may enter those with values of its own. Hoisting
-//     spends only the bytes the passes before it saved. Counter: Hoisted.
+//     the region, computed once at each call that enters it. The new
+//     parameters go at the region's shortest arity in every member, so a
+//     call inside the loop passes them, and the members' shared prefix, in
+//     the slots they already hold. div/mod/shl/shr hoist only with a
+//     literal operand that cannot trap, so a trap stays where it was.
+//     Regions containing a function that escapes as a value (speculate/
+//     commit/migrate continuations, closures) are left alone: the runtime
+//     may enter those with values of its own. Hoisting spends only the
+//     bytes the passes before it saved. Counter: Hoisted.
 //   - Remove dead parameters (params.go) of functions used only as direct
 //     call targets — never the entry, never main, never a function that
 //     escapes as a value. A parameter is dead when it is only passed on

@@ -283,3 +283,104 @@ func TestInliningNeverGrowsTheProgram(t *testing.T) {
 		t.Errorf("program grew from %d to %d bytes", before, after)
 	}
 }
+
+// joinLoop is main → loop(i, n, a, b, p, s) ⇄ join(i, n, a, b, p, s, e):
+// the join takes one parameter more than the loop header, as lang's joins
+// over the variables in scope do, and computes the invariant a*b on every
+// iteration. join loads, so it is not inlined; main carries dead bindings
+// to pay for the hoisting.
+func joinLoop() *Program {
+	b := NewBuilder()
+	b.Let("p", TyPtr, OpAlloc, I(3))
+	b.Let("a", TyInt, OpLoad, V("p"), I(0))
+	b.Let("b", TyInt, OpLoad, V("p"), I(1))
+	b.Let("n", TyInt, OpLoad, V("p"), I(2))
+	for _, dead := range []string{"unused_a", "unused_b", "unused_c", "unused_d"} {
+		b.Let(dead, TyInt, OpAdd, V("a"), V("n"))
+	}
+	main := Fn("main", nil, b.CallNamed("loop", I(0), V("n"), V("a"), V("b"), V("p"), I(0)))
+
+	odd := NewBuilder()
+	odd.Let("d", TyInt, OpAnd, V("i"), I(1))
+	pass := func(e int64) Expr {
+		return NewBuilder().CallNamed("join", V("i"), V("n"), V("a"), V("b"), V("p"), V("s"), I(e))
+	}
+	exit := NewBuilder() // reads a and b, so neither parameter is dead
+	exit.Let("r1", TyInt, OpAdd, V("s"), V("a"))
+	exit.Let("r2", TyInt, OpAdd, V("r1"), V("b"))
+	lb := NewBuilder()
+	lb.Let("c", TyInt, OpLt, V("i"), V("n"))
+	loop := Fn("loop", Ps("i", TyInt, "n", TyInt, "a", TyInt, "b", TyInt, "p", TyPtr, "s", TyInt),
+		lb.If(V("c"), odd.If(V("d"), pass(1), pass(2)), exit.Halt(V("r2"))))
+
+	jb := NewBuilder()
+	jb.Let("x", TyInt, OpLoad, V("p"), I(0))
+	jb.Let("m", TyInt, OpMul, V("a"), V("b"))
+	jb.Let("s1", TyInt, OpAdd, V("s"), V("m"))
+	jb.Let("s2", TyInt, OpAdd, V("s1"), V("e"))
+	jb.Let("s3", TyInt, OpAdd, V("s2"), V("x"))
+	jb.Let("i1", TyInt, OpAdd, V("i"), I(1))
+	join := Fn("join", Ps("i", TyInt, "n", TyInt, "a", TyInt, "b", TyInt, "p", TyPtr, "s", TyInt, "e", TyInt),
+		jb.CallNamed("loop", V("i1"), V("n"), V("a"), V("b"), V("p"), V("s3")))
+	return NewProgram("main", main, loop, join)
+}
+
+func TestHoistedParamsKeepOneIndexAcrossTheLoop(t *testing.T) {
+	p := joinLoop()
+	st, out := optimized(t, p)
+	if st.Hoisted != 1 {
+		t.Fatalf("Hoisted = %d, want 1 (a*b in join):\n%s", st.Hoisted, out)
+	}
+	// The hoisted parameter goes at the loop's shortest arity, 6, in both.
+	members := map[string]*Function{}
+	for _, name := range []string{"loop", "join"} {
+		f, _ := p.Lookup(name)
+		if f == nil {
+			t.Fatalf("%s is gone:\n%s", name, out)
+		}
+		members[name] = f
+	}
+	const at = 6
+	hoisted := members["loop"].Params[at].Name
+	if !strings.HasPrefix(hoisted, "%") || members["join"].Params[at].Name != hoisted {
+		t.Fatalf("the hoisted parameter is not at index %d of both members:\n%s", at, out)
+	}
+	if n := len(members["join"].Params); n != 8 || members["join"].Params[n-1].Name != "e" {
+		t.Errorf("join's own extra parameter should follow the hoisted one:\n%s", out)
+	}
+	// Every call between members passes it on in place.
+	calls := 0
+	for name, f := range members {
+		visitCalls(f.Body, func(c Call) {
+			if fl, ok := c.Fn.(FunLit); ok && members[fl.Name] != nil {
+				calls++
+				if v, ok := c.Args[at].(Var); !ok || v.Name != hoisted {
+					t.Errorf("%s → %s passes %v at index %d, want its own %s", name, fl.Name, c.Args[at], at, hoisted)
+				}
+			}
+		})
+	}
+	if calls != 3 {
+		t.Errorf("%d calls between members, want 3:\n%s", calls, out)
+	}
+	// The entry computes the product once; the loop no longer does.
+	main, _ := p.Lookup("main")
+	if s := Format(NewProgram("main", main)); strings.Count(s, "mul(") != 1 {
+		t.Errorf("main should compute a*b once:\n%s", out)
+	}
+	if strings.Count(out, "mul(") != 1 {
+		t.Errorf("a member still computes a*b:\n%s", out)
+	}
+}
+
+func TestHoistingSkipsALoopEnteredWithTheWrongArity(t *testing.T) {
+	p := joinLoop()
+	main, _ := p.Lookup("main")
+	main.Body, _ = mapCalls(main.Body, func(c Call) (Expr, bool) {
+		c.Args = c.Args[:3] // short of the loop's shortest arity, 6
+		return c, true
+	})
+	if st := Optimize(p); st.Hoisted != 0 {
+		t.Errorf("Hoisted = %d into a loop entered with 3 of 6 arguments:\n%s", st.Hoisted, Format(p))
+	}
+}

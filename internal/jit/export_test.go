@@ -93,3 +93,40 @@ func GenericForms(c *Compiled, fns []string) []string {
 	}
 	return out
 }
+
+// KnownCall is one known call: the function it is in, the function it
+// calls, how many single moves its argument transfer was planned as, and
+// how many of those carry a parameter of the caller out of place — to
+// another slot, while the parameter's own slot takes another value or is
+// past the callee's parameters.
+type KnownCall struct {
+	From, To       string
+	Moves, Shifted int
+}
+
+// KnownCalls lists the program's known calls in code order.
+func KnownCalls(c *Compiled) []KnownCall {
+	var out []KnownCall
+	for i := range c.fns {
+		caller := int32(len(c.fns[i].fn.Params))
+		for pc := c.fns[i].entry; pc < c.fnEnd(i); pc++ {
+			in := &c.code[pc]
+			if in.op != jCallKnown {
+				continue
+			}
+			callee := int32(len(c.fns[in.target].fn.Params))
+			k := KnownCall{From: c.fns[i].fn.Name, To: c.fns[in.target].fn.Name, Moves: len(in.moves)}
+			written := make(map[int32]bool, len(in.moves))
+			for _, mv := range in.moves {
+				written[mv.dst] = true
+			}
+			for _, mv := range in.moves {
+				if s := int32(mv.src); s < caller && (s >= callee || written[s]) {
+					k.Shifted++
+				}
+			}
+			out = append(out, k)
+		}
+	}
+	return out
+}

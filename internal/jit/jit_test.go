@@ -620,3 +620,78 @@ func TestGridKernelIsSpecialised(t *testing.T) {
 		}
 	}
 }
+
+// TestGridLoopCallsMoveInPlace: compiled at the benchmark's shape, no call
+// between two functions of one of the grid's extern-free loops moves a
+// parameter of its caller out of place, and each call between the column
+// loop's header and its join — two per cell — plans at most one move, the
+// column counter or the boundary flag. The members' shared parameters, the
+// hoisted invariants among them, sit at the same slot in caller and
+// callee, so passing them on is an identity the move planner drops; a
+// layout that shifts them costs a move per word per call. What a call
+// still moves is what it computed: a loop entry's counters and hoisted
+// values, the checksum loop's sum and counter. Per-app totals are logged.
+func TestGridLoopCallsMoveInPlace(t *testing.T) {
+	for _, name := range []string{"grid", "kvserve", "pipeline", "taskfarm", "allreduce"} {
+		w, err := workload.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := w.Defaults()
+		if name == "grid" {
+			p = workload.Params{Nodes: 4, Size: 32, Aux: 32, Steps: 100, CheckpointInterval: 50}
+		}
+		prog, err := w.Program(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := jit.Precompile(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := jit.KnownCalls(c)
+		total := 0
+		for _, k := range calls {
+			total += k.Moves
+		}
+		t.Logf("%s: %d known calls, %d planned moves", name, len(calls), total)
+		if name != "grid" {
+			continue
+		}
+		loops := jit.ExternFreeLoops(c)
+		if len(loops) != 3 {
+			t.Fatalf("extern-free loops %v, want init_grid's, do_computation's and checksum's", loops)
+		}
+		loopOf := make(map[string]int)
+		for i, l := range loops {
+			for _, f := range l {
+				loopOf[f] = i + 1
+			}
+		}
+		entered := make(map[string]bool) // called from outside its loop
+		for _, k := range calls {
+			if loopOf[k.To] != 0 && loopOf[k.From] != loopOf[k.To] {
+				entered[k.To] = true
+			}
+		}
+		hot := 0
+		for _, k := range calls {
+			if l := loopOf[k.From]; l == 0 || l != loopOf[k.To] {
+				continue
+			}
+			t.Logf("grid: %s → %s: %d moves", k.From, k.To, k.Moves)
+			if k.Shifted > 0 {
+				t.Errorf("grid: %s → %s moves %d parameters out of place", k.From, k.To, k.Shifted)
+			}
+			if k.From != k.To && !entered[k.From] && !entered[k.To] {
+				hot++
+				if k.Moves > 1 {
+					t.Errorf("grid: %s → %s plans %d moves, want at most 1", k.From, k.To, k.Moves)
+				}
+			}
+		}
+		if hot == 0 {
+			t.Error("grid: no call between the column loop's header and join")
+		}
+	}
+}
