@@ -44,8 +44,13 @@ func (h *Heap) markFrom(idx int64, youngOnly bool) {
 
 // scanRun pushes every pointer word in an arena run onto the mark stack.
 func (h *Heap) scanRun(addr, size int, youngOnly bool) {
-	for i := addr; i < addr+size; i++ {
-		if w := h.arena[i]; w.Kind == KPtr && w.I >= 0 {
+	h.scanWords(h.arena[addr:addr+size], youngOnly)
+}
+
+// scanWords pushes every pointer word in words onto the mark stack.
+func (h *Heap) scanWords(words []Value, youngOnly bool) {
+	for _, w := range words {
+		if w.Kind == KPtr && w.I >= 0 {
 			h.markFrom(w.I, youngOnly)
 		}
 	}
@@ -60,13 +65,11 @@ func (h *Heap) drainMarkStack(youngOnly bool) {
 	}
 }
 
-// run is a contiguous live region of the arena due to be relocated:
-// either an entry's current copy or a shadow's preserved original.
+// run is an entry's block: a contiguous live region of the arena due to
+// be relocated.
 type run struct {
 	addr, size int
-	entry      int64 // table index when >= 0
-	levelPos   int   // shadow owner when entry < 0
-	shadowPos  int
+	entry      int64
 }
 
 // liveRuns collects every live run at or above the floor address, sorted by
@@ -79,36 +82,24 @@ func (h *Heap) liveRuns(floor int) []run {
 			runs = append(runs, run{addr: e.Addr, size: e.Size, entry: int64(i)})
 		}
 	}
-	for lp := range h.levels {
-		for sp := range h.levels[lp].shadows {
-			s := &h.levels[lp].shadows[sp]
-			if s.OldAddr >= floor {
-				runs = append(runs, run{addr: s.OldAddr, size: s.OldSize, entry: -1, levelPos: lp, shadowPos: sp})
-			}
-		}
-	}
 	slices.SortFunc(runs, func(a, b run) int { return a.addr - b.addr })
 	h.runsScratch = runs
 	return runs
 }
 
-// relocate moves a run to dst and updates its owner's address.
+// relocate moves a run to dst and updates its entry's address.
 func (h *Heap) relocate(r run, dst int) {
 	if dst != r.addr {
 		copy(h.arena[dst:dst+r.size], h.arena[r.addr:r.addr+r.size])
 		h.stats.WordsMoved += uint64(r.size)
 	}
-	if r.entry >= 0 {
-		h.table[r.entry].Addr = dst
-	} else {
-		h.levels[r.levelPos].shadows[r.shadowPos].OldAddr = dst
-	}
+	h.table[r.entry].Addr = dst
 }
 
 // markMajor runs a full mark phase: roots, speculation continuations (via
-// root providers), and all checkpoint records. Shadowed entries and their
-// preserved originals are pinned — they are the "valid blocks in the heap
-// whose pointer table entry refers to a different block" of §4.1.
+// root providers), and all checkpoint records. Shadowed entries are pinned,
+// and their saved words are scanned: the blocks those words reference are
+// live again after a rollback.
 func (h *Heap) markMajor() {
 	h.markScratch = h.markScratch[:0]
 	h.gatherRoots(h.markRootMajor)
@@ -118,8 +109,7 @@ func (h *Heap) markMajor() {
 		for sp := range lv.shadows {
 			s := &lv.shadows[sp]
 			h.markFrom(s.Idx, false)
-			h.drainMarkStack(false)
-			h.scanRun(s.OldAddr, s.OldSize, false)
+			h.scanWords(s.Words, false)
 			h.drainMarkStack(false)
 		}
 		// Blocks owned by open levels are pinned conservatively: the saved
@@ -156,23 +146,16 @@ func (h *Heap) clearMarks() {
 	}
 }
 
-// promoteAll moves every surviving entry and shadow into the old
-// generation and resets the young-region watermark to the allocation
-// frontier.
+// promoteAll moves every surviving entry into the old generation and
+// resets the young-region watermark to the allocation frontier.
 func (h *Heap) promoteAll() {
 	for i := range h.table {
 		if h.table[i].Addr >= 0 {
 			h.table[i].Gen = genOld
 		}
 	}
-	for lp := range h.levels {
-		for sp := range h.levels[lp].shadows {
-			h.levels[lp].shadows[sp].OldGen = genOld
-		}
-	}
 	h.watermark = h.allocPtr
 	clear(h.remembered)
-	clear(h.clonedOld)
 }
 
 // CollectMajor performs a full mark-sweep-compact collection: mark from
@@ -209,21 +192,14 @@ func (h *Heap) CollectMinor() {
 		}
 	}
 	h.drainMarkStack(true)
-	// Young clones of previously old entries are referenced from old blocks
-	// the write barrier never saw change; pin them like roots.
-	for idx := range h.clonedOld {
-		h.markFrom(idx, true)
-	}
-	h.drainMarkStack(true)
-	// Checkpoint records pin their entries and their preserved copies may
-	// reference young blocks regardless of the record's own region.
+	// Checkpoint records pin their entries, and their saved words may
+	// reference young blocks whatever the entry's own generation.
 	for lp := range h.levels {
 		lv := &h.levels[lp]
 		for sp := range lv.shadows {
 			s := &lv.shadows[sp]
 			h.markFrom(s.Idx, true)
-			h.drainMarkStack(true)
-			h.scanRun(s.OldAddr, s.OldSize, true)
+			h.scanWords(s.Words, true)
 			h.drainMarkStack(true)
 		}
 		for _, r := range lv.owned {
@@ -293,18 +269,6 @@ func (h *Heap) CheckInvariants() error {
 		}
 		spans = append(spans, span{e.Addr, e.Addr + e.Size})
 	}
-	for lp := range h.levels {
-		for sp := range h.levels[lp].shadows {
-			s := &h.levels[lp].shadows[sp]
-			if !h.validLive(s.Idx) {
-				return fmt.Errorf("shadow at level %d refers to free entry %d", lp+1, s.Idx)
-			}
-			if s.OldAddr < 0 || s.OldAddr+s.OldSize > h.allocPtr {
-				return fmt.Errorf("shadow run [%d,%d) beyond allocPtr %d", s.OldAddr, s.OldAddr+s.OldSize, h.allocPtr)
-			}
-			spans = append(spans, span{s.OldAddr, s.OldAddr + s.OldSize})
-		}
-	}
 	slices.SortFunc(spans, func(a, b span) int { return a.lo - b.lo })
 	for i := 1; i < len(spans); i++ {
 		if spans[i].lo < spans[i-1].hi {
@@ -313,15 +277,36 @@ func (h *Heap) CheckInvariants() error {
 	}
 	// No live run may contain a dangling pointer word.
 	for i := range h.table {
-		e := &h.table[i]
-		if e.Addr < 0 {
-			continue
+		if e := &h.table[i]; e.Addr >= 0 {
+			if j, to, ok := h.danglingWord(h.arena[e.Addr : e.Addr+e.Size]); ok {
+				return fmt.Errorf("entry %d word %d holds dangling pointer to %d", i, j, to)
+			}
 		}
-		for j := e.Addr; j < e.Addr+e.Size; j++ {
-			if w := h.arena[j]; w.Kind == KPtr && w.I >= 0 && !h.validLive(w.I) {
-				return fmt.Errorf("entry %d word %d holds dangling pointer to %d", i, j-e.Addr, w.I)
+	}
+	// A shadow saves its whole block, and its words are as live as the
+	// block's: a rollback copies them back.
+	for lp := range h.levels {
+		for _, s := range h.levels[lp].shadows {
+			if !h.validLive(s.Idx) {
+				return fmt.Errorf("shadow at level %d refers to free entry %d", lp+1, s.Idx)
+			}
+			if len(s.Words) != h.table[s.Idx].Size {
+				return fmt.Errorf("shadow of entry %d at level %d holds %d words, block has %d", s.Idx, lp+1, len(s.Words), h.table[s.Idx].Size)
+			}
+			if j, to, ok := h.danglingWord(s.Words); ok {
+				return fmt.Errorf("shadow of entry %d at level %d: word %d holds dangling pointer to %d", s.Idx, lp+1, j, to)
 			}
 		}
 	}
 	return nil
+}
+
+// danglingWord finds the first pointer word in words whose entry is free.
+func (h *Heap) danglingWord(words []Value) (at int, to int64, ok bool) {
+	for j, w := range words {
+		if w.Kind == KPtr && w.I >= 0 && !h.validLive(w.I) {
+			return j, w.I, true
+		}
+	}
+	return 0, 0, false
 }

@@ -249,6 +249,22 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	checkInv(t, h2)
 }
 
+// TestRestoreRejectsMisSizedShadow: rollback copies a checkpoint record
+// back over its block word for word, so a snapshot whose record is not
+// block-sized cannot be restored.
+func TestRestoreRejectsMisSizedShadow(t *testing.T) {
+	h := New(Config{})
+	p := mustAlloc(t, h, 3)
+	h.EnterLevel()
+	mustStore(t, h, p, 0, IntVal(1))
+	snap := h.Snapshot()
+	sh := &snap.Levels[0].Shadows[0]
+	sh.Words = sh.Words[:2]
+	if _, err := Restore(snap, Config{}); !errors.Is(err, ErrShadowSize) {
+		t.Fatalf("Restore with a 2-word shadow of a 3-word block: err = %v, want ErrShadowSize", err)
+	}
+}
+
 func TestSnapshotAfterGCPreservesIndices(t *testing.T) {
 	h := New(Config{})
 	roots := &rootSet{}

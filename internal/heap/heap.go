@@ -3,6 +3,7 @@ package heap
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Generation tags for the generational collector.
@@ -86,15 +87,36 @@ type entry struct {
 }
 
 // Shadow is a checkpoint record (§4.1): it preserves the pre-modification
-// copy of a block that was cloned by copy-on-write inside a speculation
-// level. The pointer-table entry for Idx currently refers to the clone; the
-// shadow keeps the original alive so rollback can restore it.
+// words of a block that copy-on-write saved inside a speculation level.
+// The block itself stays where it is and takes the level's writes in
+// place; Words, a buffer off the arena, holds its contents at the first
+// write, and OldLevel the level that owned it then, so rollback can copy
+// them back.
 type Shadow struct {
 	Idx      int64
-	OldAddr  int
-	OldSize  int
-	OldGen   uint8
+	Words    []Value
 	OldLevel int64
+}
+
+// shadowPool recycles shadow buffers across every heap in the process:
+// node heaps are short-lived, and a checkpointing loop saves blocks of
+// the same sizes level after level.
+var shadowPool sync.Pool
+
+// shadowWords returns a pooled buffer of n words. A pooled buffer too
+// small for n is left to the garbage collector, so the pool drifts
+// towards the sizes asked for.
+func shadowWords(n int) []Value {
+	if b, ok := shadowPool.Get().([]Value); ok && cap(b) >= n {
+		return b[:n]
+	}
+	return make([]Value, n)
+}
+
+// dropShadow returns a shadow's buffer to the pool.
+func dropShadow(s *Shadow) {
+	shadowPool.Put(s.Words)
+	s.Words = nil
 }
 
 // ref is a versioned reference to a table slot, immune to slot reuse.
@@ -116,7 +138,7 @@ type level struct {
 // Stats counts heap activity for the benchmark harness.
 type Stats struct {
 	Allocs          uint64 // blocks allocated
-	AllocWords      uint64 // words allocated (incl. clones)
+	AllocWords      uint64 // arena words allocated by Alloc (a clone's saved words count in CloneWords)
 	Clones          uint64 // copy-on-write clones
 	CloneWords      uint64
 	MinorGCs        uint64
@@ -142,12 +164,6 @@ type Heap struct {
 	seq       uint64
 
 	remembered map[int64]bool // old entries that may hold young pointers
-	// clonedOld pins entries whose current copy is a young clone of a
-	// previously old block. Old blocks may reference such an entry from
-	// before the clone (no write barrier fired — the referencing word never
-	// changed), so minor collections must treat it as a root until the next
-	// promotion makes it old again.
-	clonedOld map[int64]bool
 
 	// Incremental-snapshot state (delta.go). dirty is nil when tracking is
 	// off; levelsChanged notes an ordinal-shifting level commit since the
@@ -192,7 +208,6 @@ func New(cfg Config) *Heap {
 		arena:      make([]Value, cfg.InitialWords),
 		nextLevel:  1,
 		remembered: make(map[int64]bool),
-		clonedOld:  make(map[int64]bool),
 		// Pre-size the pointer table and its free list: short-lived heaps
 		// (one per node per run) otherwise spend a handful of allocations
 		// each just growing these from nil.
@@ -359,7 +374,6 @@ func (h *Heap) freeEntry(idx int64) {
 	e.Version++
 	h.freeList = append(h.freeList, idx)
 	delete(h.remembered, idx)
-	delete(h.clonedOld, idx)
 	h.dirtied(idx)
 	h.stats.EntriesFreed++
 }
@@ -417,7 +431,7 @@ func (h *Heap) TryLoad(ptr Value, off int64) (v Value, ok bool) {
 // TryStore is Store's fast path for its common case: an int or float word
 // stored into a block the current speculation level already owns, with
 // delta tracking off. It reports false, and writes nothing, wherever Store
-// would fail or has more to do — a copy-on-write clone, a remembered-set
+// would fail or has more to do — a copy-on-write save, a remembered-set
 // entry for a pointer, a dirty mark; call Store then.
 func (h *Heap) TryStore(ptr Value, off int64, v Value) bool {
 	if ptr.Kind != KPtr || uint64(ptr.I) >= uint64(len(h.table)) || v.Kind != KInt && v.Kind != KFloat || h.dirty != nil {
@@ -435,7 +449,9 @@ func (h *Heap) TryStore(ptr Value, off int64, v Value) bool {
 // Store writes v at ptr.Off+off in the block ptr refers to, applying
 // copy-on-write when the block's current copy belongs to an older
 // speculation level (§4.3: "when a block in the heap is modified, the block
-// is cloned and the pointer table updated to point to the new copy").
+// is cloned"). The copy kept is the old one, in the level's shadow; the
+// write lands in place, so a store never allocates arena words and never
+// collects.
 func (h *Heap) Store(ptr Value, off int64, v Value) error {
 	idx, err := h.check(ptr, off)
 	if err != nil {
@@ -444,13 +460,10 @@ func (h *Heap) Store(ptr Value, off int64, v Value) error {
 	if v.Kind == KUnit {
 		return ErrBadStore
 	}
-	cur := h.curLevelID()
-	if h.table[idx].Level < cur {
-		if err := h.cowClone(idx); err != nil {
-			return err
-		}
-	}
 	e := &h.table[idx]
+	if e.Level < h.curLevelID() {
+		h.cowClone(idx)
+	}
 	// Generational write barrier: an old block may now reference a young
 	// one; remember it so minor collections can find the young block.
 	if v.Kind == KPtr && v.I >= 0 && e.Gen == genOld {
@@ -461,39 +474,20 @@ func (h *Heap) Store(ptr Value, off int64, v Value) error {
 	return nil
 }
 
-// cowClone clones the current copy of entry idx into the current
-// speculation level, recording a checkpoint record (shadow) that preserves
-// the original for rollback.
-func (h *Heap) cowClone(idx int64) error {
-	size := h.table[idx].Size
-	newAddr, err := h.allocRun(size)
-	if err != nil {
-		return err
-	}
-	// allocRun may have compacted the arena; re-read the entry after it.
+// cowClone hands entry idx to the current speculation level, saving the
+// block's words in a checkpoint record (shadow) for rollback. The block
+// keeps its address and generation.
+func (h *Heap) cowClone(idx int64) {
 	e := &h.table[idx]
-	copy(h.arena[newAddr:newAddr+size], h.arena[e.Addr:e.Addr+size])
+	words := shadowWords(e.Size)
+	copy(words, h.arena[e.Addr:e.Addr+e.Size])
 	lv := &h.levels[len(h.levels)-1]
-	lv.shadows = append(lv.shadows, Shadow{
-		Idx:      idx,
-		OldAddr:  e.Addr,
-		OldSize:  e.Size,
-		OldGen:   e.Gen,
-		OldLevel: e.Level,
-	})
+	lv.shadows = append(lv.shadows, Shadow{Idx: idx, Words: words, OldLevel: e.Level})
 	lv.owned = append(lv.owned, ref{idx: idx, ver: e.Version})
-	if e.Gen == genOld {
-		// The entry turns young in place: old blocks referencing it from
-		// before the clone have an old→young edge no barrier recorded.
-		h.clonedOld[idx] = true
-	}
-	e.Addr = newAddr
-	e.Gen = genYoung // the clone lives in the young region at the tail
 	e.Level = lv.id
 	h.stats.Clones++
-	h.stats.CloneWords += uint64(size)
+	h.stats.CloneWords += uint64(e.Size)
 	h.stats.ShadowsCreated++
-	return nil
 }
 
 // BlockSize returns the size in words of the block ptr refers to.
@@ -540,6 +534,7 @@ func (h *Heap) recycleLevel(lv level) {
 	if len(h.levelPool) >= 8 {
 		return
 	}
+	clear(lv.shadows) // buffers a commit moved to the level below
 	h.levelPool = append(h.levelPool, level{
 		shadows: lv.shadows[:0], allocs: lv.allocs[:0], owned: lv.owned[:0],
 	})
@@ -564,10 +559,9 @@ func (h *Heap) CommitLevel(n int) error {
 	lv := h.levels[pos]
 	if pos == 0 {
 		// Fold into committed state (level 0): the speculation's changes
-		// become permanent. Shadows are discarded; their old copies become
-		// garbage for the collector to reclaim.
-		for _, s := range lv.shadows {
-			_ = s
+		// become permanent and the saved words are dropped.
+		for i := range lv.shadows {
+			dropShadow(&lv.shadows[i])
 			h.stats.ShadowsDropped++
 		}
 		for _, r := range lv.owned {
@@ -585,8 +579,9 @@ func (h *Heap) CommitLevel(n int) error {
 		for _, s := range below.shadows {
 			shadowed[s.Idx] = true
 		}
-		for _, s := range lv.shadows {
+		for i, s := range lv.shadows {
 			if shadowed[s.Idx] {
+				dropShadow(&lv.shadows[i])
 				h.stats.ShadowsDropped++
 				continue
 			}
@@ -626,15 +621,16 @@ func (h *Heap) RollbackLevel(n int) error {
 		lv := &h.levels[p]
 		// Restore shadows in reverse creation order.
 		for i := len(lv.shadows) - 1; i >= 0; i-- {
-			s := lv.shadows[i]
+			s := &lv.shadows[i]
 			e := &h.table[s.Idx]
-			e.Addr = s.OldAddr
-			e.Size = s.OldSize
-			e.Gen = s.OldGen
+			copy(h.arena[e.Addr:e.Addr+e.Size], s.Words)
 			e.Level = s.OldLevel
 			if e.Gen == genOld {
-				delete(h.clonedOld, s.Idx) // the old copy is current again
+				// The restored words may point at young blocks that only
+				// the shadow's scan kept alive.
+				h.remembered[s.Idx] = true
 			}
+			dropShadow(s)
 			h.dirtied(s.Idx)
 			h.stats.ShadowsRestored++
 		}

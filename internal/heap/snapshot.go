@@ -1,6 +1,14 @@
 package heap
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// ErrShadowSize reports a snapshot checkpoint record whose word count
+// differs from its block's: rollback copies a record back over its block
+// word for word.
+var ErrShadowSize = errors.New("heap: snapshot shadow size differs from its block's")
 
 // Snapshot is the architecture-independent image of a heap used by the
 // pack/unpack operations of process migration (§4.2.2). It preserves
@@ -56,12 +64,14 @@ func (h *Heap) ordOf(id int64) int {
 
 // View fills s with the heap's current state — the live entries, levels,
 // checkpoint records and in-level allocations Snapshot captures, with the
-// same level ordinals — without copying a block: every Words slice is a
-// window on the arena itself. s is therefore valid only until the heap
-// next changes (an allocation, store, collection or level operation),
-// and must be treated as read-only. s's slices keep their capacity across
-// calls, so a caller that views the heap every checkpoint interval
-// allocates nothing in steady state; Release drops the arena windows
+// same level ordinals — without copying a block: every entry's Words is a
+// window on the arena itself, and every shadow's Words is the heap's own
+// saved buffer. s is therefore valid only until the heap next changes (an
+// allocation, store, collection or level operation): the arena windows
+// until the next allocation, the shadow words until the next commit or
+// rollback. It must be treated as read-only. s's slices keep their
+// capacity across calls, so a caller that views the heap every checkpoint
+// interval allocates nothing in steady state; Release drops the windows
 // before s is parked in a pool.
 func (h *Heap) View(s *Snapshot) {
 	s.TableLen = len(h.table)
@@ -92,7 +102,8 @@ func (h *Heap) window(addr, size int) []Value {
 }
 
 // viewLevels fills dst (reusing its slices) with the open speculation
-// levels, outermost first; shadow words are arena windows.
+// levels, outermost first; shadow words are the heap's saved buffers,
+// clipped to their length.
 func (h *Heap) viewLevels(dst []LevelSnap) []LevelSnap {
 	n := len(h.levels)
 	if cap(dst) < n {
@@ -103,7 +114,7 @@ func (h *Heap) viewLevels(dst []LevelSnap) []LevelSnap {
 		lv, ls := &h.levels[i], &dst[i]
 		ls.Shadows, ls.Allocs = ls.Shadows[:0], ls.Allocs[:0]
 		for _, sh := range lv.shadows {
-			ls.Shadows = append(ls.Shadows, ShadowSnap{Idx: sh.Idx, OldLevel: h.ordOf(sh.OldLevel), Words: h.window(sh.OldAddr, sh.OldSize)})
+			ls.Shadows = append(ls.Shadows, ShadowSnap{Idx: sh.Idx, OldLevel: h.ordOf(sh.OldLevel), Words: sh.Words[:len(sh.Words):len(sh.Words)]})
 		}
 		for _, r := range lv.allocs {
 			if h.refValid(r) {
@@ -114,9 +125,9 @@ func (h *Heap) viewLevels(dst []LevelSnap) []LevelSnap {
 	return dst
 }
 
-// Release drops every arena window a View left in s, keeping the slices'
-// capacity for the next View, so a pooled view never pins the arena of a
-// heap that has since grown, compacted or been discarded.
+// Release drops every window a View left in s, keeping the slices'
+// capacity for the next View, so a pooled view never pins the arena or
+// the saved words of a heap that has since moved on or been discarded.
 func (s *Snapshot) Release() {
 	clear(s.Entries[:cap(s.Entries)])
 	for i := range s.Levels[:cap(s.Levels)] {
@@ -170,18 +181,11 @@ func (h *Heap) Snapshot() *Snapshot {
 // Restore builds a fresh heap from a snapshot. This is the unpack
 // operation: block data is laid out in a new arena (entry order), the
 // pointer table is rebuilt at the original size with original indices, and
-// the speculation-level stack is reconstructed with fresh level IDs.
+// the speculation-level stack is reconstructed with fresh level IDs. The
+// checkpoint records' words go to saved buffers off the arena.
 func Restore(s *Snapshot, cfg Config) (*Heap, error) {
 	cfg = cfg.withDefaults()
-	need := 0
-	for _, e := range s.Entries {
-		need += len(e.Words)
-	}
-	for _, lv := range s.Levels {
-		for _, sh := range lv.Shadows {
-			need += len(sh.Words)
-		}
-	}
+	need := s.EntryWords()
 	if cfg.InitialWords < need {
 		cfg.InitialWords = need
 	}
@@ -241,18 +245,12 @@ func Restore(s *Snapshot, cfg Config) (*Heap, error) {
 			if sh.OldLevel < 0 || sh.OldLevel > len(s.Levels) {
 				return nil, fmt.Errorf("heap: snapshot shadow has level %d of %d", sh.OldLevel, len(s.Levels))
 			}
-			addr, err := h.allocRun(len(sh.Words))
-			if err != nil {
-				return nil, err
+			if len(sh.Words) != h.table[sh.Idx].Size {
+				return nil, fmt.Errorf("%w: entry %d has %d words, its shadow %d", ErrShadowSize, sh.Idx, h.table[sh.Idx].Size, len(sh.Words))
 			}
-			copy(h.arena[addr:addr+len(sh.Words)], sh.Words)
-			lv.shadows = append(lv.shadows, Shadow{
-				Idx:      sh.Idx,
-				OldAddr:  addr,
-				OldSize:  len(sh.Words),
-				OldGen:   genOld,
-				OldLevel: ordinalID[sh.OldLevel],
-			})
+			words := shadowWords(len(sh.Words))
+			copy(words, sh.Words)
+			lv.shadows = append(lv.shadows, Shadow{Idx: sh.Idx, Words: words, OldLevel: ordinalID[sh.OldLevel]})
 		}
 		for _, idx := range ls.Allocs {
 			if idx < 0 || idx >= int64(s.TableLen) {

@@ -4,6 +4,12 @@
 // levels (§4.3), and the mark-sweep compacting collection mechanism the
 // collector policy in internal/gc drives.
 //
+// Copy-on-write keeps the pre-image, not the new copy, apart: a level's
+// first write to a block saves the block's words in the level's shadow, a
+// buffer off the arena, and the write lands in place. Commit drops the
+// shadow; rollback copies it back. A store therefore never allocates
+// arena words or collects.
+//
 // The pointer table (§4.1.1) is the load-bearing idea: source-level
 // pointers are (base, offset) pairs where base is an index into the table,
 // never a machine address. Because no real addresses are ever stored in

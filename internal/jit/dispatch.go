@@ -266,8 +266,8 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 
 		case jStoreK:
 			if !h.TryStore(frame[in.a], frame[in.b].I, frame[in.c]) {
-				// The full store may clone a block, and so collect: the
-				// root window must be this node's.
+				// The full store may fail: pc must name this node, as
+				// for every fallible instruction.
 				m.pc = pc
 				if err := h.Store(frame[in.a], frame[in.b].I, frame[in.c]); err != nil {
 					return exec + 1, m.RuntimeErr(err)
@@ -678,8 +678,8 @@ func (m *Machine) runSeg(budget uint64) (uint64, error) {
 			}
 			for i := range in.run {
 				el := &in.run[i]
-				// A store may trigger a collection (copy-on-write clone):
-				// point pc at the component so the root window matches.
+				// A store may fail: point pc at the component it came
+				// from.
 				m.pc = pc + 1 + i
 				v := frame[el.val]
 				if err := h.Store(base, el.off, v); err != nil {
