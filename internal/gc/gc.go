@@ -12,12 +12,10 @@ import "repro/internal/heap"
 // Policy is a heap.Collector: minor-first generational collection with
 // escalation to a major (full, compacting) collection when the minor phase
 // does not recover enough space, plus a periodic forced major collection
-// to bound fragmentation and drift.
+// to bound fragmentation and drift. A minor escalates when used+need
+// still exceeds heap.Headroom of the arena, the fraction the heap also
+// sizes a grown arena by.
 type Policy struct {
-	// HeadroomFactor escalates to a major collection when, after a minor
-	// collection, used+need exceeds this fraction of the arena. Default
-	// 0.85.
-	HeadroomFactor float64
 	// MajorEvery forces a major collection after this many consecutive
 	// minors. Default 16. Zero disables the forcing.
 	MajorEvery int
@@ -37,7 +35,7 @@ type Stats struct {
 
 // New returns a policy with default tuning.
 func New() *Policy {
-	return &Policy{HeadroomFactor: 0.85, MajorEvery: 16}
+	return &Policy{MajorEvery: 16}
 }
 
 // Stats returns a copy of the policy counters.
@@ -45,10 +43,6 @@ func (p *Policy) Stats() Stats { return p.stats }
 
 // Collect implements heap.Collector.
 func (p *Policy) Collect(h *heap.Heap, need int) error {
-	headroom := p.HeadroomFactor
-	if headroom <= 0 || headroom > 1 {
-		headroom = 0.85
-	}
 	before := h.UsedWords()
 
 	forced := p.MajorEvery > 0 && p.minorsSinceMajor >= p.MajorEvery
@@ -61,7 +55,7 @@ func (p *Policy) Collect(h *heap.Heap, need int) error {
 		h.CollectMinor()
 		p.stats.MinorRuns++
 		p.minorsSinceMajor++
-		if float64(h.UsedWords()+need) > headroom*float64(h.ArenaWords()) {
+		if float64(h.UsedWords()+need) > heap.Headroom*float64(h.ArenaWords()) {
 			h.CollectMajor()
 			p.stats.MajorRuns++
 			p.stats.Escalations++
@@ -71,17 +65,5 @@ func (p *Policy) Collect(h *heap.Heap, need int) error {
 	if after := h.UsedWords(); after < before {
 		p.stats.WordsRecycled += uint64(before - after)
 	}
-	return nil
-}
-
-// MajorOnly is a degenerate policy that always runs a full compacting
-// collection. It exists for ablations and for deterministic tests that
-// need every collection to be total.
-type MajorOnly struct{ Runs uint64 }
-
-// Collect implements heap.Collector.
-func (m *MajorOnly) Collect(h *heap.Heap, need int) error {
-	h.CollectMajor()
-	m.Runs++
 	return nil
 }

@@ -87,16 +87,3 @@ func TestPolicyForcedMajor(t *testing.T) {
 		t.Fatalf("no forced major after %d minors: %+v", p.Stats().MinorRuns, p.Stats())
 	}
 }
-
-func TestMajorOnly(t *testing.T) {
-	h := heap.New(heap.Config{InitialWords: 256, MaxWords: 256})
-	m := &MajorOnly{}
-	h.SetCollector(m)
-	churn(t, h, 100, 16)
-	if m.Runs == 0 {
-		t.Fatal("MajorOnly never ran")
-	}
-	if h.Stats().MajorGCs != m.Runs {
-		t.Fatalf("heap majors %d != policy runs %d", h.Stats().MajorGCs, m.Runs)
-	}
-}

@@ -204,6 +204,65 @@ func TestOutOfMemory(t *testing.T) {
 			t.Fatalf("%+v: Alloc beyond cap: err = %v, want ErrOutOfMemory", cfg, err)
 		}
 	}
+	// A growth that would overshoot the cap is clamped to it, and the
+	// arena fills to the last word before an allocation fails.
+	const block, maxWords = 65536, 65536 + 8
+	h := New(Config{MaxWords: maxWords})
+	mustAlloc(t, h, block)
+	mustAlloc(t, h, maxWords-block)
+	if got := h.ArenaWords(); got != maxWords {
+		t.Fatalf("full arena holds %d words, want the cap %d", got, maxWords)
+	}
+	if _, err := h.Alloc(1); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("Alloc past a full capped arena: err = %v, want ErrOutOfMemory", err)
+	}
+	checkInv(t, h)
+}
+
+// TestBlockAllocLeavesHeadroom: an arena grown for a block-sized request
+// keeps room beyond it, so the small allocations that follow neither
+// collect nor grow it again.
+func TestBlockAllocLeavesHeadroom(t *testing.T) {
+	h := New(Config{})
+	roots := &rootSet{}
+	roots.attach(h)
+	collections := 0
+	h.SetCollector(collectorFunc(func(h *Heap, need int) error {
+		collections++
+		h.CollectMinor()
+		if float64(h.UsedWords()+need) > Headroom*float64(h.ArenaWords()) {
+			h.CollectMajor()
+		}
+		return nil
+	}))
+	roots.vals = []Value{mustAlloc(t, h, 65536)}
+	grown, first := collections, h.Stats()
+	for i := 0; i < 30; i++ {
+		roots.vals = append(roots.vals, mustAlloc(t, h, 3))
+	}
+	st := h.Stats()
+	if st.Grows != 1 || collections != grown || st.WordsMoved != first.WordsMoved {
+		t.Fatalf("after the block: %d grows (want 1), collections %d -> %d, words moved %d -> %d",
+			st.Grows, grown, collections, first.WordsMoved, st.WordsMoved)
+	}
+	checkInv(t, h)
+}
+
+// TestRestoreLeavesHeadroom: a restored image larger than the default
+// arena gets the headroom growth would give it, so the first allocation
+// after the restore does not grow it.
+func TestRestoreLeavesHeadroom(t *testing.T) {
+	h := New(Config{})
+	mustAlloc(t, h, 65536)
+	h2, err := Restore(h.Snapshot(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAlloc(t, h2, 3)
+	if g := h2.Stats().Grows; g != 0 {
+		t.Fatalf("restored heap grew %d times on its first small allocation", g)
+	}
+	checkInv(t, h2)
 }
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {

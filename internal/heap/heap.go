@@ -3,6 +3,7 @@ package heap
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -39,8 +40,9 @@ type Collector interface {
 // Config configures a heap instance.
 type Config struct {
 	// InitialWords is the starting arena capacity in words (default 4096,
-	// or MaxWords when that is smaller). The arena doubles on demand up to
-	// MaxWords, so the default decides how much zeroed memory a
+	// or MaxWords when that is smaller). The arena grows on demand up to
+	// MaxWords, each time to at least twice its size and to at most
+	// Headroom full, so the default decides how much zeroed memory a
 	// short-lived heap pays for up front against how many regrowths a
 	// working one pays for. At the benchmark's shapes the grid's and
 	// kvserve's node heaps outgrew 1024 words at once, on every start and
@@ -71,6 +73,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Headroom is the fullest fraction of the arena the heap aims to run at
+// once it has collected: the collection policy escalates to a major
+// collection above it, and a grown arena holds what it must at no more
+// than this fraction of its size.
+const Headroom = 0.85
+
+// grownWords returns the arena size for a heap of cur words that must hold
+// want: twice the current size, or enough that want fills at most
+// Headroom of it when that is more, capped at maxWords. Sizing only by
+// doubling can land a block-sized request on an exactly full arena, which
+// the next few words then collect in vain and double again.
+func grownWords(cur, want, maxWords int) int {
+	return min(max(2*cur, int(math.Ceil(float64(want)/Headroom))), maxWords)
+}
+
 // entry is a pointer-table entry: the block header of §4.1.1. Addr is the
 // word offset of the block's current copy in the arena (-1 when the slot is
 // free). Level is the ID of the speculation level that created the current
@@ -96,27 +113,31 @@ type Shadow struct {
 	Idx      int64
 	Words    []Value
 	OldLevel int64
+	buf      *[]Value // Words' pooled backing, handed back by dropShadow
 }
 
 // shadowPool recycles shadow buffers across every heap in the process:
 // node heaps are short-lived, and a checkpointing loop saves blocks of
-// the same sizes level after level.
+// the same sizes level after level. It holds *[]Value, so a Put boxes
+// nothing.
 var shadowPool sync.Pool
 
-// shadowWords returns a pooled buffer of n words. A pooled buffer too
-// small for n is left to the garbage collector, so the pool drifts
-// towards the sizes asked for.
-func shadowWords(n int) []Value {
-	if b, ok := shadowPool.Get().([]Value); ok && cap(b) >= n {
-		return b[:n]
+// newShadow saves a copy of words in a pooled buffer. A pooled buffer too
+// small for them is replaced, so the pool drifts towards the sizes asked
+// for.
+func newShadow(idx int64, words []Value, oldLevel int64) Shadow {
+	b, ok := shadowPool.Get().(*[]Value)
+	if !ok {
+		b = new([]Value)
 	}
-	return make([]Value, n)
+	*b = append((*b)[:0], words...)
+	return Shadow{Idx: idx, Words: *b, OldLevel: oldLevel, buf: b}
 }
 
 // dropShadow returns a shadow's buffer to the pool.
 func dropShadow(s *Shadow) {
-	shadowPool.Put(s.Words)
-	s.Words = nil
+	shadowPool.Put(s.buf)
+	s.Words, s.buf = nil, nil
 }
 
 // ref is a versioned reference to a table slot, immune to slot reuse.
@@ -312,42 +333,27 @@ func (h *Heap) Alloc(size int64) (Value, error) {
 // allocRun reserves size words at the arena tail, collecting or growing as
 // needed.
 func (h *Heap) allocRun(size int) (int, error) {
-	if h.allocPtr+size <= len(h.arena) {
-		a := h.allocPtr
-		h.allocPtr += size
-		return a, nil
-	}
-	if h.collector != nil {
-		if err := h.collector.Collect(h, size); err != nil {
-			return 0, err
-		}
-		if h.allocPtr+size <= len(h.arena) {
-			a := h.allocPtr
-			h.allocPtr += size
-			return a, nil
-		}
-	}
-	// Grow: double until it fits, capped at MaxWords.
 	want := h.allocPtr + size
-	if want > h.cfg.MaxWords {
-		return 0, fmt.Errorf("%w: need %d words, cap %d", ErrOutOfMemory, want, h.cfg.MaxWords)
+	if want > len(h.arena) {
+		if h.collector != nil {
+			if err := h.collector.Collect(h, size); err != nil {
+				return 0, err
+			}
+			want = h.allocPtr + size
+		}
+		if want > len(h.arena) {
+			// Still no room after collecting: grow once, with headroom.
+			if want > h.cfg.MaxWords {
+				return 0, fmt.Errorf("%w: need %d words, cap %d", ErrOutOfMemory, want, h.cfg.MaxWords)
+			}
+			na := make([]Value, grownWords(len(h.arena), want, h.cfg.MaxWords))
+			copy(na, h.arena[:h.allocPtr])
+			h.arena = na
+			h.stats.Grows++
+		}
 	}
-	newCap := len(h.arena)
-	if newCap == 0 {
-		newCap = 1
-	}
-	for newCap < want {
-		newCap *= 2
-	}
-	if newCap > h.cfg.MaxWords {
-		newCap = h.cfg.MaxWords
-	}
-	na := make([]Value, newCap)
-	copy(na, h.arena[:h.allocPtr])
-	h.arena = na
-	h.stats.Grows++
 	a := h.allocPtr
-	h.allocPtr += size
+	h.allocPtr = want
 	return a, nil
 }
 
@@ -479,10 +485,8 @@ func (h *Heap) Store(ptr Value, off int64, v Value) error {
 // keeps its address and generation.
 func (h *Heap) cowClone(idx int64) {
 	e := &h.table[idx]
-	words := shadowWords(e.Size)
-	copy(words, h.arena[e.Addr:e.Addr+e.Size])
 	lv := &h.levels[len(h.levels)-1]
-	lv.shadows = append(lv.shadows, Shadow{Idx: idx, Words: words, OldLevel: e.Level})
+	lv.shadows = append(lv.shadows, newShadow(idx, h.arena[e.Addr:e.Addr+e.Size], e.Level))
 	lv.owned = append(lv.owned, ref{idx: idx, ver: e.Version})
 	e.Level = lv.id
 	h.stats.Clones++

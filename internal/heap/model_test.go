@@ -32,6 +32,7 @@ type heapModel struct {
 	h     *Heap
 	cur   modelState
 	saved []modelState
+	grows int // arena growths the allocations caused
 }
 
 func (hm *heapModel) attach() {
@@ -58,13 +59,21 @@ func (hm *heapModel) attach() {
 func (hm *heapModel) step(rng *rand.Rand) {
 	h, m := hm.h, &hm.cur
 	pick := func() Value { return m.roots[rng.Intn(len(m.roots))] }
-	switch op := rng.Intn(16); {
-	case op < 3: // alloc; a few small rooted blocks keep pointer stores and overwrites dense
+	switch op := rng.Intn(17); {
+	case op < 3, op == 15: // alloc; a few small rooted blocks keep pointer stores and overwrites dense
 		n := 1 + rng.Intn(6)
+		if op == 15 {
+			// Now and then a block larger than the free arena, so growth
+			// runs with live data and open levels (bounded, so the live
+			// set stays far below MaxWords).
+			n = min(h.ArenaWords()-h.UsedWords()+1+rng.Intn(8), 1024)
+		}
+		grows := h.Stats().Grows
 		p, err := h.Alloc(int64(n))
 		if err != nil {
 			hm.t.Fatalf("alloc: %v", err)
 		}
+		hm.grows += int(h.Stats().Grows - grows)
 		m.blocks[p.I] = make([]Value, n)
 		for i := range m.blocks[p.I] {
 			m.blocks[p.I][i] = IntVal(0)
@@ -171,11 +180,13 @@ func (hm *heapModel) verify() {
 	}
 }
 
-// TestQuickHeapMatchesModel drives random allocations, stores, level
-// enters, commits at any ordinal, rollbacks, collections and snapshot
-// round trips against the model, so a rollback that restores the wrong
-// words — not just a broken invariant — fails.
+// TestQuickHeapMatchesModel drives random allocations (some larger than
+// the free arena), stores, level enters, commits at any ordinal,
+// rollbacks, collections and snapshot round trips against the model, so a
+// rollback that restores the wrong words — not just a broken invariant —
+// fails.
 func TestQuickHeapMatchesModel(t *testing.T) {
+	grows := 0
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		hm := &heapModel{
@@ -188,9 +199,13 @@ func TestQuickHeapMatchesModel(t *testing.T) {
 			hm.step(rng)
 			hm.verify()
 		}
+		grows += hm.grows
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+	if grows == 0 {
+		t.Fatal("no allocation grew the arena")
 	}
 }

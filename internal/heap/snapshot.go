@@ -185,12 +185,12 @@ func (h *Heap) Snapshot() *Snapshot {
 // checkpoint records' words go to saved buffers off the arena.
 func Restore(s *Snapshot, cfg Config) (*Heap, error) {
 	cfg = cfg.withDefaults()
-	need := s.EntryWords()
-	if cfg.InitialWords < need {
-		cfg.InitialWords = need
-	}
-	if cfg.MaxWords < cfg.InitialWords {
-		cfg.MaxWords = cfg.InitialWords
+	// An image larger than the configured arena gets the size growth would
+	// give it, headroom included, so the first allocation after a restore
+	// does not have to grow it again.
+	if need := s.EntryWords(); cfg.InitialWords < need {
+		cfg.MaxWords = max(cfg.MaxWords, need)
+		cfg.InitialWords = grownWords(cfg.InitialWords, need, cfg.MaxWords)
 	}
 	h := New(cfg)
 	h.table = make([]entry, s.TableLen)
@@ -248,9 +248,7 @@ func Restore(s *Snapshot, cfg Config) (*Heap, error) {
 			if len(sh.Words) != h.table[sh.Idx].Size {
 				return nil, fmt.Errorf("%w: entry %d has %d words, its shadow %d", ErrShadowSize, sh.Idx, h.table[sh.Idx].Size, len(sh.Words))
 			}
-			words := shadowWords(len(sh.Words))
-			copy(words, sh.Words)
-			lv.shadows = append(lv.shadows, Shadow{Idx: sh.Idx, Words: words, OldLevel: ordinalID[sh.OldLevel]})
+			lv.shadows = append(lv.shadows, newShadow(sh.Idx, sh.Words, ordinalID[sh.OldLevel]))
 		}
 		for _, idx := range ls.Allocs {
 			if idx < 0 || idx >= int64(s.TableLen) {
