@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -173,6 +174,45 @@ func TestExecuteSmallSweep(t *testing.T) {
 	}
 	if res.Scenarios != 12 {
 		t.Fatalf("ran %d scenarios, want 12", res.Scenarios)
+	}
+}
+
+// TestExecuteJoinsWorkers: a distributed scenario with a resurrection
+// leaves none of its workers running once Execute has returned, and no
+// goroutine behind once a short settle has let Execute's own runner exit.
+// Unjoined, the killed and the finished incarnations are still closing
+// their links for a millisecond or so after the verdict.
+func TestExecuteJoinsWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live distributed scenarios")
+	}
+	for _, repro := range []string{`#! app=grid nodes=2 size=3 steps=6 ck=2 aux=6 workers=1 engine=jit ckpt=async
+#! net salt=3303016329424715791 drop=21 dup=7 hold=20 holdbudget=3 reorder=0
+crashresurrect 1@2 delay=20ms
+`, `#! app=grid nodes=3 size=5 steps=2 ck=1 aux=6 engine=jit ckpt=async
+#! net salt=4231909740397749873 drop=25 dup=0 hold=0 holdbudget=0 reorder=0
+fail 2@1 delay=ck:2
+crashresurrect 2@2 delay=2ms
+`} {
+		s, err := ParseRepro(strings.NewReader(repro))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		if rep := Execute(s, ExecConfig{Timeout: 30 * time.Second}); rep.Outcome != OutcomeOK {
+			t.Fatalf("%s: %s: %v", s, rep.Outcome, rep.Err)
+		}
+		buf := make([]byte, 1<<20)
+		if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "workload.RunWorker") {
+			t.Fatalf("%s: a worker outlived Execute:\n%s", s, stacks)
+		}
+		after := runtime.NumGoroutine()
+		for deadline := time.Now().Add(100 * time.Millisecond); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if after > before {
+			t.Fatalf("%s: %d goroutines after Execute, %d before:\n%s", s, after, before, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

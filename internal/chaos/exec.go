@@ -232,9 +232,19 @@ func runScenario(s *Scenario, cfg ExecConfig) error {
 	}
 
 	var (
-		specMu sync.Mutex
-		specs  []*workload.WorkerConfig
+		specMu  sync.Mutex
+		specs   []*workload.WorkerConfig
+		over    bool // the run has returned: spawn nothing more
+		workers sync.WaitGroup
 	)
+	// Join every worker incarnation before the verdict, so none is still
+	// dialling the closed hub or store when the next scenario starts.
+	defer func() {
+		specMu.Lock()
+		over = true
+		specMu.Unlock()
+		workers.Wait()
+	}()
 	spawn := func(join string, node int64, resume string) error {
 		wc := &workload.WorkerConfig{
 			Join: join, Node: node, Params: p, Resume: resume,
@@ -243,9 +253,14 @@ func runScenario(s *Scenario, cfg ExecConfig) error {
 			Fault:     s.Net.Spec(),
 		}
 		specMu.Lock()
+		defer specMu.Unlock()
+		if over {
+			return errors.New("chaos: scenario already over")
+		}
 		specs = append(specs, wc)
-		specMu.Unlock()
+		workers.Add(1)
 		go func() {
+			defer workers.Done()
 			if _, err := workload.RunWorker(w, *wc); err != nil && err != workload.ErrNodeFailed {
 				if cfg.Logf != nil {
 					cfg.Logf("chaos: seed %d: worker %d: %v", s.Seed, node, err)

@@ -25,6 +25,7 @@ type entry[V any] struct {
 	once sync.Once
 	v    V
 	err  error
+	kept bool // filled without error; guarded by Table.mu
 }
 
 // Stats are a table's counters.
@@ -64,6 +65,7 @@ func (t *Table[K, V]) Do(key K, fill func() (V, error)) (v V, hit bool, err erro
 			delete(t.m, key)
 			return
 		}
+		e.kept = true
 		t.order = append(t.order, key)
 		for len(t.order) > t.max {
 			delete(t.m, t.order[0])
@@ -74,6 +76,17 @@ func (t *Table[K, V]) Do(key K, fill func() (V, error)) (v V, hit bool, err erro
 		}
 	})
 	return e.v, hit, e.err
+}
+
+// Peek returns the value kept under key without filling it or counting a
+// hit or a miss. An entry still being filled is not kept yet.
+func (t *Table[K, V]) Peek(key K) (v V, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e := t.m[key]; e != nil && e.kept {
+		return e.v, true
+	}
+	return v, false
 }
 
 // Stats snapshots the counters.

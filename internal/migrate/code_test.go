@@ -64,8 +64,13 @@ func TestFetchImageResolvesCodeObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(img.Code.Program, program) || img.Code.Hash != ([sha256.Size]byte{}) {
-		t.Fatal("FetchImage did not fill in the program the image names, inline")
+	if !bytes.Equal(img.Code.Program, program) || img.Code.Hash != hash {
+		t.Fatal("FetchImage did not fill in the program the image names, inline, under the hash it names it by")
+	}
+	// Unpack keys the program by that hash without hashing it again: the
+	// bytes are the very slice the code table checked.
+	if data, ok := codes.Peek(hash); !ok || &data[0] != &img.Code.Program[0] || programKey(&img.Code) != hash {
+		t.Fatal("a resolved program is not the checked slice the code table holds under its hash")
 	}
 	p, _, err := Unpack(img, untrusted("resolve"))
 	if err != nil {
@@ -158,6 +163,40 @@ func TestInlineImageCannotClaimInternedHash(t *testing.T) {
 	}
 	if _, idx := p.Program().Lookup("impostor"); idx < 0 {
 		t.Fatal("unpacked program is not the one in the image")
+	}
+}
+
+// TestBadCodeObjectIsNotTrustedByName: a code object whose bytes do not
+// hash to its name fails with ErrBadCode, even when they are a program
+// this process has interned and compiled: a resolved image's hash is only
+// trusted for bytes that were checked against it.
+func TestBadCodeObjectIsNotTrustedByName(t *testing.T) {
+	salt := fresh("badname")
+	known, err := wire.DecodeImage(saltedCheckpoint(t, salt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Unpack(known, untrusted(salt)); err != nil {
+		t.Fatal(err)
+	}
+	store := newMemStore()
+	hash := byRefCheckpoint(t, store, salt, "ck", fir.EncodeProgram(saltedProgram(fresh("badname-named"))))
+	if err := store.Put(CodeName(hash), known.Code.Program); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FetchImage(store, "ck"); !errors.Is(err, ErrBadCode) {
+		t.Fatalf("code object with another program's bytes: err = %v, want ErrBadCode", err)
+	}
+	if _, err := LoadCheckpoint(store, "ck", untrusted(salt)); !errors.Is(err, ErrBadCode) {
+		t.Fatalf("LoadCheckpoint: err = %v, want ErrBadCode", err)
+	}
+	// Nor is an inline program keyed by a hash it claims, even one whose
+	// checked bytes this process holds.
+	_, held := ProgramCode(saltedProgram(fresh("badname-held")))
+	claim := known.Code
+	claim.Hash = held
+	if programKey(&claim) != sha256.Sum256(known.Code.Program) {
+		t.Fatal("an inline program was keyed by the hash it claims")
 	}
 }
 

@@ -222,7 +222,9 @@ func FetchImage(store Store, name string) (*wire.Image, error) {
 		if err != nil {
 			return nil, fmt.Errorf("migrate: checkpoint %q: code object %s: %v: %w", name, CodeName(img.Code.Hash), err, ErrBadCode)
 		}
-		img.Code.Program, img.Code.Hash = program, [sha256.Size]byte{}
+		// Hash stays: Unpack keys the program by it instead of hashing
+		// the bytes fetchCode has just checked against it.
+		img.Code.Program = program
 	}
 	return img, nil
 }

@@ -152,6 +152,19 @@ func ProgramCode(p *fir.Program) (data []byte, hash [sha256.Size]byte) {
 	return c.data, c.hash
 }
 
+// programKey returns the SHA-256 of c's inline program. Bytes that
+// FetchImage checked against c.Hash, or that ProgramCode hashed, are the
+// very slice codes holds under it, and are not hashed again; any other
+// inline code — a node:// hand-off, a migrate.Server upload — is of
+// unknown origin, and a hash it claims is ignored.
+func programKey(c *wire.CodePart) [sha256.Size]byte {
+	if data, ok := codes.Peek(c.Hash); ok && len(data) == len(c.Program) &&
+		(len(data) == 0 || &data[0] == &c.Program[0]) {
+		return c.Hash
+	}
+	return sha256.Sum256(c.Program)
+}
+
 // codePrefix opens every code object's store name. The "sha256-" keeps
 // the part after the '@' from parsing as a number, so nothing that reads
 // "<head>@<seq>" as a checkpoint-chain member (the committer's sequence
@@ -358,7 +371,7 @@ func Unpack(img *wire.Image, opts Options) (rt.Proc, Timings, error) {
 	if img.Code.ByReference() {
 		return nil, tm, fmt.Errorf("migrate: image names program %x by reference; FetchImage resolves it", img.Code.Hash[:8])
 	}
-	prog, cached, err := interned.Do(sha256.Sum256(img.Code.Program), func() (*fir.Program, error) {
+	prog, cached, err := interned.Do(programKey(&img.Code), func() (*fir.Program, error) {
 		return fir.DecodeProgram(img.Code.Program)
 	})
 	if err != nil {

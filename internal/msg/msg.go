@@ -20,8 +20,15 @@
 //     process observes MSG_ROLL exactly once on its next receive,
 //     mirroring the paper's "all the other processes rollback their last
 //     speculation to bring the computation to a consistent state".
+//   - A payload is one encoded part: tag, word count, then a kind byte
+//     and 8 value bytes per word (9 bytes, where a heap.Value takes 32).
+//     msg_send encodes it straight from the sender's heap, msg_recv
+//     decodes it straight into the receiver's; in between, the mailbox,
+//     a worker's replay buffer and the hub keep the bytes (Parts), and
+//     message frames carry them unchanged.
 //   - Old messages are garbage-collected by msg_gc(tag), called by the
-//     application after each committed checkpoint.
+//     application after each committed checkpoint; the next window of
+//     tags is stored in the buffers of the parts it drops.
 //   - A receive with no matching message parks the calling goroutine on
 //     the mailbox. BlockHooks let an execution engine lend the parked
 //     node's worker slot to another node (see internal/cluster.Engine),
@@ -31,6 +38,7 @@ package msg
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -53,22 +61,15 @@ const (
 // ErrClosed is returned by operations on a closed router.
 var ErrClosed = errors.New("msg: router closed")
 
-// Batched is one element of a SendBatch: a tagged payload for a single
-// destination.
-type Batched struct {
-	Tag   int64
-	Words []heap.Value
-}
-
 // Uplink carries router traffic whose destination is not hosted by this
 // router — the transport-pluggable link underneath a distributed cluster.
-// SendBatch must preserve the keyed-idempotent contract (re-delivery of a
-// (src, dst, tag) key overwrites; deterministic replays converge); GC
+// SendParts carries n encoded parts (see AppendPart) from src to dst and
+// must preserve the keyed-idempotent contract (re-delivery of a (src,
+// dst, tag) key overwrites; deterministic replays converge); GC
 // propagates a node's mailbox pruning so remote buffers can shrink too.
-// SendBatch must not keep batch or its words after it returns: callers
-// reuse them.
+// SendParts must not keep parts after it returns: callers reuse it.
 type Uplink interface {
-	SendBatch(src, dst int64, batch []Batched) error
+	SendParts(src, dst int64, parts []byte, n int) error
 	GC(node, below int64) error
 }
 
@@ -82,23 +83,13 @@ type BlockHooks struct {
 	OnUnblock func()
 }
 
-// mailbox is one destination's inbound state: per-link (per-source)
-// buffers of tagged payloads, plus the node's rollback-epoch cursor.
+// mailbox is one destination's inbound state: the encoded parts sent to
+// it, plus the node's rollback-epoch cursor.
 type mailbox struct {
 	mu    sync.Mutex
-	cond  sync.Cond                        // embedded, L set to &mu at construction
-	links map[int64]map[int64][]heap.Value // src -> tag -> payload
-	seen  int64                            // last rollback epoch observed
-	// free holds payload buffers reclaimed by GC for reuse by later
-	// sends: a stepwise exchange retires one tag per step at the same
-	// size it sends the next, so steady state allocates nothing.
-	free [][]heap.Value
-}
-
-func newMailbox() *mailbox {
-	mb := &mailbox{links: make(map[int64]map[int64][]heap.Value)}
-	mb.cond.L = &mb.mu
-	return mb
+	cond  sync.Cond // embedded, L set to &mu at construction
+	parts Parts     // src -> tag -> part
+	seen  int64     // last rollback epoch observed
 }
 
 // Router is the in-memory interconnect between the node processes of a
@@ -126,16 +117,10 @@ type Router struct {
 	// crossing the cut are withheld here (not lost) until HealPartition.
 	partMu   sync.Mutex
 	partCut  func(src, dst int64) bool
-	partHeld []partHeldBatch
+	partHeld []func() // delivers one withheld send
 
 	// onRoll, when set, observes every MSG_ROLL delivery (SetRollHook).
 	onRoll atomic.Value // func(node, epoch int64)
-}
-
-// partHeldBatch is one delivery withheld by an active partition.
-type partHeldBatch struct {
-	src, dst int64
-	batch    []Batched
 }
 
 // Stats counts router activity.
@@ -179,7 +164,8 @@ func (r *Router) mbox(dst int64) *mailbox {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if mb = r.boxes[dst]; mb == nil {
-		mb = newMailbox()
+		mb = &mailbox{}
+		mb.cond.L = &mb.mu
 		r.boxes[dst] = mb
 	}
 	return mb
@@ -219,11 +205,7 @@ func (r *Router) SetLocal(nodes ...int64) {
 
 // Local reports whether sends to dst are delivered by this router itself.
 // Without an uplink every destination is local.
-func (r *Router) Local(dst int64) bool {
-	r.linkMu.RLock()
-	defer r.linkMu.RUnlock()
-	return r.uplink == nil || r.local[dst]
-}
+func (r *Router) Local(dst int64) bool { return r.route(dst) == nil }
 
 // route returns the uplink to forward a send through, or nil for local
 // delivery.
@@ -389,27 +371,22 @@ func (r *Router) HealPartition() {
 	held := r.partHeld
 	r.partHeld = nil
 	r.partMu.Unlock()
-	for _, h := range held {
-		_ = r.SendBatch(h.src, h.dst, h.batch)
+	for _, deliver := range held {
+		deliver()
 	}
 }
 
 // holdPartitioned withholds a delivery when an active partition cuts the
-// (src, dst) link, reporting whether it did. The batch payloads are deep
-// copied: senders reuse their staging buffers.
-func (r *Router) holdPartitioned(src, dst int64, batch []Batched) bool {
+// (src, dst) link, reporting whether it did. The parts are copied:
+// senders reuse their buffers.
+func (r *Router) holdPartitioned(src, dst int64, parts []byte) bool {
 	r.partMu.Lock()
 	defer r.partMu.Unlock()
 	if r.partCut == nil || !r.partCut(src, dst) {
 		return false
 	}
-	cp := make([]Batched, len(batch))
-	for i, b := range batch {
-		words := make([]heap.Value, len(b.Words))
-		copy(words, b.Words)
-		cp[i] = Batched{Tag: b.Tag, Words: words}
-	}
-	r.partHeld = append(r.partHeld, partHeldBatch{src: src, dst: dst, batch: cp})
+	cp := slices.Clone(parts)
+	r.partHeld = append(r.partHeld, func() { _ = r.SendBatch(src, dst, cp) })
 	return true
 }
 
@@ -420,91 +397,53 @@ func (r *Router) Failed(node int64) bool {
 	return r.failed[node]
 }
 
+// partBufs pools Send's encoding scratch.
+var partBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // Send stores a message. Sends are non-blocking and idempotent: re-sending
 // (src, dst, tag) overwrites with identical content on deterministic
 // replays. Only the destination's mailbox is locked and only its receiver
 // is woken.
 func (r *Router) Send(src, dst, tag int64, words []heap.Value) error {
-	if r.closed.Load() {
-		return r.closedErr()
+	bp := partBufs.Get().(*[]byte)
+	defer partBufs.Put(bp)
+	part, err := AppendPart((*bp)[:0], tag, words)
+	if err != nil {
+		return err
 	}
-	if up := r.route(dst); up != nil {
-		r.sends.Add(1)
-		r.wordsSent.Add(uint64(len(words)))
-		return up.SendBatch(src, dst, []Batched{{Tag: tag, Words: words}})
-	}
-	if r.holdPartitioned(src, dst, []Batched{{Tag: tag, Words: words}}) {
-		r.sends.Add(1)
-		r.wordsSent.Add(uint64(len(words)))
-		return nil
-	}
-	mb := r.mbox(dst)
-	mb.mu.Lock()
-	// Same re-check-under-lock discipline as SendBatch.
-	if r.closed.Load() {
-		mb.mu.Unlock()
-		return r.closedErr()
-	}
-	link := mb.links[src]
-	if link == nil {
-		link = make(map[int64][]heap.Value)
-		mb.links[src] = link
-	}
-	mb.storeLocked(link, tag, words)
-	r.sends.Add(1)
-	r.wordsSent.Add(uint64(len(words)))
-	mb.cond.Broadcast()
-	mb.mu.Unlock()
-	return nil
+	*bp = part
+	return r.send(src, dst, part, 1)
 }
 
-// storeLocked stores a payload copy under (tag). A same-length re-send —
-// deterministic replay overwriting with identical content — reuses the
-// stored slice in place, and a fresh tag draws its buffer from the
-// GC-reclaimed free list when one fits: receivers copy out under the same
-// mailbox lock, so stored buffers are never shared outside it.
-func (mb *mailbox) storeLocked(link map[int64][]heap.Value, tag int64, words []heap.Value) {
-	if cp, ok := link[tag]; ok && len(cp) == len(words) {
-		copy(cp, words)
-		return
-	}
-	var cp []heap.Value
-	for i, f := range mb.free {
-		if cap(f) >= len(words) {
-			cp = f[:len(words)]
-			mb.free[i] = mb.free[len(mb.free)-1]
-			mb.free = mb.free[:len(mb.free)-1]
-			break
+// SendBatch delivers the encoded parts concatenated in parts from src to
+// dst under one mailbox lock acquisition and a single wakeup — the
+// batched border exchange for applications that ship multiple tags per
+// step, and the worker's delivery of an inbound message frame. Every part
+// is validated (SplitPart) before any is stored, and copied (or framed,
+// through the uplink) before SendBatch returns, so the caller may reuse
+// parts at once.
+func (r *Router) SendBatch(src, dst int64, parts []byte) error {
+	n := 0
+	for rest := parts; len(rest) > 0; n++ {
+		var err error
+		if _, _, rest, err = SplitPart(rest); err != nil {
+			return err
 		}
 	}
-	if cp == nil {
-		cp = make([]heap.Value, len(words))
-	}
-	copy(cp, words)
-	link[tag] = cp
+	return r.send(src, dst, parts, n)
 }
 
-// SendBatch delivers several tagged payloads from src to dst under one
-// mailbox lock acquisition and a single wakeup — the batched border
-// exchange for applications that ship multiple tags per step. Every
-// payload is copied (or encoded, through the uplink) before SendBatch
-// returns, so the caller may reuse batch and its words at once.
-func (r *Router) SendBatch(src, dst int64, batch []Batched) error {
+// send delivers the n valid parts concatenated in parts.
+func (r *Router) send(src, dst int64, parts []byte, n int) error {
 	if r.closed.Load() {
 		return r.closedErr()
 	}
+	r.sends.Add(uint64(n))
+	r.wordsSent.Add(uint64((len(parts) - n*PartHead) / WordLen))
 	if up := r.route(dst); up != nil {
-		for _, b := range batch {
-			r.sends.Add(1)
-			r.wordsSent.Add(uint64(len(b.Words)))
-		}
-		return up.SendBatch(src, dst, batch)
+		return up.SendParts(src, dst, parts, n)
 	}
-	if r.holdPartitioned(src, dst, batch) {
-		for _, b := range batch {
-			r.sends.Add(1)
-			r.wordsSent.Add(uint64(len(b.Words)))
-		}
+	if r.holdPartitioned(src, dst, parts) {
 		return nil
 	}
 	mb := r.mbox(dst)
@@ -517,16 +456,7 @@ func (r *Router) SendBatch(src, dst int64, batch []Batched) error {
 		mb.mu.Unlock()
 		return r.closedErr()
 	}
-	link := mb.links[src]
-	if link == nil {
-		link = make(map[int64][]heap.Value)
-		mb.links[src] = link
-	}
-	for _, b := range batch {
-		mb.storeLocked(link, b.Tag, b.Words)
-		r.sends.Add(1)
-		r.wordsSent.Add(uint64(len(b.Words)))
-	}
+	mb.parts.Put(src, parts)
 	mb.cond.Broadcast()
 	mb.mu.Unlock()
 	return nil
@@ -551,20 +481,18 @@ func (r *Router) TryRecv(dst, src, tag int64) (words []heap.Value, status int64,
 	mb := r.mbox(dst)
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	words, status, ok = r.tryLocked(mb, dst, src, tag)
+	part, status, ok := r.tryLocked(mb, dst, src, tag)
+	if part != nil {
+		words = decodePart(nil, part)
+	}
 	return words, status, ok
 }
 
 // tryLocked checks the terminal conditions in priority order with the
 // mailbox lock held: shutdown, pending rollback epoch, matching message.
-func (r *Router) tryLocked(mb *mailbox, dst, src, tag int64) ([]heap.Value, int64, bool) {
-	return r.tryLockedInto(nil, mb, dst, src, tag)
-}
-
-// tryLockedInto is tryLocked copying the payload into buf when it has the
-// capacity (allocating otherwise). The stored slice may be overwritten in
-// place by a later send, so the copy-out always happens under the lock.
-func (r *Router) tryLockedInto(buf []heap.Value, mb *mailbox, dst, src, tag int64) ([]heap.Value, int64, bool) {
+// A message is returned as the stored part, which a later send may
+// overwrite in place: callers use it before they unlock.
+func (r *Router) tryLocked(mb *mailbox, dst, src, tag int64) ([]byte, int64, bool) {
 	if r.closed.Load() {
 		return nil, StatusClosed, true
 	}
@@ -576,15 +504,9 @@ func (r *Router) tryLockedInto(buf []heap.Value, mb *mailbox, dst, src, tag int6
 		}
 		return nil, StatusRoll, true
 	}
-	if m, ok := mb.links[src][tag]; ok {
+	if part, ok := mb.parts.bySrc[src][tag]; ok {
 		r.recvs.Add(1)
-		out := buf
-		if cap(out) < len(m) {
-			out = make([]heap.Value, len(m))
-		}
-		out = out[:len(m)]
-		copy(out, m)
-		return out, StatusOK, true
+		return part, StatusOK, true
 	}
 	return nil, 0, false
 }
@@ -592,27 +514,30 @@ func (r *Router) tryLockedInto(buf []heap.Value, mb *mailbox, dst, src, tag int6
 // RecvHooked is Recv with engine notifications around the park: see
 // BlockHooks. A nil hooks value makes it identical to Recv.
 func (r *Router) RecvHooked(dst, src, tag int64, hooks *BlockHooks) ([]heap.Value, int64) {
-	return r.recvHookedInto(nil, dst, src, tag, hooks)
+	var words []heap.Value
+	status := r.recv(dst, src, tag, hooks, func(part []byte) { words = decodePart(nil, part) })
+	return words, status
 }
 
-// recvHookedInto is RecvHooked receiving into buf when it has the
-// capacity. The msg_recv extern threads a per-process scratch buffer
-// through here; a process's extern calls are serialized by its machine,
-// so the buffer is never shared.
-func (r *Router) recvHookedInto(buf []heap.Value, dst, src, tag int64, hooks *BlockHooks) ([]heap.Value, int64) {
+// recv is RecvHooked handing a received part to take, under the mailbox
+// lock: take copies or decodes what it keeps.
+func (r *Router) recv(dst, src, tag int64, hooks *BlockHooks, take func(part []byte)) int64 {
 	mb := r.mbox(dst)
 	mb.mu.Lock()
 	blocked := false
 	for {
-		words, status, ok := r.tryLockedInto(buf, mb, dst, src, tag)
+		part, status, ok := r.tryLocked(mb, dst, src, tag)
 		if ok {
+			if status == StatusOK {
+				take(part)
+			}
 			mb.mu.Unlock()
 			if blocked && hooks != nil && hooks.OnUnblock != nil {
 				// Reacquire the worker slot outside the mailbox lock: the
 				// slot holder may be a sender waiting for this very lock.
 				hooks.OnUnblock()
 			}
-			return words, status
+			return status
 		}
 		if !blocked && hooks != nil && hooks.OnBlock != nil {
 			// Releasing a held slot never blocks, so it is safe under the
@@ -633,17 +558,7 @@ func (r *Router) recvHookedInto(buf []heap.Value, dst, src, tag int64, hooks *Bl
 func (r *Router) GC(node, below int64) {
 	mb := r.mbox(node)
 	mb.mu.Lock()
-	for _, link := range mb.links {
-		for tag, p := range link {
-			if tag < below {
-				delete(link, tag)
-				if len(mb.free) < 16 {
-					mb.free = append(mb.free, p)
-				}
-				r.gced.Add(1)
-			}
-		}
-	}
+	r.gced.Add(uint64(mb.parts.Prune(below)))
 	mb.mu.Unlock()
 	// Propagate the pruning upstream so a coordinator's store-and-forward
 	// buffer for this node shrinks too. Best-effort: a failed propagation
@@ -683,36 +598,32 @@ var (
 func (r *Router) ExternsHooked(node int64, hooks *BlockHooks) rt.Registry {
 	r.Register(node)
 	reg := make(rt.Registry, 4)
-	ptrIntInt := msgExternArgs
 
-	// Per-registry payload staging, reused across calls. A registry binds
-	// one node process whose extern calls its machine serializes; Send and
-	// the transport both copy the payload out before returning.
-	var sendBuf, recvBuf []heap.Value
+	// Per-registry part buffers, reused across calls. A registry binds one
+	// node process whose extern calls its machine serializes; the router
+	// and the transport both copy a sent part before returning.
+	var sendBuf, recvBuf []byte
 
 	reg["msg_send"] = rt.Extern{
-		Sig: fir.ExternSig{Args: ptrIntInt, Result: fir.TyInt},
+		Sig: fir.ExternSig{Args: msgExternArgs, Result: fir.TyInt},
 		Fn: func(rtx rt.Runtime, a []heap.Value) (heap.Value, error) {
 			dst, tag, p, off, n := a[0].I, a[1].I, a[2], a[3].I, a[4].I
 			if n < 0 {
 				return heap.Value{}, fmt.Errorf("msg_send: negative length %d", n)
 			}
 			h := rtx.Heap()
-			if int64(cap(sendBuf)) < n {
-				sendBuf = make([]heap.Value, n)
-			}
-			words := sendBuf[:n]
+			part, ws := growPart(sendBuf[:0], tag, int(n))
+			sendBuf = part
 			for i := int64(0); i < n; i++ {
 				w, err := h.Load(p, off+i)
 				if err != nil {
 					return heap.Value{}, err
 				}
-				if w.Kind != heap.KInt && w.Kind != heap.KFloat {
+				if !putWord(ws[i*WordLen:], w) {
 					return heap.Value{}, fmt.Errorf("msg_send: word %d is %s; only scalars cross the interconnect", i, w.Kind)
 				}
-				words[i] = w
 			}
-			if err := r.Send(node, dst, tag, words); err != nil {
+			if err := r.send(node, dst, part, 1); err != nil {
 				return heap.IntVal(StatusClosed), nil
 			}
 			return heap.IntVal(StatusOK), nil
@@ -720,22 +631,19 @@ func (r *Router) ExternsHooked(node int64, hooks *BlockHooks) rt.Registry {
 	}
 
 	reg["msg_recv"] = rt.Extern{
-		Sig: fir.ExternSig{Args: ptrIntInt, Result: fir.TyInt},
+		Sig: fir.ExternSig{Args: msgExternArgs, Result: fir.TyInt},
 		Fn: func(rtx rt.Runtime, a []heap.Value) (heap.Value, error) {
 			src, tag, p, off, n := a[0].I, a[1].I, a[2], a[3].I, a[4].I
-			words, status := r.recvHookedInto(recvBuf, node, src, tag, hooks)
-			if cap(words) > cap(recvBuf) {
-				recvBuf = words
-			}
+			// Copy the part out under the mailbox lock; decode it into the
+			// heap outside it.
+			status := r.recv(node, src, tag, hooks, func(part []byte) { recvBuf = append(recvBuf[:0], part...) })
 			if status != StatusOK {
 				return heap.IntVal(status), nil
 			}
-			if int64(len(words)) < n {
-				n = int64(len(words))
-			}
+			n = min(n, int64(words(recvBuf)))
 			h := rtx.Heap()
-			for i := int64(0); i < n; i++ {
-				if err := h.Store(p, off+i, words[i]); err != nil {
+			for i, w := int64(0), recvBuf[PartHead:]; i < n; i, w = i+1, w[WordLen:] {
+				if err := h.Store(p, off+i, word(w)); err != nil {
 					return heap.Value{}, err
 				}
 			}

@@ -1,6 +1,8 @@
 package msg
 
 import (
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -191,14 +193,21 @@ func TestTryRecv(t *testing.T) {
 
 func TestSendBatch(t *testing.T) {
 	r := NewRouter()
-	batch := []Batched{{Tag: 1, Words: iv(10)}, {Tag: 2, Words: iv(20, 21)}, {Tag: 3, Words: iv(30)}}
-	if err := r.SendBatch(1, 2, batch); err != nil {
+	batch := map[int64][]heap.Value{1: iv(10), 2: iv(20, 21), 3: iv(30)}
+	var parts []byte
+	for tag := int64(1); tag <= 3; tag++ {
+		var err error
+		if parts, err = AppendPart(parts, tag, batch[tag]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.SendBatch(1, 2, parts); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range batch {
-		got, st := r.Recv(2, 1, b.Tag)
-		if st != StatusOK || len(got) != len(b.Words) || got[0].I != b.Words[0].I {
-			t.Fatalf("tag %d: %v %d", b.Tag, got, st)
+	for tag, words := range batch {
+		got, st := r.Recv(2, 1, tag)
+		if st != StatusOK || len(got) != len(words) || got[0].I != words[0].I {
+			t.Fatalf("tag %d: %v %d", tag, got, st)
 		}
 	}
 	s := r.Stats()
@@ -217,5 +226,102 @@ func TestStatsCounting(t *testing.T) {
 	s := r.Stats()
 	if s.Sends != 1 || s.Recvs != 1 || s.Rolls != 1 || s.Failures != 1 || s.GCed != 1 || s.WordsSent != 2 {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestMailboxReusesGCedParts: once a window of tags has been GCed, the
+// next window of new tags of the same size is stored in the buffers of
+// the dropped parts: sending and retiring it allocates nothing.
+func TestMailboxReusesGCedParts(t *testing.T) {
+	const window = 50
+	r := NewRouter()
+	words := make([]heap.Value, 64)
+	for i := range words {
+		words[i] = heap.FloatVal(float64(i) / 3)
+	}
+	var part []byte
+	next := int64(0)
+	sendWindow := func() {
+		for i := 0; i < window; i++ {
+			var err error
+			if part, err = AppendPart(part[:0], next, words); err == nil {
+				err = r.SendBatch(1, 2, part)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		r.GC(2, next)
+	}
+	sendWindow()
+	if allocs := testing.AllocsPerRun(20, sendWindow); allocs != 0 {
+		t.Fatalf("a window of new tags after a GC allocates %.2f objects, want 0", allocs)
+	}
+	if s := r.Stats(); s.GCed != uint64(next) {
+		t.Fatalf("GCed %d parts, want %d", s.GCed, next)
+	}
+}
+
+// loopback is an uplink into another router: what a worker's frames do
+// to the mailbox at the far end, without the sockets.
+type loopback struct{ to *Router }
+
+func (l loopback) SendParts(src, dst int64, parts []byte, n int) error {
+	return l.to.SendBatch(src, dst, parts)
+}
+
+func (l loopback) GC(node, below int64) error { return nil }
+
+// TestSendRecvKeepsEveryBit: Send then Recv returns every word with its
+// kind and bits — NaN payloads, -0.0, infinities, the int extremes and
+// random bit patterns — in process and through an uplink.
+func TestSendRecvKeepsEveryBit(t *testing.T) {
+	special := []heap.Value{
+		heap.FloatVal(math.Float64frombits(0x7ff0000000000001)), // signalling NaN
+		heap.FloatVal(math.Float64frombits(0xfff8dead0000beef)), // negative quiet NaN with a payload
+		heap.FloatVal(math.Copysign(0, -1)),
+		heap.FloatVal(math.Inf(-1)),
+		heap.FloatVal(math.SmallestNonzeroFloat64),
+		heap.IntVal(math.MinInt64),
+		heap.IntVal(math.MaxInt64),
+		heap.IntVal(-1),
+	}
+	inproc := NewRouter()
+	remote := NewRouter()
+	local := NewRouter()
+	local.SetLocal(1)
+	local.SetUplink(loopback{remote})
+	for _, c := range []struct {
+		name     string
+		from, to *Router
+	}{{"in process", inproc, inproc}, {"through an uplink", local, remote}} {
+		rng := rand.New(rand.NewSource(1))
+		for tag := int64(0); tag < 300; tag++ {
+			words := make([]heap.Value, rng.Intn(20))
+			for i := range words {
+				switch k := rng.Intn(3); {
+				case k == 0:
+					words[i] = special[rng.Intn(len(special))]
+				case k == 1:
+					words[i] = heap.IntVal(int64(rng.Uint64()))
+				default:
+					words[i] = heap.FloatVal(math.Float64frombits(rng.Uint64()))
+				}
+			}
+			if err := c.from.Send(1, 2, tag, words); err != nil {
+				t.Fatal(err)
+			}
+			got, st := c.to.Recv(2, 1, tag)
+			if st != StatusOK || len(got) != len(words) {
+				t.Fatalf("%s: tag %d: status %d, %d words, want %d", c.name, tag, st, len(got), len(words))
+			}
+			for i, w := range words {
+				g := got[i]
+				if g.Kind != w.Kind || g.I != w.I || g.Off != w.Off || math.Float64bits(g.F) != math.Float64bits(w.F) {
+					t.Fatalf("%s: tag %d word %d: %#v, sent %#v", c.name, tag, i, g, w)
+				}
+			}
+		}
 	}
 }

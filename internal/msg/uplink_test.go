@@ -1,31 +1,50 @@
 package msg
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/heap"
 )
+
+// sent is one forwarded part, decoded.
+type sent struct {
+	tag   int64
+	words []heap.Value
+}
 
 // recordingUplink captures forwarded traffic for assertions.
 type recordingUplink struct {
 	mu    sync.Mutex
 	sends []struct {
 		src, dst int64
-		batch    []Batched
+		batch    []sent
 	}
 	gcs []struct{ node, below int64 }
 	err error
 }
 
-func (u *recordingUplink) SendBatch(src, dst int64, batch []Batched) error {
+func (u *recordingUplink) SendParts(src, dst int64, parts []byte, n int) error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	cp := make([]Batched, len(batch))
-	copy(cp, batch)
+	var batch []sent
+	for len(parts) > 0 {
+		tag, part, rest, err := SplitPart(parts)
+		if err != nil {
+			return err
+		}
+		batch = append(batch, sent{tag, decodePart(nil, part)})
+		parts = rest
+	}
+	if len(batch) != n {
+		return fmt.Errorf("%d parts forwarded as %d", len(batch), n)
+	}
 	u.sends = append(u.sends, struct {
 		src, dst int64
-		batch    []Batched
-	}{src, dst, cp})
+		batch    []sent
+	}{src, dst, batch})
 	return u.err
 }
 
@@ -60,7 +79,7 @@ func TestUplinkForwardsNonLocalSends(t *testing.T) {
 		t.Fatalf("uplink saw %d sends, want 1", len(up.sends))
 	}
 	s := up.sends[0]
-	if s.src != 1 || s.dst != 9 || len(s.batch) != 1 || s.batch[0].Tag != 3 || len(s.batch[0].Words) != 2 {
+	if s.src != 1 || s.dst != 9 || len(s.batch) != 1 || s.batch[0].tag != 3 || len(s.batch[0].words) != 2 {
 		t.Fatalf("forwarded send = %+v", s)
 	}
 }

@@ -22,10 +22,11 @@ var ErrClientClosed = errors.New("transport: client closed")
 // FrameConn is the link a client speaks frames over. Tests wrap the real
 // TCP framing with fault injectors (see FaultSpec). ReadFrameInto reads
 // the next frame into buf's storage when it fits (frame.ReadInto); a nil
-// buf gives a fresh slice.
+// buf gives a fresh slice. WriteFrame must not keep b after it returns:
+// the client builds message frames in one reused buffer.
 type FrameConn interface {
 	ReadFrameInto(buf []byte) ([]byte, error)
-	WriteFrame(payload []byte) error
+	WriteFrame(b []byte) error
 }
 
 // ClientConfig configures a worker's connection to the coordinator hub.
@@ -89,6 +90,7 @@ type Client struct {
 	raw     net.Conn
 	gen     int                    // connection generation, for reader teardown
 	out     msgBuf                 // dst -> src -> tag -> encoded part (replay buffer)
+	frame   []byte                 // scratch for SendParts' frames
 	owned   []int64                // nodes adopted via handoff; re-announced on reconnect
 	pending map[uint32]chan []byte // rpc id -> its reply frame
 	nextID  uint32
@@ -284,7 +286,7 @@ func (c *Client) connectLocked() error {
 	// session's registrations, and without this their border traffic
 	// would buffer forever.
 	for _, node := range c.owned {
-		if err := fc.WriteFrame(encodeNode(fOwn, node)); err != nil {
+		if err := fc.WriteFrame(encodeInt(fOwn, node)); err != nil {
 			c.teardownLocked()
 			return err
 		}
@@ -313,19 +315,16 @@ func (c *Client) connectLocked() error {
 
 // readLoop dispatches inbound frames until its connection dies; it then
 // kicks a reconnect so a worker parked in a receive (sending nothing) is
-// not stranded. Each message frame is decoded once, into the loop's
-// reused decoder: the router copies a delivery before SendBatch returns.
-// Message and GC frames are read into the loop's reused buffer, since
+// not stranded. A message frame's parts go into the mailbox as they
+// arrived, which copies them before SendBatch returns. Message and GC
+// frames are read into the loop's reused buffer, since
 // nothing of them outlives their dispatch; any other frame may (an ack
 // goes to its caller, an image is adopted off the loop), so the next
 // read after one gets a fresh buffer.
 func (c *Client) readLoop(fc FrameConn, gen int, done chan struct{}) {
 	defer c.wg.Done()
 	defer close(done)
-	var (
-		md  msgDecoder
-		buf []byte
-	)
+	var buf []byte
 	for {
 		b, err := fc.ReadFrameInto(buf)
 		if err != nil {
@@ -353,10 +352,10 @@ func (c *Client) readLoop(fc FrameConn, gen int, done chan struct{}) {
 		switch b[0] {
 		case fMsg:
 			buf = b[:0]
-			src, dst, batch, err := md.decode(b)
+			src, dst, parts, n, err := scanMsg(b)
 			if err == nil && c.cfg.Router.Local(dst) {
-				c.ev.Emit(obs.EvFrameRecv, int(dst), 0, 0, src, int64(len(batch)), "msg")
-				_ = c.cfg.Router.SendBatch(src, dst, batch)
+				c.ev.Emit(obs.EvFrameRecv, int(dst), 0, 0, src, int64(n), "msg")
+				_ = c.cfg.Router.SendBatch(src, dst, parts)
 			}
 		case fGC:
 			buf = b[:0]
@@ -364,11 +363,11 @@ func (c *Client) readLoop(fc FrameConn, gen int, done chan struct{}) {
 			// under older tags will never be asked for again.
 			if node, below, err := decodeGC(b); err == nil {
 				c.mu.Lock()
-				c.out.prune(node, below)
+				c.out[node].Prune(below)
 				c.mu.Unlock()
 			}
 		case fRoll:
-			if epoch, err := decodeEpoch(b); err == nil {
+			if epoch, err := decodeInt(b); err == nil {
 				c.ev.Emit(obs.EvMsgRoll, int(c.cfg.Node), uint64(epoch), 0, 0, 0, "wire")
 				c.cfg.Router.SetEpoch(epoch)
 			}
@@ -423,7 +422,7 @@ func (c *Client) adopt(id uint32, dst, seen int64, image []byte) {
 		c.mu.Lock()
 		c.owned = append(c.owned, dst)
 		c.mu.Unlock()
-		_ = c.writeFrame(encodeNode(fOwn, dst))
+		_ = c.writeFrame(encodeInt(fOwn, dst))
 	}
 	_ = c.writeFrame(encodeAck(id, errStr))
 	if start != nil {
@@ -433,39 +432,41 @@ func (c *Client) adopt(id uint32, dst, seen int64, image []byte) {
 
 // writeFrame sends one frame, reconnecting on a dead link.
 func (c *Client) writeFrame(b []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.writeLocked(func() []byte { return b })
+}
+
+// writeLocked writes the frame that frame builds, reconnecting on a dead
+// link. frame runs after each (re)connect: a reconnect sleeps with c.mu
+// released, and another writer may use the client's scratch meanwhile.
+func (c *Client) writeLocked(frame func() []byte) error {
 	for attempt := 0; attempt < 3; attempt++ {
-		c.mu.Lock()
 		if err := c.ensureLocked(); err != nil {
-			c.mu.Unlock()
 			return err
 		}
-		err := c.conn.WriteFrame(b)
-		if err == nil {
-			c.mu.Unlock()
+		if err := c.conn.WriteFrame(frame()); err == nil {
 			return nil
 		}
 		c.teardownLocked()
-		c.mu.Unlock()
 	}
 	return fmt.Errorf("transport: write to hub %s kept failing", c.cfg.Addr)
 }
 
-// SendBatch implements msg.Uplink: encode, keep the frame's parts for
-// replay, then forward the frame. The batch is not kept.
-func (c *Client) SendBatch(src, dst int64, batch []msg.Batched) error {
-	f, err := encodeMsg(src, dst, batch)
-	if err != nil {
-		return err
-	}
+// SendParts implements msg.Uplink: keep the parts for replay, then frame
+// them in the client's scratch buffer and forward the frame.
+func (c *Client) SendParts(src, dst int64, parts []byte, n int) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return ErrClientClosed
 	}
-	c.out.putFrame(f, src, dst, len(batch))
-	c.mu.Unlock()
-	c.ev.Emit(obs.EvFrameSend, int(src), 0, 0, dst, int64(len(batch)), "msg")
-	return c.writeFrame(f)
+	c.ev.Emit(obs.EvFrameSend, int(src), 0, 0, dst, int64(n), "msg")
+	c.out.put(src, dst, parts)
+	return c.writeLocked(func() []byte {
+		c.frame = append(appendMsgHead(c.frame[:0], src, dst, n), parts...)
+		return c.frame
+	})
 }
 
 // GC implements msg.Uplink: the node committed past `below`; the hub's

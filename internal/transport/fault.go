@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"encoding/binary"
 	"io"
+	"slices"
 	"sync"
 	"time"
 )
@@ -147,13 +149,13 @@ func (c *faultConn) WriteFrame(b []byte) error {
 		}
 		return c.writeInner(b)
 	}
-	src, dst, n, err := scanMsg(b)
+	src, dst, parts, n, err := scanMsg(b)
 	if err != nil || n == 0 {
 		return c.writeInner(b)
 	}
 	// Frames carry one tag each on the send path; batch replays use the
 	// first tag as the frame's identity.
-	tag, _, _ := msgPart(b, msgHead)
+	tag := int64(binary.BigEndian.Uint64(parts))
 	s := c.spec
 	s.mu.Lock()
 	if s.counts == nil {
@@ -193,9 +195,10 @@ func (c *faultConn) WriteFrame(b []byte) error {
 	if drop {
 		return nil
 	}
+	// A withheld frame is copied: the caller reuses b (see FrameConn).
 	if hold > 0 {
 		c.mu.Lock()
-		c.delayed = append(c.delayed, delayedFrame{b: b, left: hold})
+		c.delayed = append(c.delayed, delayedFrame{b: slices.Clone(b), left: hold})
 		c.armSafetyFlushLocked()
 		c.mu.Unlock()
 		return nil
@@ -212,7 +215,7 @@ func (c *faultConn) WriteFrame(b []byte) error {
 			continue
 		}
 		c.mu.Lock()
-		c.held = append(c.held, b)
+		c.held = append(c.held, slices.Clone(b))
 		full := len(c.held) >= window
 		if !full {
 			c.armSafetyFlushLocked()

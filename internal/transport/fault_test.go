@@ -2,10 +2,10 @@ package transport
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/heap"
-	"repro/internal/msg"
 )
 
 // recordConn is a fake FrameConn that records every written frame.
@@ -16,7 +16,7 @@ type recordConn struct {
 
 func (r *recordConn) ReadFrameInto([]byte) ([]byte, error) { return nil, nil }
 func (r *recordConn) WriteFrame(b []byte) error {
-	r.frames = append(r.frames, b)
+	r.frames = append(r.frames, slices.Clone(b)) // WriteFrame must not keep b
 	return nil
 }
 func (r *recordConn) Close() error {
@@ -26,7 +26,7 @@ func (r *recordConn) Close() error {
 
 func msgFrame(t *testing.T, src, dst, tag, word int64) []byte {
 	t.Helper()
-	b, err := encodeMsg(src, dst, []msg.Batched{{Tag: tag, Words: []heap.Value{heap.IntVal(word)}}})
+	b, err := encodeMsg(src, dst, []tagged{{Tag: tag, Words: []heap.Value{heap.IntVal(word)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,5 +205,49 @@ func TestFaultDropAndDupCounters(t *testing.T) {
 	}
 	if spec.Dropped() != 1 || spec.Duplicated() != 1 {
 		t.Fatalf("Dropped=%d Duplicated=%d, want 1 and 1", spec.Dropped(), spec.Duplicated())
+	}
+}
+
+// TestFaultWithheldFramesAreCopied: a held frame and the frames of a
+// reorder window arrive intact although the caller overwrites its buffer
+// after every WriteFrame, as the client's frame scratch does.
+func TestFaultWithheldFramesAreCopied(t *testing.T) {
+	spec := &FaultSpec{
+		ReorderWindow: 2,
+		Hold: func(src, dst, tag int64, occ int) int {
+			if tag == 60 {
+				return 2
+			}
+			return 0
+		},
+	}
+	rec := &recordConn{}
+	fc := spec.Wrap(rec)
+	var buf []byte
+	for tag := int64(60); tag < 63; tag++ {
+		buf = append(buf[:0], msgFrame(t, 1, 2, tag, tag*10)...)
+		if err := fc.WriteFrame(buf); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xff
+		}
+	}
+	if err := fc.(interface{ Close() error }).Close(); err != nil {
+		t.Fatal(err)
+	}
+	// 60 is held until 62 ages it out; 61 and 62 fill the window, which
+	// flushes reversed.
+	if got, want := frameTags(t, rec.frames), []int64{60, 62, 61}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("delivered tags = %v, want %v", got, want)
+	}
+	for _, f := range rec.frames {
+		_, _, batch, _ := decodeMsg(f)
+		if w := batch[0].Words; len(w) != 1 || w[0] != heap.IntVal(batch[0].Tag*10) {
+			t.Fatalf("tag %d arrived as %v, want [%d]", batch[0].Tag, w, batch[0].Tag*10)
+		}
+	}
+	if spec.Held() != 1 || spec.Reordered() != 2 {
+		t.Fatalf("Held=%d Reordered=%d, want 1 and 2", spec.Held(), spec.Reordered())
 	}
 }

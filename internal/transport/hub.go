@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -162,13 +161,7 @@ func (h *Hub) waitLocked(timeout time.Duration, done func() bool) {
 func (h *Hub) BufferedTags(dst, src int64) []int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	tags := h.buf[dst][src]
-	out := make([]int64, 0, len(tags))
-	for t := range tags {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return h.buf[dst].Tags(src)
 }
 
 // Close stops the hub and its store server: no new connections, all
@@ -212,7 +205,7 @@ func (h *Hub) Fail(node int64) {
 	h.mu.Unlock()
 
 	h.ev().Emit(obs.EvFail, int(node), uint64(epoch), 0, int64(len(sessions)), 0, "")
-	roll := encodeEpoch(fRoll, epoch)
+	roll := encodeInt(fRoll, epoch)
 	for _, s := range sessions {
 		if s == victim {
 			continue
@@ -220,7 +213,7 @@ func (h *Hub) Fail(node int64) {
 		_ = s.write(roll)
 	}
 	if victim != nil {
-		_ = victim.write(encodeNode(fFail, node))
+		_ = victim.write(encodeInt(fFail, node))
 	}
 }
 
@@ -253,26 +246,27 @@ func (h *Hub) Partition(a, b []int64) {
 func (h *Hub) HealPartition() {
 	h.mu.Lock()
 	h.partCut = nil
-	dsts := h.partDsts
-	h.partDsts = nil
-	type replayTo struct {
-		s      *session
-		frames [][]byte
-	}
-	var replays []replayTo
-	for dst := range dsts {
+	var replays []func()
+	for dst := range h.partDsts {
 		if s := h.sessions[dst]; s != nil && !h.failed[dst] {
-			replays = append(replays, replayTo{s, h.buf.frames(dst)})
+			frames := h.buf.frames(dst)
+			replays = append(replays, func() { h.replay(s, 0, 0, frames, "heal") })
 		}
 	}
+	h.partDsts = nil
 	h.mu.Unlock()
-	for _, r := range replays {
-		if len(r.frames) > 0 {
-			h.ev().Emit(obs.EvFrameReplay, 0, 0, 0, int64(len(r.frames)), 0, "heal")
-		}
-		for _, f := range r.frames {
-			_ = r.s.write(f)
-		}
+	for _, replay := range replays {
+		replay()
+	}
+}
+
+// replay writes buffered frames to s, traced as a replay to node.
+func (h *Hub) replay(s *session, node, epoch int64, frames [][]byte, why string) {
+	if len(frames) > 0 {
+		h.ev().Emit(obs.EvFrameReplay, int(node), uint64(epoch), 0, int64(len(frames)), 0, why)
+	}
+	for _, f := range frames {
+		_ = s.write(f)
 	}
 }
 
@@ -308,15 +302,23 @@ func (s *session) write(frameBytes []byte) error {
 	return frame.Write(s.conn, frameBytes)
 }
 
+// serve reads the session's frames until it drops. Message and GC frames
+// reuse one buffer (relayMsg is done with a frame when it returns); any
+// other frame gets a fresh one, so no image stays pinned by the session.
 func (s *session) serve() {
 	defer s.close()
+	var buf []byte
 	for {
-		b, err := frame.Read(s.conn)
+		b, err := frame.ReadInto(s.conn, buf)
 		if err != nil {
 			return
 		}
 		if len(b) == 0 {
 			continue
+		}
+		buf = nil
+		if b[0] == fMsg || b[0] == fGC {
+			buf = b[:0]
 		}
 		switch b[0] {
 		case fHello:
@@ -326,7 +328,7 @@ func (s *session) serve() {
 			}
 			s.hub.register(s, node, true, resurrect)
 		case fOwn:
-			node, err := decodeNode(b)
+			node, err := decodeInt(b)
 			if err != nil {
 				return
 			}
@@ -396,7 +398,7 @@ func (h *Hub) register(s *session, node int64, hello, resurrect bool) {
 		if hello {
 			_ = s.write(encodeWelcome(epoch, h.storePort))
 		}
-		_ = s.write(encodeNode(fFail, node))
+		_ = s.write(encodeInt(fFail, node))
 		return
 	}
 	if old := h.sessions[node]; old != nil && old != s {
@@ -406,7 +408,7 @@ func (h *Hub) register(s *session, node int64, hello, resurrect bool) {
 			// Closing here can reset the connection under an order it has
 			// not read yet; it would then redial, take the node back, and
 			// the two would trade it until the run times out.
-			_ = old.write(encodeNode(fFail, node))
+			_ = old.write(encodeInt(fFail, node))
 		} else {
 			// The same worker's connection from before a blip; drop it.
 			_ = old.conn.Close()
@@ -423,27 +425,21 @@ func (h *Hub) register(s *session, node int64, hello, resurrect bool) {
 	if hello {
 		_ = s.write(encodeWelcome(epoch, h.storePort))
 	}
-	if len(replay) > 0 {
-		h.ev().Emit(obs.EvFrameReplay, int(node), uint64(epoch), 0, int64(len(replay)), 0, "")
-	}
-	for _, f := range replay {
-		_ = s.write(f)
-	}
+	h.replay(s, node, epoch, replay, "")
 }
 
-// relayMsg validates a message frame, buffers its parts (latest part per
-// key wins — the keyed idempotent contract) and forwards the frame as it
-// arrived to the destination's live session, if any. Nothing is decoded
-// or copied: the buffer keeps sub-slices of raw, which ReadFrame
-// allocated for this frame alone. A malformed frame is buffered nowhere;
-// its error tells the caller to drop the session.
+// relayMsg validates a message frame, copies its parts into the relay
+// buffer (latest part per key wins — the keyed idempotent contract) and
+// forwards the frame as it arrived to the destination's live session, if
+// any. Nothing is decoded, and nothing keeps raw once relayMsg returns. A
+// malformed frame is buffered nowhere; its error drops the session.
 func (h *Hub) relayMsg(raw []byte) error {
-	src, dst, n, err := scanMsg(raw)
+	src, dst, parts, n, err := scanMsg(raw)
 	if err != nil {
 		return err
 	}
 	h.mu.Lock()
-	h.buf.putFrame(raw, src, dst, n)
+	h.buf.put(src, dst, parts)
 	target := h.sessions[dst]
 	if h.failed[dst] {
 		target = nil // the node is dead; its resurrection will replay
@@ -471,13 +467,13 @@ func (h *Hub) relayMsg(raw []byte) error {
 // node's messages from, so their replay buffers shrink too.
 func (h *Hub) pruneBuf(node, below int64) {
 	h.mu.Lock()
-	h.buf.prune(node, below)
+	h.buf[node].Prune(below)
 	var srcs []*session
-	for src := range h.buf[node] {
+	h.buf[node].Each(func(src int64, _ map[int64][]byte) {
 		if s := h.sessions[src]; s != nil && !slices.Contains(srcs, s) {
 			srcs = append(srcs, s)
 		}
-	}
+	})
 	h.mu.Unlock()
 	if len(srcs) == 0 {
 		return

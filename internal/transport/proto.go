@@ -16,12 +16,14 @@
 // WELCOME carries its port, and a worker checkpoints through
 // store.DialRemote(client.StoreAddr()) on a connection of its own.
 //
-// A border message is decoded once, by its receiver. The hub validates
-// each message frame without decoding it, buffers the frame's encoded
-// parts (tag, word count, words) and forwards the frame as it arrived;
-// a sender's replay buffer likewise holds the parts of the frames it
-// sent. A receiver's GC reaches the hub, which prunes its buffer and
-// passes the GC on to the senders, whose replay buffers shrink too.
+// A border message is encoded once, by msg_send, and decoded once, by
+// msg_recv: frames carry the sender's parts (see msg.AppendPart) as they
+// are. The hub validates a message frame without decoding it, copies its
+// parts into its relay buffer and forwards the frame; a sender's replay
+// buffer holds the parts it sent, and a receiver's mailbox those it got.
+// All three are msg.Parts. A receiver's GC reaches the hub, which prunes
+// its buffer and passes the GC on to the senders, whose replay buffers
+// shrink too; a pruned part's buffer is reused for a later one.
 //
 // Delivery is keyed and idempotent end to end: re-sending a (src, dst,
 // tag) key overwrites with identical content (the computation is
@@ -38,9 +40,7 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
-	"repro/internal/heap"
 	"repro/internal/msg"
 	"repro/internal/rt"
 )
@@ -73,23 +73,6 @@ func (e *enc) i64(v int64) {
 }
 func (e *enc) blob(b []byte) { e.u32(uint32(len(b))); e.b = append(e.b, b...) }
 func (e *enc) str(s string)  { e.blob([]byte(s)) }
-
-// val encodes a scalar heap word. Only ints and floats cross the
-// interconnect (pointers are process-local); msg_send enforces this, and
-// the encoder double-checks.
-func (e *enc) val(v heap.Value) error {
-	switch v.Kind {
-	case heap.KInt:
-		e.u8(byte(heap.KInt))
-		e.i64(v.I)
-	case heap.KFloat:
-		e.u8(byte(heap.KFloat))
-		e.i64(int64(math.Float64bits(v.F)))
-	default:
-		return fmt.Errorf("transport: %s word cannot cross the interconnect", v.Kind)
-	}
-	return nil
-}
 
 // dec is the matching cursor-and-sticky-error decoder.
 type dec struct {
@@ -151,12 +134,12 @@ func (d *dec) blob() []byte {
 func (d *dec) str() string { return string(d.blob()) }
 
 // Sizes of an fMsg frame's pieces: the head (type, src, dst, part count),
-// each part's head (tag, word count) and each word (kind, 8 value bytes).
-// A part — tag, count and words — is the unit the replay buffers keep.
+// then the parts, each a head (tag, word count) and its words (kind, 8
+// value bytes) in msg's part layout.
 const (
 	msgHead  = 1 + 8 + 8 + 4
-	partHead = 8 + 4
-	wordLen  = 1 + 8
+	partHead = msg.PartHead
+	wordLen  = msg.WordLen
 )
 
 // appendMsgHead starts an fMsg frame of n parts.
@@ -169,144 +152,50 @@ func appendMsgHead(b []byte, src, dst int64, n int) []byte {
 	return e.b
 }
 
-// encodeMsg builds an fMsg frame: src, dst, then the tagged payloads. The
-// frame is sized exactly before a byte is written.
-func encodeMsg(src, dst int64, batch []msg.Batched) ([]byte, error) {
-	size := msgHead
-	for _, b := range batch {
-		size += partHead + wordLen*len(b.Words)
-	}
-	e := enc{b: appendMsgHead(make([]byte, 0, size), src, dst, len(batch))}
-	for _, b := range batch {
-		e.i64(b.Tag)
-		e.u32(uint32(len(b.Words)))
-		for _, w := range b.Words {
-			if err := e.val(w); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return e.b, nil
-}
-
 // scanMsg validates a whole fMsg frame without decoding or allocating
 // (the full frame, type byte included): every part count is bounded by
-// the frame, nothing is truncated and every word is an int or a float.
-// It returns the head; the n parts follow at msgHead, walked by msgPart.
-func scanMsg(b []byte) (src, dst int64, n int, err error) {
+// the frame, nothing is truncated and every word is an int or a float
+// (msg.SplitPart). It returns the head and the bytes of the n parts.
+func scanMsg(b []byte) (src, dst int64, parts []byte, n int, err error) {
 	if len(b) < msgHead {
-		return 0, 0, 0, fmt.Errorf("transport: truncated message head (%d bytes)", len(b))
+		return 0, 0, nil, 0, fmt.Errorf("transport: truncated message head (%d bytes)", len(b))
+	}
+	count := binary.BigEndian.Uint32(b[17:]) // a bogus one fails within len(b)/partHead parts
+	rest := b[msgHead:]
+	for i := uint32(0); i < count; i++ {
+		if _, _, rest, err = msg.SplitPart(rest); err != nil {
+			return 0, 0, nil, 0, fmt.Errorf("transport: part %d: %w", i, err)
+		}
 	}
 	src = int64(binary.BigEndian.Uint64(b[1:]))
 	dst = int64(binary.BigEndian.Uint64(b[9:]))
-	count := binary.BigEndian.Uint32(b[17:])
-	if uint64(count) > uint64(len(b)) {
-		return 0, 0, 0, fmt.Errorf("transport: message count %d exceeds frame", count)
-	}
-	off := msgHead
-	for i := uint32(0); i < count; i++ {
-		if len(b)-off < partHead {
-			return 0, 0, 0, fmt.Errorf("transport: truncated frame at offset %d", off)
-		}
-		nw := uint64(binary.BigEndian.Uint32(b[off+8:]))
-		off += partHead
-		if nw*wordLen > uint64(len(b)-off) {
-			return 0, 0, 0, fmt.Errorf("transport: %d words truncated at offset %d", nw, off)
-		}
-		for end := off + int(nw)*wordLen; off < end; off += wordLen {
-			if k := heap.Kind(b[off]); k != heap.KInt && k != heap.KFloat {
-				return 0, 0, 0, fmt.Errorf("transport: bad wire value kind %d", k)
-			}
-		}
-	}
-	return src, dst, int(count), nil
-}
-
-// msgPart returns the part at off of a frame scanMsg accepted — its tag
-// and its encoded bytes, capped so an append cannot reach past them — and
-// the offset of the next part.
-func msgPart(b []byte, off int) (tag int64, part []byte, next int) {
-	next = off + partHead + int(binary.BigEndian.Uint32(b[off+8:]))*wordLen
-	return int64(binary.BigEndian.Uint64(b[off:])), b[off:next:next], next
-}
-
-// msgDecoder decodes fMsg frames into a batch and a word buffer that it
-// reuses from frame to frame, so after the first frame of a shape a
-// decode allocates nothing. A decoded batch is valid until the next
-// decode: its consumer copies what it keeps (Router.SendBatch does).
-type msgDecoder struct {
-	batch []msg.Batched
-	words []heap.Value
-}
-
-func (m *msgDecoder) decode(b []byte) (src, dst int64, batch []msg.Batched, err error) {
-	src, dst, n, err := scanMsg(b)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	batch, words := m.batch[:0], m.words[:0]
-	for i, off := 0, msgHead; i < n; i++ {
-		tag, part, next := msgPart(b, off)
-		start := len(words)
-		for w := partHead; w < len(part); w += wordLen {
-			bits := binary.BigEndian.Uint64(part[w+1:])
-			if heap.Kind(part[w]) == heap.KInt {
-				words = append(words, heap.IntVal(int64(bits)))
-			} else {
-				words = append(words, heap.FloatVal(math.Float64frombits(bits)))
-			}
-		}
-		batch = append(batch, msg.Batched{Tag: tag, Words: words[start:len(words):len(words)]})
-		off = next
-	}
-	m.batch, m.words = batch, words
-	return src, dst, batch, nil
+	return src, dst, b[msgHead : len(b)-len(rest)], int(count), nil
 }
 
 // msgBuf is a keyed store-and-forward buffer of encoded message parts,
 // dst → src → tag → part, in which the latest part per key wins. The hub
 // keeps the parts of the frames it relays and each client those of the
-// frames it sends. A part is a sub-slice of its frame, so buffering
-// copies nothing, and a replayed part is byte for byte the one that was
-// sent.
-type msgBuf map[int64]map[int64]map[int64][]byte
+// frames it sends. Parts are copied in, into buffers that pruning
+// recycles (msg.Parts), so the frame they came in may be reused at once;
+// a replayed part is byte for byte the one that was sent.
+type msgBuf map[int64]*msg.Parts
 
-// putFrame buffers the n parts of a frame scanMsg accepted.
-func (m msgBuf) putFrame(b []byte, src, dst int64, n int) {
-	for i, off := 0, msgHead; i < n; i++ {
-		tag, part, next := msgPart(b, off)
-		bySrc := m[dst]
-		if bySrc == nil {
-			bySrc = make(map[int64]map[int64][]byte)
-			m[dst] = bySrc
-		}
-		tags := bySrc[src]
-		if tags == nil {
-			tags = make(map[int64][]byte)
-			bySrc[src] = tags
-		}
-		tags[tag] = part
-		off = next
+// put buffers the parts of a frame scanMsg accepted.
+func (m msgBuf) put(src, dst int64, parts []byte) {
+	p := m[dst]
+	if p == nil {
+		p = new(msg.Parts)
+		m[dst] = p
 	}
-}
-
-// prune drops dst's parts with tag < below.
-func (m msgBuf) prune(dst, below int64) {
-	for _, tags := range m[dst] {
-		for tag := range tags {
-			if tag < below {
-				delete(tags, tag)
-			}
-		}
-	}
+	p.Put(src, parts)
 }
 
 // frames rebuilds dst's buffered parts as fMsg frames, one per source.
 func (m msgBuf) frames(dst int64) [][]byte {
 	var out [][]byte
-	for src, tags := range m[dst] {
+	m[dst].Each(func(src int64, tags map[int64][]byte) {
 		if len(tags) == 0 {
-			continue
+			return
 		}
 		size := msgHead
 		for _, p := range tags {
@@ -317,7 +206,7 @@ func (m msgBuf) frames(dst int64) [][]byte {
 			f = append(f, p...)
 		}
 		out = append(out, f)
-	}
+	})
 	return out
 }
 
@@ -345,17 +234,19 @@ func decodeHello(b []byte) (node int64, resurrect bool, err error) {
 	return node, resurrect, d.err
 }
 
-func encodeNode(typ byte, node int64) []byte {
+// encodeInt builds the frames that carry one integer: a node (fOwn,
+// fFail) or an epoch (fRoll).
+func encodeInt(typ byte, v int64) []byte {
 	e := &enc{b: make([]byte, 0, 9)}
 	e.u8(typ)
-	e.i64(node)
+	e.i64(v)
 	return e.b
 }
 
-func decodeNode(b []byte) (int64, error) {
+func decodeInt(b []byte) (int64, error) {
 	d := &dec{b: b, off: 1}
-	n := d.i64()
-	return n, d.err
+	v := d.i64()
+	return v, d.err
 }
 
 func encodeGC(node, below int64) []byte {
@@ -406,19 +297,6 @@ func decodeWelcome(b []byte) (epoch int64, storePort uint32, err error) {
 		d.err = fmt.Errorf("transport: store port %d out of range", storePort)
 	}
 	return epoch, storePort, d.err
-}
-
-func encodeEpoch(typ byte, epoch int64) []byte {
-	e := &enc{}
-	e.u8(typ)
-	e.i64(epoch)
-	return e.b
-}
-
-func decodeEpoch(b []byte) (int64, error) {
-	d := &dec{b: b, off: 1}
-	v := d.i64()
-	return v, d.err
 }
 
 func encodeExit(r Result) []byte {

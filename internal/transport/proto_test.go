@@ -22,12 +22,12 @@ var controlCodecs = map[byte]func(b []byte) (fields any, re []byte, err error){
 		return []any{epoch, port}, encodeWelcome(epoch, port), err
 	},
 	fRoll: func(b []byte) (any, []byte, error) {
-		epoch, err := decodeEpoch(b)
-		return epoch, encodeEpoch(fRoll, epoch), err
+		epoch, err := decodeInt(b)
+		return epoch, encodeInt(fRoll, epoch), err
 	},
 	fOwn: func(b []byte) (any, []byte, error) {
-		node, err := decodeNode(b)
-		return node, encodeNode(fOwn, node), err
+		node, err := decodeInt(b)
+		return node, encodeInt(fOwn, node), err
 	},
 	fGC: func(b []byte) (any, []byte, error) {
 		node, below, err := decodeGC(b)
@@ -57,8 +57,8 @@ func FuzzControlFrame(f *testing.F) {
 		encodeHello(-1, true),
 		encodeWelcome(0, 0),
 		encodeWelcome(math.MaxInt64, 0xffff),
-		encodeEpoch(fRoll, 7),
-		encodeNode(fOwn, 5),
+		encodeInt(fRoll, 7),
+		encodeInt(fOwn, 5),
 		encodeGC(2, math.MinInt64),
 		encodeAck(9, ""),
 		encodeAck(math.MaxUint32, "transport: node 4 is failed"),

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -12,11 +13,33 @@ import (
 	"repro/internal/msg"
 )
 
+// tagged is one decoded part of a message frame.
+type tagged struct {
+	Tag   int64
+	Words []heap.Value
+}
+
+// encodeMsg builds an fMsg frame of batch's parts in an exactly sized
+// buffer.
+func encodeMsg(src, dst int64, batch []tagged) ([]byte, error) {
+	size := msgHead
+	for _, b := range batch {
+		size += partHead + wordLen*len(b.Words)
+	}
+	f := appendMsgHead(make([]byte, 0, size), src, dst, len(batch))
+	for _, b := range batch {
+		var err error
+		if f, err = msg.AppendPart(f, b.Tag, b.Words); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
 // decodeMsg is the reference decoder of an fMsg frame (pass the full
 // frame, type byte included), written on the dec cursor independently of
-// scanMsg: the fuzz target holds the scanner and the receiver's decoder
-// to it.
-func decodeMsg(b []byte) (src, dst int64, batch []msg.Batched, err error) {
+// scanMsg and msg's part codec: the fuzz target holds both to it.
+func decodeMsg(b []byte) (src, dst int64, batch []tagged, err error) {
 	d := &dec{b: b, off: 1}
 	src = d.i64()
 	dst = d.i64()
@@ -25,7 +48,7 @@ func decodeMsg(b []byte) (src, dst int64, batch []msg.Batched, err error) {
 		d.err = fmt.Errorf("transport: message count %d exceeds frame", n)
 	}
 	if d.err == nil {
-		batch = make([]msg.Batched, 0, n)
+		batch = make([]tagged, 0, n)
 		for i := uint32(0); i < n && d.err == nil; i++ {
 			tag := d.i64()
 			nw := d.u32()
@@ -37,7 +60,7 @@ func decodeMsg(b []byte) (src, dst int64, batch []msg.Batched, err error) {
 			for j := uint32(0); j < nw; j++ {
 				words = append(words, d.val())
 			}
-			batch = append(batch, msg.Batched{Tag: tag, Words: words})
+			batch = append(batch, tagged{Tag: tag, Words: words})
 		}
 	}
 	return src, dst, batch, d.err
@@ -61,7 +84,7 @@ func (d *dec) val() heap.Value {
 
 // latestWins folds a batch the way a mailbox stores it: per tag, the
 // last payload.
-func latestWins(batch []msg.Batched) map[int64][]heap.Value {
+func latestWins(batch []tagged) map[int64][]heap.Value {
 	out := make(map[int64][]heap.Value, len(batch))
 	for _, b := range batch {
 		out[b.Tag] = b.Words
@@ -83,25 +106,28 @@ func sameWords(a, b []heap.Value) bool {
 	return true
 }
 
-func sameBatch(a, b []msg.Batched) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Tag != b[i].Tag || !sameWords(a[i].Words, b[i].Words) {
-			return false
+// partOf returns the last part under tag in a frame scanMsg accepted.
+func partOf(b []byte, tag int64) (last []byte) {
+	_, _, rest, _, _ := scanMsg(b)
+	for len(rest) > 0 {
+		t, part, next, _ := msg.SplitPart(rest)
+		if t == tag {
+			last = part
 		}
+		rest = next
 	}
-	return true
+	return last
 }
 
 // FuzzMsgFrame: scanMsg accepts exactly the frames the reference decoder
-// accepts; the receiver's decoder agrees with the reference on them; and
-// a frame rebuilt from the scanned parts — what the hub and a client
-// replay — decodes to the same (src, dst) and the same latest payload per
-// tag, each part byte for byte as it arrived.
+// accepts; every scanned part is what msg's encoder makes of the
+// reference's decode; the parts delivered into a mailbox are received as
+// the reference decodes them, latest per tag; and a frame rebuilt from
+// the scanned parts — what the hub and a client replay — decodes to the
+// same (src, dst) and the same latest payload per tag, each part byte for
+// byte as it arrived.
 func FuzzMsgFrame(f *testing.F) {
-	seeds := [][]msg.Batched{
+	seeds := [][]tagged{
 		{{Tag: 1, Words: iv(1, -2, 3)}},
 		{{Tag: 2, Words: []heap.Value{heap.FloatVal(1.5), heap.FloatVal(math.NaN()), heap.IntVal(math.MinInt64)}}},
 		nil,
@@ -117,9 +143,8 @@ func FuzzMsgFrame(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	var md msgDecoder
 	f.Fuzz(func(t *testing.T, b []byte) {
-		src, dst, n, serr := scanMsg(b)
+		src, dst, parts, n, serr := scanMsg(b)
 		rsrc, rdst, ref, rerr := decodeMsg(b)
 		if (serr == nil) != (rerr == nil) {
 			t.Fatalf("scanMsg error %v, reference decoder error %v", serr, rerr)
@@ -130,14 +155,28 @@ func FuzzMsgFrame(f *testing.F) {
 		if src != rsrc || dst != rdst || n != len(ref) {
 			t.Fatalf("scanMsg head (%d, %d, %d parts), reference (%d, %d, %d parts)", src, dst, n, rsrc, rdst, len(ref))
 		}
-		if _, _, got, err := md.decode(b); err != nil || !sameBatch(got, ref) {
-			t.Fatalf("receiver decoded %v (%v), reference %v", got, err, ref)
+		for i, rest := 0, parts; i < n; i++ {
+			tag, part, next, err := msg.SplitPart(rest)
+			if want, _ := msg.AppendPart(nil, ref[i].Tag, ref[i].Words); err != nil || tag != ref[i].Tag || !bytes.Equal(part, want) {
+				t.Fatalf("part %d split as tag %d % x (%v), reference tag %d re-encodes as % x", i, tag, part, err, ref[i].Tag, want)
+			}
+			rest = next
+		}
+
+		want := latestWins(ref)
+		r := msg.NewRouter()
+		if err := r.SendBatch(src, dst, parts); err != nil {
+			t.Fatalf("a scanned frame's parts were refused by the mailbox: %v", err)
+		}
+		for tag, w := range want {
+			if got, st, ok := r.TryRecv(dst, src, tag); !ok || st != msg.StatusOK || !sameWords(got, w) {
+				t.Fatalf("mailbox tag %d received as %v (status %d, %v), want %v", tag, got, st, ok, w)
+			}
 		}
 
 		buf := make(msgBuf)
-		buf.putFrame(b, src, dst, n)
+		buf.put(src, dst, parts)
 		frames := buf.frames(dst)
-		want := latestWins(ref)
 		if len(want) == 0 {
 			if len(frames) != 0 {
 				t.Fatalf("an empty batch rebuilt as %d frames", len(frames))
@@ -160,12 +199,17 @@ func FuzzMsgFrame(f *testing.F) {
 				t.Fatalf("tag %d rebuilt as %v, want %v", tag, got[tag], w)
 			}
 		}
-		for i, off := 0, msgHead; i < len(rebuilt); i++ {
-			tag, part, next := msgPart(frames[0], off)
-			if !reflect.DeepEqual(part, buf[dst][src][tag]) {
-				t.Fatalf("tag %d replayed as % x, buffered as % x", tag, part, buf[dst][src][tag])
+		_, _, rparts, _, err := scanMsg(frames[0])
+		for i := 0; err == nil && i < len(rebuilt); i++ {
+			var tag int64
+			var part []byte
+			tag, part, rparts, err = msg.SplitPart(rparts)
+			if sent := partOf(b, tag); !bytes.Equal(part, sent) {
+				t.Fatalf("tag %d replayed as % x, sent as % x", tag, part, sent)
 			}
-			off = next
+		}
+		if err != nil {
+			t.Fatalf("rebuilt frame: %v", err)
 		}
 	})
 }
@@ -177,7 +221,7 @@ func borderFrame(t *testing.T, src, dst, tag int64) []byte {
 	for i := range words {
 		words[i] = heap.FloatVal(float64(i) / 3)
 	}
-	b, err := encodeMsg(src, dst, []msg.Batched{{Tag: tag, Words: words}})
+	b, err := encodeMsg(src, dst, []tagged{{Tag: tag, Words: words}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,16 +248,44 @@ func TestRelayDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestReceiverDecodeReusesBuffers: after the first frame of a shape, the
-// receiver's decode allocates nothing.
-func TestReceiverDecodeReusesBuffers(t *testing.T) {
-	var md msgDecoder
+// TestReceiverDeliveryReusesParts: after the first frame under a key, a
+// worker's delivery of a frame's parts into the mailbox — scan, then
+// SendBatch, as readLoop does — allocates nothing.
+func TestReceiverDeliveryReusesParts(t *testing.T) {
+	r := msg.NewRouter()
 	raw := borderFrame(t, 1, 2, 5)
-	if _, _, batch, err := md.decode(raw); err != nil || len(batch) != 1 || len(batch[0].Words) != 64 {
-		t.Fatalf("decode = %v, %v", batch, err)
+	deliver := func() {
+		src, dst, parts, _, err := scanMsg(raw)
+		if err == nil {
+			err = r.SendBatch(src, dst, parts)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _, _, _, _ = md.decode(raw) }); allocs != 0 {
-		t.Fatalf("steady-state decode allocates %.1f objects, want 0", allocs)
+	deliver()
+	if got, st, ok := r.TryRecv(2, 1, 5); !ok || st != msg.StatusOK || len(got) != 64 || got[3].F != 1 {
+		t.Fatalf("delivered = %v, status %d, %v", got, st, ok)
+	}
+	if allocs := testing.AllocsPerRun(100, deliver); allocs != 0 {
+		t.Fatalf("steady-state delivery allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestRelayKeepsNoPartOfTheFrame: the hub reads every message frame into
+// one reused buffer, so what it buffers for replay must be a copy: a part
+// replayed after the buffer was overwritten is the part that was sent.
+func TestRelayKeepsNoPartOfTheFrame(t *testing.T) {
+	h := newHub(t)
+	sent := borderFrame(t, 1, 2, 5)
+	raw := slices.Clone(sent)
+	if err := h.relayMsg(raw); err != nil {
+		t.Fatal(err)
+	}
+	copy(raw, borderFrame(t, 3, 4, 6))
+	frames := h.buf.frames(2)
+	if len(frames) != 1 || !bytes.Equal(frames[0], sent) {
+		t.Fatalf("replayed % x, sent % x", frames, sent)
 	}
 }
 
@@ -221,7 +293,7 @@ func TestReceiverDecodeReusesBuffers(t *testing.T) {
 // buffers none of its parts.
 func TestRelayRejectsBadFrameWhole(t *testing.T) {
 	h := newHub(t)
-	raw, err := encodeMsg(1, 2, []msg.Batched{{Tag: 1, Words: iv(10)}, {Tag: 2, Words: iv(20)}})
+	raw, err := encodeMsg(1, 2, []tagged{{Tag: 1, Words: iv(10)}, {Tag: 2, Words: iv(20)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,12 +311,7 @@ func TestRelayRejectsBadFrameWhole(t *testing.T) {
 func outTags(c *Client, dst, src int64) []int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var tags []int64
-	for tag := range c.out[dst][src] {
-		tags = append(tags, tag)
-	}
-	slices.Sort(tags)
-	return tags
+	return c.out[dst].Tags(src)
 }
 
 // TestGCShrinksSenderReplayBuffer: a destination's GC reaches the

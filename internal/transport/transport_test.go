@@ -99,11 +99,7 @@ func TestRelayBuffersForLateJoiner(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	waitFor(t, func() bool {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		return len(h.buf[2][1]) == 2
-	}, "hub never buffered both tags")
+	waitFor(t, func() bool { return len(h.BufferedTags(2, 1)) == 2 }, "hub never buffered both tags")
 
 	r2, _ := joinNode(t, h, 2, ClientConfig{})
 	if got := recvWithin(t, r2, 2, 1, 7, 5*time.Second); got[0].I != 11 {
@@ -596,11 +592,8 @@ func TestMultipleSequentialFailuresReplayAndGC(t *testing.T) {
 
 	// Node 2 commits past step 2 and GCs; the hub's buffer for it prunes.
 	r2.GC(2, 3)
-	waitFor(t, func() bool {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		return len(h.buf[2][1]) == 2 // tags 3, 4 remain
-	}, "hub never pruned node 2's buffer after GC")
+	waitFor(t, func() bool { return len(h.BufferedTags(2, 1)) == 2 }, // tags 3, 4 remain
+		"hub never pruned node 2's buffer after GC")
 
 	// Failure 1: node 2 dies; its resurrected incarnation replays only
 	// the un-GCed keys.
