@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
+	"repro/internal/heap"
 	"repro/internal/lang"
 	"repro/internal/migrate"
 	"repro/internal/rt"
@@ -31,6 +32,7 @@ func runRing(t *testing.T, store *notifyStore, opts ckpt.Options, workers int, v
 	}
 	e := NewEngine(EngineConfig{Store: store, Workers: workers, Quantum: 500, Ckpt: opts})
 	defer e.Close()
+	arenas := watchArenas(e)
 
 	resurrected := make(chan error, 1)
 	if failAfter > 0 {
@@ -77,7 +79,85 @@ func runRing(t *testing.T, store *notifyStore, opts ckpt.Options, workers int, v
 			t.Fatalf("node %d halt = %d, want %d", n, st.Halt, want[n])
 		}
 	}
+	if killed := arenas.check(t, e); failAfter > 0 && killed == 0 {
+		t.Fatal("no killed incarnation seen")
+	}
 	return e
+}
+
+// arenaWatch collects the incarnations an engine runs, so a test can
+// check after Wait that every one has released its heap: the killed ones
+// as their node is resurrected, the rest (halted or migrated away) from
+// the engine's last drivers.
+type arenaWatch struct {
+	mu     sync.Mutex
+	killed []*heap.Heap
+}
+
+func watchArenas(e *Engine) *arenaWatch {
+	w := &arenaWatch{}
+	e.SetResurrectWindowHook(func(node int64, _ string) {
+		// The killed incarnation's driver has exited; the new one has not
+		// replaced it yet.
+		h := e.driver(node).proc.Heap()
+		w.mu.Lock()
+		w.killed = append(w.killed, h)
+		w.mu.Unlock()
+	})
+	return w
+}
+
+// check fails the test if a finished incarnation still holds an arena,
+// and returns how many killed incarnations it saw.
+func (w *arenaWatch) check(t *testing.T, e *Engine) int {
+	t.Helper()
+	w.mu.Lock()
+	heaps := append([]*heap.Heap(nil), w.killed...)
+	w.mu.Unlock()
+	e.mu.Lock()
+	for _, d := range e.drivers {
+		heaps = append(heaps, d.proc.Heap())
+	}
+	e.mu.Unlock()
+	for i, h := range heaps {
+		if n := h.ArenaWords(); n != 0 {
+			t.Fatalf("finished incarnation %d of %d still holds a %d-word arena", i, len(heaps), n)
+		}
+	}
+	return len(w.killed)
+}
+
+// TestFinishedIncarnationsReleaseTheirArenas: once Wait returns, every
+// incarnation an engine ran has given its arena back — halted, migrated
+// away, and killed with an async commit in flight. (runRing checks every
+// ring run the same way.)
+func TestFinishedIncarnationsReleaseTheirArenas(t *testing.T) {
+	t.Run("handoff", func(t *testing.T) {
+		prog, err := lang.Compile(handoffSrc, Externs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(EngineConfig{Workers: 2})
+		defer e.Close()
+		arenas := watchArenas(e)
+		for n := int64(0); n < 2; n++ {
+			if err := e.StartProcess(n, prog, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		states, err := e.Wait(30 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if states[0].Status != rt.StatusMigrated || states[5] == nil || states[5].Status != rt.StatusHalted {
+			t.Fatalf("node 0 = %+v, node 5 = %+v: want migrated away and halted", states[0], states[5])
+		}
+		arenas.check(t, e)
+	})
+	t.Run("async-kill-mid-commit", func(t *testing.T) {
+		store := &notifyStore{Store: &slowStore{Store: NewMemStore(), memberDelay: 3 * time.Millisecond}}
+		runRing(t, store, ckpt.Options{Mode: ckpt.ModeAsync, K: 2}, 2, 2, 1, 5*time.Millisecond)
+	})
 }
 
 // TestCkptModesRingBitExact: the ring converges to the same reference

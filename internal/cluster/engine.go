@@ -682,22 +682,33 @@ func (d *driver) loop() {
 		killed := d.killed
 		d.mu.Unlock()
 		if killed {
-			d.eng.record(d.node, d.proc, true)
+			d.finish(true)
 			return
 		}
 		if d.proc.Status() != rt.StatusRunning {
 			// A Step() during a quiesce may have finished the process.
-			d.eng.record(d.node, d.proc, false)
+			d.finish(false)
 			return
 		}
 		d.eng.acquire()
 		st, _ := d.proc.RunSteps(d.eng.cfg.Quantum)
 		d.eng.release()
 		if st != rt.StatusRunning {
-			d.eng.record(d.node, d.proc, false)
+			d.finish(false)
 			return
 		}
 	}
+}
+
+// finish records the incarnation's terminal state (halted, killed or
+// migrated away) and releases its heap, so the next incarnation started,
+// restored or migrated in takes the arena. Nothing reads the heap after
+// record: record has drained the node's commits, a full checkpoint's
+// view dies before its pause ends, and delta, async and handoff captures
+// are copies.
+func (d *driver) finish(killed bool) {
+	d.eng.record(d.node, d.proc, killed)
+	d.proc.Heap().Release()
 }
 
 func (e *Engine) record(node int64, p rt.Proc, killed bool) {

@@ -27,6 +27,7 @@ var (
 	ErrBadLevel     = errors.New("heap: no such speculation level")
 	ErrNoSpec       = errors.New("heap: no speculation in progress")
 	ErrBadAllocSize = errors.New("heap: invalid allocation size")
+	ErrReleased     = errors.New("heap: heap was released")
 )
 
 // Collector is the policy hook invoked when an allocation cannot be
@@ -39,15 +40,15 @@ type Collector interface {
 
 // Config configures a heap instance.
 type Config struct {
-	// InitialWords is the starting arena capacity in words (default 4096,
-	// or MaxWords when that is smaller). The arena grows on demand up to
+	// InitialWords is the starting arena size in words (default 4096, or
+	// MaxWords when that is smaller). The arena grows on demand up to
 	// MaxWords, each time to at least twice its size and to at most
-	// Headroom full, so the default decides how much zeroed memory a
-	// short-lived heap pays for up front against how many regrowths a
-	// working one pays for. At the benchmark's shapes the grid's and
-	// kvserve's node heaps outgrew 1024 words at once, on every start and
-	// every restore, and regrowing from 1024 was ~2/3 of what a
-	// kv_failover run allocated.
+	// Headroom full. Arenas come from a process-wide pool that Release
+	// refills, so a heap whose process has ended hands its arena, grown
+	// or not, to the next one: the size decides how many regrowths a
+	// working heap pays for, not how much memory a short-lived one
+	// allocates. At the benchmark's shapes the grid's and kvserve's node
+	// heaps outgrew 1024 words at once, on every start and every restore.
 	InitialWords int
 	// MaxWords caps arena growth (default 1<<24 words).
 	MaxWords int
@@ -116,27 +117,48 @@ type Shadow struct {
 	buf      *[]Value // Words' pooled backing, handed back by dropShadow
 }
 
-// shadowPool recycles shadow buffers across every heap in the process:
-// node heaps are short-lived, and a checkpointing loop saves blocks of
-// the same sizes level after level. It holds *[]Value, so a Put boxes
+// wordPool recycles word buffers across every heap in the process: node
+// heaps are short-lived, and a run kills, migrates and restores them over
+// and over. It is the object cache of Bonwick's slab allocator (USENIX
+// Summer 1994) for whole heaps: shadowPool holds the saved words a
+// checkpointing loop takes level after level, arenaPool the arenas of
+// heaps whose process has ended. It holds *[]Value, so a give boxes
 // nothing.
-var shadowPool sync.Pool
+type wordPool struct{ p sync.Pool }
 
-// newShadow saves a copy of words in a pooled buffer. A pooled buffer too
-// small for them is replaced, so the pool drifts towards the sizes asked
-// for.
-func newShadow(idx int64, words []Value, oldLevel int64) Shadow {
-	b, ok := shadowPool.Get().(*[]Value)
-	if !ok {
+var shadowPool, arenaPool wordPool
+
+// take returns a buffer of n words: a pooled one when its capacity
+// allows, its words left as their last holder wrote them, else a fresh
+// one. A pooled buffer too small is left to the Go collector rather than
+// put back, so one that is always too small cannot sit in the pool's
+// per-P slot and miss every request: the pool drifts towards the sizes
+// asked for.
+func (wp *wordPool) take(n int) *[]Value {
+	b, _ := wp.p.Get().(*[]Value)
+	if b == nil {
 		b = new([]Value)
 	}
-	*b = append((*b)[:0], words...)
+	if cap(*b) < n {
+		*b = make([]Value, n)
+	}
+	*b = (*b)[:n]
+	return b
+}
+
+// give hands b to the next take; its holder must not touch it again.
+func (wp *wordPool) give(b *[]Value) { wp.p.Put(b) }
+
+// newShadow saves a copy of words in a pooled buffer.
+func newShadow(idx int64, words []Value, oldLevel int64) Shadow {
+	b := shadowPool.take(len(words))
+	copy(*b, words)
 	return Shadow{Idx: idx, Words: *b, OldLevel: oldLevel, buf: b}
 }
 
 // dropShadow returns a shadow's buffer to the pool.
 func dropShadow(s *Shadow) {
-	shadowPool.Put(s.buf)
+	shadowPool.give(s.buf)
 	s.Words, s.buf = nil, nil
 }
 
@@ -175,7 +197,8 @@ type Stats struct {
 // Heap is a runtime heap instance: one per process context.
 type Heap struct {
 	cfg       Config
-	arena     []Value
+	arena     []Value  // (*buf)[:size]: growth within its capacity reslices
+	buf       *[]Value // the arena's pooled backing; nil once released
 	allocPtr  int
 	watermark int // start of the young region; everything below is old gen
 	table     []entry
@@ -226,7 +249,7 @@ func New(cfg Config) *Heap {
 	cfg = cfg.withDefaults()
 	h := &Heap{
 		cfg:        cfg,
-		arena:      make([]Value, cfg.InitialWords),
+		buf:        arenaPool.take(cfg.InitialWords),
 		nextLevel:  1,
 		remembered: make(map[int64]bool),
 		// Pre-size the pointer table and its free list: short-lived heaps
@@ -235,6 +258,7 @@ func New(cfg Config) *Heap {
 		table:    make([]entry, 0, 64),
 		freeList: make([]int64, 0, 64),
 	}
+	h.arena = *h.buf
 	if cfg.TrackDirty {
 		h.EnableDeltaTracking()
 	}
@@ -266,7 +290,7 @@ func (h *Heap) AddRoots(fn func(yield func(Value))) {
 // Stats returns a copy of the activity counters.
 func (h *Heap) Stats() Stats { return h.stats }
 
-// ArenaWords returns current arena capacity in words.
+// ArenaWords returns the arena's size in words: 0 once released.
 func (h *Heap) ArenaWords() int { return len(h.arena) }
 
 // UsedWords returns the number of arena words currently allocated
@@ -333,6 +357,9 @@ func (h *Heap) Alloc(size int64) (Value, error) {
 // allocRun reserves size words at the arena tail, collecting or growing as
 // needed.
 func (h *Heap) allocRun(size int) (int, error) {
+	if h.buf == nil {
+		return 0, ErrReleased
+	}
 	want := h.allocPtr + size
 	if want > len(h.arena) {
 		if h.collector != nil {
@@ -346,15 +373,43 @@ func (h *Heap) allocRun(size int) (int, error) {
 			if want > h.cfg.MaxWords {
 				return 0, fmt.Errorf("%w: need %d words, cap %d", ErrOutOfMemory, want, h.cfg.MaxWords)
 			}
-			na := make([]Value, grownWords(len(h.arena), want, h.cfg.MaxWords))
-			copy(na, h.arena[:h.allocPtr])
-			h.arena = na
+			// Within the backing's capacity the arena only reslices; a
+			// larger one replaces it, and no View outlives an allocation.
+			n := grownWords(len(h.arena), want, h.cfg.MaxWords)
+			if n > cap(*h.buf) {
+				nb := arenaPool.take(n)
+				copy(*nb, h.arena[:h.allocPtr])
+				arenaPool.give(h.buf)
+				h.buf = nb
+			}
+			h.arena = (*h.buf)[:n]
 			h.stats.Grows++
 		}
 	}
 	a := h.allocPtr
 	h.allocPtr = want
 	return a, nil
+}
+
+// Release gives the heap's arena to the next heap New, growth or Restore
+// takes from the process-wide pool, and the saved words of its open
+// levels to the shadow pool. The heap is left with no arena, no pointer
+// table and no levels, so no later access can read memory another heap
+// now owns: Load and Store fail with ErrBadIndex, Alloc with
+// ErrReleased, level operations with ErrBadLevel. No View of the heap
+// may be in use; releasing twice does nothing.
+func (h *Heap) Release() {
+	if h.buf == nil {
+		return
+	}
+	for i := range h.levels {
+		for j := range h.levels[i].shadows {
+			dropShadow(&h.levels[i].shadows[j])
+		}
+	}
+	arenaPool.give(h.buf)
+	h.buf, h.arena, h.table, h.freeList, h.levels = nil, nil, nil, nil, nil
+	h.allocPtr, h.watermark = 0, 0
 }
 
 // allocEntry takes a pointer-table slot from the free list or extends the

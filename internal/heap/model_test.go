@@ -133,8 +133,9 @@ func (hm *heapModel) step(rng *rand.Rand) {
 		h.CollectMinor()
 	case op < 15:
 		h.CollectMajor()
-	default: // Snapshot -> Restore round trip
+	default: // Snapshot -> Release -> Restore round trip: the restored heap may take the released arena
 		snap := h.Snapshot()
+		h.Release()
 		h2, err := Restore(snap, Config{InitialWords: 64})
 		if err != nil {
 			hm.t.Fatalf("restore: %v", err)
@@ -182,9 +183,10 @@ func (hm *heapModel) verify() {
 
 // TestQuickHeapMatchesModel drives random allocations (some larger than
 // the free arena), stores, level enters, commits at any ordinal,
-// rollbacks, collections and snapshot round trips against the model, so a
-// rollback that restores the wrong words — not just a broken invariant —
-// fails.
+// rollbacks, collections and snapshot → release → restore round trips
+// against the model, so a rollback that restores the wrong words — not
+// just a broken invariant — fails, and so does a restored heap that reads
+// what its reused arena held before.
 func TestQuickHeapMatchesModel(t *testing.T) {
 	grows := 0
 	f := func(seed int64) bool {

@@ -10,6 +10,12 @@
 // shadow; rollback copies it back. A store therefore never allocates
 // arena words or collects.
 //
+// Arenas and shadow buffers are recycled across the heaps of a process:
+// Release, called when a heap's process ends, gives its arena to the next
+// heap New, growth or Restore takes. Reused words are not cleared; every
+// block is written before it is read (Alloc zeroes, Restore and
+// compaction copy), and every read is checked against its block.
+//
 // The pointer table (§4.1.1) is the load-bearing idea: source-level
 // pointers are (base, offset) pairs where base is an index into the table,
 // never a machine address. Because no real addresses are ever stored in

@@ -359,9 +359,7 @@ func checkedLabels(prog *fir.Program, extra rt.Registry) (map[int]string, error)
 // of the program's migration points, the shape of migrate_env, every
 // heap.Restore check — runs on every call. Processes unpacked from equal
 // bytes share one *fir.Program, which nothing may mutate.
-func Unpack(img *wire.Image, opts Options) (rt.Proc, Timings, error) {
-	var tm Timings
-
+func Unpack(img *wire.Image, opts Options) (proc rt.Proc, tm Timings, err error) {
 	eng, err := engine.Get(opts.Engine)
 	if err != nil {
 		return nil, tm, err
@@ -415,6 +413,12 @@ func Unpack(img *wire.Image, opts Options) (rt.Proc, Timings, error) {
 	if err != nil {
 		return nil, tm, err
 	}
+	defer func() {
+		if err != nil {
+			// No process will run on the restored heap: its arena goes back.
+			h.Release()
+		}
+	}()
 
 	// Read the resume state out of migrate_env, applying the standard
 	// safety checks as the values are read.
@@ -442,7 +446,7 @@ func Unpack(img *wire.Image, opts Options) (rt.Proc, Timings, error) {
 		args = append(args, v)
 	}
 
-	proc, err := eng.Resume(prog, h, img.State.Conts, cfg)
+	proc, err = eng.Resume(prog, h, img.State.Conts, cfg)
 	if err != nil {
 		return nil, tm, err
 	}
